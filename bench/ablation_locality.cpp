@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md / Section IV-C): CETRIC's contraction pays exactly
+// Ablation (Section IV-C): CETRIC's contraction pays exactly
 // when the vertex ID order correlates with the graph's structure. Take one
 // geometric instance and run it in natural order (full locality), randomly
 // shuffled (no locality — the social-network regime), and BFS-relabeled

@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md): the buffer threshold δ of the dynamically buffered
+// Ablation (Section IV-A): the buffer threshold δ of the dynamically buffered
 // message queue. Large δ approaches TriC-style static buffering (peak memory
 // grows); tiny δ degenerates toward unbuffered sending (message counts and
 // α-overheads grow). δ ∈ O(|E_i|) is the paper's linear-memory sweet spot.

@@ -52,7 +52,7 @@ inline void add_json_option(CliParser& cli) {
 inline Config engine_config(const CliParser& cli) { return Config::from_args(cli); }
 
 /// Every bench prints its machine-model constants so results are
-/// self-describing (DESIGN.md §1).
+/// self-describing.
 inline void print_header(const std::string& what, const net::NetworkConfig& config) {
     std::cout << "=== " << what << " ===\n"
               << "machine model: " << config.describe() << '\n'

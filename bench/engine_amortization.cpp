@@ -1,27 +1,26 @@
 // Engine amortization bench: the facade's reason to exist, measured. A
-// k-algorithm comparison sweep (the fig5–fig8 workload) runs three ways:
+// k-algorithm comparison sweep (the fig5–fig8 workload) runs two ways:
 //
-//   one-shot — k partition+distribute+preprocess passes (the legacy shape);
-//   cold engine — 1 build pass, but every query re-runs preprocessing on
-//                 its simulated machine (PR 4's behaviour, bit-identical
-//                 metrics);
-//   warm engine — Config::reuse_preprocessing: ghost degrees, orientation,
-//                 and hub bitmaps built once at session start and reused by
-//                 every query (the monitoring workload's shape).
+//   one-shot — the core layer alone, k times: fresh partition + per-rank
+//              views, a fresh machine, preprocessing built and charged
+//              inside every run;
+//   engine   — one Engine: partition, views and preprocessing built once at
+//              construction, then k queries that replay the recorded
+//              preprocessing ledger.
 //
-// A second section measures the warm mode's monitoring steady state: one
-// long-lived session answering rounds of family-algorithm queries (DITRIC,
-// DITRIC2, CETRIC, CETRIC2 — the production sink-capable algorithms),
-// against a baseline that rebuilds everything per query. Steady-state
-// per-round wall clock is the honest monitoring metric: the session build
-// is paid once at start and is not part of any round.
+// A second section measures the monitoring steady state: one long-lived
+// engine that skips the replay (Config::reuse_preprocessing without
+// charge_reused_preprocessing, the warm-monitor shape) answering rounds of
+// family-algorithm queries (DITRIC, DITRIC2, CETRIC, CETRIC2 — the
+// production sink-capable algorithms), against one-shot runs per query. The
+// engine build is paid once at start and is not part of any round. A third
+// runs count + LCC + enumerate + approx on one engine.
 //
-// Doubles as the CI equivalence gate: every cold-engine result must be
-// bit-identical (count, simulated time, volume) to its one-shot twin, every
-// warm-engine result must match the one-shot triangle count exactly, and
-// the warm steady-state round must save at least --warm-gate percent of the
-// per-query-rebuild round's wall clock — or the bench exits non-zero.
-// Snapshot: bench/BENCH_engine.json.
+// Doubles as a CI equivalence gate: every engine report must be
+// bit-identical (count, simulated time, volume, messages) to its one-shot
+// twin, every skipping-engine count must match, and the mixed workload's
+// payloads must match their one-shot twins — or the bench exits non-zero.
+// Wall clocks are reported, never gated. Snapshot: bench/BENCH_engine.json.
 
 #include <cmath>
 #include <iostream>
@@ -31,6 +30,36 @@
 #include "gen/rmat.hpp"
 #include "obs/trace_check.hpp"
 #include "util/timer.hpp"
+
+namespace {
+
+using namespace katric;
+
+using Views = std::vector<graph::DistGraph>;
+
+/// Runs `run(sim, views)` the one-shot way: fresh views of `g` under spec's
+/// partition and a fresh machine; the core entry points' non-const overloads
+/// build preprocessing inside the run.
+template <typename Run>
+auto oneshot(const graph::CsrGraph& g, const core::RunSpec& spec, const Run& run) {
+    auto views = graph::distribute(g, core::make_partition(g, spec));
+    net::Simulator sim(spec.num_ranks, spec.network);
+    return run(sim, views);
+}
+
+core::CountResult oneshot_count(const graph::CsrGraph& g, const core::RunSpec& spec) {
+    return oneshot(g, spec, [&](net::Simulator& sim, Views& views) {
+        return core::dispatch_algorithm(sim, views, spec);
+    });
+}
+
+bool same_metrics(const core::CountResult& a, const core::CountResult& b) {
+    return a.triangles == b.triangles && a.total_time == b.total_time
+           && a.total_words_sent == b.total_words_sent
+           && a.max_messages_sent == b.max_messages_sent;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     using namespace katric;
@@ -42,10 +71,7 @@ int main(int argc, char** argv) {
                "hub preprocessing dominates) or rgg2d (uniform, avg degree 16)");
     cli.option("algos", bench::default_algorithms_csv(), "algorithms to sweep");
     cli.option("reps", "3", "sweep repetitions (wall clocks take the best)");
-    cli.option("rounds", "4", "monitor rounds for the warm steady-state section");
-    cli.option("warm-gate", "70",
-               "fail unless the warm steady-state monitor round saves at least "
-               "this percent of the per-query-rebuild round (0 disables)");
+    cli.option("rounds", "4", "monitor rounds for the steady-state section");
     cli.flag("smoke", "CI preset: small instance, one repetition");
     Config defaults;
     defaults.num_ranks = 16;
@@ -57,7 +83,6 @@ int main(int argc, char** argv) {
     const bool smoke = cli.get_flag("smoke");
     const auto algorithms = bench::parse_algorithms(cli.get_string("algos"));
     const auto reps = smoke ? std::uint64_t{1} : cli.get_uint("reps");
-    const auto warm_gate = static_cast<double>(cli.get_uint("warm-gate"));
     const graph::VertexId n = graph::VertexId{1}
                               << (smoke ? std::uint64_t{11} : cli.get_uint("log-n"));
     bench::print_header("Engine amortization: 1 build vs k rebuilds", config);
@@ -74,21 +99,21 @@ int main(int argc, char** argv) {
               << " m=" << g.num_edges() << ", p=" << config.num_ranks << ", k=" << k
               << " algorithms, " << reps << " rep(s)\n\n";
 
-    Config warm_config = config;
-    warm_config.reuse_preprocessing = true;
+    const auto spec_for = [&](core::Algorithm algorithm) {
+        auto spec = config.run_spec();
+        spec.algorithm = algorithm;
+        return spec;
+    };
 
-    // --- the sweep, three ways ------------------------------------------
+    // --- the sweep, two ways ---------------------------------------------
     double engine_wall = -1.0;
-    double oneshot_wall = -1.0;
-    double warm_wall = -1.0;
     double build_wall = -1.0;
-    std::size_t warm_builds = 0;
+    double oneshot_wall = -1.0;
     std::vector<Report> engine_reports;
-    std::vector<Report> warm_reports;
     std::vector<core::CountResult> oneshot_results;
     for (std::uint64_t rep = 0; rep < reps; ++rep) {
         WallTimer timer;
-        Engine engine(g, config);
+        const Engine engine(g, config);
         const double build_seconds = timer.elapsed_seconds();
         std::vector<Report> reports;
         reports.reserve(k);
@@ -103,26 +128,10 @@ int main(int argc, char** argv) {
         }
 
         timer.restart();
-        Engine warm(g, warm_config);
-        std::vector<Report> warm_pass;
-        warm_pass.reserve(k);
-        for (const auto algorithm : algorithms) {
-            warm_pass.push_back(warm.count(algorithm));
-        }
-        const double warm_elapsed = timer.elapsed_seconds();
-        if (warm_wall < 0.0 || warm_elapsed < warm_wall) {
-            warm_wall = warm_elapsed;
-            warm_builds = warm.preprocess_builds();
-            warm_reports = std::move(warm_pass);
-        }
-
-        timer.restart();
         std::vector<core::CountResult> results;
         results.reserve(k);
         for (const auto algorithm : algorithms) {
-            auto spec = config.run_spec();
-            spec.algorithm = algorithm;
-            results.push_back(Engine(g, Config::from_run_spec(spec)).count().count);
+            results.push_back(oneshot_count(g, spec_for(algorithm)));
         }
         const double oneshot_elapsed = timer.elapsed_seconds();
         if (oneshot_wall < 0.0 || oneshot_elapsed < oneshot_wall) {
@@ -131,146 +140,106 @@ int main(int argc, char** argv) {
         }
     }
 
-    // --- equivalence gates -----------------------------------------------
-    Table table({"algo", "triangles", "sim time (s)", "volume (words)", "one-shot ==",
-                 "warm count =="});
+    // --- equivalence gate ------------------------------------------------
+    Table table({"algo", "triangles", "sim time (s)", "volume (words)", "one-shot =="});
     bool identical = true;
-    bool warm_counts_match = true;
     for (std::size_t i = 0; i < k; ++i) {
         const auto& engine_run = engine_reports[i].count;
-        const auto& oneshot_run = oneshot_results[i];
-        const bool match =
-            engine_run.triangles == oneshot_run.triangles
-            && engine_run.total_time == oneshot_run.total_time
-            && engine_run.total_words_sent == oneshot_run.total_words_sent
-            && engine_run.max_messages_sent == oneshot_run.max_messages_sent;
+        const bool match = same_metrics(engine_run, oneshot_results[i]);
         identical = identical && match;
-        const bool warm_match =
-            warm_reports[i].count.triangles == oneshot_run.triangles;
-        warm_counts_match = warm_counts_match && warm_match;
         table.row()
             .cell(core::algorithm_name(algorithms[i]))
             .cell(engine_run.triangles)
             .cell(engine_run.total_time, 5)
             .cell(engine_run.total_words_sent)
-            .cell(match ? "yes" : "DIVERGED")
-            .cell(warm_match ? "yes" : "DIVERGED");
+            .cell(match ? "yes" : "DIVERGED");
     }
     table.print(std::cout);
     if (!identical) {
-        std::cerr << "\nFAIL: a cold-engine result diverged from its one-shot twin\n";
-        return 1;
-    }
-    if (!warm_counts_match) {
-        std::cerr << "\nFAIL: a warm-engine triangle count diverged from one-shot\n";
+        std::cerr << "\nFAIL: an engine result diverged from its one-shot twin\n";
         return 1;
     }
 
     const double saved = oneshot_wall - engine_wall;
-    const double warm_saved = oneshot_wall - warm_wall;
-    std::cout << "\nbuild passes:   engine sweeps 1 each, one-shot sweep " << k << '\n'
-              << "wall clock:     cold engine " << engine_wall * 1e3
-              << " ms (build " << build_wall * 1e3 << " ms), warm engine "
-              << warm_wall * 1e3 << " ms, one-shot " << oneshot_wall * 1e3 << " ms\n"
-              << "amortization:   cold " << saved * 1e3 << " ms saved ("
-              << 100.0 * saved / oneshot_wall << "% of the sweep), warm "
-              << warm_saved * 1e3 << " ms saved ("
-              << 100.0 * warm_saved / oneshot_wall
-              << "%) by also reusing preprocessing\n";
+    std::cout << "\nwall clock:     engine " << engine_wall * 1e3 << " ms (build "
+              << build_wall * 1e3 << " ms), one-shot " << oneshot_wall * 1e3 << " ms\n"
+              << "amortization:   " << saved * 1e3 << " ms saved ("
+              << 100.0 * saved / oneshot_wall << "% of the sweep)\n";
 
-    // --- warm monitor steady state ---------------------------------------
-    // The monitoring workload: one long-lived warm session answers rounds of
-    // family-algorithm queries. Steady-state round wall clock (session built
-    // once, outside any round) against a baseline that rebuilds the
-    // distributed state for every query — the ISSUE's "per-query rebuild".
+    // --- monitor steady state --------------------------------------------
+    // One long-lived engine that skips the replay answers rounds of
+    // family-algorithm queries; the baseline pays a one-shot run per query.
     const std::vector<core::Algorithm> family = {
         core::Algorithm::kDitric, core::Algorithm::kDitric2, core::Algorithm::kCetric,
         core::Algorithm::kCetric2};
     const auto rounds = std::max<std::uint64_t>(1, cli.get_uint("rounds"));
-    Engine monitor(g, warm_config);
+    Config monitor_config = config;
+    monitor_config.reuse_preprocessing = true;
+    monitor_config.charge_reused_preprocessing = false;
+    const Engine monitor(g, monitor_config);
     for (const auto algorithm : family) { (void)monitor.count(algorithm); }  // warmup
     WallTimer steady_timer;
-    std::uint64_t warm_check = 0;
+    std::uint64_t monitor_check = 0;
     for (std::uint64_t round = 0; round < rounds; ++round) {
         for (const auto algorithm : family) {
-            warm_check += monitor.count(algorithm).count.triangles;
+            monitor_check += monitor.count(algorithm).count.triangles;
         }
     }
-    const double warm_round =
+    const double monitor_round =
         steady_timer.elapsed_seconds() / static_cast<double>(rounds);
 
     steady_timer.restart();
-    std::uint64_t rebuild_check = 0;
+    std::uint64_t oneshot_check = 0;
     for (std::uint64_t round = 0; round < rounds; ++round) {
         for (const auto algorithm : family) {
-            auto spec = config.run_spec();
-            spec.algorithm = algorithm;
-            rebuild_check +=
-                Engine(g, Config::from_run_spec(spec)).count().count.triangles;
+            oneshot_check += oneshot_count(g, spec_for(algorithm)).triangles;
         }
     }
-    const double rebuild_round =
+    const double oneshot_round =
         steady_timer.elapsed_seconds() / static_cast<double>(rounds);
-    const double steady_saved_percent = 100.0 * (rebuild_round - warm_round)
-                                        / rebuild_round;
-    std::cout << "\nwarm monitor (family sweep x " << rounds << " rounds): "
-              << "steady-state round " << warm_round * 1e3
-              << " ms vs per-query rebuild round " << rebuild_round * 1e3 << " ms — "
-              << steady_saved_percent << "% saved, " << monitor.preprocess_builds()
-              << " preprocessing build(s) total\n";
-    if (warm_check != rebuild_check) {
-        std::cerr << "\nFAIL: warm monitor counts diverged from per-query rebuild\n";
-        return 1;
-    }
-    if (warm_gate > 0.0 && steady_saved_percent < warm_gate) {
-        std::cerr << "\nFAIL: warm steady-state round saved " << steady_saved_percent
-                  << "% < gate " << warm_gate << "%\n";
+    const double steady_saved_percent =
+        100.0 * (oneshot_round - monitor_round) / oneshot_round;
+    std::cout << "\nmonitor (family sweep x " << rounds << " rounds): "
+              << "steady-state round " << monitor_round * 1e3
+              << " ms vs one-shot round " << oneshot_round * 1e3 << " ms — "
+              << steady_saved_percent << "% saved\n";
+    if (monitor_check != oneshot_check) {
+        std::cerr << "\nFAIL: monitor counts diverged from the one-shot runs\n";
         return 1;
     }
     if (config.metrics && monitor.observability()) {
-        // The warm-serving observability payload: per-query latency p50/p99
-        // from the monitor's registry plus the kernel dispatch mix.
-        std::cout << "\n-- warm monitor metrics (--metrics) --\n"
-                  << monitor.metrics_summary();
+        // The serving observability payload: per-query latency p50/p99 from
+        // the monitor's registry plus the kernel dispatch mix.
+        std::cout << "\n-- monitor metrics (--metrics) --\n" << monitor.metrics_summary();
     }
 
-    // --- mixed query workload against the same build ---------------------
+    // --- mixed query workload against one build --------------------------
     WallTimer mixed_timer;
-    Engine engine(g, config);
+    const Engine engine(g, config);
     const auto count = engine.count(core::Algorithm::kCetric);
     const auto lcc = engine.lcc(core::Algorithm::kCetric);
     const auto enumerated = engine.enumerate();
     const auto approx = engine.approx_count();
     const double mixed_wall = mixed_timer.elapsed_seconds();
-    const bool mixed_ok = count.ok() && lcc.ok() && enumerated.ok() && approx.ok()
-                          && lcc.count.triangles == count.count.triangles
-                          && enumerated.triangles.size() == enumerated.count.triangles;
-    std::cout << "\nmixed workload (count + LCC + enumerate + approx, one build): "
-              << mixed_wall * 1e3 << " ms, " << engine.queries_run()
-              << " queries on " << engine.build_passes() << " build pass\n";
-    if (!mixed_ok) {
-        std::cerr << "FAIL: mixed-workload invariants violated\n";
-        return 1;
-    }
 
-    // The same mixed workload on a warm session must agree on every result.
-    WallTimer warm_mixed_timer;
-    Engine warm(g, warm_config);
-    const auto warm_count = warm.count(core::Algorithm::kCetric);
-    const auto warm_lcc = warm.lcc(core::Algorithm::kCetric);
-    const auto warm_enumerated = warm.enumerate();
-    const auto warm_approx = warm.approx_count();
-    const double warm_mixed_wall = warm_mixed_timer.elapsed_seconds();
-    const bool warm_mixed_ok =
-        warm_count.ok() && warm_lcc.ok() && warm_enumerated.ok() && warm_approx.ok()
-        && warm_count.count.triangles == count.count.triangles
-        && warm_lcc.delta == lcc.delta
-        && warm_enumerated.triangles == enumerated.triangles
-        && warm_approx.estimated_triangles == approx.estimated_triangles;
-    std::cout << "warm mixed workload: " << warm_mixed_wall * 1e3 << " ms, "
-              << warm.preprocess_builds() << " preprocessing build(s)\n";
-    if (!warm_mixed_ok) {
-        std::cerr << "FAIL: warm mixed-workload results diverged\n";
+    const auto cetric = spec_for(core::Algorithm::kCetric);
+    const auto lcc_twin = oneshot(g, cetric, [&](net::Simulator& sim, Views& views) {
+        return core::compute_distributed_lcc(sim, views, g, cetric);
+    });
+    const auto approx_twin = oneshot(g, cetric, [&](net::Simulator& sim, Views& views) {
+        return core::count_triangles_cetric_amq(sim, views, cetric, config.amq);
+    });
+    const bool mixed_ok = count.ok() && lcc.ok() && enumerated.ok() && approx.ok()
+                          && same_metrics(count.count, oneshot_count(g, cetric))
+                          && same_metrics(lcc.count, lcc_twin.count)
+                          && lcc.delta == lcc_twin.delta
+                          && enumerated.triangles.size() == enumerated.count.triangles
+                          && approx.estimated_triangles == approx_twin.estimated_triangles
+                          && same_metrics(approx.count, approx_twin.metrics);
+    std::cout << "\nmixed workload (count + LCC + enumerate + approx, one build): "
+              << mixed_wall * 1e3 << " ms, " << engine.queries_run() << " queries\n";
+    if (!mixed_ok) {
+        std::cerr << "FAIL: mixed-workload results diverged from their one-shot twins\n";
         return 1;
     }
 
@@ -278,40 +247,27 @@ int main(int argc, char** argv) {
     json.begin_row()
         .field("mode", std::string("engine-sweep"))
         .field("algorithms", static_cast<std::uint64_t>(k))
-        .field("build_passes", std::uint64_t{1})
         .field("wall_seconds", engine_wall)
         .field("build_seconds", build_wall);
     json.begin_row()
-        .field("mode", std::string("warm-sweep"))
-        .field("algorithms", static_cast<std::uint64_t>(k))
-        .field("build_passes", std::uint64_t{1})
-        .field("preprocess_builds", static_cast<std::uint64_t>(warm_builds))
-        .field("wall_seconds", warm_wall);
-    json.begin_row()
         .field("mode", std::string("oneshot-sweep"))
         .field("algorithms", static_cast<std::uint64_t>(k))
-        .field("build_passes", static_cast<std::uint64_t>(k))
         .field("wall_seconds", oneshot_wall);
     json.begin_row()
         .field("mode", std::string("amortization"))
         .field("saved_seconds", saved)
         .field("saved_percent", 100.0 * saved / oneshot_wall)
-        .field("warm_saved_seconds", warm_saved)
-        .field("warm_saved_percent", 100.0 * warm_saved / oneshot_wall)
-        .field("identical_results", std::uint64_t{identical ? 1u : 0u})
-        .field("warm_counts_identical", std::uint64_t{warm_counts_match ? 1u : 0u});
+        .field("identical_results", std::uint64_t{identical ? 1u : 0u});
     json.begin_row()
-        .field("mode", std::string("warm-monitor"))
+        .field("mode", std::string("monitor"))
         .field("rounds", rounds)
-        .field("warm_round_seconds", warm_round)
-        .field("rebuild_round_seconds", rebuild_round)
+        .field("monitor_round_seconds", monitor_round)
+        .field("oneshot_round_seconds", oneshot_round)
         .field("steady_saved_percent", steady_saved_percent);
     json.begin_row()
         .field("mode", std::string("mixed-workload"))
-        .field("build_passes", std::uint64_t{1})
         .field("queries", static_cast<std::uint64_t>(4))
-        .field("wall_seconds", mixed_wall)
-        .field("warm_wall_seconds", warm_mixed_wall);
+        .field("wall_seconds", mixed_wall);
     if (config.metrics && monitor.observability()) {
         for (const auto& row : monitor.observability()->registry().snapshot()) {
             json.begin_row()

@@ -3,7 +3,7 @@
 // for every algorithm the total running time, the maximum number of outgoing
 // messages over all PEs, and the bottleneck communication volume.
 //
-// Scale note (DESIGN.md §1): the paper uses n/p = 2^18 (RGG2D/RHG) and 2^16
+// Scale note: the paper uses n/p = 2^18 (RGG2D/RHG) and 2^16
 // (GNM/RMAT) up to 2^15 cores on SuperMUC-NG; the proxy default is n/p = 2^10
 // and 2^8 up to 64 simulated PEs, adjustable via --log-n-per-pe/--ps.
 

@@ -1,5 +1,5 @@
 // Regenerates Fig. 6: strong scaling on the eight real-world instances
-// (synthetic proxies, DESIGN.md §1) for all algorithm variants and both
+// (synthetic proxies, gen/proxies.hpp) for all algorithm variants and both
 // baselines. OOM entries mirror the paper's TriC crash reports.
 
 #include <algorithm>

@@ -1,5 +1,5 @@
 // Regenerates Table I: instance statistics (n, m, wedges, triangles) for the
-// eight real-world graphs — here their synthetic proxies (DESIGN.md §1) —
+// eight real-world graphs — here their synthetic proxies (gen/proxies.hpp) —
 // side by side with the paper's absolute numbers.
 
 #include <iostream>

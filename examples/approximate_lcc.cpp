@@ -83,7 +83,6 @@ int main() {
     std::cout << "\nThe AMQ variant keeps type-1/2 counts exact and still supports "
                  "local clustering coefficients; edge sampling only estimates the "
                  "global count. All AMQ rows ran "
-              << engine.queries_run() << " queries against " << engine.build_passes()
-              << " build pass.\n";
+              << engine.queries_run() << " queries against one engine build.\n";
     return 0;
 }

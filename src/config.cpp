@@ -135,12 +135,12 @@ void Config::register_cli(CliParser& cli, const Config& defaults) {
     cli.option("maintain-lcc", format_bool(defaults.maintain_lcc),
                "maintain per-vertex Δ/LCC alongside the streaming count (0|1)");
     cli.option("reuse-preprocessing", format_bool(defaults.reuse_preprocessing),
-               "warm Engine sessions: build ghost degrees/orientation/hub bitmaps "
-               "once and reuse across queries (0|1)");
+               "with --charge-reused-preprocessing=0: queries skip the replay of "
+               "the engine's recorded preprocessing costs (0|1)");
     cli.option("charge-reused-preprocessing",
                format_bool(defaults.charge_reused_preprocessing),
-               "replay recorded preprocessing costs into warm queries for "
-               "one-shot metric fidelity (0|1)");
+               "keep replaying recorded preprocessing costs into every query "
+               "for one-shot metric fidelity under --reuse-preprocessing (0|1)");
     cli.option("metrics", format_bool(defaults.metrics),
                "collect the observability metrics registry — query latency "
                "p50/p99, comm counters, kernel dispatch mix (0|1)");
@@ -148,7 +148,7 @@ void Config::register_cli(CliParser& cli, const Config& defaults) {
                "write Chrome trace-event JSON of every query's phase/superstep "
                "spans to this path (empty = tracing off)");
     cli.option("serve-threads", std::to_string(defaults.serve_threads),
-               "Engine::serve worker threads over the shared warm state "
+               "Engine::serve worker threads over the engine's shared state "
                "(0 = serve-time default of 4)");
     cli.option("queue-depth", std::to_string(defaults.queue_depth),
                "Engine::serve admission-queue capacity; submissions beyond it "

@@ -54,17 +54,15 @@ struct Config {
     bool stream_indirect = false;
     bool maintain_lcc = false;
 
-    /// Warm-state session (katric::Engine): build ghost degrees, orientation,
-    /// and hub bitmaps once at construction and reuse them across queries
-    /// instead of re-running the preprocessing front half per query. Counts
-    /// and result payloads stay exact; per-query op/time telemetry omits the
-    /// preprocessing unless charge_reused_preprocessing re-charges it.
+    /// Preprocessing charges (katric::Engine). Every engine builds ghost
+    /// degrees, orientation, and hub bitmaps once at construction, and every
+    /// query replays the recorded cost ledger into its simulated machine —
+    /// reports bit-identical to a one-shot run — except when
+    /// reuse_preprocessing is on and charge_reused_preprocessing is off:
+    /// then queries skip the replay, and their op/time telemetry omits the
+    /// preprocessing (Report::reused_preprocessing). Counts and result
+    /// payloads are exact either way.
     bool reuse_preprocessing = false;
-    /// Metric fidelity for warm sessions: replay the recorded preprocessing
-    /// costs into every query's simulated clock and communication counters,
-    /// making warm reports bit-identical to one-shot runs while still
-    /// skipping the host-side rebuild. Ignored when reuse_preprocessing is
-    /// off (cold queries charge the real build anyway).
     bool charge_reused_preprocessing = false;
 
     /// Observability (src/obs/): collect the metrics registry — per-query
@@ -80,7 +78,7 @@ struct Config {
     std::string trace_out;
 
     /// Serving (Engine::serve): worker threads running submitted queries
-    /// against the shared warm state. 0 falls back to the ServeOptions /
+    /// against the engine's shared state. 0 falls back to the ServeOptions /
     /// built-in default of 4 at session open.
     int serve_threads = 0;
     /// Serving: admission-queue capacity. Submissions beyond this many
@@ -117,7 +115,7 @@ struct Config {
 
     friend bool operator==(const Config&, const Config&) = default;
 
-    // --- spec interop (the legacy entry points are shims over these) -----
+    // --- spec interop (the core layer's spec structs) ---------------------
     [[nodiscard]] core::RunSpec run_spec() const;
     [[nodiscard]] stream::StreamRunSpec stream_spec() const;
     [[nodiscard]] static Config from_run_spec(const core::RunSpec& spec);

@@ -219,10 +219,10 @@ void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& view
         case Preprocess::Mode::kSkip:
             for (const auto& view : views) {
                 KATRIC_ASSERT_MSG(view.ghost_degrees_ready() && view.oriented_built(),
-                                  "warm preprocessing reuse requires prebuilt views");
+                                  "preprocessing replay/skip requires prebuilt views");
                 KATRIC_ASSERT_MSG(!uses_hub_bitmaps(options.intersect)
                                       || view.hub_index() != nullptr,
-                                  "warm reuse with bitmap kernels requires a prebuilt "
+                                  "replay/skip with bitmap kernels requires a prebuilt "
                                   "hub index");
             }
             if (preprocess.mode == Preprocess::Mode::kCharge) {

@@ -164,8 +164,8 @@ inline std::uint64_t charged_intersect(net::RankHandle& self,
 [[nodiscard]] graph::Degree resolve_hub_threshold(const AlgorithmOptions& options,
                                                   const DistGraph& view);
 
-/// The recorded cost ledger of one preprocessing pass, split by phase so a
-/// warm session can re-charge a later run without redoing the build. The
+/// The recorded cost ledger of one preprocessing pass, split by phase so an
+/// Engine can re-charge every later run without redoing the build. The
 /// ledger is options-independent except for the hub-bitmap build, which is
 /// kept separate: a replay includes it only when the replayed run's kernels
 /// would have built the index.
@@ -181,10 +181,10 @@ struct PreprocessCosts {
 
 /// How a counting run treats the preprocessing front half. The default
 /// (kBuild) is the one-shot behaviour: build the distributed state on the
-/// simulator and charge it. A warm katric::Engine whose views are already
-/// preprocessed passes kCharge (replay the recorded costs — metric fidelity
-/// without the host-side work) or kSkip (charge nothing; op/time telemetry
-/// omits the front half while the counts stay exact).
+/// simulator and charge it. A katric::Engine, whose views its constructor
+/// already preprocessed, passes kCharge (replay the recorded costs — metric
+/// fidelity without the host-side work) or kSkip (charge nothing; op/time
+/// telemetry omits the front half while the counts stay exact).
 struct Preprocess {
     enum class Mode { kBuild, kCharge, kSkip };
     Mode mode = Mode::kBuild;
@@ -227,8 +227,8 @@ void charge_preprocessing(net::Simulator& sim, const PreprocessCosts& costs,
 /// with — kSkip after a build, the input policy unchanged otherwise (incl.
 /// for TriC-style, whose body ignores it). This is the only view-mutating
 /// step of a counting run; hoisting it keeps the algorithm bodies on const
-/// views, which is what makes concurrent queries over shared warm state
-/// provably read-only.
+/// views, which is what makes concurrent queries over an Engine's shared
+/// views provably read-only.
 [[nodiscard]] Preprocess hoist_preprocess_build(net::Simulator& sim,
                                                 std::vector<DistGraph>& views,
                                                 Algorithm algorithm,

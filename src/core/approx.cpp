@@ -6,7 +6,6 @@
 
 #include "amq/bloom.hpp"
 #include "core/cetric.hpp"
-#include "engine.hpp"
 #include "graph/builder.hpp"
 #include "net/collectives.hpp"
 #include "util/assert.hpp"
@@ -195,19 +194,6 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
     result.metrics.triangles = static_cast<std::uint64_t>(
         std::llround(std::max(0.0, result.estimated_triangles)));
     result.metrics.local_phase_triangles = result.exact_type12;
-    return result;
-}
-
-AmqResult count_triangles_cetric_amq(const graph::CsrGraph& global, const RunSpec& spec,
-                                     const AmqOptions& amq) {
-    // Thin shim over a temporary session: one build, one query.
-    Engine engine(global, Config::from_run_spec(spec));
-    auto report = engine.approx_count(amq);
-    AmqResult result;
-    result.estimated_triangles = report.estimated_triangles;
-    result.exact_type12 = report.exact_type12;
-    result.estimated_type3 = report.estimated_type3;
-    result.metrics = std::move(report.count);
     return result;
 }
 

@@ -37,19 +37,10 @@ struct AmqResult {
     CountResult metrics;  ///< timings and communication of the approximate run
 };
 
-/// One-shot form: partitions, distributes, and runs on a fresh machine (a
-/// thin shim over a temporary katric::Engine).
-[[deprecated("one-shot shim — build a katric::Engine and call "
-             "approx_count(); it amortizes partitioning/distribution across "
-             "queries")]]  //
-[[nodiscard]] AmqResult count_triangles_cetric_amq(const graph::CsrGraph& global,
-                                                   const RunSpec& spec,
-                                                   const AmqOptions& amq);
-
-/// Session form over pre-built per-rank views (katric::Engine's path).
-/// `preprocess` selects build vs. warm charge/skip of the front half. The
-/// const overload is the concurrent-safe surface (kCharge/kSkip only, like
-/// dispatch_algorithm's); the non-const overload hoists a kBuild pass.
+/// Runs over pre-built per-rank views. `preprocess` selects build vs.
+/// charge/skip of the front half. The const overload is katric::Engine's
+/// concurrent-safe surface (kCharge/kSkip only, like dispatch_algorithm's);
+/// the non-const overload hoists a kBuild pass — the one-shot path.
 [[nodiscard]] AmqResult count_triangles_cetric_amq(net::Simulator& sim,
                                                    const std::vector<DistGraph>& views,
                                                    const RunSpec& spec,

@@ -20,7 +20,7 @@ namespace katric::core {
 ///   * reduce — binomial-tree sum.
 ///
 /// indirect=true gives CETRIC2 (grid routing in the global phase).
-/// `preprocess` selects build vs. warm charge/skip of the front half
+/// `preprocess` selects build vs. charge/skip of the front half
 /// (core::Preprocess; the default builds, the one-shot behaviour).
 CountResult run_cetric(net::Simulator& sim, const std::vector<DistGraph>& views,
                        const AlgorithmOptions& options, bool indirect,

@@ -24,7 +24,7 @@ struct EdgeIteratorMode {
 ///
 /// Preprocessing (ghost-degree exchange + orientation) is governed by
 /// `preprocess`: built and charged here by default (the paper's timing
-/// scope), or replayed/skipped for a warm session whose views are prebuilt.
+/// scope), or replayed/skipped over views an Engine already preprocessed.
 CountResult run_edge_iterator(net::Simulator& sim, const std::vector<DistGraph>& views,
                               const AlgorithmOptions& options, EdgeIteratorMode mode,
                               const TriangleSink* sink = nullptr,

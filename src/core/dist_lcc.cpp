@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine.hpp"
 #include "net/collectives.hpp"
 #include "net/encoding.hpp"
 #include "net/metrics.hpp"
@@ -134,18 +133,6 @@ LccResult compute_distributed_lcc(net::Simulator& sim,
     const auto signed_delta = state.assemble();
     result.delta.assign(signed_delta.begin(), signed_delta.end());
     result.lcc = seq::lcc_from_triangle_counts(global, result.delta);
-    return result;
-}
-
-LccResult compute_distributed_lcc(const graph::CsrGraph& global, const RunSpec& spec) {
-    // Thin shim over a temporary session: one build, one query.
-    Engine engine(global, Config::from_run_spec(spec));
-    auto report = engine.lcc();
-    LccResult result;
-    result.count = std::move(report.count);
-    result.delta = std::move(report.delta);
-    result.lcc = std::move(report.lcc);
-    result.postprocess_time = report.postprocess_time;
     return result;
 }
 

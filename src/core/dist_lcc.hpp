@@ -73,22 +73,14 @@ struct LccResult {
     double postprocess_time = 0.0;     ///< simulated time of the Δ aggregation
 };
 
-/// spec.algorithm must support a triangle sink (the edge-iterator family or
-/// CETRIC/CETRIC2); otherwise the returned result carries
-/// count.error == RunError::kSinkUnsupported. One-shot form: partitions,
-/// distributes, and runs on a fresh machine (a thin shim over a temporary
-/// katric::Engine — prefer the Engine when running several queries).
-[[deprecated("one-shot shim — build a katric::Engine and call lcc(); it "
-             "amortizes partitioning/distribution across queries")]]  //
-[[nodiscard]] LccResult compute_distributed_lcc(const graph::CsrGraph& global,
-                                                const RunSpec& spec);
-
-/// Session form over pre-built per-rank views (katric::Engine's path): the
-/// views must stem from `global` under spec's partition/rank count.
-/// `preprocess` selects build vs. warm charge/skip of the counting run's
-/// preprocessing front half. The const overload is the concurrent-safe
-/// surface (kCharge/kSkip only, like dispatch_algorithm's); the non-const
-/// overload hoists a kBuild pass.
+/// Runs over pre-built per-rank views: the views must stem from `global`
+/// under spec's partition/rank count. spec.algorithm must support a
+/// triangle sink (the edge-iterator family or CETRIC/CETRIC2); otherwise
+/// the returned result carries count.error == RunError::kSinkUnsupported.
+/// `preprocess` selects build vs. charge/skip of the counting run's
+/// preprocessing front half. The const overload is katric::Engine's
+/// concurrent-safe surface (kCharge/kSkip only, like dispatch_algorithm's);
+/// the non-const overload hoists a kBuild pass — the one-shot path.
 [[nodiscard]] LccResult compute_distributed_lcc(net::Simulator& sim,
                                                 const std::vector<DistGraph>& views,
                                                 const graph::CsrGraph& global,

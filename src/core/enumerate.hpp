@@ -1,15 +1,14 @@
 #pragma once
 
-#include <vector>
-
 #include "core/runner.hpp"
 
 namespace katric::core {
 
 /// Triangle enumeration (Section IV-E: "since each triangle is found exactly
 /// once, this can be easily generalized to the case of triangle
-/// enumeration"). Each triangle is emitted by exactly one PE; this driver
-/// collects the per-PE streams and returns the canonicalized, sorted list.
+/// enumeration"). Each triangle is emitted by exactly one PE through a
+/// TriangleSink; katric::Engine::enumerate collects the per-PE streams into
+/// the canonicalized, sorted list of these.
 struct Triangle {
     VertexId a;  // a < b < c (canonical form)
     VertexId b;
@@ -17,19 +16,5 @@ struct Triangle {
 
     friend constexpr auto operator<=>(const Triangle&, const Triangle&) = default;
 };
-
-struct EnumerateResult {
-    std::vector<Triangle> triangles;          ///< sorted, canonical
-    std::vector<std::size_t> found_per_rank;  ///< emission counts (load profile)
-    CountResult count;
-};
-
-/// spec.algorithm must support a triangle sink (edge-iterator family or
-/// CETRIC/CETRIC2). The returned list's size always equals count.triangles —
-/// i.e. no triangle is emitted twice anywhere in the machine (tested).
-[[deprecated("one-shot shim — build a katric::Engine and call enumerate(); "
-             "it amortizes partitioning/distribution across queries")]]  //
-[[nodiscard]] EnumerateResult enumerate_triangles(const graph::CsrGraph& global,
-                                                  const RunSpec& spec);
 
 }  // namespace katric::core

@@ -30,7 +30,7 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
 
     // The wedge-query baseline never set-intersects, so a hub bitmap index
     // would be charged dead work; preprocess as if on the merge kernel (a
-    // warm replay likewise excludes the hub-build ops).
+    // ledger replay likewise excludes the hub-build ops).
     AlgorithmOptions prep_options = options;
     prep_options.intersect = seq::IntersectKind::kMerge;
     apply_preprocessing(sim, views, prep_options, preprocess);

@@ -6,7 +6,6 @@
 #include "core/dist_edge_iterator.hpp"
 #include "core/havoqgt_baseline.hpp"
 #include "core/tric_baseline.hpp"
-#include "engine.hpp"
 #include "util/assert.hpp"
 
 namespace katric::core {
@@ -42,8 +41,8 @@ CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>
                                const Preprocess& preprocess) {
     if (sink != nullptr && !algorithm_supports_sink(spec.algorithm)) {
         // Typed failure instead of an assertion: nothing runs, nothing is
-        // charged to the machine (cold or warm), and the caller sees
-        // error != kNone.
+        // charged to the machine (built, replayed or skipped preprocessing
+        // alike), and the caller sees error != kNone.
         CountResult result;
         result.error = RunError::kSinkUnsupported;
         return result;
@@ -72,13 +71,6 @@ CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>
             return run_havoqgt_style(sim, views, spec.options, preprocess);
     }
     KATRIC_THROW("unknown algorithm");
-}
-
-CountResult count_triangles(const graph::CsrGraph& global, const RunSpec& spec,
-                            const TriangleSink* sink) {
-    // Thin shim over a temporary session: one build, one query.
-    Engine engine(global, Config::from_run_spec(spec));
-    return engine.count(sink).count;
 }
 
 }  // namespace katric::core

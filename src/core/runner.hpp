@@ -28,34 +28,24 @@ struct RunSpec {
 /// Dispatches on spec.algorithm over pre-built per-rank views. The sink is
 /// supported by the paper's algorithms (edge-iterator family and CETRIC);
 /// passing one with a baseline algorithm returns a CountResult whose
-/// error == RunError::kSinkUnsupported without running anything — including
-/// on the warm (preprocess-reusing) path, where the check still precedes
-/// every charge. `preprocess` selects build vs. warm charge/skip of the
-/// preprocessing front half for the algorithms that own one (the TriC-style
-/// baseline never preprocesses and ignores it).
+/// error == RunError::kSinkUnsupported without running anything — the check
+/// precedes every build or charge. `preprocess` selects build vs.
+/// charge/skip of the preprocessing front half for the algorithms that own
+/// one (the TriC-style baseline never preprocesses and ignores it).
 ///
-/// The const overload is the thread-safe surface: it never mutates the
+/// The const overload is katric::Engine's surface: it never mutates the
 /// views (preprocess.mode must be kCharge or kSkip — or the algorithm
 /// TriC-style, which ignores it), so any number of queries may run it
-/// concurrently over one warm view set, each on its own Simulator. The
-/// non-const overload additionally accepts kBuild: it hoists the one
+/// concurrently over one preprocessed view set, each on its own Simulator.
+/// The non-const overload additionally accepts kBuild: it hoists the one
 /// view-mutating step (core::hoist_preprocess_build) and then runs the same
-/// const body.
+/// const body — the one-shot path (fresh views, preprocessing built and
+/// charged in-run) every Engine report is tested against.
 CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>& views,
                                const RunSpec& spec, const TriangleSink* sink = nullptr,
                                const Preprocess& preprocess = {});
 CountResult dispatch_algorithm(net::Simulator& sim, std::vector<DistGraph>& views,
                                const RunSpec& spec, const TriangleSink* sink = nullptr,
                                const Preprocess& preprocess = {});
-
-/// The library's main entry point: partitions the graph, builds every PE's
-/// local view, runs the selected algorithm on a fresh simulated machine, and
-/// returns the count plus all paper metrics. Out-of-memory aborts (the
-/// TriC-style failure mode) are reported via result.oom rather than thrown.
-[[deprecated("one-shot shim — build a katric::Engine and call count(); it "
-             "amortizes partitioning/distribution across queries")]]  //
-[[nodiscard]] CountResult count_triangles(const graph::CsrGraph& global,
-                                          const RunSpec& spec,
-                                          const TriangleSink* sink = nullptr);
 
 }  // namespace katric::core

@@ -30,6 +30,31 @@ graph::Partition1D validated_partition(graph::Partition1D partition,
     return partition;
 }
 
+std::optional<fault::FaultInjector> parse_injector(const std::string& fault_spec) {
+    if (fault_spec.empty()) { return std::nullopt; }
+    return fault::FaultInjector(fault::FaultPlan::parse(fault_spec));
+}
+
+/// The constructor's one preprocessing pass: a throwaway machine runs the
+/// front half — ghost-degree exchange, orientation, hub bitmaps when the
+/// configured kernels want them — on the freshly distributed views and
+/// records its cost ledger into `costs` for every later query to replay.
+std::vector<graph::DistGraph> preprocessed(std::vector<graph::DistGraph> views,
+                                           const Config& config,
+                                           obs::Observability* obs,
+                                           core::PreprocessCosts& costs) {
+    WallTimer timer;
+    net::Simulator sim(config.num_ranks, config.network);
+    if (obs != nullptr) { sim.record_phase_details(true); }
+    core::run_preprocessing(sim, views, config.options, &costs);
+    // The build is part of the session's observable timeline even though no
+    // query ran it.
+    if (obs != nullptr) {
+        obs->observe_query("preprocess", sim, timer.elapsed_seconds());
+    }
+    return views;
+}
+
 /// Folds the machine's per-PE compute counters into a report's telemetry.
 void accumulate_ops(Report& report, const net::Simulator& sim) {
     for (const auto& metrics : sim.rank_metrics()) {
@@ -42,38 +67,20 @@ void accumulate_ops(Report& report, const net::Simulator& sim) {
 
 // --- Engine ------------------------------------------------------------
 
-// Constructor bodies run pre-publication — no other thread can hold
-// state_mutex_ yet, and thread-safety analysis treats constructors as
-// unchecked — so warm_build() runs without (and must not take) the lock.
-
 Engine::Engine(const graph::CsrGraph& graph, Config config)
-    : graph_(&graph),
-      config_(validated(std::move(config))),
-      partition_(core::make_partition(graph, config_.run_spec())),
-      obs_(obs::Observability::acquire(config_.metrics, config_.trace_out)),
-      views_(graph::distribute(graph, partition_)) {
-    if (!config_.fault_spec.empty()) {
-        injector_.emplace(fault::FaultPlan::parse(config_.fault_spec));
-    }
-    warm_build();
-    warm_enabled_ = warm_.has_value();
-}
+    : Engine(graph, config, core::make_partition(graph, validated(config).run_spec())) {}
 
 Engine::Engine(const graph::CsrGraph& graph, Config config, graph::Partition1D partition)
     : graph_(&graph),
       config_(validated(std::move(config))),
       partition_(validated_partition(std::move(partition), graph, config_)),
       obs_(obs::Observability::acquire(config_.metrics, config_.trace_out)),
-      views_(graph::distribute(graph, partition_)) {
-    if (!config_.fault_spec.empty()) {
-        injector_.emplace(fault::FaultPlan::parse(config_.fault_spec));
-    }
-    warm_build();
-    warm_enabled_ = warm_.has_value();
-}
+      injector_(parse_injector(config_.fault_spec)),
+      views_(preprocessed(graph::distribute(graph, partition_), config_, obs_.get(),
+                          costs_)) {}
 
 void Engine::arm_simulator(net::Simulator& sim, const QueryOptions& query,
-                           QueryGuard& guard) {
+                           QueryGuard& guard) const {
     const double deadline = query.deadline_seconds.value_or(config_.deadline_seconds);
     const bool wants_cancel = deadline > 0.0 || query.cancel != nullptr;
     const bool wants_harden = hardening_enabled();
@@ -100,7 +107,7 @@ void Engine::arm_simulator(net::Simulator& sim, const QueryOptions& query,
     guard.armed = true;
 }
 
-void Engine::record_faults(Report& report, const QueryGuard& guard) {
+void Engine::record_faults(Report& report, const QueryGuard& guard) const {
     if (!guard.armed) { return; }
     report.hardened = hardening_enabled();
     report.faults = guard.stats;
@@ -129,88 +136,20 @@ void Engine::record_faults(Report& report, const QueryGuard& guard) {
 
 std::string Engine::metrics_summary() const { return obs_ ? obs_->summary() : ""; }
 
-void Engine::warm_build() {
-    if (!config_.reuse_preprocessing) { return; }
-    warm_.emplace();
-    // One throwaway machine pays the front half — ghost-degree exchange,
-    // orientation, hub bitmaps when the configured kernels want them — on
-    // the shared views, recording the cost ledger for later replay.
-    WallTimer timer;
-    net::Simulator sim(config_.num_ranks, config_.network);
-    if (obs_) { sim.record_phase_details(true); }
-    try {
-        core::run_preprocessing(sim, views_, config_.options, &warm_->costs);
-    } catch (const net::OomError&) {
-        // The front half itself blew the per-PE memory budget. Fall back to
-        // a cold session so the OOM surfaces per query as Report::count.oom
-        // — exactly what the same workload reports with reuse off.
-        warm_.reset();
-        return;
-    }
-    ++preprocess_builds_;
-    // The warm build is part of the session's observable timeline even
-    // though no query ran it — later skip-mode queries have no
-    // preprocessing spans of their own.
-    if (obs_) { obs_->observe_query("warm_build", sim, timer.elapsed_seconds()); }
-}
-
-namespace {
-
-/// The baselines never build the index (TriC skips preprocessing, the
-/// HavoqGT wedge baseline preprocesses as if on the merge kernel).
-bool spec_wants_hubs(const core::RunSpec& spec) {
-    return core::uses_hub_bitmaps(spec.options.intersect)
-           && spec.algorithm != core::Algorithm::kTricStyle
-           && spec.algorithm != core::Algorithm::kHavoqgtStyle;
-}
-
-}  // namespace
-
-bool Engine::warm_hubs_current(const core::RunSpec& spec) const {
-    if (!spec_wants_hubs(spec)) { return true; }
-    for (const auto& view : views_) {
-        seq::HubBitmapIndex::Config hub;
-        hub.degree_threshold = core::resolve_hub_threshold(spec.options, view);
-        hub.universe = view.partition().num_vertices();
-        if (!view.hub_index_current(hub)) { return false; }
-    }
-    return true;
-}
-
-void Engine::rebuild_warm_hubs(const core::RunSpec& spec) {
-    bool rebuilt = false;
-    for (std::size_t r = 0; r < views_.size(); ++r) {
-        auto& view = views_[r];
-        seq::HubBitmapIndex::Config hub;
-        hub.degree_threshold = core::resolve_hub_threshold(spec.options, view);
-        hub.universe = view.partition().num_vertices();
-        if (view.hub_index_current(hub)) { continue; }
-        // Host-side rebuild; the ledger entry keeps a warm metric-fidelity
-        // replay charging exactly what a cold build of this config would.
-        warm_->costs.hub_build_ops[r] = view.build_hub_bitmaps(hub);
-        rebuilt = true;
-    }
-    if (rebuilt) { ++preprocess_builds_; }
-}
-
-core::Preprocess Engine::preprocess_policy(const QueryOptions& query) const {
-    core::Preprocess prep;  // cold default: build + charge inside the run
-    if (warm_) {
-        const bool charge = query.charge_preprocessing.value_or(
-            config_.charge_reused_preprocessing);
-        prep.mode = charge ? core::Preprocess::Mode::kCharge
-                           : core::Preprocess::Mode::kSkip;
-        prep.costs = &warm_->costs;
-    }
+core::Preprocess Engine::preprocess() const {
+    core::Preprocess prep;
+    prep.mode = config_.reuse_preprocessing && !config_.charge_reused_preprocessing
+                    ? core::Preprocess::Mode::kSkip
+                    : core::Preprocess::Mode::kCharge;
+    prep.costs = &costs_;
     return prep;
 }
 
 core::RunSpec Engine::query_spec(const QueryOptions& query) const {
     auto spec = config_.run_spec();
     if (query.algorithm) { spec.algorithm = *query.algorithm; }
-    if (query.options) { spec.options = *query.options; }
-    // The dispatch-mix sink is wired per query (a stack-local KernelStats in
-    // each query method, merged on finalize) — never Config itself, so flag
+    // The dispatch-mix sink is wired per query (run_query's stack-local
+    // KernelStats, merged on finalize) — never Config itself, so flag
     // round-trips and option equality stay pure, and concurrent queries
     // never share a recording sink.
     spec.options.kernel_stats = nullptr;
@@ -218,7 +157,7 @@ core::RunSpec Engine::query_spec(const QueryOptions& query) const {
 }
 
 void Engine::finalize(Report& report, const net::Simulator& sim, double wall_seconds,
-                      const obs::KernelStats* kernel_stats) {
+                      const obs::KernelStats* kernel_stats) const {
     accumulate_ops(report, sim);
     report.phases = net::aggregate_phase_times(sim.phases());
     if (report.count.error != core::RunError::kNone) {
@@ -230,52 +169,58 @@ void Engine::finalize(Report& report, const net::Simulator& sim, double wall_sec
     queries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) {
+template <typename Body>
+Report Engine::run_query(Query kind, core::RunSpec spec, const QueryOptions& query,
+                         bool arm, const Body& body) const {
     WallTimer timer;
-    auto spec = query_spec(query);
     // Query-local dispatch-mix recording: merged into the session totals on
     // finalize, so concurrent queries never write one shared sink.
     obs::KernelStats kernel_stats;
     const bool record_kernels = obs_ && obs_->metrics_enabled();
     if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
+    const auto prep = preprocess();
     Report report;
-    report.query = Query::kCount;
+    report.query = kind;
     report.algorithm = spec.algorithm;
-    // The guard is declared before the simulator everywhere: arm_simulator
-    // lends the simulator the guard's stats/cancel pointers, so the borrower
-    // must be destroyed first.
+    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
+    // The guard is declared before the simulator: arm_simulator lends the
+    // simulator the guard's stats/cancel pointers, so the borrower must be
+    // destroyed first.
     QueryGuard guard;
     net::Simulator sim(spec.num_ranks, spec.network);
     if (obs_) { sim.record_phase_details(true); }
-    // Warm fast path: shared hold when the views already fit the spec. A
-    // cold engine (or a warm hub-config change) falls through to the
-    // exclusive hold, re-checks (another thread may have rebuilt in the
-    // unlock window), rebuilds if still needed, and runs under it. Both
-    // holds end before the degrade fallback below re-enters the engine —
-    // re-locking on the same thread would deadlock on cold engines.
-    bool ran = false;
-    if (warm_enabled_) {
-        const util::ReaderLock lock(state_mutex_);
-        if (warm_hubs_current(spec)) {
-            count_body(report, sim, spec, query, sink, guard);
-            ran = true;
-        }
-    }
-    if (!ran) {
-        const util::WriterLock lock(state_mutex_);
-        if (warm_enabled_ && !warm_hubs_current(spec)) { rebuild_warm_hubs(spec); }
-        count_body(report, sim, spec, query, sink, guard);
+    if (arm) { arm_simulator(sim, query, guard); }
+    try {
+        body(report, sim, spec, prep);
+    } catch (const net::OomError&) {
+        report.count.oom = true;
+        core::fill_metrics(sim, report.count);
+    } catch (const net::FaultError& e) {
+        report.error = make_error(e.code(), e.what());
+        core::fill_metrics(sim, report.count);
+    } catch (const net::CancelledError&) {
+        report.error = make_error(ServeError::kDeadline);
+        core::fill_metrics(sim, report.count);
     }
     record_faults(report, guard);
     finalize(report, sim, timer.elapsed_seconds(),
              record_kernels ? &kernel_stats : nullptr);
+    return report;
+}
+
+Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) const {
+    Report report = run_query(
+        Query::kCount, query_spec(query), query, /*arm=*/true,
+        [&](Report& out, net::Simulator& sim, const core::RunSpec& spec,
+            const core::Preprocess& prep) {
+            out.count = core::dispatch_algorithm(sim, views_, spec, sink, prep);
+        });
     if (sink == nullptr && report.error.domain == Error::Domain::kNet
-        && query.recovery.value_or(config_.recovery)
-               == fault::RecoveryPolicy::kDegrade) {
+        && query.recovery.value_or(config_.recovery) == fault::RecoveryPolicy::kDegrade) {
         // Graceful degradation: the exact count could not be recovered, so
         // answer with the AMQ estimate — computed with injection off (the
         // faulty schedule already had its retries) — and say so explicitly.
-        Report fallback = approx_impl(query, /*arm=*/false);
+        Report fallback = approx(query, /*arm=*/false);
         fallback.query = Query::kCount;
         fallback.degraded = true;
         fallback.hardened = report.hardened;
@@ -288,79 +233,21 @@ Report Engine::count(const core::TriangleSink* sink, const QueryOptions& query) 
     return report;
 }
 
-void Engine::count_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                        const QueryOptions& query, const core::TriangleSink* sink,
-                        QueryGuard& guard) {
-    const auto prep = preprocess_policy(query);
-    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
-    arm_simulator(sim, query, guard);
-    try {
-        report.count = core::dispatch_algorithm(sim, locked_views(), spec, sink, prep);
-    } catch (const net::OomError&) {
-        report.count.oom = true;
-        core::fill_metrics(sim, report.count);
-    } catch (const net::FaultError& e) {
-        report.error = make_error(e.code(), e.what());
-        core::fill_metrics(sim, report.count);
-    } catch (const net::CancelledError&) {
-        report.error = make_error(ServeError::kDeadline);
-        core::fill_metrics(sim, report.count);
-    }
+Report Engine::lcc(const QueryOptions& query) const {
+    return run_query(Query::kLcc, query_spec(query), query, /*arm=*/true,
+                     [&](Report& out, net::Simulator& sim, const core::RunSpec& spec,
+                         const core::Preprocess& prep) {
+                         auto result = core::compute_distributed_lcc(sim, views_, *graph_,
+                                                                     spec, prep);
+                         out.count = std::move(result.count);
+                         out.delta = std::move(result.delta);
+                         out.lcc = std::move(result.lcc);
+                         out.postprocess_time = result.postprocess_time;
+                     });
 }
 
-Report Engine::lcc(const QueryOptions& query) {
-    WallTimer timer;
-    auto spec = query_spec(query);
-    obs::KernelStats kernel_stats;
-    const bool record_kernels = obs_ && obs_->metrics_enabled();
-    if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
-    Report report;
-    report.query = Query::kLcc;
-    report.algorithm = spec.algorithm;
-    QueryGuard guard;
-    net::Simulator sim(spec.num_ranks, spec.network);
-    if (obs_) { sim.record_phase_details(true); }
-    bool ran = false;
-    if (warm_enabled_) {
-        const util::ReaderLock lock(state_mutex_);
-        if (warm_hubs_current(spec)) {
-            lcc_body(report, sim, spec, query, guard);
-            ran = true;
-        }
-    }
-    if (!ran) {
-        const util::WriterLock lock(state_mutex_);
-        if (warm_enabled_ && !warm_hubs_current(spec)) { rebuild_warm_hubs(spec); }
-        lcc_body(report, sim, spec, query, guard);
-    }
-    record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
-    return report;
-}
-
-void Engine::lcc_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                      const QueryOptions& query, QueryGuard& guard) {
-    const auto prep = preprocess_policy(query);
-    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
-    arm_simulator(sim, query, guard);
-    try {
-        auto result =
-            core::compute_distributed_lcc(sim, locked_views(), *graph_, spec, prep);
-        report.count = std::move(result.count);
-        report.delta = std::move(result.delta);
-        report.lcc = std::move(result.lcc);
-        report.postprocess_time = result.postprocess_time;
-    } catch (const net::FaultError& e) {
-        report.error = make_error(e.code(), e.what());
-        core::fill_metrics(sim, report.count);
-    } catch (const net::CancelledError&) {
-        report.error = make_error(ServeError::kDeadline);
-        core::fill_metrics(sim, report.count);
-    }
-}
-
-Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& query) {
+Report Engine::enumerate(const core::TriangleSink* sink,
+                         const QueryOptions& query) const {
     std::vector<core::Triangle> triangles;
     std::vector<std::size_t> found_per_rank(config_.num_ranks, 0);
     const core::TriangleSink collector = [&](core::Rank finder, core::VertexId v,
@@ -393,98 +280,38 @@ Report Engine::enumerate(const core::TriangleSink* sink, const QueryOptions& que
     return report;
 }
 
-Report Engine::approx_count(const QueryOptions& query) {
-    return approx_impl(query, /*arm=*/true);
-}
-
-Report Engine::approx_impl(const QueryOptions& query, bool arm) {
-    WallTimer timer;
+Report Engine::approx(const QueryOptions& query, bool arm) const {
     auto spec = query_spec(query);
-    obs::KernelStats kernel_stats;
-    const bool record_kernels = obs_ && obs_->metrics_enabled();
-    if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
-    const auto& amq = query.amq ? *query.amq : config_.amq;
-    Report report;
-    report.query = Query::kApprox;
     // The AMQ query always runs the CETRIC-AMQ pipeline (exact CETRIC local
     // phase + Bloom-filter global phase), whatever Config::algorithm says —
-    // label the report (and the warm hub preparation) accordingly.
-    report.algorithm = core::Algorithm::kCetric;
-    // Hub preparation (and so the lock decision) follows the pipeline's
-    // actual algorithm, not Config::algorithm.
-    auto hub_spec = spec;
-    hub_spec.algorithm = core::Algorithm::kCetric;
-    QueryGuard guard;
-    net::Simulator sim(spec.num_ranks, spec.network);
-    if (obs_) { sim.record_phase_details(true); }
-    bool ran = false;
-    if (warm_enabled_) {
-        const util::ReaderLock lock(state_mutex_);
-        if (warm_hubs_current(hub_spec)) {
-            approx_body(report, sim, spec, query, amq, arm, guard);
-            ran = true;
-        }
-    }
-    if (!ran) {
-        const util::WriterLock lock(state_mutex_);
-        if (warm_enabled_ && !warm_hubs_current(hub_spec)) {
-            rebuild_warm_hubs(hub_spec);
-        }
-        approx_body(report, sim, spec, query, amq, arm, guard);
-    }
-    record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
-    return report;
+    // label the report accordingly.
+    spec.algorithm = core::Algorithm::kCetric;
+    const auto& amq = query.amq ? *query.amq : config_.amq;
+    return run_query(Query::kApprox, spec, query, arm,
+                     [&](Report& out, net::Simulator& sim, const core::RunSpec& run,
+                         const core::Preprocess& prep) {
+                         auto result = core::count_triangles_cetric_amq(
+                             sim, views_, run, amq, prep);
+                         out.count = std::move(result.metrics);
+                         out.estimated_triangles = result.estimated_triangles;
+                         out.exact_type12 = result.exact_type12;
+                         out.estimated_type3 = result.estimated_type3;
+                     });
 }
 
-void Engine::approx_body(Report& report, net::Simulator& sim,
-                         const core::RunSpec& spec, const QueryOptions& query,
-                         const core::AmqOptions& amq, bool arm, QueryGuard& guard) {
-    const auto prep = preprocess_policy(query);
-    report.reused_preprocessing = prep.mode == core::Preprocess::Mode::kSkip;
-    if (arm) { arm_simulator(sim, query, guard); }
-    try {
-        auto result =
-            core::count_triangles_cetric_amq(sim, locked_views(), spec, amq, prep);
-        report.count = std::move(result.metrics);
-        report.estimated_triangles = result.estimated_triangles;
-        report.exact_type12 = result.exact_type12;
-        report.estimated_type3 = result.estimated_type3;
-    } catch (const net::FaultError& e) {
-        report.error = make_error(e.code(), e.what());
-        core::fill_metrics(sim, report.count);
-    } catch (const net::CancelledError&) {
-        report.error = make_error(ServeError::kDeadline);
-        core::fill_metrics(sim, report.count);
-    }
-}
-
-StreamSession Engine::open_stream() {
-    core::CountResult initial;
-    std::vector<std::uint64_t> initial_delta;
-    bool initial_reused = false;
-    if (config_.maintain_lcc) {
-        // The LCC-enabled static pass supplies both the initial count and
-        // the per-vertex Δ seed in one run over the shared views.
-        auto seeded = lcc();
-        initial = std::move(seeded.count);
-        initial_delta = std::move(seeded.delta);
-        initial_reused = seeded.reused_preprocessing;
-        KATRIC_ASSERT_MSG(initial.error == core::RunError::kNone,
-                          core::run_error_message(initial.error, config_.algorithm));
-    } else {
-        auto seeded = count();
-        initial = std::move(seeded.count);
-        initial_reused = seeded.reused_preprocessing;
-    }
-    KATRIC_ASSERT_MSG(!initial.oom, "initial static count ran out of memory");
-    return StreamSession(*graph_, partition_, config_, std::move(initial),
-                         std::move(initial_delta), initial_reused, obs_);
+StreamSession Engine::open_stream() const {
+    // With Config::maintain_lcc the LCC pass supplies both the initial count
+    // and the per-vertex Δ seed in one run over the shared views.
+    Report seeded = config_.maintain_lcc ? lcc() : count();
+    KATRIC_ASSERT_MSG(seeded.count.error == core::RunError::kNone,
+                      core::run_error_message(seeded.count.error, config_.algorithm));
+    KATRIC_ASSERT_MSG(!seeded.count.oom, "initial static count ran out of memory");
+    return StreamSession(*graph_, partition_, config_, std::move(seeded.count),
+                         std::move(seeded.delta), seeded.reused_preprocessing, obs_);
 }
 
 Report Engine::stream(const std::vector<stream::EdgeBatch>& batches,
-                      const stream::BatchObserver& observer) {
+                      const stream::BatchObserver& observer) const {
     auto session = open_stream();
     for (const auto& batch : batches) {
         const auto& stats = session.ingest(batch);
@@ -598,19 +425,6 @@ Report StreamSession::report() const {
         report.lcc = lcc_->lcc();
     }
     return report;
-}
-
-stream::StreamResult StreamSession::result() const {
-    // The legacy shape is a projection of the unified Report.
-    auto report = StreamSession::report();
-    stream::StreamResult result;
-    result.initial = std::move(report.initial);
-    result.batches = std::move(report.batches);
-    result.triangles = report.count.triangles;
-    result.stream_seconds = report.stream_seconds;
-    result.delta = std::move(report.delta);
-    result.lcc = std::move(report.lcc);
-    return result;
 }
 
 }  // namespace katric

@@ -15,8 +15,6 @@
 #include "obs/observability.hpp"
 #include "report.hpp"
 #include "stream/stream_runner.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace katric {
 
@@ -56,8 +54,6 @@ public:
     /// The unified result surface: a kStream Report reflecting everything
     /// ingested so far. Callable between batches.
     [[nodiscard]] Report report() const;
-    /// Legacy-shaped result (stream::count_triangles_streaming's shim).
-    [[nodiscard]] stream::StreamResult result() const;
 
     ~StreamSession();
 
@@ -74,8 +70,8 @@ private:
     /// appended to the trace when the session ends.
     std::shared_ptr<obs::Observability> obs_;
     core::CountResult initial_;
-    /// The initial static pass ran on a warm session without the metric
-    /// re-charge — propagated into report() so artifacts stay self-describing.
+    /// The initial static pass skipped the preprocessing replay — propagated
+    /// into report() so artifacts stay self-describing.
     bool initial_reused_ = false;
     // Heap-held so the counter's pointers into them survive session moves.
     std::unique_ptr<net::Simulator> sim_;
@@ -85,20 +81,14 @@ private:
     std::vector<stream::BatchStats> batches_;
 };
 
-/// Per-query overrides on an Engine's configured defaults — the sweep and
-/// ablation workloads: one build, many variants. Unset fields inherit the
-/// engine's Config.
+/// Per-query overrides on an Engine's configured defaults — the sweep
+/// workload: one build, many variants. Unset fields inherit the engine's
+/// Config. None of them touches the preprocessed views, which stay as the
+/// constructor built them.
 struct QueryOptions {
     std::optional<core::Algorithm> algorithm;
-    /// Whole-struct override of Config::options (kernel, buffer threshold,
-    /// threads, compression, …) for this query alone.
-    std::optional<core::AlgorithmOptions> options;
     /// approx_count only: override Config::amq.
     std::optional<core::AmqOptions> amq;
-    /// Warm sessions only: override Config::charge_reused_preprocessing —
-    /// request (or suppress) the metric-fidelity preprocessing re-charge for
-    /// this query alone. Ignored on cold engines.
-    std::optional<bool> charge_preprocessing;
     /// Override Config::recovery for this query alone (what to do when the
     /// hardened layer detects an unrecoverable fault).
     std::optional<fault::RecoveryPolicy> recovery;
@@ -122,8 +112,9 @@ struct ServeOptions {
 
 /// One submission to a ServeSession: which query to run, its per-query
 /// overrides, and an admission priority (higher drains first; FIFO within a
-/// priority class). Query::kStream cannot be served — streaming mutates the
-/// views; its future resolves to a ServeError::kUnsupported report.
+/// priority class). Query::kStream cannot be served — a stream is a session
+/// fed batch by batch, not one query; its future resolves to a
+/// ServeError::kUnsupported report.
 struct ServeRequest {
     Query query = Query::kCount;
     QueryOptions options;
@@ -137,7 +128,7 @@ struct ServeRequest {
     double deadline_seconds = 0.0;
 };
 
-/// A concurrent query-serving session over one Engine's shared warm state
+/// A concurrent query-serving session over one Engine's shared state
 /// (Engine::serve): a fixed worker pool drains an admission queue of
 /// submitted queries, each running on its own fresh simulated machine
 /// against the engine's const views. Reports are bit-identical to the same
@@ -150,8 +141,9 @@ struct ServeRequest {
 /// ServeError::kStopped.
 ///
 /// Lifetime: the session borrows the engine; the engine must outlive it.
-/// drain() — idempotent, also run by the destructor — closes admission,
-/// finishes everything already accepted, and joins the workers.
+/// The engine is immutable after construction, so the workers share it with
+/// no lock. drain() — idempotent, also run by the destructor — closes
+/// admission, finishes everything already accepted, and joins the workers.
 class ServeSession {
 public:
     ServeSession(ServeSession&&) noexcept;
@@ -206,7 +198,7 @@ public:
 
 private:
     friend class Engine;
-    ServeSession(Engine& engine, const ServeOptions& options);
+    ServeSession(const Engine& engine, const ServeOptions& options);
 
     struct Impl;
     std::unique_ptr<Impl> impl_;
@@ -215,37 +207,32 @@ private:
 /// The library's session facade — build the expensive distributed state
 /// once, run many queries against it.
 ///
-/// Construction pays the full pipeline head: partitioning (uniform or
-/// edge-balanced, or an injected custom Partition1D) and every simulated
-/// PE's DistGraph view of the input. Each query then runs on a *fresh*
-/// simulated machine over the shared views, so per-query metrics are
-/// identical to the one-shot entry points (tested bit-for-bit) while the
-/// host-side rebuild cost is paid exactly once — the amortization a
-/// parameter sweep or multi-query workload wants.
+/// Construction pays the whole pipeline head once: partitioning (uniform or
+/// edge-balanced, or an injected custom Partition1D), every simulated PE's
+/// DistGraph view of the input, and the preprocessing of Section IV-D —
+/// ghost-degree exchange, orientation, hub bitmaps — run on a throwaway
+/// machine that records its cost ledger (core::PreprocessCosts). The views
+/// are read-only from then on.
 ///
 ///   katric::Engine engine(graph, katric::Config::preset("paper-cetric"));
 ///   auto count = engine.count();              // Report
 ///   auto lcc = engine.lcc();                  // same built state
 ///   auto stream = engine.open_stream();       // promote to dynamic views
 ///
-/// Warm state (Config::reuse_preprocessing): construction additionally runs
-/// the preprocessing front half — ghost-degree exchange, orientation, hub
-/// bitmaps — once, and every query reuses it instead of rebuilding. Counts
-/// and result payloads stay exact (tested against the one-shot entry
-/// points); per-query op/time telemetry omits the front half unless
-/// Config::charge_reused_preprocessing (or a per-query override) replays
-/// the recorded costs, which restores one-shot metric fidelity bit for bit.
+/// Each query runs on a *fresh* simulated machine over the shared views and
+/// replays the recorded ledger into it, so its report is bit-identical to a
+/// one-shot run that builds preprocessing in-run (the paper's timing
+/// convention: loading excluded, preprocessing included). The one opt-out:
+/// Config::reuse_preprocessing without Config::charge_reused_preprocessing
+/// skips the replay — counts and payloads stay exact, but op/time telemetry
+/// omits the preprocessing and Report::reused_preprocessing says so.
 ///
 /// The graph must outlive the engine (the views reference its partition
 /// only; the graph itself is re-read when a query needs global degrees).
 ///
-/// Thread safety: queries may run concurrently from several threads
-/// (Engine::serve's worker pool, or direct calls). Internally a
-/// reader-writer lock keeps the shared views consistent: warm queries whose
-/// hub-index config matches the views take the lock shared and run the
-/// const algorithm surface; cold queries and warm hub-config changes take
-/// it exclusive (they mutate the views). open_stream/stream are NOT
-/// concurrent-safe — promote to streaming only with no serve session open.
+/// Thread safety: every method is const and the built state is immutable,
+/// so queries (and open_stream) may run concurrently from several threads —
+/// Engine::serve's worker pool, or direct calls — with no lock.
 class Engine {
 public:
     Engine(const graph::CsrGraph& graph, Config config);
@@ -254,27 +241,16 @@ public:
     /// named by Config::partition. The partition must cover the graph's
     /// vertices and have exactly Config::num_ranks ranks.
     Engine(const graph::CsrGraph& graph, Config config, graph::Partition1D partition);
+    Engine(const Engine&) = delete;
+    Engine& operator=(const Engine&) = delete;
 
     [[nodiscard]] const Config& config() const noexcept { return config_; }
     [[nodiscard]] const graph::CsrGraph& graph() const noexcept { return *graph_; }
     [[nodiscard]] const graph::Partition1D& partition() const noexcept {
         return partition_;
     }
-    /// How many partition+distribute passes this engine paid (always 1 —
-    /// the amortization evidence a sweep bench reports against the k passes
-    /// of k one-shot runs).
-    [[nodiscard]] std::size_t build_passes() const noexcept { return build_passes_; }
     [[nodiscard]] std::size_t queries_run() const noexcept {
         return queries_.load(std::memory_order_relaxed);
-    }
-    /// True when this engine holds reusable preprocessing state.
-    [[nodiscard]] bool warm() const noexcept { return warm_enabled_; }
-    /// Warm sessions: preprocessing (re)builds paid — 1 at construction plus
-    /// one per hub-index config change. Cold engines report 0 (each query
-    /// rebuilds inside its own simulated run instead).
-    [[nodiscard]] std::size_t preprocess_builds() const {
-        const util::ReaderLock lock(state_mutex_);
-        return preprocess_builds_;
     }
 
     /// The session's observability instance (Config::metrics /
@@ -296,19 +272,19 @@ public:
 
     // --- queries (each runs on a fresh simulated machine) ----------------
     /// Exact triangle count with the configured algorithm, or per-query
-    /// overrides (the sweep workload: one build, k algorithm/option sets).
-    Report count() { return count(nullptr, QueryOptions{}); }
-    Report count(core::Algorithm algorithm) {
+    /// overrides (the sweep workload: one build, k algorithms).
+    Report count() const { return count(nullptr, QueryOptions{}); }
+    Report count(core::Algorithm algorithm) const {
         QueryOptions query;
         query.algorithm = algorithm;
         return count(nullptr, query);
     }
-    Report count(const QueryOptions& query) { return count(nullptr, query); }
-    Report count(const core::TriangleSink* sink, const QueryOptions& query = {});
+    Report count(const QueryOptions& query) const { return count(nullptr, query); }
+    Report count(const core::TriangleSink* sink, const QueryOptions& query = {}) const;
 
     /// Distributed local clustering coefficients (Report::delta / ::lcc).
-    Report lcc(const QueryOptions& query = {});
-    Report lcc(core::Algorithm algorithm) {
+    Report lcc(const QueryOptions& query = {}) const;
+    Report lcc(core::Algorithm algorithm) const {
         QueryOptions query;
         query.algorithm = algorithm;
         return lcc(query);
@@ -317,16 +293,21 @@ public:
     /// Exactly-once triangle enumeration. Without a sink the canonical
     /// sorted list lands in Report::triangles; with a sink every find is
     /// forwarded to it instead (streaming enumeration — nothing collected).
-    Report enumerate() { return enumerate(nullptr, QueryOptions{}); }
-    Report enumerate(const QueryOptions& query) { return enumerate(nullptr, query); }
-    Report enumerate(const core::TriangleSink& sink, const QueryOptions& query = {}) {
+    Report enumerate() const { return enumerate(nullptr, QueryOptions{}); }
+    Report enumerate(const QueryOptions& query) const {
+        return enumerate(nullptr, query);
+    }
+    Report enumerate(const core::TriangleSink& sink,
+                     const QueryOptions& query = {}) const {
         return enumerate(&sink, query);
     }
 
     /// Approximate count via the CETRIC-AMQ Bloom-filter global phase,
     /// configured by Config::amq (or per-query overrides).
-    Report approx_count(const QueryOptions& query = {});
-    Report approx_count(const core::AmqOptions& amq) {
+    Report approx_count(const QueryOptions& query = {}) const {
+        return approx(query, /*arm=*/true);
+    }
+    Report approx_count(const core::AmqOptions& amq) const {
         QueryOptions query;
         query.amq = amq;
         return approx_count(query);
@@ -335,65 +316,51 @@ public:
     /// Promotes the built state into a streaming session: the initial count
     /// (and, with Config::maintain_lcc, the initial Δ vector) is computed on
     /// the shared static views, then the engine's partition is reused to
-    /// build the dynamic per-rank views — no second partitioning pass.
-    [[nodiscard]] StreamSession open_stream();
+    /// build the session's own dynamic per-rank views — no second
+    /// partitioning pass, and the engine's views stay untouched.
+    [[nodiscard]] StreamSession open_stream() const;
 
     /// Convenience: open_stream + ingest every batch (observer fires after
     /// each) + the final kStream Report.
     Report stream(const std::vector<stream::EdgeBatch>& batches,
-                  const stream::BatchObserver& observer = {});
+                  const stream::BatchObserver& observer = {}) const;
 
     /// Opens a concurrent serving session over this engine's built state: a
     /// worker pool drains submitted queries against the shared views, each
     /// on its own fresh simulated machine (see ServeSession). The engine
-    /// must outlive the session. Best on warm engines — cold queries
-    /// serialize on the view lock (each rebuilds preprocessing in place).
-    [[nodiscard]] ServeSession serve(const ServeOptions& options = {});
+    /// must outlive the session.
+    [[nodiscard]] ServeSession serve(const ServeOptions& options = {}) const;
 
 private:
-    struct WarmState {
-        core::PreprocessCosts costs;
-    };
+    Report enumerate(const core::TriangleSink* sink, const QueryOptions& query) const;
+    /// approx_count; `arm` gates the hardened layer so the kDegrade fallback
+    /// can run approximate counting with injection off (retrying the same
+    /// faulty machine would be pointless).
+    Report approx(const QueryOptions& query, bool arm) const;
 
-    Report enumerate(const core::TriangleSink* sink, const QueryOptions& query);
-    /// approx_count body; `arm` gates the hardened layer so the kDegrade
-    /// fallback can run approximate counting with injection off (retrying
-    /// the same faulty machine would be pointless).
-    Report approx_impl(const QueryOptions& query, bool arm);
+    /// The one query path: times the query, wires a query-local kernel-stats
+    /// sink into `spec`, arms a fresh simulator (when `arm`), runs
+    /// `body(report, sim, spec, preprocess)` on it, turns OOM, network
+    /// faults and cancellation into typed report fields, and finalizes.
+    template <typename Body>
+    Report run_query(Query kind, core::RunSpec spec, const QueryOptions& query, bool arm,
+                     const Body& body) const;
     /// Ops telemetry, per-phase breakdown, typed-error propagation, and
     /// observability recording shared by every query. `wall_seconds` is the
-    /// query's host-side latency (the warm-serving p50/p99 substrate);
+    /// query's host-side latency (the serving p50/p99 substrate);
     /// `kernel_stats` the query-local dispatch mix to merge (null = none).
     void finalize(Report& report, const net::Simulator& sim, double wall_seconds,
-                  const obs::KernelStats* kernel_stats = nullptr);
+                  const obs::KernelStats* kernel_stats) const;
     /// Config::run_spec with the query's overrides applied.
     [[nodiscard]] core::RunSpec query_spec(const QueryOptions& query) const;
-    /// Warm sessions: runs the recorded preprocessing build at construction
-    /// (exclusive access by construction — no other thread has the engine).
-    void warm_build() KATRIC_REQUIRES(state_mutex_);
-    /// Warm sessions: do the views already hold the hub indices this spec's
-    /// kernel config wants? (True as well when it wants none.)
-    [[nodiscard]] bool warm_hubs_current(const core::RunSpec& spec) const
-        KATRIC_REQUIRES_SHARED(state_mutex_);
-    /// Warm sessions: (re)builds hub indices for the spec's kernel config.
-    void rebuild_warm_hubs(const core::RunSpec& spec) KATRIC_REQUIRES(state_mutex_);
-    /// The preprocessing policy this query's dispatch should run under.
-    [[nodiscard]] core::Preprocess preprocess_policy(const QueryOptions& query) const
-        KATRIC_REQUIRES_SHARED(state_mutex_);
-
-    /// The views under an active hold. Non-const because the cold build mode
-    /// mutates them inside the run; warm shared-hold callers only read — the
-    /// one shared-vs-exclusive distinction the annotations cannot express
-    /// (enforced by the equivalence and TSan suites instead), hence the one
-    /// analysis escape in Engine.
-    [[nodiscard]] std::vector<graph::DistGraph>& locked_views()
-        KATRIC_REQUIRES_SHARED(state_mutex_) KATRIC_NO_THREAD_SAFETY_ANALYSIS {
-        return views_;
-    }
+    /// How every query treats the preprocessing the constructor built:
+    /// replay the recorded ledger (kCharge), or skip it (kSkip) when the
+    /// config reuses preprocessing without the re-charge.
+    [[nodiscard]] core::Preprocess preprocess() const;
 
     /// Per-query hardening context: the fault counters and the query's
     /// cancel token (deadline-armed, chained onto a caller token). Lives on
-    /// the query method's stack; the simulator borrows it for the run.
+    /// the query's stack; the simulator borrows it for the run.
     struct QueryGuard {
         fault::FaultStats stats;
         fault::CancelToken token;
@@ -402,47 +369,26 @@ private:
     /// Arms the hardened message layer on a fresh simulator when the config
     /// (harden / fault_spec) or the query (deadline, cancel) asks for it.
     void arm_simulator(net::Simulator& sim, const QueryOptions& query,
-                       QueryGuard& guard);
+                       QueryGuard& guard) const;
     /// Folds a finished (or failed) hardened run into the report and the
     /// metrics registry: hardened/degraded flags, fault counters.
-    void record_faults(Report& report, const QueryGuard& guard);
-
-    // --- locked query bodies ---------------------------------------------
-    // Each query method acquires the right hold — shared when the warm views
-    // already fit the spec, exclusive for cold builds and warm hub-config
-    // rebuilds — and runs the corresponding *_body under it. The
-    // KATRIC_REQUIRES_SHARED contract makes a body call without a hold a
-    // compile error under -Werror=thread-safety.
-    void count_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                    const QueryOptions& query, const core::TriangleSink* sink,
-                    QueryGuard& guard) KATRIC_REQUIRES_SHARED(state_mutex_);
-    void lcc_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                  const QueryOptions& query, QueryGuard& guard)
-        KATRIC_REQUIRES_SHARED(state_mutex_);
-    void approx_body(Report& report, net::Simulator& sim, const core::RunSpec& spec,
-                     const QueryOptions& query, const core::AmqOptions& amq, bool arm,
-                     QueryGuard& guard) KATRIC_REQUIRES_SHARED(state_mutex_);
+    void record_faults(Report& report, const QueryGuard& guard) const;
 
     const graph::CsrGraph* graph_;
-    Config config_;
-    graph::Partition1D partition_;
-    std::shared_ptr<obs::Observability> obs_;
+    const Config config_;
+    const graph::Partition1D partition_;
+    const std::shared_ptr<obs::Observability> obs_;
     /// The session's deterministic fault oracle, parsed once from
     /// Config::fault_spec; disengaged = no injection (hardening may still be
     /// on via Config::harden).
-    std::optional<fault::FaultInjector> injector_;
-    /// Guards views_, warm_'s cost ledger, and the preprocessing-build
-    /// counter against concurrent queries: shared = read-only algorithm run,
-    /// exclusive = view mutation.
-    mutable util::SharedMutex state_mutex_;
-    std::vector<graph::DistGraph> views_ KATRIC_GUARDED_BY(state_mutex_);
-    std::optional<WarmState> warm_ KATRIC_GUARDED_BY(state_mutex_);
-    std::size_t preprocess_builds_ KATRIC_GUARDED_BY(state_mutex_) = 0;
-    /// warm_.has_value(), frozen after construction — the lock-free engaged
-    /// check the query prologues branch on before taking a hold.
-    bool warm_enabled_ = false;
-    std::size_t build_passes_ = 1;
-    std::atomic<std::size_t> queries_{0};
+    const std::optional<fault::FaultInjector> injector_;
+    /// The cost ledger of the constructor's preprocessing pass, filled while
+    /// views_ is built and replayed by every charged query.
+    core::PreprocessCosts costs_;
+    /// Every rank's preprocessed view, built once in the initializer list.
+    const std::vector<graph::DistGraph> views_;
+    /// The one counter queries bump — telemetry, not state a query reads.
+    mutable std::atomic<std::size_t> queries_{0};
 };
 
 }  // namespace katric

@@ -39,7 +39,7 @@ struct ServeSession::Impl {
         WallTimer timer;
     };
 
-    Engine* engine;
+    const Engine* engine;
     detail::AdmissionQueue<Task> queue;
     int num_threads;
     /// Spawned in the constructor (pre-publication), joined+cleared only
@@ -59,7 +59,7 @@ struct ServeSession::Impl {
     util::Mutex drain_mutex;  ///< serializes drain() against itself
     bool drained KATRIC_GUARDED_BY(drain_mutex) = false;
 
-    Impl(Engine& owner, int threads, std::size_t depth)
+    Impl(const Engine& owner, int threads, std::size_t depth)
         : engine(&owner), queue(depth), num_threads(threads) {
         workers.reserve(static_cast<std::size_t>(num_threads));
         for (int i = 0; i < num_threads; ++i) {
@@ -179,7 +179,7 @@ struct ServeSession::Impl {
     }
 };
 
-ServeSession::ServeSession(Engine& engine, const ServeOptions& options) {
+ServeSession::ServeSession(const Engine& engine, const ServeOptions& options) {
     const auto& config = engine.config();
     int threads = options.threads != 0 ? options.threads : config.serve_threads;
     if (threads <= 0) { threads = kDefaultServeThreads; }
@@ -235,7 +235,7 @@ std::size_t ServeSession::queue_depth() const noexcept {
     return impl_->queue.capacity();
 }
 
-ServeSession Engine::serve(const ServeOptions& options) {
+ServeSession Engine::serve(const ServeOptions& options) const {
     return ServeSession(*this, options);
 }
 

@@ -8,10 +8,9 @@
 
 namespace katric::gen {
 
-/// Synthetic stand-ins for the real-world instances of the paper's Table I
-/// (DESIGN.md §1 documents the substitution). Each proxy is generated at a
-/// reduced scale but from the matching graph family with the matching
-/// average degree and locality regime:
+/// Synthetic stand-ins for the real-world instances of the paper's Table I.
+/// Each proxy is generated at a reduced scale but from the matching graph
+/// family with the matching average degree and locality regime:
 ///   social (live-journal, orkut, twitter, friendster) — R-MAT / RHG with a
 ///       random vertex shuffle (skewed degrees, no locality);
 ///   web (uk-2007-05, webbase-2001) — RHG in natural order (power law,

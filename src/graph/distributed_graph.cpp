@@ -272,14 +272,7 @@ std::uint64_t DistGraph::build_hub_bitmaps(seq::HubBitmapIndex::Config config) {
     const auto ops =
         index->build(config, candidates, [this](VertexId id) { return a_set(id); });
     hub_index_ = std::move(index);
-    hub_config_ = config;
     return ops;
-}
-
-bool DistGraph::hub_index_current(seq::HubBitmapIndex::Config config) const noexcept {
-    if (hub_index_ == nullptr || !hub_config_.has_value()) { return false; }
-    if (config.universe == 0) { config.universe = partition_.num_vertices(); }
-    return *hub_config_ == config;
 }
 
 std::vector<DistGraph> distribute(const CsrGraph& global, const Partition1D& partition) {

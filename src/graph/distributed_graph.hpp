@@ -120,29 +120,11 @@ public:
     /// Materializes this rank's hub bitmap index over the oriented rows the
     /// counting phases intersect against — A(v) for locals, the rewired
     /// A(g) for ghosts. Returns the elementary ops spent (for simulator
-    /// charging). Requires build_oriented(). Always builds a fresh index
-    /// (cold runs re-charge the build each query); warm sessions gate on
-    /// hub_index_current() to build only when the config actually changed.
+    /// charging). Requires build_oriented(). Always builds a fresh index.
     std::uint64_t build_hub_bitmaps(seq::HubBitmapIndex::Config config);
-    /// nullptr until build_hub_bitmaps() ran (or after invalidate_hub_index).
+    /// nullptr until build_hub_bitmaps() ran.
     [[nodiscard]] const seq::HubBitmapIndex* hub_index() const noexcept {
         return hub_index_.get();
-    }
-    /// The config the current index was built under; nullopt when absent.
-    [[nodiscard]] const std::optional<seq::HubBitmapIndex::Config>& hub_index_config()
-        const noexcept {
-        return hub_config_;
-    }
-    /// True iff an index exists and was built under exactly `config`
-    /// (universe 0 normalizes to the partition's vertex count, as in
-    /// build_hub_bitmaps) — the warm-session reuse gate.
-    [[nodiscard]] bool hub_index_current(seq::HubBitmapIndex::Config config) const noexcept;
-    /// Explicitly drops the index. Ownership rule: whoever mutates the rows
-    /// the index was built over must invalidate (or rebuild) it — nothing
-    /// rebuilds it implicitly anymore once a session reuses preprocessing.
-    void invalidate_hub_index() noexcept {
-        hub_index_.reset();
-        hub_config_.reset();
     }
 
 private:
@@ -170,15 +152,9 @@ private:
     std::vector<VertexId> contracted_targets_;
 
     // shared_ptr so copied views (tests clone them freely) stay cheap.
-    // Ownership is explicit: build_hub_bitmaps always installs a *fresh*
-    // index (copies never see a mutated shared one), hub_config_ remembers
-    // what it was built under, and invalidate_hub_index() is the only way it
-    // goes away. Cold runs rebuild per query via run_preprocessing; a warm
-    // session (Config::reuse_preprocessing) keeps one index alive across
-    // queries and rebuilds only when hub_index_current() says the effective
-    // config changed.
+    // build_hub_bitmaps always installs a *fresh* index, so copies never see
+    // a mutated shared one.
     std::shared_ptr<seq::HubBitmapIndex> hub_index_;
-    std::optional<seq::HubBitmapIndex::Config> hub_config_;
 };
 
 /// Builds every rank's view of a global graph — the bench/test entry point

@@ -25,13 +25,10 @@
 ///               metrics registry with query-latency p50/p99 and kernel
 ///               dispatch mix (--metrics)                     (obs/)
 ///
-/// The pre-facade entry points remain as thin shims over a temporary Engine:
-///   * core::count_triangles(graph, RunSpec)      — DITRIC/CETRIC & baselines
-///   * core::compute_distributed_lcc(graph, spec) — local clustering coefficients
-///   * core::enumerate_triangles(graph, spec)     — exactly-once listing
-///   * core::count_triangles_cetric_amq(...)      — approximate counting
-///   * stream::count_triangles_streaming(...)     — dynamic-graph maintenance
-///   * gen::* / graph::read_* — inputs; net::NetworkConfig — machine model.
+/// The layer below the facade stays public: graph::distribute plus
+/// core::dispatch_algorithm / compute_distributed_lcc /
+/// count_triangles_cetric_amq over caller-owned views;
+/// gen::* / graph::read_* — inputs; net::NetworkConfig — machine model.
 
 #include "amq/bloom.hpp"
 #include "config.hpp"
@@ -48,7 +45,6 @@
 #include "gen/rhg.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
-#include "graph/degeneracy.hpp"
 #include "graph/graph_stats.hpp"
 #include "graph/io.hpp"
 #include "graph/load_balance.hpp"
@@ -57,7 +53,6 @@
 #include "net/termination.hpp"
 #include "obs/observability.hpp"
 #include "obs/trace_check.hpp"
-#include "seq/algorithm_zoo.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
 #include "seq/parallel_local.hpp"

@@ -27,7 +27,7 @@ namespace katric::net {
 /// all_to_all whose payload sizes are words[src][dest] — same offset
 /// schedule, same timing, same message/volume metrics — but ships no data
 /// and delivers nothing. O(p²) host work instead of O(exchange volume);
-/// this is what lets a warm engine replay its preprocessing charges per
+/// this is what lets an Engine replay its preprocessing charges per
 /// query without serializing on payload materialization
 /// (core::charge_preprocessing). Metric identity with the real collective
 /// holds because all_to_all's receive handler only copies payload bytes —

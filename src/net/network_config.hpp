@@ -26,8 +26,8 @@ struct NetworkConfig {
     [[nodiscard]] static NetworkConfig supermuc_like() { return {}; }
 
     /// Cloud-like network: two orders of magnitude higher latency, ~10× less
-    /// bandwidth. Used for the DESIGN.md ablation of the paper's claim that
-    /// CETRIC wins on slower interconnects.
+    /// bandwidth (the "cloud-indirect" Config preset): the regime of the
+    /// paper's claim that CETRIC wins on slower interconnects.
     [[nodiscard]] static NetworkConfig cloud_like() {
         NetworkConfig cfg;
         cfg.alpha = 1e-4;

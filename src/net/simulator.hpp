@@ -105,7 +105,7 @@ public:
     /// Size-only send: identical timing, ordering, and metric charges to
     /// send()ing a `words`-long payload, but no payload is materialized —
     /// the delivered span is empty. O(1) instead of O(ℓ) on both ends; the
-    /// basis of the warm engine's preprocessing-cost replay
+    /// basis of the Engine's preprocessing-cost replay
     /// (core::charge_preprocessing), which needs the machine charges of an
     /// exchange without its data.
     void send_sized(Rank dest, std::uint64_t words, int tag = 0);
@@ -132,7 +132,7 @@ private:
 
 /// Deterministic discrete-event simulator of a p-PE message-passing machine.
 ///
-/// Execution model (DESIGN.md §3): a *phase* (superstep) runs every rank's
+/// Execution model: a *phase* (superstep) runs every rank's
 /// start function, then delivers messages in global arrival order until
 /// quiescence — handlers may send further messages (aggregation proxies,
 /// replies). An optional idle hook runs when the event queue drains, so

@@ -70,7 +70,7 @@ public:
 
     /// Absorbs one finished query run: appends its spans to the trace,
     /// its host wall-clock to the per-kind latency summary
-    /// ("query.<kind>.latency_seconds" — the warm-serving p50/p99), and its
+    /// ("query.<kind>.latency_seconds" — the serving p50/p99), and its
     /// per-rank communication totals to the comm counters and histograms.
     /// When `kernel_stats` is non-null its per-query dispatch mix is merged
     /// into the session totals. Serialized on an internal record mutex, so

@@ -31,8 +31,8 @@ struct TraceSpan {
 /// chrome://tracing and Perfetto).
 ///
 /// Time base: *simulated* seconds, scaled to microseconds. Each recorded
-/// query is appended after the previous one on a running cursor, so a warm
-/// session's query stream reads left-to-right in the viewer even though
+/// query is appended after the previous one on a running cursor, so an
+/// engine's query stream reads left-to-right in the viewer even though
 /// every query starts its own Simulator at t = 0.
 ///
 /// Lane model (one Perfetto "thread" per lane):

@@ -28,10 +28,9 @@ enum class Query {
 
 /// The one result type every Engine query returns: the exact count and paper
 /// metrics (CountResult), kernel ops telemetry, and the query-specific
-/// payloads — replacing the incompatible per-entry-point result structs
-/// (CountResult / LccResult / EnumerateResult / AmqResult / StreamResult).
-/// Only the sections of the producing query are populated; the rest stay at
-/// their defaults.
+/// payloads, in place of the core layer's per-entry-point result structs
+/// (CountResult / LccResult / AmqResult). Only the sections of the
+/// producing query are populated; the rest stay at their defaults.
 struct Report {
     Query query = Query::kCount;
     core::Algorithm algorithm = core::Algorithm::kDitric;
@@ -58,14 +57,15 @@ struct Report {
     /// Per-phase breakdown (fig7's sections): every superstep group of the
     /// query's simulated run, with summed time and — when the simulator
     /// recorded phase details (tracing/metrics on) — per-phase comm totals.
-    /// Populated by Engine queries; empty on the legacy entry points.
+    /// Populated by Engine queries.
     std::vector<net::PhaseAgg> phases;
 
-    /// True when this query reused cached preprocessing state WITHOUT the
-    /// metric re-charge (Config::reuse_preprocessing with the fidelity
-    /// replay off): preprocessing_time and the ghost-exchange message
-    /// counters are absent from this report. A warm query that replayed the
-    /// recorded costs is metric-identical to a cold run and reports false.
+    /// True when this query skipped the replay of the engine's recorded
+    /// preprocessing costs (Config::reuse_preprocessing without
+    /// charge_reused_preprocessing): preprocessing_time and the
+    /// ghost-exchange message counters are absent from this report. A query
+    /// that replayed them is metric-identical to a one-shot run and reports
+    /// false.
     bool reused_preprocessing = false;
 
     /// True when the query ran on the hardened message layer (Config::harden

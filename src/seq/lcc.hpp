@@ -12,9 +12,8 @@ namespace katric::seq {
 ///     LCC(v) = 2·Δ(v) / (d_v·(d_v − 1)),
 /// the fraction of closed wedges at v, normalized to [0,1]. (The paper's
 /// Section IV-E prints the formula without the factor 2; we use the standard
-/// normalization and note the deviation in DESIGN.md — both sides of every
-/// comparison in this repository use the same formula.) Vertices with
-/// d_v < 2 have LCC 0.
+/// normalization — both sides of every comparison in this repository use the
+/// same formula.) Vertices with d_v < 2 have LCC 0.
 [[nodiscard]] std::vector<double> local_clustering_coefficients(
     const graph::CsrGraph& undirected, IntersectKind kind = IntersectKind::kMerge);
 

@@ -1,7 +1,5 @@
 #include "stream/stream_runner.hpp"
 
-#include "engine.hpp"
-
 namespace katric::stream {
 
 std::vector<DynamicDistGraph> distribute_dynamic(const graph::CsrGraph& initial,
@@ -17,22 +15,6 @@ std::vector<DynamicDistGraph> distribute_dynamic(const graph::CsrGraph& initial,
         views.push_back(DynamicDistGraph::from_global(initial, partition, r));
     }
     return views;
-}
-
-StreamResult count_triangles_streaming(const graph::CsrGraph& initial,
-                                       const std::vector<EdgeBatch>& batches,
-                                       const StreamRunSpec& spec,
-                                       const BatchObserver& observer) {
-    // Thin shim over a temporary session: the engine runs the initial
-    // static pass on its built views and promotes them into the dynamic
-    // session without a second partitioning pass.
-    Engine engine(initial, Config::from_stream_spec(spec));
-    auto session = engine.open_stream();
-    for (const auto& batch : batches) {
-        const auto& stats = session.ingest(batch);
-        if (observer) { observer(stats); }
-    }
-    return session.result();
 }
 
 }  // namespace katric::stream

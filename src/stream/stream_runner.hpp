@@ -39,31 +39,6 @@ struct StreamRunSpec {
 /// Per-batch observer, called after each batch commits.
 using BatchObserver = std::function<void(const BatchStats&)>;
 
-/// Everything a streaming run produces.
-struct StreamResult {
-    core::CountResult initial;        ///< static count of the starting graph
-    std::vector<BatchStats> batches;  ///< one entry per ingested batch
-    std::uint64_t triangles = 0;      ///< final global count
-    double stream_seconds = 0.0;      ///< simulated seconds across all batches
-
-    /// Final per-vertex state, populated only when spec.maintain_lcc.
-    std::vector<std::uint64_t> delta;  ///< Δ(v) after the last batch
-    std::vector<double> lcc;           ///< LCC(v) after the last batch
-};
-
-/// The streaming entry point — the dynamic sibling of
-/// core::count_triangles: counts `initial` statically with
-/// spec.initial_algorithm, builds every rank's DynamicDistGraph, then
-/// maintains the count incrementally over `batches` on a fresh simulated
-/// machine, invoking `observer` (if any) after each batch.
-[[deprecated("one-shot shim — build a katric::Engine and call stream() / "
-             "open_stream(); it reuses the engine's partition for the "
-             "dynamic views")]]  //
-[[nodiscard]] StreamResult count_triangles_streaming(const graph::CsrGraph& initial,
-                                                     const std::vector<EdgeBatch>& batches,
-                                                     const StreamRunSpec& spec,
-                                                     const BatchObserver& observer = {});
-
 /// Builds every rank's dynamic view of `initial` under spec's partition —
 /// the streaming analogue of graph::distribute, exposed for tests/benches
 /// that drive IncrementalCounter directly.

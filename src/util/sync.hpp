@@ -2,17 +2,16 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.hpp"
 
 namespace katric::util {
 
-/// Annotated wrappers over the standard mutexes. The thread-safety analysis
+/// Annotated wrappers over the standard mutex. The thread-safety analysis
 /// only follows lock/unlock calls that carry capability attributes, which
-/// libstdc++'s std::mutex/std::shared_mutex do not — so the concurrency
-/// layer locks through these instead. Zero overhead: every method is an
-/// inline forward to the wrapped standard primitive.
+/// libstdc++'s std::mutex does not — so the concurrency layer locks through
+/// these instead. Zero overhead: every method is an inline forward to the
+/// wrapped standard primitive.
 
 /// std::mutex with capability annotations. Lock it with MutexLock (or
 /// lock/unlock directly inside KATRIC_ACQUIRE/RELEASE-annotated code).
@@ -35,24 +34,6 @@ private:
     std::mutex mutex_;
 };
 
-/// std::shared_mutex with capability annotations: exclusive for writers
-/// (Engine's cold builds, hub rebuilds), shared for readers (warm queries
-/// over the const views).
-class KATRIC_CAPABILITY("shared_mutex") SharedMutex {
-public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex&) = delete;
-    SharedMutex& operator=(const SharedMutex&) = delete;
-
-    void lock() KATRIC_ACQUIRE() { mutex_.lock(); }
-    void unlock() KATRIC_RELEASE() { mutex_.unlock(); }
-    void lock_shared() KATRIC_ACQUIRE_SHARED() { mutex_.lock_shared(); }
-    void unlock_shared() KATRIC_RELEASE_SHARED() { mutex_.unlock_shared(); }
-
-private:
-    std::shared_mutex mutex_;
-};
-
 /// Scoped exclusive hold on a Mutex (std::lock_guard shape).
 class KATRIC_SCOPED_CAPABILITY MutexLock {
 public:
@@ -65,35 +46,6 @@ public:
 
 private:
     Mutex& mutex_;
-};
-
-/// Scoped exclusive hold on a SharedMutex (the writer side).
-class KATRIC_SCOPED_CAPABILITY WriterLock {
-public:
-    explicit WriterLock(SharedMutex& mutex) KATRIC_ACQUIRE(mutex) : mutex_(mutex) {
-        mutex_.lock();
-    }
-    ~WriterLock() KATRIC_RELEASE() { mutex_.unlock(); }
-    WriterLock(const WriterLock&) = delete;
-    WriterLock& operator=(const WriterLock&) = delete;
-
-private:
-    SharedMutex& mutex_;
-};
-
-/// Scoped shared hold on a SharedMutex (the reader side).
-class KATRIC_SCOPED_CAPABILITY ReaderLock {
-public:
-    explicit ReaderLock(SharedMutex& mutex) KATRIC_ACQUIRE_SHARED(mutex)
-        : mutex_(mutex) {
-        mutex_.lock_shared();
-    }
-    ~ReaderLock() KATRIC_RELEASE() { mutex_.unlock_shared(); }
-    ReaderLock(const ReaderLock&) = delete;
-    ReaderLock& operator=(const ReaderLock&) = delete;
-
-private:
-    SharedMutex& mutex_;
 };
 
 /// Condition variable usable under an annotated Mutex. wait() requires the

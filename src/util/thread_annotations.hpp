@@ -4,19 +4,18 @@
 /// KATRIC_REQUIRES, KATRIC_ACQUIRE/RELEASE, KATRIC_CAPABILITY, …).
 ///
 /// On Clang with -Wthread-safety these expand to the capability attributes,
-/// turning the locking discipline of the concurrency layer — Engine's
-/// reader-writer hold on the warm views, the serve worker pool's stats, the
-/// admission queue, the obs registry/tracer — into compile-time contracts:
-/// an unguarded access to an annotated member, or a call into a
-/// KATRIC_REQUIRES function without the capability, is a build error under
-/// -Werror=thread-safety (the CI static-analysis job). On every other
-/// compiler the macros expand to nothing, verified by the negative-
+/// turning the locking discipline of the concurrency layer — the serve
+/// worker pool's stats, the admission queue, the obs registry/tracer — into
+/// compile-time contracts: an unguarded access to an annotated member, or a
+/// call into a KATRIC_REQUIRES function without the capability, is a build
+/// error under -Werror=thread-safety (the CI static-analysis job). On every
+/// other compiler the macros expand to nothing, verified by the negative-
 /// compilation harness in tests/static/.
 ///
-/// Annotate with the wrapper types from util/sync.hpp (util::Mutex,
-/// util::SharedMutex, and their scoped locks): the analysis only follows
-/// lock/unlock calls that are themselves annotated, which the standard
-/// library's mutexes are not on libstdc++. Conventions and the escape-hatch
+/// Annotate with the wrapper types from util/sync.hpp (util::Mutex and its
+/// scoped lock): the analysis only follows lock/unlock calls that are
+/// themselves annotated, which the standard library's mutexes are not on
+/// libstdc++. Conventions and the escape-hatch
 /// policy (KATRIC_NO_THREAD_SAFETY_ANALYSIS) live in docs/static-analysis.md.
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(guarded_by)
@@ -47,26 +46,14 @@
 #define KATRIC_REQUIRES(...) \
     KATRIC_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
 
-/// Function precondition: caller holds the capability at least shared.
-#define KATRIC_REQUIRES_SHARED(...) \
-    KATRIC_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires the capability exclusively and does not release it.
 #define KATRIC_ACQUIRE(...) \
     KATRIC_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-
-/// Function acquires the capability shared and does not release it.
-#define KATRIC_ACQUIRE_SHARED(...) \
-    KATRIC_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the capability (exclusive hold; no argument on a scoped
 /// capability's destructor releases whatever that object holds).
 #define KATRIC_RELEASE(...) \
     KATRIC_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-
-/// Function releases a shared hold on the capability.
-#define KATRIC_RELEASE_SHARED(...) \
-    KATRIC_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
 
 /// Function tries to acquire the capability; the first argument is the
 /// return value that means success.
@@ -85,8 +72,6 @@
 /// without acquiring.
 #define KATRIC_ASSERT_CAPABILITY(x) \
     KATRIC_THREAD_ANNOTATION__(assert_capability(x))
-#define KATRIC_ASSERT_SHARED_CAPABILITY(x) \
-    KATRIC_THREAD_ANNOTATION__(assert_shared_capability(x))
 
 /// Turns the analysis off for one function body. Policy: every use carries a
 /// comment naming the invariant that holds instead and why the static model

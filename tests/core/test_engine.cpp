@@ -1,74 +1,259 @@
 // katric::Engine: the session facade. The load-bearing property is
-// reuse-equivalence — N queries against one built Engine must be
-// bit-identical to N one-shot entry-point calls (fresh build each), across
-// every algorithm, both partition strategies, interleaved query kinds, and
-// the hub-bitmap kernels whose per-rank indices persist on the shared
-// views. Plus the typed sink-precondition error and the stream promotion.
+// reuse-equivalence — every query against one built Engine must be
+// bit-identical to a one-shot run of the core layer (fresh views, fresh
+// machine, preprocessing built inside the run), across every algorithm, both
+// partition strategies, both kernel families, every test graph family,
+// interleaved and concurrently served query kinds, hardened queries, and
+// every setting of the preprocessing-charge rule. Plus the typed
+// sink-precondition error, OOM reporting, and the stream promotion.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <future>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine.hpp"
 #include "gen/rgg2d.hpp"
+#include "gen/rmat.hpp"
 #include "seq/edge_iterator.hpp"
+#include "seq/lcc.hpp"
 #include "stream/edge_stream.hpp"
+#include "support/engine_query.hpp"
 #include "support/expect_count.hpp"
+#include "support/oneshot.hpp"
 #include "support/test_graphs.hpp"
-
-// These suites intentionally call the deprecated one-shot shims — proving
-// Engine equivalence against them is their entire purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace katric {
 namespace {
 
 using core::Algorithm;
-using core::CountResult;
 
-/// The acceptance property: one Engine, every algorithm twice (the second
-/// pass catches state the first pass left behind), each query compared
-/// against a fresh one-shot run.
-TEST(EngineEquivalence, AlgorithmSweepMatchesOneShotAcrossPartitions) {
+/// Asserts an Engine report against its one-shot reference. With `skip`
+/// (reuse_preprocessing on, charge_reused_preprocessing off) the report must
+/// say it skipped the preprocessing charge and keep every answer exact;
+/// otherwise it must match the reference bit for bit on every field.
+void expect_matches_reference(const Report& report, const Report& reference, bool skip,
+                              const std::string& what) {
+    EXPECT_EQ(report.reused_preprocessing, skip) << what;
+    if (!skip) {
+        test::expect_identical_reports(report, reference, what);
+        return;
+    }
+    // Same answers; only the preprocessing charges are gone.
+    EXPECT_EQ(report.count.preprocessing_time, 0.0) << what;
+    EXPECT_LE(report.count.total_time, reference.count.total_time) << what;
+    EXPECT_EQ(report.count.triangles, reference.count.triangles) << what;
+    EXPECT_EQ(report.count.local_phase_triangles, reference.count.local_phase_triangles)
+        << what;
+    EXPECT_EQ(report.count.oom, reference.count.oom) << what;
+    EXPECT_EQ(report.error, reference.error) << what;
+    EXPECT_EQ(report.delta, reference.delta) << what;
+    EXPECT_EQ(report.lcc, reference.lcc) << what;
+    EXPECT_TRUE(report.triangles == reference.triangles) << what;
+    EXPECT_EQ(report.found_per_rank, reference.found_per_rank) << what;
+    EXPECT_EQ(report.estimated_triangles, reference.estimated_triangles) << what;
+}
+
+/// Runs count / lcc / enumerate for every algorithm, then approx, on
+/// `engine` and checks each against the one-shot reference on `g`. Returns
+/// the number of queries run.
+std::size_t expect_every_query_matches_reference(const Engine& engine,
+                                                 const graph::CsrGraph& g,
+                                                 const Config& config, bool skip,
+                                                 const std::string& label) {
+    std::size_t queries = 0;
+    for (const auto algorithm : core::all_algorithms()) {
+        auto spec = config.run_spec();
+        spec.algorithm = algorithm;
+        const auto what = core::algorithm_name(algorithm) + " " + label;
+        expect_matches_reference(engine.count(algorithm), test::oneshot_count(g, spec),
+                                 skip, "count " + what);
+        expect_matches_reference(engine.lcc(algorithm), test::oneshot_lcc(g, spec), skip,
+                                 "lcc " + what);
+        QueryOptions query;
+        query.algorithm = algorithm;
+        expect_matches_reference(engine.enumerate(query), test::oneshot_enumerate(g, spec),
+                                 skip, "enumerate " + what);
+        queries += 3;
+    }
+    expect_matches_reference(engine.approx_count(),
+                             test::oneshot_approx(g, config.run_spec(), config.amq), skip,
+                             "approx " + label);
+    return queries + 1;
+}
+
+/// One cell of the preprocessing-charge rule — (reuse_preprocessing,
+/// charge_reused_preprocessing) — on one partition and kernel family.
+class ConfigRuleSweep
+    : public ::testing::TestWithParam<
+          std::tuple<bool, bool, core::PartitionStrategy, seq::IntersectKind>> {};
+
+/// The acceptance property: in every cell, one Engine answers count / lcc /
+/// enumerate / approx for every algorithm, twice (the second pass catches
+/// state the first left behind). Every cell but (reuse, no charge) matches
+/// the one-shot reference bit for bit on every report field; that cell
+/// skips the preprocessing charge and says so, with counts and payloads
+/// still exact.
+TEST_P(ConfigRuleSweep, EveryQueryMatchesOneShotReference) {
+    const auto [reuse, charge, partition, kernel] = GetParam();
     const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 7);
-    for (const auto partition : {core::PartitionStrategy::kBalancedEdges,
-                                 core::PartitionStrategy::kUniformVertices}) {
-        Config config;
-        config.num_ranks = 4;
-        config.partition = partition;
-        Engine engine(g, config);
-        for (int pass = 0; pass < 2; ++pass) {
-            for (const auto algorithm : core::all_algorithms()) {
-                const auto report = engine.count(algorithm);
-                auto spec = config.run_spec();
-                spec.algorithm = algorithm;
-                const auto oneshot = core::count_triangles(g, spec);
-                test::expect_identical_counts(
-                    report.count, oneshot,
-                    core::algorithm_name(algorithm) + " pass " + std::to_string(pass));
-            }
-        }
-        EXPECT_EQ(engine.build_passes(), 1u);
-        EXPECT_EQ(engine.queries_run(), 2 * core::all_algorithms().size());
+    Config config;
+    config.num_ranks = 4;
+    config.partition = partition;
+    config.options.intersect = kernel;
+    config.reuse_preprocessing = reuse;
+    config.charge_reused_preprocessing = charge;
+    const Engine engine(g, config);
+
+    std::size_t queries = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        queries += expect_every_query_matches_reference(
+            engine, g, config, reuse && !charge, "pass " + std::to_string(pass));
+    }
+    EXPECT_EQ(engine.queries_run(), queries);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReuseCharge, ConfigRuleSweep,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(core::PartitionStrategy::kBalancedEdges,
+                                         core::PartitionStrategy::kUniformVertices),
+                       ::testing::Values(seq::IntersectKind::kMerge,
+                                         seq::IntersectKind::kAdaptive)),
+    [](const auto& name_info) {
+        const auto& cell = name_info.param;
+        return std::string("reuse") + (std::get<0>(cell) ? "1" : "0") + "_charge"
+               + (std::get<1>(cell) ? "1" : "0") + "_"
+               + partition_strategy_name(std::get<2>(cell)) + "_"
+               + seq::intersect_kind_name(std::get<3>(cell));
+    });
+
+/// The graph families of support/test_graphs.hpp, one test per family.
+class EngineFamilyTest : public ::testing::TestWithParam<std::size_t> {
+protected:
+    static const test::FamilyCase& family() {
+        static const auto cases = test::family_cases();
+        return cases[GetParam()];
+    }
+};
+
+/// Build-once preprocessing replayed per query must reproduce the in-run
+/// build on every graph shape — hub-heavy R-MAT, dense cliques, sparse grids
+/// — with the hub-bitmap kernels whose indices the build fills.
+TEST_P(EngineFamilyTest, EveryQueryMatchesOneShotReference) {
+    const auto& g = family().graph;
+    Config config;
+    config.num_ranks = 4;
+    config.options.intersect = seq::IntersectKind::kAdaptive;
+    const Engine engine(g, config);
+    const auto queries =
+        expect_every_query_matches_reference(engine, g, config, false, family().name);
+    EXPECT_EQ(engine.queries_run(), queries);
+}
+
+/// The skipped replay keeps every answer exact against the sequential
+/// references, independently of the distributed core.
+TEST_P(EngineFamilyTest, SkippedReplayKeepsSequentialAnswers) {
+    const auto& g = family().graph;
+    Config config;
+    config.num_ranks = 4;
+    config.reuse_preprocessing = true;
+    const Engine engine(g, config);
+    const auto triangles = seq::count_edge_iterator(g).triangles;
+    const auto delta = seq::per_vertex_triangles(g);
+    for (const auto algorithm : core::all_algorithms()) {
+        const auto what = core::algorithm_name(algorithm) + " " + family().name;
+        const auto count = engine.count(algorithm);
+        EXPECT_TRUE(count.reused_preprocessing) << what;
+        EXPECT_EQ(count.count.preprocessing_time, 0.0) << what;
+        EXPECT_EQ(count.count.triangles, triangles) << what;
+        if (!core::algorithm_supports_sink(algorithm)) { continue; }
+        const auto lcc = engine.lcc(algorithm);
+        EXPECT_EQ(lcc.delta, delta) << what;
+        QueryOptions query;
+        query.algorithm = algorithm;
+        EXPECT_EQ(engine.enumerate(query).triangles.size(), triangles) << what;
     }
 }
 
+/// Hardened queries replay the preprocessing exchange size-only, so an
+/// unreused hardened engine reports exactly what the charged-replay engine
+/// reports, and both answer what the unhardened engine answers.
+TEST_P(EngineFamilyTest, HardenedReplayMatchesChargedReuseAndUnhardenedAnswers) {
+    const auto& g = family().graph;
+    Config config;
+    config.num_ranks = 4;
+    const Engine plain(g, config);
+    config.harden = true;
+    const Engine hardened(g, config);
+    config.reuse_preprocessing = true;
+    config.charge_reused_preprocessing = true;
+    const Engine charged(g, config);
+    for (const auto algorithm : core::all_algorithms()) {
+        const auto what = core::algorithm_name(algorithm) + " " + family().name;
+        const auto report = hardened.count(algorithm);
+        EXPECT_TRUE(report.hardened) << what;
+        test::expect_identical_reports(report, charged.count(algorithm), what);
+        EXPECT_EQ(report.count.triangles, plain.count(algorithm).count.triangles) << what;
+        if (!core::algorithm_supports_sink(algorithm)) { continue; }
+        const auto lcc = hardened.lcc(algorithm);
+        test::expect_identical_reports(lcc, charged.lcc(algorithm), "lcc " + what);
+        EXPECT_EQ(lcc.delta, plain.lcc(algorithm).delta) << "lcc " + what;
+    }
+}
+
+/// The const query path holds no lock: queries served concurrently on one
+/// shared Engine must each match the one-shot reference bit for bit.
+TEST_P(EngineFamilyTest, ConcurrentServingMatchesOneShotReference) {
+    const auto& g = family().graph;
+    Config config;
+    config.num_ranks = 4;
+    config.options.intersect = seq::IntersectKind::kAdaptive;
+    const Engine engine(g, config);
+    auto session = engine.serve({.threads = 2, .queue_depth = 16});
+    std::vector<std::pair<Report, std::future<Report>>> served;
+    for (const auto algorithm : core::all_algorithms()) {
+        auto spec = config.run_spec();
+        spec.algorithm = algorithm;
+        ServeRequest request;
+        request.options.algorithm = algorithm;
+        request.query = Query::kCount;
+        served.emplace_back(test::oneshot_count(g, spec), session.submit(request));
+        if (!core::algorithm_supports_sink(algorithm)) { continue; }
+        request.query = Query::kLcc;
+        served.emplace_back(test::oneshot_lcc(g, spec), session.submit(request));
+    }
+    session.drain();
+    for (auto& [reference, future] : served) {
+        test::expect_identical_reports(future.get(), reference,
+                                       core::algorithm_name(reference.algorithm) + " "
+                                           + family().name);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFamilies, EngineFamilyTest, ::testing::Range<std::size_t>(0, 7),
+                         [](const auto& name_info) {
+                             static const auto cases = test::family_cases();
+                             return cases[name_info.param].name;
+                         });
+
 /// Hub-bitmap kernels keep per-rank indices on the shared views; the
-/// rebuild in run_preprocessing must re-charge identically every query.
+/// recorded ledger must re-charge their build identically every query.
 TEST(EngineEquivalence, AdaptiveKernelQueriesStayIdentical) {
     const auto g = test::complete_graph(24);
     Config config;
     config.num_ranks = 3;
     config.options.intersect = seq::IntersectKind::kAdaptive;
-    Engine engine(g, config);
+    const Engine engine(g, config);
     for (const auto algorithm :
          {Algorithm::kCetric, Algorithm::kDitric, Algorithm::kCetric2}) {
-        const auto report = engine.count(algorithm);
         auto spec = config.run_spec();
         spec.algorithm = algorithm;
-        test::expect_identical_counts(report.count, core::count_triangles(g, spec),
-                                      "adaptive " + core::algorithm_name(algorithm));
+        test::expect_identical_reports(engine.count(algorithm),
+                                       test::oneshot_count(g, spec),
+                                       "adaptive " + core::algorithm_name(algorithm));
     }
 }
 
@@ -77,7 +262,8 @@ TEST(EngineEquivalence, MixedQueryKindsMatchOneShotTwins) {
     Config config;
     config.algorithm = Algorithm::kCetric;
     config.num_ranks = 4;
-    Engine engine(g, config);
+    const Engine engine(g, config);
+    const auto spec = config.run_spec();
 
     // count → lcc → enumerate → approx → count again, all on one build.
     const auto count1 = engine.count();
@@ -86,28 +272,16 @@ TEST(EngineEquivalence, MixedQueryKindsMatchOneShotTwins) {
     const auto approx = engine.approx_count();
     const auto count2 = engine.count();
 
-    test::expect_identical_counts(count1.count, count2.count, "count repeatability");
-
-    const auto lcc_oneshot = core::compute_distributed_lcc(g, config.run_spec());
-    test::expect_identical_counts(lcc.count, lcc_oneshot.count, "lcc");
-    EXPECT_EQ(lcc.delta, lcc_oneshot.delta);
-    EXPECT_EQ(lcc.lcc, lcc_oneshot.lcc);
-    EXPECT_EQ(lcc.postprocess_time, lcc_oneshot.postprocess_time);
-
-    const auto enum_oneshot = core::enumerate_triangles(g, config.run_spec());
-    test::expect_identical_counts(enumerated.count, enum_oneshot.count, "enumerate");
-    EXPECT_TRUE(enumerated.triangles == enum_oneshot.triangles);
-    EXPECT_EQ(enumerated.found_per_rank, enum_oneshot.found_per_rank);
-
-    const auto amq_oneshot =
-        core::count_triangles_cetric_amq(g, config.run_spec(), config.amq);
-    test::expect_identical_counts(approx.count, amq_oneshot.metrics, "approx");
-    EXPECT_EQ(approx.estimated_triangles, amq_oneshot.estimated_triangles);
-    EXPECT_EQ(approx.exact_type12, amq_oneshot.exact_type12);
+    test::expect_identical_reports(count1, count2, "count repeatability");
+    test::expect_identical_reports(count1, test::oneshot_count(g, spec), "count");
+    test::expect_identical_reports(lcc, test::oneshot_lcc(g, spec), "lcc");
+    test::expect_identical_reports(enumerated, test::oneshot_enumerate(g, spec),
+                                   "enumerate");
+    test::expect_identical_reports(approx, test::oneshot_approx(g, spec, config.amq),
+                                   "approx");
 
     // And the count agrees with the sequential reference.
     EXPECT_EQ(count1.count.triangles, seq::count_edge_iterator(g).triangles);
-    EXPECT_EQ(engine.build_passes(), 1u);
     EXPECT_EQ(engine.queries_run(), 5u);
 }
 
@@ -122,26 +296,29 @@ TEST(EngineEquivalence, StreamPromotionMatchesOneShotStreaming) {
         config.maintain_lcc = maintain_lcc;
 
         // The engine runs other queries first — the stream promotion must
-        // still match a fresh one-shot streaming run bit for bit.
-        Engine engine(base, config);
+        // still match a fresh engine's streaming run bit for bit, and its
+        // initial pass the one-shot reference.
+        const Engine engine(base, config);
         (void)engine.count();
         const auto report = engine.stream(batches);
 
-        const auto oneshot =
-            stream::count_triangles_streaming(base, batches, config.stream_spec());
-        test::expect_identical_counts(report.initial, oneshot.initial, "stream initial");
-        EXPECT_EQ(report.count.triangles, oneshot.triangles);
-        EXPECT_EQ(report.stream_seconds, oneshot.stream_seconds);
-        ASSERT_EQ(report.batches.size(), oneshot.batches.size());
+        const auto fresh = test::engine_stream(base, batches, config.stream_spec());
+        const auto initial = maintain_lcc ? test::oneshot_lcc(base, config.run_spec())
+                                          : test::oneshot_count(base, config.run_spec());
+        test::expect_identical_counts(report.initial, initial.count, "stream initial");
+        test::expect_identical_counts(report.initial, fresh.initial, "fresh initial");
+        EXPECT_EQ(report.count.triangles, fresh.count.triangles);
+        EXPECT_EQ(report.stream_seconds, fresh.stream_seconds);
+        ASSERT_EQ(report.batches.size(), fresh.batches.size());
         for (std::size_t i = 0; i < report.batches.size(); ++i) {
-            EXPECT_EQ(report.batches[i].triangles, oneshot.batches[i].triangles);
-            EXPECT_EQ(report.batches[i].delta, oneshot.batches[i].delta);
-            EXPECT_EQ(report.batches[i].seconds, oneshot.batches[i].seconds);
-            EXPECT_EQ(report.batches[i].lcc_seconds, oneshot.batches[i].lcc_seconds);
-            EXPECT_EQ(report.batches[i].words_sent, oneshot.batches[i].words_sent);
+            EXPECT_EQ(report.batches[i].triangles, fresh.batches[i].triangles);
+            EXPECT_EQ(report.batches[i].delta, fresh.batches[i].delta);
+            EXPECT_EQ(report.batches[i].seconds, fresh.batches[i].seconds);
+            EXPECT_EQ(report.batches[i].lcc_seconds, fresh.batches[i].lcc_seconds);
+            EXPECT_EQ(report.batches[i].words_sent, fresh.batches[i].words_sent);
         }
-        EXPECT_EQ(report.delta, oneshot.delta);
-        EXPECT_EQ(report.lcc, oneshot.lcc);
+        EXPECT_EQ(report.delta, fresh.delta);
+        EXPECT_EQ(report.lcc, fresh.lcc);
     }
 }
 
@@ -152,7 +329,7 @@ TEST(Engine, StreamSessionIngestsIncrementallyAndMaterializes) {
     Config config;
     config.num_ranks = 3;
     config.algorithm = Algorithm::kCetric;
-    Engine engine(base, config);
+    const Engine engine(base, config);
     auto session = engine.open_stream();
     EXPECT_EQ(session.triangles(), session.initial().triangles);
     for (const auto& batch : batches) {
@@ -168,7 +345,7 @@ TEST(Engine, StreamSessionIngestsIncrementallyAndMaterializes) {
     EXPECT_EQ(report.count.triangles, session.triangles());
 }
 
-// --- typed sink-precondition error (satellite) --------------------------
+// --- typed failures ---------------------------------------------------------
 
 TEST(Engine, SinkUnsupportedIsTypedErrorNotACrash) {
     const auto g = test::bowtie_graph();
@@ -176,7 +353,7 @@ TEST(Engine, SinkUnsupportedIsTypedErrorNotACrash) {
         Config config;
         config.algorithm = algorithm;
         config.num_ranks = 2;
-        Engine engine(g, config);
+        const Engine engine(g, config);
 
         const auto lcc = engine.lcc();
         EXPECT_FALSE(lcc.ok());
@@ -214,6 +391,38 @@ TEST(Engine, DispatchAlgorithmReturnsTypedErrorDirectly) {
     EXPECT_EQ(ok.triangles, 1u);
 }
 
+/// Every query kind — and a query served through a ServeSession — reports a
+/// blown per-PE memory budget in Report::count.oom instead of throwing.
+TEST(Engine, OomIsReportedByEveryQueryKindNotThrown) {
+    const auto g = gen::generate_rmat(8, 2048, 3);
+    Config config;
+    config.num_ranks = 4;
+    config.options.buffer_threshold_words = 1 << 20;
+    config.network.memory_limit_words = 64;
+    const Engine engine(g, config);
+
+    const auto expect_oom = [](const Report& report, const std::string& what) {
+        EXPECT_TRUE(report.count.oom) << what;
+        EXPECT_FALSE(report.ok()) << what;
+    };
+    Report report;
+    ASSERT_NO_THROW(report = engine.count());
+    expect_oom(report, "count");
+    ASSERT_NO_THROW(report = engine.lcc());
+    expect_oom(report, "lcc");
+    ASSERT_NO_THROW(report = engine.enumerate());
+    expect_oom(report, "enumerate");
+    ASSERT_NO_THROW(report = engine.approx_count());
+    expect_oom(report, "approx_count");
+
+    auto session = engine.serve({.threads = 1, .queue_depth = 1});
+    ServeRequest request;
+    request.query = Query::kLcc;
+    auto future = session.submit(request);
+    ASSERT_NO_THROW(report = future.get());
+    expect_oom(report, "served lcc");
+}
+
 // --- smaller facade contracts -------------------------------------------
 
 TEST(Engine, EnumerateWithSinkForwardsEveryFind) {
@@ -221,7 +430,7 @@ TEST(Engine, EnumerateWithSinkForwardsEveryFind) {
     Config config;
     config.algorithm = Algorithm::kCetric;
     config.num_ranks = 2;
-    Engine engine(g, config);
+    const Engine engine(g, config);
     std::size_t forwarded = 0;
     const core::TriangleSink sink = [&](core::Rank, core::VertexId, core::VertexId,
                                         core::VertexId) { ++forwarded; };
@@ -236,7 +445,7 @@ TEST(Engine, ReportCarriesOpsTelemetryAndJson) {
     const auto g = test::complete_graph(12);
     Config config;
     config.num_ranks = 2;
-    Engine engine(g, config);
+    const Engine engine(g, config);
     const auto report = engine.count();
     EXPECT_GT(report.total_compute_ops, 0u);
     EXPECT_GE(report.total_compute_ops, report.max_compute_ops);
@@ -252,7 +461,7 @@ TEST(Engine, FamilySweepMatchesSequentialReference) {
         Config config;
         config.algorithm = Algorithm::kCetric2;
         config.num_ranks = 5;
-        Engine engine(c.graph, config);
+        const Engine engine(c.graph, config);
         const auto report = engine.count();
         EXPECT_EQ(report.count.triangles, seq::count_edge_iterator(c.graph).triangles)
             << c.name;
@@ -261,5 +470,3 @@ TEST(Engine, FamilySweepMatchesSequentialReference) {
 
 }  // namespace
 }  // namespace katric
-
-#pragma GCC diagnostic pop

@@ -2,10 +2,10 @@
 // acceptance property: a mixed batch of queries served by N workers is
 // BIT-IDENTICAL to the same batch run sequentially on an identically built
 // engine — across every algorithm, both partition strategies, and both
-// warm and cold engines (cold queries serialize internally on the view
-// lock). Plus the admission layer: bounded-queue overflow rejects with a
-// typed ServeError::kRejected, a drained session answers kStopped, and
-// stream requests answer kUnsupported.
+// preprocessing rules (charged replay and skip). Plus the admission layer:
+// bounded-queue overflow rejects with a typed ServeError::kRejected, a
+// drained session answers kStopped, and stream requests answer
+// kUnsupported.
 
 #include <gtest/gtest.h>
 
@@ -22,37 +22,6 @@ namespace katric {
 namespace {
 
 using core::Algorithm;
-
-/// Field-by-field Report equality — the serving analogue of
-/// expect_identical_counts, covering every payload a query kind fills.
-void expect_identical_reports(const Report& a, const Report& b,
-                              const std::string& what) {
-    EXPECT_EQ(a.query, b.query) << what;
-    EXPECT_EQ(a.algorithm, b.algorithm) << what;
-    EXPECT_EQ(a.error, b.error) << what;
-    EXPECT_EQ(a.error.message, b.error.message) << what;
-    test::expect_identical_counts(a.count, b.count, what);
-    EXPECT_EQ(a.total_compute_ops, b.total_compute_ops) << what;
-    EXPECT_EQ(a.max_compute_ops, b.max_compute_ops) << what;
-    EXPECT_EQ(a.reused_preprocessing, b.reused_preprocessing) << what;
-    ASSERT_EQ(a.phases.size(), b.phases.size()) << what;
-    for (std::size_t i = 0; i < a.phases.size(); ++i) {
-        EXPECT_EQ(a.phases[i].name, b.phases[i].name) << what;
-        EXPECT_EQ(a.phases[i].seconds, b.phases[i].seconds) << what;
-        EXPECT_EQ(a.phases[i].supersteps, b.phases[i].supersteps) << what;
-        EXPECT_EQ(a.phases[i].messages_sent, b.phases[i].messages_sent) << what;
-        EXPECT_EQ(a.phases[i].words_sent, b.phases[i].words_sent) << what;
-    }
-    EXPECT_EQ(a.delta, b.delta) << what;
-    EXPECT_EQ(a.lcc, b.lcc) << what;
-    EXPECT_EQ(a.triangles.size(), b.triangles.size()) << what;
-    EXPECT_TRUE(a.triangles == b.triangles) << what;
-    EXPECT_EQ(a.found_per_rank, b.found_per_rank) << what;
-    EXPECT_EQ(a.estimated_triangles, b.estimated_triangles) << what;
-    EXPECT_EQ(a.exact_type12, b.exact_type12) << what;
-    EXPECT_EQ(a.estimated_type3, b.estimated_type3) << what;
-    EXPECT_EQ(a.postprocess_time, b.postprocess_time) << what;
-}
 
 /// The mixed workload every equivalence case serves: one request per
 /// algorithm (count), plus an LCC, an enumeration, and an approx query on
@@ -85,7 +54,7 @@ std::vector<ServeRequest> mixed_requests() {
     return requests;
 }
 
-Report run_sequential(Engine& engine, const ServeRequest& request) {
+Report run_sequential(const Engine& engine, const ServeRequest& request) {
     switch (request.query) {
         case Query::kCount: return engine.count(request.options);
         case Query::kLcc: return engine.lcc(request.options);
@@ -101,14 +70,14 @@ class ServeEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<core::PartitionStrategy, bool>> {};
 
 TEST_P(ServeEquivalenceTest, ConcurrentServingMatchesSequentialBitForBit) {
-    const auto [partition, warm] = GetParam();
+    const auto [partition, skip] = GetParam();
     const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 10.0), 7);
 
     Config config;
     config.num_ranks = 4;
     config.partition = partition;
-    config.reuse_preprocessing = warm;
-    config.charge_reused_preprocessing = warm;  // full metric fidelity
+    // Either every query replays the preprocessing ledger, or none does.
+    config.reuse_preprocessing = skip;
 
     const auto requests = mixed_requests();
 
@@ -135,10 +104,10 @@ TEST_P(ServeEquivalenceTest, ConcurrentServingMatchesSequentialBitForBit) {
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const auto report = futures[i].get();
-        expect_identical_reports(report, expected[i],
-                                 "request " + std::to_string(i) + " (partition "
-                                     + partition_strategy_name(partition)
-                                     + (warm ? ", warm)" : ", cold)"));
+        test::expect_identical_reports(report, expected[i],
+                                       "request " + std::to_string(i) + " (partition "
+                                           + partition_strategy_name(partition)
+                                           + (skip ? ", skip)" : ", charged)"));
     }
 
     const auto stats = session.stats();
@@ -182,8 +151,8 @@ TEST(EngineServe, RepeatedServingRoundsStayDeterministic) {
     const auto second = serve_round();
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
-        expect_identical_reports(first[i], second[i],
-                                 "round 2 request " + std::to_string(i));
+        test::expect_identical_reports(first[i], second[i],
+                                       "round 2 request " + std::to_string(i));
     }
 }
 

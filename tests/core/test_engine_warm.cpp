@@ -1,20 +1,14 @@
-// Warm-state Engine (Config::reuse_preprocessing): the load-bearing
-// properties are
-//   * cold path unchanged — reuse off stays bit-identical to the one-shot
-//     entry points (covered exhaustively in test_engine.cpp; spot-checked
-//     here against the warm twin),
-//   * warm counts exact — every query kind returns the same triangle
-//     counts / Δ / LCC / triangle lists as a one-shot run; only op/time
-//     telemetry may differ,
-//   * metric fidelity on demand — charge_reused_preprocessing replays the
-//     recorded preprocessing costs, restoring full bit-identical metrics,
-//   * typed errors survive the warm path, and
-//   * custom Partition1D injection runs the same pipeline over a
-//     caller-chosen split.
+// The Engine's preprocessing-charge rule and its build-once state: every
+// engine preprocesses once at construction, and every query replays the
+// recorded cost ledger — bit-identical to a one-shot run — unless
+// Config::reuse_preprocessing is on without charge_reused_preprocessing,
+// which skips the replay (counts exact, preprocessing charges omitted,
+// Report::reused_preprocessing set). Also: typed errors on the skip path,
+// streams interleaved with static queries, and custom Partition1D
+// injection. The exhaustive sweep over every (reuse, charge) cell lives in
+// test_engine.cpp.
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "engine.hpp"
 #include "gen/rgg2d.hpp"
@@ -22,63 +16,16 @@
 #include "graph/load_balance.hpp"
 #include "seq/edge_iterator.hpp"
 #include "stream/edge_stream.hpp"
+#include "support/engine_query.hpp"
 #include "support/expect_count.hpp"
+#include "support/oneshot.hpp"
 #include "support/test_graphs.hpp"
 #include "util/assert.hpp"
-
-// These suites intentionally call the deprecated one-shot shims — proving
-// Engine equivalence against them is their entire purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace katric {
 namespace {
 
 using core::Algorithm;
-using core::CountResult;
-
-/// The warm/cold equivalence property: every algorithm × both partitions ×
-/// both kernel families, queried twice on one warm session, must match the
-/// one-shot triangle count exactly; with the fidelity re-charge every metric
-/// must match bit for bit.
-TEST(EngineWarm, CountsExactAcrossAlgorithmsPartitionsAndKernels) {
-    const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 7);
-    for (const auto partition : {core::PartitionStrategy::kBalancedEdges,
-                                 core::PartitionStrategy::kUniformVertices}) {
-        for (const auto kernel :
-             {seq::IntersectKind::kMerge, seq::IntersectKind::kAdaptive}) {
-            Config config;
-            config.num_ranks = 4;
-            config.partition = partition;
-            config.options.intersect = kernel;
-            config.reuse_preprocessing = true;
-            Engine warm(g, config);
-            EXPECT_TRUE(warm.warm());
-            EXPECT_EQ(warm.preprocess_builds(), 1u);
-            for (int pass = 0; pass < 2; ++pass) {
-                for (const auto algorithm : core::all_algorithms()) {
-                    const auto report = warm.count(algorithm);
-                    auto spec = config.run_spec();
-                    spec.algorithm = algorithm;
-                    const auto oneshot = core::count_triangles(g, spec);
-                    const auto what = core::algorithm_name(algorithm) + " pass "
-                                      + std::to_string(pass);
-                    EXPECT_TRUE(report.reused_preprocessing) << what;
-                    EXPECT_EQ(report.count.triangles, oneshot.triangles) << what;
-                    EXPECT_EQ(report.count.local_phase_triangles,
-                              oneshot.local_phase_triangles)
-                        << what;
-                    EXPECT_EQ(report.count.global_phase_triangles,
-                              oneshot.global_phase_triangles)
-                        << what;
-                    EXPECT_EQ(report.count.oom, oneshot.oom) << what;
-                }
-            }
-            // Hub bitmaps were built once at session start, never per query.
-            EXPECT_EQ(warm.preprocess_builds(), 1u);
-        }
-    }
-}
 
 TEST(EngineWarm, ChargeReusedPreprocessingRestoresBitIdenticalMetrics) {
     const auto g = gen::generate_rmat(8, 2048, 3);
@@ -90,75 +37,45 @@ TEST(EngineWarm, ChargeReusedPreprocessingRestoresBitIdenticalMetrics) {
         config.options.intersect = seq::IntersectKind::kAdaptive;
         config.reuse_preprocessing = true;
         config.charge_reused_preprocessing = true;
-        Engine warm(g, config);
+        const Engine warm(g, config);
         for (const auto algorithm : core::all_algorithms()) {
-            const auto report = warm.count(algorithm);
             auto spec = config.run_spec();
             spec.algorithm = algorithm;
-            test::expect_identical_counts(
-                report.count, core::count_triangles(g, spec),
-                "fidelity " + core::algorithm_name(algorithm));
+            test::expect_identical_reports(warm.count(algorithm),
+                                           test::oneshot_count(g, spec),
+                                           "fidelity " + core::algorithm_name(algorithm));
         }
     }
 }
 
-TEST(EngineWarm, PerQueryChargeOverrideGivesFidelityForThatQueryOnly) {
+TEST(EngineWarm, SkippedReplayOmitsExactlyThePreprocessingCharges) {
     const auto g = test::complete_graph(24);
     Config config;
     config.num_ranks = 3;
     config.reuse_preprocessing = true;  // charge_reused_preprocessing stays off
-    Engine warm(g, config);
+    const Engine warm(g, config);
+    config.charge_reused_preprocessing = true;
+    const Engine charged(g, config);
 
-    const auto oneshot = core::count_triangles(g, config.run_spec());
+    const auto oneshot = test::oneshot_count(g, config.run_spec());
+    const auto replayed = charged.count();
+    test::expect_identical_reports(replayed, oneshot, "charged query");
+    EXPECT_FALSE(replayed.reused_preprocessing)
+        << "a replayed query is metric-identical to a one-shot run";
 
-    QueryOptions fidelity;
-    fidelity.charge_preprocessing = true;
-    const auto charged = warm.count(fidelity);
-    test::expect_identical_counts(charged.count, oneshot, "charged warm query");
-    EXPECT_FALSE(charged.reused_preprocessing)
-        << "a replayed query is metric-identical to a cold run";
-
-    // The default warm query skips the preprocessing charge: same count,
-    // strictly less simulated time, and no preprocessing phase at all.
+    // The skipping engine answers the same count with strictly less
+    // simulated time and no preprocessing phase at all.
     const auto skipped = warm.count();
     EXPECT_TRUE(skipped.reused_preprocessing);
-    EXPECT_EQ(skipped.count.triangles, oneshot.triangles);
+    EXPECT_EQ(skipped.count.triangles, oneshot.count.triangles);
     EXPECT_EQ(skipped.count.preprocessing_time, 0.0);
-    EXPECT_LT(skipped.count.total_time, oneshot.total_time);
-    EXPECT_LT(skipped.count.total_messages_sent, oneshot.total_messages_sent);
+    EXPECT_LT(skipped.count.total_time, oneshot.count.total_time);
+    EXPECT_LT(skipped.count.total_messages_sent, oneshot.count.total_messages_sent);
 }
 
-TEST(EngineWarm, LccAndEnumerateAndApproxMatchOneShotPayloads) {
-    const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 13);
-    Config config;
-    config.algorithm = Algorithm::kCetric;
-    config.num_ranks = 4;
-    config.reuse_preprocessing = true;
-    Engine warm(g, config);
-
-    const auto lcc = warm.lcc();
-    const auto lcc_oneshot = core::compute_distributed_lcc(g, config.run_spec());
-    EXPECT_EQ(lcc.count.triangles, lcc_oneshot.count.triangles);
-    EXPECT_EQ(lcc.delta, lcc_oneshot.delta);
-    EXPECT_EQ(lcc.lcc, lcc_oneshot.lcc);
-
-    const auto enumerated = warm.enumerate();
-    const auto enum_oneshot = core::enumerate_triangles(g, config.run_spec());
-    EXPECT_TRUE(enumerated.triangles == enum_oneshot.triangles);
-    EXPECT_EQ(enumerated.found_per_rank, enum_oneshot.found_per_rank);
-
-    const auto approx = warm.approx_count();
-    const auto amq_oneshot =
-        core::count_triangles_cetric_amq(g, config.run_spec(), config.amq);
-    EXPECT_EQ(approx.estimated_triangles, amq_oneshot.estimated_triangles);
-    EXPECT_EQ(approx.exact_type12, amq_oneshot.exact_type12);
-
-    EXPECT_EQ(warm.count().count.triangles, seq::count_edge_iterator(g).triangles);
-}
-
-/// Interleaving stream batches with static queries: the warm static state
-/// must not be perturbed by the dynamic session, and the stream itself must
-/// match one-shot streaming exactly.
+/// Interleaving stream batches with static queries: the engine's static
+/// state must not be perturbed by the dynamic session, and the stream itself
+/// must match a fresh engine's streaming run exactly.
 TEST(EngineWarm, StreamInterleavedWithStaticQueriesStaysExact) {
     const auto base = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 3);
     const auto churn = stream::make_churn_stream(base, 384, 0.4, 11);
@@ -171,86 +88,27 @@ TEST(EngineWarm, StreamInterleavedWithStaticQueriesStaysExact) {
         config.options.intersect = seq::IntersectKind::kAdaptive;
         config.reuse_preprocessing = true;
 
-        Engine warm(base, config);
+        const Engine warm(base, config);
         const auto before = warm.count();
 
         const auto report = warm.stream(batches);
-        const auto oneshot =
-            stream::count_triangles_streaming(base, batches, config.stream_spec());
+        const auto fresh = test::engine_stream(base, batches, config.stream_spec());
         EXPECT_TRUE(report.reused_preprocessing)
-            << "a warm stream's initial pass skipped the preprocessing charge";
-        EXPECT_EQ(report.initial.triangles, oneshot.initial.triangles);
-        EXPECT_EQ(report.count.triangles, oneshot.triangles);
-        ASSERT_EQ(report.batches.size(), oneshot.batches.size());
+            << "a skipping engine's stream initial pass skipped the charge too";
+        EXPECT_EQ(report.initial.triangles, fresh.initial.triangles);
+        EXPECT_EQ(report.count.triangles, fresh.count.triangles);
+        ASSERT_EQ(report.batches.size(), fresh.batches.size());
         for (std::size_t i = 0; i < report.batches.size(); ++i) {
-            EXPECT_EQ(report.batches[i].triangles, oneshot.batches[i].triangles);
-            EXPECT_EQ(report.batches[i].delta, oneshot.batches[i].delta);
+            EXPECT_EQ(report.batches[i].triangles, fresh.batches[i].triangles);
+            EXPECT_EQ(report.batches[i].delta, fresh.batches[i].delta);
         }
-        EXPECT_EQ(report.delta, oneshot.delta);
-        EXPECT_EQ(report.lcc, oneshot.lcc);
+        EXPECT_EQ(report.delta, fresh.delta);
+        EXPECT_EQ(report.lcc, fresh.lcc);
 
         // A static query after the stream still answers for the base graph.
-        const auto after = warm.count();
-        EXPECT_EQ(after.count.triangles, before.count.triangles);
-        EXPECT_EQ(after.count.local_phase_triangles, before.count.local_phase_triangles);
+        test::expect_identical_reports(warm.count(), before, "count after the stream");
     }
 }
-
-// --- per-query AlgorithmOptions overrides (tentpole) --------------------
-
-TEST(Engine, PerQueryOptionsOverrideMatchesOneShotWithThoseOptions) {
-    const auto g = gen::generate_rmat(8, 2048, 5);
-    Config config;
-    config.num_ranks = 4;
-    Engine cold(g, config);  // cold: every query must stay bit-identical
-
-    QueryOptions query;
-    query.algorithm = Algorithm::kCetric2;
-    query.options = config.options;
-    query.options->intersect = seq::IntersectKind::kAdaptive;
-    query.options->compress_neighborhoods = true;
-
-    auto spec = config.run_spec();
-    spec.algorithm = Algorithm::kCetric2;
-    spec.options = *query.options;
-    test::expect_identical_counts(cold.count(query).count,
-                                  core::count_triangles(g, spec),
-                                  "per-query options, cold");
-
-    // The engine's defaults are untouched by the override.
-    test::expect_identical_counts(cold.count().count,
-                                  core::count_triangles(g, config.run_spec()),
-                                  "defaults after override");
-}
-
-TEST(EngineWarm, PerQueryHubThresholdOverrideRebuildsHubIndexOnce) {
-    const auto g = gen::generate_rmat(8, 2048, 7);
-    Config config;
-    config.num_ranks = 4;
-    config.options.intersect = seq::IntersectKind::kAdaptive;
-    config.reuse_preprocessing = true;
-    Engine warm(g, config);
-    EXPECT_EQ(warm.preprocess_builds(), 1u);
-
-    QueryOptions tuned;
-    tuned.options = config.options;
-    tuned.options->hub_threshold = 6;
-
-    auto spec = config.run_spec();
-    spec.options = *tuned.options;
-    const auto expected = core::count_triangles(g, spec);
-    EXPECT_EQ(warm.count(tuned).count.triangles, expected.triangles);
-    EXPECT_EQ(warm.preprocess_builds(), 2u) << "hub config change rebuilds the index";
-    EXPECT_EQ(warm.count(tuned).count.triangles, expected.triangles);
-    EXPECT_EQ(warm.preprocess_builds(), 2u) << "same config reuses the rebuilt index";
-
-    // Back to the session default: rebuilt again, counts still exact.
-    EXPECT_EQ(warm.count().count.triangles,
-              core::count_triangles(g, config.run_spec()).triangles);
-    EXPECT_EQ(warm.preprocess_builds(), 3u);
-}
-
-// --- typed errors on the warm path (satellite) --------------------------
 
 TEST(EngineWarm, SinkUnsupportedSurvivesWarmReuse) {
     const auto g = test::bowtie_graph();
@@ -259,7 +117,7 @@ TEST(EngineWarm, SinkUnsupportedSurvivesWarmReuse) {
         config.algorithm = algorithm;
         config.num_ranks = 2;
         config.reuse_preprocessing = true;
-        Engine warm(g, config);
+        const Engine warm(g, config);
 
         const auto lcc = warm.lcc();
         EXPECT_FALSE(lcc.ok());
@@ -281,19 +139,19 @@ TEST(EngineWarm, SinkUnsupportedSurvivesWarmReuse) {
     }
 }
 
-// --- Partition1D injection (tentpole) -----------------------------------
+// --- Partition1D injection ----------------------------------------------
 
 TEST(Engine, InjectedPartitionMatchesStrategyTwin) {
     const auto g = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 17);
     Config config;
     config.num_ranks = 4;
     config.partition = core::PartitionStrategy::kUniformVertices;
-    Engine strategy_engine(g, config);
-    Engine injected(g, config,
-                    graph::Partition1D::uniform(g.num_vertices(), config.num_ranks));
+    const Engine strategy_engine(g, config);
+    const auto uniform = graph::Partition1D::uniform(g.num_vertices(), config.num_ranks);
+    const Engine injected(g, config, uniform);
     for (const auto algorithm : {Algorithm::kCetric, Algorithm::kDitric}) {
-        test::expect_identical_counts(
-            injected.count(algorithm).count, strategy_engine.count(algorithm).count,
+        test::expect_identical_reports(
+            injected.count(algorithm), strategy_engine.count(algorithm),
             "injected uniform " + core::algorithm_name(algorithm));
     }
 }
@@ -305,13 +163,14 @@ TEST(Engine, InjectedCostFunctionPartitionCountsExactly) {
     config.num_ranks = 5;
     for (const auto fn :
          {graph::CostFunction::kDegreeSq, graph::CostFunction::kOrientedWedges}) {
-        Engine engine(g, config, graph::partition_by_cost(g, config.num_ranks, fn));
+        const Engine engine(g, config, graph::partition_by_cost(g, config.num_ranks, fn));
         EXPECT_EQ(engine.count().count.triangles, expected)
             << graph::cost_function_name(fn);
-        // Warm reuse composes with injection.
+        // The skip rule composes with injection.
         Config warm_config = config;
         warm_config.reuse_preprocessing = true;
-        Engine warm(g, warm_config, graph::partition_by_cost(g, config.num_ranks, fn));
+        const Engine warm(g, warm_config,
+                          graph::partition_by_cost(g, config.num_ranks, fn));
         EXPECT_EQ(warm.count().count.triangles, expected)
             << "warm " << graph::cost_function_name(fn);
     }
@@ -331,12 +190,11 @@ TEST(EngineWarm, WarmMonitorPresetIsWarm) {
     const auto g = test::complete_graph(16);
     auto config = Config::preset("warm-monitor");
     config.num_ranks = 3;
-    Engine engine(g, config);
-    EXPECT_TRUE(engine.warm());
-    EXPECT_EQ(engine.count().count.triangles, seq::count_edge_iterator(g).triangles);
+    const Engine engine(g, config);
+    const auto report = engine.count();
+    EXPECT_TRUE(report.reused_preprocessing) << "the monitor preset skips the replay";
+    EXPECT_EQ(report.count.triangles, seq::count_edge_iterator(g).triangles);
 }
 
 }  // namespace
 }  // namespace katric
-
-#pragma GCC diagnostic pop

@@ -170,9 +170,12 @@ TEST(EngineMetrics, MetricsEngineRecordsLatencyCommAndDispatchMix) {
     EXPECT_GT(sim_time->percentile(0.5), 0.0);
     EXPECT_GT(registry.counter("comm.words_sent"), 0u);
     EXPECT_GT(registry.counter("comm.messages_sent"), 0u);
+    // The constructor's preprocessing pass is observed as its own kind.
+    EXPECT_EQ(registry.counter("query.preprocess"), 1u);
     const auto* per_rank = registry.histogram("comm.rank_words_sent");
     ASSERT_NE(per_rank, nullptr);
-    EXPECT_EQ(per_rank->total(), 2u * 4u);  // one sample per rank per query
+    // One sample per rank per observed run: the build plus two queries.
+    EXPECT_EQ(per_rank->total(), 3u * 4u);
 
     // The adaptive dispatcher reported which kernels actually fired.
     EXPECT_GT(engine.observability()->kernel_stats().total(), 0u);
@@ -199,8 +202,8 @@ TEST(EngineMetrics, WarmMonitorLatencyPercentiles) {
     for (int i = 0; i < 5; ++i) { (void)engine.count(); }
 
     const auto& registry = engine.observability()->registry();
-    // Warm construction charged the preprocessing build as its own kind.
-    EXPECT_EQ(registry.counter("query.warm_build"), 1u);
+    // Construction observed the preprocessing build as its own kind.
+    EXPECT_EQ(registry.counter("query.preprocess"), 1u);
     const auto* latency = registry.summary("query.count.latency_seconds");
     ASSERT_NE(latency, nullptr);
     EXPECT_EQ(latency->count(), 5u);

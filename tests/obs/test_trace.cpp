@@ -231,11 +231,12 @@ TEST(EngineTrace, EnginesSharingAPathShareOneTimeline) {
         Engine first(g, config);
         Engine second(g, config);
         // Path-shared: one Tracer behind both engines, so the second
-        // engine's queries append instead of overwriting.
+        // engine's runs append instead of overwriting — each engine's
+        // preprocessing build plus its count.
         EXPECT_EQ(first.observability(), second.observability());
         (void)first.count();
         (void)second.count();
-        EXPECT_EQ(first.observability()->tracer().num_queries(), 2u);
+        EXPECT_EQ(first.observability()->tracer().num_queries(), 4u);
     }
     const auto check = obs::check_trace_file(path);
     EXPECT_TRUE(check.ok) << check.error;

@@ -18,9 +18,6 @@ namespace {
 using katric::util::CondVar;
 using katric::util::Mutex;
 using katric::util::MutexLock;
-using katric::util::ReaderLock;
-using katric::util::SharedMutex;
-using katric::util::WriterLock;
 
 class KATRIC_CAPABILITY("bank") Bank {
 public:
@@ -66,31 +63,6 @@ private:
     int* escape_ KATRIC_PT_GUARDED_BY(mutex_) = nullptr;
 };
 
-class Views {
-public:
-    [[nodiscard]] int read() const KATRIC_REQUIRES_SHARED(state_);
-    void write() KATRIC_REQUIRES(state_);
-    void assert_reader() const KATRIC_ASSERT_SHARED_CAPABILITY(state_) {}
-
-    void run() KATRIC_EXCLUDES(state_) {
-        {
-            const ReaderLock lock(state_);
-            (void)read();
-        }
-        const WriterLock lock(state_);
-        write();
-    }
-
-private:
-    mutable SharedMutex state_;
-    int value_ KATRIC_GUARDED_BY(state_) = 0;
-
-    friend int reader_body(const Views&);
-};
-
-int Views::read() const { return value_; }
-void Views::write() { ++value_; }
-
 }  // namespace
 
 int main() {
@@ -103,8 +75,6 @@ int main() {
         (void)annotated.balance_locked();
     }
     annotated.unchecked_peek();
-    Views views;
-    views.run();
     Bank bank;
     if (bank.try_acquire()) { bank.release(); }
     return annotated.balance() == 0 ? 0 : 0;

@@ -111,7 +111,7 @@ TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
                                result.initial.triangles);
     for (const auto& batch : batches) { counter.apply_batch(batch); }
     const auto final_graph = materialize_global(views);
-    EXPECT_EQ(result.triangles, seq::count_edge_iterator(final_graph).triangles);
+    EXPECT_EQ(result.count.triangles, seq::count_edge_iterator(final_graph).triangles);
 
     // Deltas must chain: initial + Σ delta = final.
     std::int64_t running = static_cast<std::int64_t>(result.initial.triangles);
@@ -119,7 +119,7 @@ TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
         running += stats.delta;
         EXPECT_EQ(static_cast<std::uint64_t>(running), stats.triangles);
     }
-    EXPECT_EQ(static_cast<std::uint64_t>(running), result.triangles);
+    EXPECT_EQ(static_cast<std::uint64_t>(running), result.count.triangles);
     EXPECT_GT(result.stream_seconds, 0.0);
 }
 
@@ -155,7 +155,7 @@ TEST(IncrementalCounting, PathologicalThresholdForcesManyFlushesButStaysExact) {
     IncrementalCounter counter(sim, views, spec.options, spec.indirect,
                                result.initial.triangles);
     for (const auto& batch : stream.batches_of(25)) { counter.apply_batch(batch); }
-    EXPECT_EQ(result.triangles,
+    EXPECT_EQ(result.count.triangles,
               seq::count_edge_iterator(materialize_global(views)).triangles);
 }
 

@@ -6,21 +6,20 @@
 
 namespace katric::test {
 
-/// Engine-backed replacements for the deprecated one-shot entry points
-/// (core::count_triangles and friends): same signature shape, same result
-/// types, routed through a temporary katric::Engine — the migration target
-/// the deprecation messages point at. Tests that only need "run query X on
-/// graph G under spec S" call these; the shim-equivalence suites keep
-/// calling the deprecated functions on purpose (under a local pragma).
+/// "Run query X on graph G under spec S" for tests that need no more: each
+/// helper builds a temporary katric::Engine, runs one query, and returns the
+/// core-layer result type (or the Report, where the core layer has none).
+/// The equivalence suites compare Engines against support/oneshot.hpp's
+/// core-only reference instead.
 inline core::CountResult engine_count(const graph::CsrGraph& g,
                                       const core::RunSpec& spec,
                                       const core::TriangleSink* sink = nullptr) {
-    Engine engine(g, Config::from_run_spec(spec));
+    const Engine engine(g, Config::from_run_spec(spec));
     return engine.count(sink).count;
 }
 
 inline core::LccResult engine_lcc(const graph::CsrGraph& g, const core::RunSpec& spec) {
-    Engine engine(g, Config::from_run_spec(spec));
+    const Engine engine(g, Config::from_run_spec(spec));
     auto report = engine.lcc();
     core::LccResult result;
     result.count = std::move(report.count);
@@ -30,21 +29,15 @@ inline core::LccResult engine_lcc(const graph::CsrGraph& g, const core::RunSpec&
     return result;
 }
 
-inline core::EnumerateResult engine_enumerate(const graph::CsrGraph& g,
-                                              const core::RunSpec& spec) {
-    Engine engine(g, Config::from_run_spec(spec));
-    auto report = engine.enumerate();
-    core::EnumerateResult result;
-    result.count = std::move(report.count);
-    result.triangles = std::move(report.triangles);
-    result.found_per_rank = std::move(report.found_per_rank);
-    return result;
+inline Report engine_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec) {
+    const Engine engine(g, Config::from_run_spec(spec));
+    return engine.enumerate();
 }
 
 inline core::AmqResult engine_approx(const graph::CsrGraph& g,
                                      const core::RunSpec& spec,
                                      const core::AmqOptions& amq) {
-    Engine engine(g, Config::from_run_spec(spec));
+    const Engine engine(g, Config::from_run_spec(spec));
     auto report = engine.approx_count(amq);
     core::AmqResult result;
     result.estimated_triangles = report.estimated_triangles;
@@ -54,17 +47,12 @@ inline core::AmqResult engine_approx(const graph::CsrGraph& g,
     return result;
 }
 
-inline stream::StreamResult engine_stream(const graph::CsrGraph& initial,
-                                          const std::vector<stream::EdgeBatch>& batches,
-                                          const stream::StreamRunSpec& spec,
-                                          const stream::BatchObserver& observer = {}) {
-    Engine engine(initial, Config::from_stream_spec(spec));
-    auto session = engine.open_stream();
-    for (const auto& batch : batches) {
-        const auto& stats = session.ingest(batch);
-        if (observer) { observer(stats); }
-    }
-    return session.result();
+inline Report engine_stream(const graph::CsrGraph& initial,
+                            const std::vector<stream::EdgeBatch>& batches,
+                            const stream::StreamRunSpec& spec,
+                            const stream::BatchObserver& observer = {}) {
+    const Engine engine(initial, Config::from_stream_spec(spec));
+    return engine.stream(batches, observer);
 }
 
 }  // namespace katric::test

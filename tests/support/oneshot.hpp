@@ -1,0 +1,107 @@
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <utility>
+#include <vector>
+
+#include "core/approx.hpp"
+#include "core/dist_lcc.hpp"
+#include "core/enumerate.hpp"
+#include "core/runner.hpp"
+#include "error.hpp"
+#include "graph/distributed_graph.hpp"
+#include "net/metrics.hpp"
+#include "net/simulator.hpp"
+#include "report.hpp"
+
+namespace katric::test {
+
+namespace detail {
+
+using Views = std::vector<graph::DistGraph>;
+
+/// Runs `run(report, sim, views)` on fresh views of `g` and a fresh machine,
+/// then fills the fields Engine::finalize derives from the machine.
+template <typename Run>
+Report oneshot(Query kind, const graph::CsrGraph& g, const core::RunSpec& spec,
+               const Run& run) {
+    Views views = graph::distribute(g, core::make_partition(g, spec));
+    net::Simulator sim(spec.num_ranks, spec.network);
+    Report report;
+    report.query = kind;
+    report.algorithm = spec.algorithm;
+    run(report, sim, views);
+    for (const auto& metrics : sim.rank_metrics()) {
+        report.total_compute_ops += metrics.compute_ops;
+        report.max_compute_ops = std::max(report.max_compute_ops, metrics.compute_ops);
+    }
+    report.phases = net::aggregate_phase_times(sim.phases());
+    if (report.count.error != core::RunError::kNone) {
+        report.error = make_error(report.count.error, report.algorithm);
+    }
+    return report;
+}
+
+}  // namespace detail
+
+/// The one-shot reference every Engine report is compared against, built
+/// from the core layer alone — no katric::Engine anywhere: fresh
+/// graph::distribute views, a fresh net::Simulator, and the non-const core
+/// entry points, which build and charge preprocessing inside the run
+/// (core::Preprocess::Mode::kBuild). Each returns the Report an Engine query
+/// of the same kind fills, so one helper compares every field.
+inline Report oneshot_count(const graph::CsrGraph& g, const core::RunSpec& spec,
+                            const core::TriangleSink* sink = nullptr) {
+    return detail::oneshot(
+        Query::kCount, g, spec,
+        [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            report.count = core::dispatch_algorithm(sim, views, spec, sink);
+        });
+}
+
+inline Report oneshot_lcc(const graph::CsrGraph& g, const core::RunSpec& spec) {
+    return detail::oneshot(
+        Query::kLcc, g, spec,
+        [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            auto result = core::compute_distributed_lcc(sim, views, g, spec);
+            report.count = std::move(result.count);
+            report.delta = std::move(result.delta);
+            report.lcc = std::move(result.lcc);
+            report.postprocess_time = result.postprocess_time;
+        });
+}
+
+inline Report oneshot_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec) {
+    return detail::oneshot(
+        Query::kEnumerate, g, spec,
+        [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            report.found_per_rank.assign(spec.num_ranks, 0);
+            const core::TriangleSink sink = [&](core::Rank finder, core::VertexId v,
+                                                core::VertexId u, core::VertexId w) {
+                std::array<core::VertexId, 3> t{v, u, w};
+                std::sort(t.begin(), t.end());
+                report.triangles.push_back(core::Triangle{t[0], t[1], t[2]});
+                ++report.found_per_rank[finder];
+            };
+            report.count = core::dispatch_algorithm(sim, views, spec, &sink);
+            std::sort(report.triangles.begin(), report.triangles.end());
+        });
+}
+
+/// The AMQ pipeline is CETRIC-AMQ whatever spec.algorithm says.
+inline Report oneshot_approx(const graph::CsrGraph& g, core::RunSpec spec,
+                             const core::AmqOptions& amq) {
+    spec.algorithm = core::Algorithm::kCetric;
+    return detail::oneshot(
+        Query::kApprox, g, spec,
+        [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            auto result = core::count_triangles_cetric_amq(sim, views, spec, amq);
+            report.count = std::move(result.metrics);
+            report.estimated_triangles = result.estimated_triangles;
+            report.exact_type12 = result.exact_type12;
+            report.estimated_type3 = result.estimated_type3;
+        });
+}
+
+}  // namespace katric::test

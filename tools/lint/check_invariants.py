@@ -23,12 +23,6 @@ Rules (each finding names its rule id):
                      a waiver (TriC's deliberately unbuffered static mode
                      is the one legitimate site).
 
-  deprecated-shim    The one-shot [[deprecated]] shims exist only so the
-                     equivalence suites can pin engine-vs-one-shot
-                     bit-equality. The -Wdeprecated-declarations pragma —
-                     and calls to the uniquely-named shims — stay confined
-                     to those suites.
-
   umbrella-hygiene   Include discipline: library code never includes the
                      katric.hpp umbrella, the umbrella's includes all
                      exist, no `#include "../`, and every src/ header
@@ -76,22 +70,6 @@ THROW_RE = re.compile(r"\bthrow\b\s*([A-Za-z_:]*)")
 ALLOWED_THROW_TYPES = {"OomError", "FaultError", "CancelledError", "assertion_error"}
 
 RAW_SEND_RE = re.compile(r"\.\s*(send|send_sized)\s*\(")
-
-DEPRECATED_PRAGMA_RE = re.compile(r"-Wdeprecated-declarations")
-# Only files that pin engine-vs-one-shot equivalence may silence the shims.
-DEPRECATED_ALLOWED_FILES = {
-    "tests/core/test_engine.cpp",
-    "tests/core/test_engine_warm.cpp",
-}
-# Shims whose names are unique to the deprecated surface (the others are
-# overload sets shared with live entry points).
-UNIQUE_SHIM_RE = re.compile(r"\b(count_triangles_streaming|enumerate_triangles)\s*\(")
-UNIQUE_SHIM_HOME_FILES = {
-    "src/stream/stream_runner.hpp",
-    "src/stream/stream_runner.cpp",
-    "src/core/enumerate.hpp",
-    "src/core/enumerate.cpp",
-}
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
@@ -184,7 +162,6 @@ class Linter:
             self.check_raw_throw(rel, raw, code)
             self.check_umbrella(rel, raw, code, path)
         self.check_raw_send(rel, raw, code)
-        self.check_deprecated(rel, raw, code)
         self.check_unused_waivers(rel, raw)
 
     def check_nondeterminism(self, rel, raw, code) -> None:
@@ -225,25 +202,6 @@ class Linter:
                     "direct RankHandle send — route traffic through the "
                     "buffered aggregation queues, or waive with the reason "
                     "the charging model stays intact")
-
-    def check_deprecated(self, rel, raw, code) -> None:
-        if rel in DEPRECATED_ALLOWED_FILES:
-            return
-        for lineno, line in enumerate(raw, 1):
-            if DEPRECATED_PRAGMA_RE.search(line):
-                self.emit(
-                    "deprecated-shim", rel, lineno, raw,
-                    "-Wdeprecated-declarations suppressed outside the "
-                    "equivalence suites")
-        if rel in UNIQUE_SHIM_HOME_FILES:
-            return
-        for lineno, line in enumerate(code, 1):
-            match = UNIQUE_SHIM_RE.search(line)
-            if match:
-                self.emit(
-                    "deprecated-shim", rel, lineno, raw,
-                    f"call of deprecated shim '{match.group(1)}' — build an "
-                    "Engine and use the session API")
 
     def check_umbrella(self, rel, raw, code, path: Path) -> None:
         # Include directives carry their target in a string literal, which
@@ -331,10 +289,6 @@ SELF_TEST_CASES = [
      "    self.send(0, r, kTag);  // katric-lint: allow(raw-send)\n}\n"),
     ("waiver", "src/core/stale_waiver.cpp",
      "// katric-lint: allow(raw-send): nothing here sends\nint f();\n"),
-    ("deprecated-shim", "bench/bad_shim.cpp",
-     "auto r = stream::count_triangles_streaming(g, spec, batches);\n"),
-    ("deprecated-shim", "tests/net/bad_pragma.cpp",
-     '#pragma GCC diagnostic ignored "-Wdeprecated-declarations"\n'),
     ("umbrella-hygiene", "src/bad_umbrella.cpp",
      '#include "katric.hpp"\nint f();\n'),
     ("umbrella-hygiene", "src/bad_parent.cpp",
