@@ -235,9 +235,10 @@ void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& view
     KATRIC_THROW("unknown preprocessing mode");
 }
 
-std::uint64_t auto_threshold(const DistGraph& view, const AlgorithmOptions& options) {
+std::uint64_t auto_threshold(std::uint64_t local_half_edges,
+                             const AlgorithmOptions& options) {
     if (options.buffer_threshold_words != 0) { return options.buffer_threshold_words; }
-    return std::max<std::uint64_t>(1024, view.num_local_half_edges());
+    return std::max<std::uint64_t>(1024, local_half_edges);
 }
 
 void fill_metrics(const net::Simulator& sim, CountResult& result) {

@@ -244,8 +244,10 @@ void charge_preprocessing(net::Simulator& sim, const PreprocessCosts& costs,
 void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& views,
                          const AlgorithmOptions& options, const Preprocess& preprocess);
 
-/// Per-PE automatic buffer threshold δ (Section IV-A): O(|E_i|).
-[[nodiscard]] std::uint64_t auto_threshold(const DistGraph& view,
+/// Per-PE buffer threshold δ (Section IV-A): options.buffer_threshold_words,
+/// or automatically max(1024, |E_i|) from the PE's local half-edge count —
+/// for static and dynamic views alike.
+[[nodiscard]] std::uint64_t auto_threshold(std::uint64_t local_half_edges,
                                            const AlgorithmOptions& options);
 
 /// Copies simulator metrics/phase times into a result.

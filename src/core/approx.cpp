@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "amq/bloom.hpp"
-#include "core/cetric.hpp"
+#include "core/exchange.hpp"
 #include "graph/builder.hpp"
 #include "net/collectives.hpp"
 #include "util/assert.hpp"
@@ -44,39 +44,16 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
 
     apply_preprocessing(sim, views, spec.options, preprocess);
 
-    // --- exact local phase (identical to CETRIC's) -----------------------
-    std::vector<std::uint64_t> local_counts(p, 0);
-    sim.run_phase("local", [&](net::RankHandle& self) {
-        const Rank r = self.rank();
-        const DistGraph& view = views[r];
-        const seq::AdaptiveIntersect isect(spec.options.intersect, view.hub_index(),
-                                           spec.options.kernel_stats);
-        auto process = [&](VertexId v, std::span<const VertexId> a_v) {
-            for (VertexId u : a_v) {
-                local_counts[r] +=
-                    charged_intersect(self, a_v, view.a_set(u), isect, v, u);
-            }
-        };
-        for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
-             ++v) {
-            process(v, view.out_neighbors(v));
-        }
-        for (std::size_t g = 0; g < view.num_ghosts(); ++g) {
-            process(view.ghost_id(g), view.ghost_out_neighbors(g));
-        }
-    }, {});
-
-    sim.run_phase("contraction", [&](net::RankHandle& self) {
-        self.charge_ops(views[self.rank()].num_local_half_edges());
-    }, {});
+    // --- exact local phase: CETRIC's, always single-threaded --------------
+    AlgorithmOptions local_options = spec.options;
+    local_options.threads = 1;
+    const auto local_counts =
+        run_local_phase(sim, views, local_options, /*expanded=*/true, nullptr);
+    charge_contraction(sim, views);
 
     // --- approximate global phase ----------------------------------------
-    const net::DirectRouter router;
-    std::vector<net::MessageQueue> queues;
-    queues.reserve(p);
-    for (Rank r = 0; r < p; ++r) {
-        queues.emplace_back(auto_threshold(views[r], spec.options), router, kTagCount);
-    }
+    const auto router = make_router(p, /*indirect=*/false);
+    auto queues = make_queues(views, spec.options, *router, kTagCount);
     std::vector<double> estimates(p, 0.0);
 
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
@@ -129,45 +106,34 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
         [&](net::RankHandle& self) {
             const Rank r = self.rank();
             const DistGraph& view = views[r];
-            net::WordVec record;
-            for (VertexId v = view.first_local();
-                 v < view.first_local() + view.num_local(); ++v) {
-                const auto a_v = view.contracted_out_neighbors(v);
-                if (a_v.empty()) { continue; }
-                record.clear();
-                Rank last = r;
-                for (VertexId u : a_v) {
-                    self.charge_ops(1);
-                    const Rank owner = view.partition().rank_of(u);
-                    if (owner == last) { continue; }
-                    last = owner;
-                    if (record.empty()) {
-                        auto filter = amq::BloomFilter::with_fpr(
-                            a_v.size(), amq.target_fpr, amq.seed ^ katric::hash64(v));
-                        // Adaptive encoding: the exact ID list wins whenever
-                        // it is no longer than the filter + its header.
-                        const bool raw_cheaper =
-                            amq.adaptive
-                            && a_v.size() + 2 <= filter.words().size() + kBloomHeaderWords;
-                        if (raw_cheaper) {
-                            record.push_back(v);
-                            record.push_back(kKindRawList);
-                            record.insert(record.end(), a_v.begin(), a_v.end());
-                        } else {
-                            for (const VertexId w : a_v) { filter.insert(w); }
-                            self.charge_ops(a_v.size() * filter.num_hashes());
-                            record.push_back(v);
-                            record.push_back(kKindBloom);
-                            record.push_back(filter.inserted());
-                            record.push_back(filter.num_bits());
-                            record.push_back(filter.num_hashes());
-                            record.insert(record.end(), filter.words().begin(),
-                                          filter.words().end());
-                        }
+            ship_neighborhoods(
+                self, view, [&](VertexId v) { return view.contracted_out_neighbors(v); },
+                [&](VertexId v, std::span<const VertexId> a_v, net::WordVec& record) {
+                    auto filter = amq::BloomFilter::with_fpr(a_v.size(), amq.target_fpr,
+                                                             amq.seed ^ katric::hash64(v));
+                    // Adaptive encoding: the exact ID list wins whenever it
+                    // is no longer than the filter + its header.
+                    const bool raw_cheaper =
+                        amq.adaptive
+                        && a_v.size() + 2 <= filter.words().size() + kBloomHeaderWords;
+                    record.push_back(v);
+                    if (raw_cheaper) {
+                        record.push_back(kKindRawList);
+                        record.insert(record.end(), a_v.begin(), a_v.end());
+                        return;
                     }
+                    for (const VertexId w : a_v) { filter.insert(w); }
+                    self.charge_ops(a_v.size() * filter.num_hashes());
+                    record.push_back(kKindBloom);
+                    record.push_back(filter.inserted());
+                    record.push_back(filter.num_bits());
+                    record.push_back(filter.num_hashes());
+                    record.insert(record.end(), filter.words().begin(),
+                                  filter.words().end());
+                },
+                [&](Rank owner, const net::WordVec& record) {
                     queues[r].post(self, owner, record);
-                }
-            }
+                });
         },
         [&](net::RankHandle& self, Rank /*src*/, int tag,
             std::span<const std::uint64_t> payload) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "net/collectives.hpp"
+#include "core/exchange.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -39,11 +39,7 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
     // HavoqGT aggregates messages at compute-node level before rerouting
     // (Section III-A2); modeled by the topology-dependent two-level router.
     const net::TwoLevelRouter router(p, options.pes_per_node);
-    std::vector<net::MessageQueue> queues;
-    queues.reserve(p);
-    for (Rank r = 0; r < p; ++r) {
-        queues.emplace_back(auto_threshold(views[r], options), router, kTagWedge);
-    }
+    auto queues = make_queues(views, options, router, kTagWedge);
 
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
         KATRIC_ASSERT(record.size() == 2);
@@ -89,9 +85,8 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
         },
         [&](net::RankHandle& self) { queues[self.rank()].flush(self); });
 
-    result.triangles = net::allreduce_sum(sim, counts, "reduce");
-    result.global_phase_triangles = result.triangles;
-    fill_metrics(sim, result);
+    // Every find is a global-phase wedge check.
+    reduce_counts(sim, std::vector<std::uint64_t>(p, 0), counts, result);
     return result;
 }
 

@@ -37,13 +37,4 @@ std::uint64_t ThreadBinner::makespan_ops() const {
     return makespan;
 }
 
-void charge_parallel_ops(net::RankHandle& self, std::uint64_t ops, int threads) {
-    if (threads <= 1) {
-        self.charge_ops(ops);
-    } else {
-        self.charge_seconds(static_cast<double>(ops) * self.config().compute_op
-                            / static_cast<double>(threads));
-    }
-}
-
 }  // namespace katric::core

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/simulator.hpp"
-
 namespace katric::core {
 
 /// Deterministic model of the hybrid (threads-per-rank) local phase of
@@ -33,11 +31,5 @@ private:
     std::uint64_t chunk_fill_ = 0;
     std::uint64_t total_ops_ = 0;
 };
-
-/// Charges `ops` of perfectly parallelizable work across `threads` worker
-/// threads (global-phase intersections executed by the worker pool, while
-/// communication stays funneled through one thread and keeps its full
-/// per-message cost — the bottleneck the paper's appendix observes).
-void charge_parallel_ops(net::RankHandle& self, std::uint64_t ops, int threads);
 
 }  // namespace katric::core

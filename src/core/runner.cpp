@@ -2,8 +2,7 @@
 
 #include <utility>
 
-#include "core/cetric.hpp"
-#include "core/dist_edge_iterator.hpp"
+#include "core/exchange.hpp"
 #include "core/havoqgt_baseline.hpp"
 #include "core/tric_baseline.hpp"
 #include "util/assert.hpp"
@@ -48,29 +47,12 @@ CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>
         return result;
     }
     switch (spec.algorithm) {
-        case Algorithm::kEdgeIteratorUnbuffered:
-            return run_edge_iterator(sim, views, spec.options,
-                                     EdgeIteratorMode{.buffered = false, .indirect = false},
-                                     sink, preprocess);
-        case Algorithm::kDitric:
-            return run_edge_iterator(sim, views, spec.options,
-                                     EdgeIteratorMode{.buffered = true, .indirect = false},
-                                     sink, preprocess);
-        case Algorithm::kDitric2:
-            return run_edge_iterator(sim, views, spec.options,
-                                     EdgeIteratorMode{.buffered = true, .indirect = true},
-                                     sink, preprocess);
-        case Algorithm::kCetric:
-            return run_cetric(sim, views, spec.options, /*indirect=*/false, sink,
-                              preprocess);
-        case Algorithm::kCetric2:
-            return run_cetric(sim, views, spec.options, /*indirect=*/true, sink,
-                              preprocess);
         case Algorithm::kTricStyle: return run_tric_style(sim, views, spec.options);
         case Algorithm::kHavoqgtStyle:
             return run_havoqgt_style(sim, views, spec.options, preprocess);
+        default:
+            return run_exchange(sim, views, spec.options, spec.algorithm, sink, preprocess);
     }
-    KATRIC_THROW("unknown algorithm");
 }
 
 }  // namespace katric::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/exchange.hpp"
 #include "net/collectives.hpp"
 #include "util/assert.hpp"
 
@@ -55,27 +56,22 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
         const Rank r = self.rank();
         const DistGraph& view = views[r];
         std::uint64_t buffered = 0;
-        for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
-             ++v) {
-            const auto out_v = id_out(view, v);
-            Rank last = r;
-            for (VertexId u : out_v) {
-                self.charge_ops(1);
-                if (view.is_local(u)) { continue; }
-                const Rank owner = view.partition().rank_of(u);
-                if (owner == last) { continue; }
-                last = owner;
+        ship_neighborhoods(
+            self, view, [&](VertexId v) { return id_out(view, v); },
+            [](VertexId v, std::span<const VertexId> out_v, net::WordVec& record) {
+                record.push_back(v);
+                record.push_back(out_v.size());
+                record.insert(record.end(), out_v.begin(), out_v.end());
+            },
+            [&](Rank owner, const net::WordVec& record) {
                 auto& buffer = sends[r][owner];
-                buffer.push_back(v);
-                buffer.push_back(out_v.size());
-                buffer.insert(buffer.end(), out_v.begin(), out_v.end());
-                buffered += 2 + out_v.size();
+                buffer.insert(buffer.end(), record.begin(), record.end());
+                buffered += record.size();
                 // Never emptied before the exchange: the memory high-water
                 // mark grows with the whole communication volume. May throw
                 // OomError — the paper's observed TriC failure mode.
                 self.note_buffered_words(buffered);
-            }
-        }
+            });
     }, {});
 
     // --- one irregular all-to-all ------------------------------------------
@@ -105,14 +101,7 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
         }
     }, {});
 
-    std::vector<std::uint64_t> per_rank(p, 0);
-    for (Rank r = 0; r < p; ++r) { per_rank[r] = local_counts[r] + global_counts[r]; }
-    result.triangles = net::allreduce_sum(sim, per_rank, "reduce");
-    for (Rank r = 0; r < p; ++r) {
-        result.local_phase_triangles += local_counts[r];
-        result.global_phase_triangles += global_counts[r];
-    }
-    fill_metrics(sim, result);
+    reduce_counts(sim, local_counts, global_counts, result);
     return result;
 }
 

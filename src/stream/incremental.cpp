@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "core/exchange.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -68,32 +69,20 @@ constexpr std::uint64_t kChangedFlag = std::uint64_t{1} << 63;
 
 }  // namespace
 
-std::unique_ptr<net::Router> make_stream_router(Rank num_ranks, bool indirect) {
-    if (indirect) { return std::make_unique<net::GridRouter>(num_ranks); }
-    return std::make_unique<net::DirectRouter>();
-}
-
-std::uint64_t stream_queue_threshold(const core::AlgorithmOptions& options,
-                                     const DynamicDistGraph& view) {
-    return options.buffer_threshold_words != 0
-               ? options.buffer_threshold_words
-               : std::max<std::uint64_t>(1024, view.num_local_half_edges());
-}
-
 IncrementalCounter::IncrementalCounter(net::Simulator& sim,
                                        std::vector<DynamicDistGraph>& views,
                                        const core::AlgorithmOptions& options,
                                        bool indirect, std::uint64_t initial_triangles)
-    : sim_(&sim), views_(&views), options_(options), triangles_(initial_triangles) {
+    : sim_(&sim),
+      views_(&views),
+      options_(options),
+      router_(core::make_router(sim.num_ranks(), indirect)),
+      // The queues are long-lived across batches; epochs, not
+      // reconstruction, mark the boundaries.
+      queues_(core::make_queues(views, options, *router_, core::kTagStream,
+                                /*epoch_stamped=*/true)),
+      triangles_(initial_triangles) {
     KATRIC_ASSERT(static_cast<Rank>(views.size()) == sim.num_ranks());
-    router_ = make_stream_router(sim.num_ranks(), indirect);
-    queues_.reserve(views.size());
-    for (const auto& view : views) {
-        // The queue is long-lived across batches; epochs, not
-        // reconstruction, mark the boundaries.
-        queues_.emplace_back(stream_queue_threshold(options, view), *router_,
-                             core::kTagStream, /*epoch_stamped=*/true);
-    }
     sixths_.assign(views.size(), 0);
     if (core::uses_hub_bitmaps(options.intersect)) {
         // Initial hub index — the streaming analogue of the bitmap build

@@ -40,15 +40,6 @@ struct BatchStats {
     Error error;
 };
 
-/// Router + δ policy shared by the counter's and the LCC tracker's queues:
-/// grid indirection when requested, and δ ∈ O(|E_i|) sized from the per-PE
-/// input (the streaming analogue of core::auto_threshold) unless the
-/// options pin an explicit threshold.
-[[nodiscard]] std::unique_ptr<net::Router> make_stream_router(Rank num_ranks,
-                                                              bool indirect);
-[[nodiscard]] std::uint64_t stream_queue_threshold(const core::AlgorithmOptions& options,
-                                                   const DynamicDistGraph& view);
-
 /// Signed per-vertex triangle attribution hook: invoked at the finding rank
 /// once per (triangle, changed-edge) find for each of the triangle's three
 /// vertices, with the same 6/k-sixths weight that flows into the global

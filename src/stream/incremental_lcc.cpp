@@ -1,5 +1,6 @@
 #include "stream/incremental_lcc.hpp"
 
+#include "core/exchange.hpp"
 #include "net/encoding.hpp"
 #include "util/assert.hpp"
 
@@ -20,14 +21,11 @@ IncrementalLcc::IncrementalLcc(net::Simulator& sim, std::vector<DynamicDistGraph
             state_.credit(r, v, 6 * static_cast<std::int64_t>(initial_delta[v]));
         }
     }
-    router_ = make_stream_router(sim.num_ranks(), indirect);
-    queues_.reserve(views.size());
-    for (const auto& view : views) {
-        // Same router and δ policy as the counter's queues: long-lived,
-        // with epochs (one per batch flush) marking the boundaries.
-        queues_.emplace_back(stream_queue_threshold(options, view), *router_,
-                             core::kTagStreamLcc, /*epoch_stamped=*/true);
-    }
+    // Same router and δ policy as the counter's queues: long-lived, with
+    // epochs (one per batch flush) marking the boundaries.
+    router_ = core::make_router(sim.num_ranks(), indirect);
+    queues_ = core::make_queues(views, options, *router_, core::kTagStreamLcc,
+                                /*epoch_stamped=*/true);
 }
 
 void IncrementalLcc::attach(IncrementalCounter& counter) {

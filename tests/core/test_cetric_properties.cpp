@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/cetric.hpp"
 #include "core/runner.hpp"
 #include "graph/distributed_graph.hpp"
 #include "seq/edge_iterator.hpp"
