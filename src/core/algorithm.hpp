@@ -81,8 +81,9 @@ struct AlgorithmOptions {
     /// Run the global phase with real distributed termination detection
     /// (Mattern four-counter over control messages) instead of the
     /// simulator's omniscient quiescence check. Costs extra α per report —
-    /// the honesty tax a native MPI implementation pays. Supported by the
-    /// edge-iterator family (DITRIC/DITRIC2/unbuffered).
+    /// the honesty tax a native MPI implementation pays. Honoured by every
+    /// neighborhood-exchange algorithm (DITRIC/DITRIC2/CETRIC/CETRIC2 and
+    /// the unbuffered edge iterator); the baselines and CETRIC-AMQ ignore it.
     bool detect_termination = false;
     /// Optional dispatch-mix sink threaded into every AdaptiveIntersect the
     /// run constructs (kernel chosen × operand-size bucket, hub hit/miss).

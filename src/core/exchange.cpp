@@ -183,7 +183,7 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
     // anything buffered (at the sender or at a proxy) keeps the global
     // counters unbalanced until it really arrives.
     net::TerminationDetector detector(p);
-    const bool detect = options.detect_termination && !mode.contract;
+    const bool detect = options.detect_termination;
     const bool compress = options.compress_neighborhoods;
 
     std::vector<std::uint64_t> global_counts(p, 0);

@@ -219,6 +219,10 @@ TEST_P(TerminationDetectionTest, ProtocolCostsExtraMessagesOnly) {
 INSTANTIATE_TEST_SUITE_P(EdgeIteratorFamily, TerminationDetectionTest,
                          ::testing::Values(Algorithm::kDitric, Algorithm::kDitric2,
                                            Algorithm::kEdgeIteratorUnbuffered));
+// The contracted exchange runs the same detector: a missing verdict would
+// fail the run's termination assertion.
+INSTANTIATE_TEST_SUITE_P(ContractedExchange, TerminationDetectionTest,
+                         ::testing::Values(Algorithm::kCetric, Algorithm::kCetric2));
 
 }  // namespace
 }  // namespace katric::core
