@@ -38,7 +38,8 @@ void charge_parallel_ops(net::RankHandle& self, std::uint64_t ops, int threads) 
         self.charge_ops(ops);
     } else {
         self.charge_seconds(static_cast<double>(ops) * self.config().compute_op
-                            / static_cast<double>(threads));
+                                / static_cast<double>(threads),
+                            ops);
     }
 }
 
@@ -129,7 +130,8 @@ std::vector<std::uint64_t> run_local_phase(net::Simulator& sim,
         }
         if (hybrid) {
             self.charge_seconds(static_cast<double>(binner.makespan_ops())
-                                * self.config().compute_op);
+                                    * self.config().compute_op,
+                                binner.total_ops());
         }
     }, {});
     return counts;

@@ -45,9 +45,10 @@ void RankHandle::charge_ops(std::uint64_t ops) {
     sim_->metrics_[rank_].compute_ops += ops;
 }
 
-void RankHandle::charge_seconds(double seconds) {
+void RankHandle::charge_seconds(double seconds, std::uint64_t ops) {
     KATRIC_ASSERT(seconds >= 0.0);
     sim_->clocks_[rank_] += seconds;
+    sim_->metrics_[rank_].compute_ops += ops;
 }
 
 double RankHandle::now() const noexcept { return sim_->clocks_[rank_]; }

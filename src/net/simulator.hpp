@@ -112,8 +112,11 @@ public:
 
     /// Advances this PE's clock by ops elementary operations.
     void charge_ops(std::uint64_t ops);
-    /// Advances this PE's clock by an explicit amount of seconds.
-    void charge_seconds(double seconds);
+    /// Advances this PE's clock by an explicit amount of seconds. `ops` is
+    /// the elementary work those seconds stand for (e.g. intersections split
+    /// across hybrid threads): it is counted in RankMetrics::compute_ops,
+    /// which stays independent of the time model.
+    void charge_seconds(double seconds, std::uint64_t ops = 0);
 
     /// This PE's simulated clock.
     [[nodiscard]] double now() const noexcept;

@@ -74,6 +74,31 @@ TEST(Hybrid, MoreThreadsShrinkLocalPhaseTime) {
     EXPECT_GT(hybrid.local_time, single.local_time / 14.0);  // no superlinear magic
 }
 
+TEST(Hybrid, ComputeOpsDoNotDependOnThreads) {
+    // RankMetrics::compute_ops is independent of the time model: hybrid
+    // threads shorten the simulated clock, never the counted work — in the
+    // binned local phase (count) and the threaded global intersections (lcc).
+    const auto g = gen::generate_rmat(10, 8192, 3);
+    for (const Algorithm algorithm : {Algorithm::kDitric, Algorithm::kCetric}) {
+        SCOPED_TRACE(algorithm_name(algorithm));
+        Config config;
+        config.algorithm = algorithm;
+        config.num_ranks = 8;
+        const Engine single(g, config);
+        config.options.threads = 4;
+        const Engine hybrid(g, config);
+        for (const bool lcc : {false, true}) {
+            SCOPED_TRACE(lcc ? "lcc" : "count");
+            const auto one = lcc ? single.lcc() : single.count();
+            const auto four = lcc ? hybrid.lcc() : hybrid.count();
+            EXPECT_EQ(four.count.triangles, one.count.triangles);
+            EXPECT_EQ(four.total_compute_ops, one.total_compute_ops);
+            EXPECT_EQ(four.max_compute_ops, one.max_compute_ops);
+            EXPECT_LT(four.count.total_time, one.count.total_time);
+        }
+    }
+}
+
 TEST(Hybrid, FewerFatterRanksReduceCommunicationVolume) {
     // Fixed "cores" = ranks × threads: the hybrid configuration with fewer
     // MPI ranks ships less data (the appendix's 84% volume reduction effect).
