@@ -57,18 +57,6 @@ core::RunSpec Config::run_spec() const {
     return core::RunSpec{algorithm, num_ranks, network, options, partition};
 }
 
-stream::StreamRunSpec Config::stream_spec() const {
-    stream::StreamRunSpec spec;
-    spec.initial_algorithm = algorithm;
-    spec.num_ranks = num_ranks;
-    spec.network = network;
-    spec.options = options;
-    spec.partition = partition;
-    spec.indirect = stream_indirect;
-    spec.maintain_lcc = maintain_lcc;
-    return spec;
-}
-
 Config Config::from_run_spec(const core::RunSpec& spec) {
     Config config;
     config.algorithm = spec.algorithm;
@@ -76,13 +64,6 @@ Config Config::from_run_spec(const core::RunSpec& spec) {
     config.partition = spec.partition;
     config.network = spec.network;
     config.options = spec.options;
-    return config;
-}
-
-Config Config::from_stream_spec(const stream::StreamRunSpec& spec) {
-    Config config = from_run_spec(spec.static_spec());
-    config.stream_indirect = spec.indirect;
-    config.maintain_lcc = spec.maintain_lcc;
     return config;
 }
 

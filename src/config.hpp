@@ -9,7 +9,6 @@
 #include "core/runner.hpp"
 #include "fault/fault_plan.hpp"
 #include "net/network_config.hpp"
-#include "stream/stream_runner.hpp"
 #include "util/cli.hpp"
 
 namespace katric {
@@ -31,8 +30,8 @@ enum class ConfigError : std::uint8_t {
                                                const std::string& detail);
 
 /// The library's one configuration surface: everything the scattered spec
-/// structs (core::RunSpec, stream::StreamRunSpec, core::AlgorithmOptions,
-/// core::AmqOptions, the partition strategy, and the network selection) used
+/// structs (core::RunSpec, core::AlgorithmOptions, core::AmqOptions, the
+/// streaming knobs, the partition strategy, and the network selection) used
 /// to carry separately, merged into a single value that
 ///
 ///   * an Engine is built from (build state once, run many queries),
@@ -49,8 +48,9 @@ struct Config {
     net::NetworkConfig network = net::NetworkConfig::supermuc_like();
     core::AlgorithmOptions options = {};
 
-    /// Streaming knobs (stream::StreamRunSpec): grid-proxy routing of stream
-    /// traffic and per-vertex Δ/LCC maintenance alongside the global count.
+    /// Streaming knobs: grid-proxy routing of stream traffic and per-vertex
+    /// Δ/LCC maintenance alongside the global count (its initial pass is an
+    /// LCC query, so `algorithm` must support a triangle sink).
     bool stream_indirect = false;
     bool maintain_lcc = false;
 
@@ -115,11 +115,9 @@ struct Config {
 
     friend bool operator==(const Config&, const Config&) = default;
 
-    // --- spec interop (the core layer's spec structs) ---------------------
+    // --- spec interop (the core layer's spec struct) ----------------------
     [[nodiscard]] core::RunSpec run_spec() const;
-    [[nodiscard]] stream::StreamRunSpec stream_spec() const;
     [[nodiscard]] static Config from_run_spec(const core::RunSpec& spec);
-    [[nodiscard]] static Config from_stream_spec(const stream::StreamRunSpec& spec);
 
     // --- CLI round-trip --------------------------------------------------
     /// Declares every Config flag on a CliParser, defaulting to `defaults`:

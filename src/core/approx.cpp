@@ -109,8 +109,8 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
             ship_neighborhoods(
                 self, view, [&](VertexId v) { return view.contracted_out_neighbors(v); },
                 [&](VertexId v, std::span<const VertexId> a_v, net::WordVec& record) {
-                    auto filter = amq::BloomFilter::with_fpr(a_v.size(), amq.target_fpr,
-                                                             amq.seed ^ katric::hash64(v));
+                    auto filter = amq::BloomFilter::with_fpr(
+                        a_v.size(), amq.target_fpr, amq.seed ^ katric::hash64(v));
                     // Adaptive encoding: the exact ID list wins whenever it
                     // is no longer than the filter + its header.
                     const bool raw_cheaper =

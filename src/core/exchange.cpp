@@ -26,7 +26,8 @@ ExchangeMode exchange_mode(Algorithm algorithm) {
         case Algorithm::kCetric2: return {.contract = true, .indirect = true};
         default: break;
     }
-    KATRIC_THROW(algorithm_name(algorithm) << " is not a neighborhood-exchange algorithm");
+    KATRIC_THROW(algorithm_name(algorithm)
+                 << " is not a neighborhood-exchange algorithm");
 }
 
 /// Charges `ops` of perfectly parallelizable work across `threads` worker

@@ -55,10 +55,9 @@ void charge_contraction(net::Simulator& sim, const std::vector<DistGraph>& views
 /// One dynamically buffered queue per rank, δ = auto_threshold of that
 /// rank's half-edges. `router` must outlive the queues.
 template <typename View>
-[[nodiscard]] std::vector<net::MessageQueue> make_queues(const std::vector<View>& views,
-                                                         const AlgorithmOptions& options,
-                                                         const net::Router& router, int tag,
-                                                         bool epoch_stamped = false) {
+[[nodiscard]] std::vector<net::MessageQueue> make_queues(
+    const std::vector<View>& views, const AlgorithmOptions& options,
+    const net::Router& router, int tag, bool epoch_stamped = false) {
     std::vector<net::MessageQueue> queues;
     queues.reserve(views.size());
     for (const auto& view : views) {
@@ -79,7 +78,8 @@ template <typename Row, typename Encode, typename Post>
 void ship_neighborhoods(net::RankHandle& self, const DistGraph& view, const Row& row,
                         const Encode& encode, const Post& post) {
     net::WordVec record;
-    for (VertexId v = view.first_local(); v < view.first_local() + view.num_local(); ++v) {
+    for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
+         ++v) {
         const std::span<const VertexId> a_v = row(v);
         if (a_v.empty()) { continue; }
         record.clear();

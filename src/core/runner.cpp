@@ -51,7 +51,8 @@ CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>
         case Algorithm::kHavoqgtStyle:
             return run_havoqgt_style(sim, views, spec.options, preprocess);
         default:
-            return run_exchange(sim, views, spec.options, spec.algorithm, sink, preprocess);
+            return run_exchange(sim, views, spec.options, spec.algorithm, sink,
+                                preprocess);
     }
 }
 

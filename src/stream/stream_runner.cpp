@@ -3,11 +3,6 @@
 namespace katric::stream {
 
 std::vector<DynamicDistGraph> distribute_dynamic(const graph::CsrGraph& initial,
-                                                 const StreamRunSpec& spec) {
-    return distribute_dynamic(initial, core::make_partition(initial, spec.static_spec()));
-}
-
-std::vector<DynamicDistGraph> distribute_dynamic(const graph::CsrGraph& initial,
                                                  const graph::Partition1D& partition) {
     std::vector<DynamicDistGraph> views;
     views.reserve(partition.num_ranks());

@@ -239,22 +239,6 @@ TEST(Config, RunSpecInteropIsLossless) {
     EXPECT_TRUE(back.options == spec.options);
 }
 
-TEST(Config, StreamSpecInteropIsLossless) {
-    stream::StreamRunSpec spec;
-    spec.initial_algorithm = core::Algorithm::kDitric;
-    spec.num_ranks = 5;
-    spec.indirect = true;
-    spec.maintain_lcc = true;
-    spec.options.intersect = seq::IntersectKind::kGalloping;
-    const auto config = Config::from_stream_spec(spec);
-    const auto back = config.stream_spec();
-    EXPECT_EQ(back.initial_algorithm, spec.initial_algorithm);
-    EXPECT_EQ(back.num_ranks, spec.num_ranks);
-    EXPECT_EQ(back.indirect, spec.indirect);
-    EXPECT_EQ(back.maintain_lcc, spec.maintain_lcc);
-    EXPECT_TRUE(back.options == spec.options);
-}
-
 TEST(Config, CommandLineAndDescribeAreUsable) {
     const Config config = Config::preset("paper-cetric");
     const auto line = config.to_command_line();

@@ -302,7 +302,7 @@ TEST(EngineEquivalence, StreamPromotionMatchesOneShotStreaming) {
         (void)engine.count();
         const auto report = engine.stream(batches);
 
-        const auto fresh = test::engine_stream(base, batches, config.stream_spec());
+        const auto fresh = test::engine_stream(base, batches, config);
         const auto initial = maintain_lcc ? test::oneshot_lcc(base, config.run_spec())
                                           : test::oneshot_count(base, config.run_spec());
         test::expect_identical_counts(report.initial, initial.count, "stream initial");

@@ -92,7 +92,7 @@ TEST(EngineWarm, StreamInterleavedWithStaticQueriesStaysExact) {
         const auto before = warm.count();
 
         const auto report = warm.stream(batches);
-        const auto fresh = test::engine_stream(base, batches, config.stream_spec());
+        const auto fresh = test::engine_stream(base, batches, config);
         EXPECT_TRUE(report.reused_preprocessing)
             << "a skipping engine's stream initial pass skipped the charge too";
         EXPECT_EQ(report.initial.triangles, fresh.initial.triangles);

@@ -170,8 +170,8 @@ struct GoldenGraph {
 std::vector<GoldenGraph> golden_graphs() {
     std::vector<GoldenGraph> graphs;
     graphs.push_back({"rmat", gen::generate_rmat(9, 4096, 3)});
-    graphs.push_back(
-        {"rgg", gen::generate_rgg2d_local(512, gen::rgg2d_radius_for_degree(512, 12.0), 5)});
+    const double radius = gen::rgg2d_radius_for_degree(512, 12.0);
+    graphs.push_back({"rgg", gen::generate_rgg2d_local(512, radius, 5)});
     return graphs;
 }
 
@@ -218,7 +218,8 @@ std::vector<std::string> recompute_golden() {
                         lines.push_back(
                             report_line(cell + "/count", engine.count(query)).text());
                         if (!core::algorithm_supports_sink(algorithm)) { continue; }
-                        lines.push_back(lcc_line(cell + "/lcc", engine.lcc(query)).text());
+                        lines.push_back(
+                            lcc_line(cell + "/lcc", engine.lcc(query)).text());
                         lines.push_back(
                             enumerate_line(cell + "/enumerate", engine.enumerate(query))
                                 .text());
@@ -228,7 +229,8 @@ std::vector<std::string> recompute_golden() {
                         amq.adaptive = adaptive;
                         const std::string cell =
                             prefix + (adaptive ? "AMQ/approx-adaptive" : "AMQ/approx");
-                        lines.push_back(approx_line(cell, engine.approx_count(amq)).text());
+                        lines.push_back(
+                            approx_line(cell, engine.approx_count(amq)).text());
                     }
                 }
             }
@@ -283,13 +285,14 @@ std::string first_difference(const std::string& golden, const std::string& actua
         const auto gname = gf.substr(0, gf.find('='));
         const auto aname = af.substr(0, af.find('='));
         if (gname != aname) {
-            return g.front() + ": field '" + gname + "' vs recomputed field '" + aname + "'";
+            return g.front() + ": field '" + gname + "' vs recomputed field '" + aname
+                   + "'";
         }
         const auto gvalue = gf.substr(gf.find('=') + 1);
         const auto avalue = af.substr(af.find('=') + 1);
         if (!values_match(gvalue, avalue)) {
-            return g.front() + ": field '" + gname + "' golden " + gvalue + ", recomputed "
-                   + avalue;
+            return g.front() + ": field '" + gname + "' golden " + gvalue
+                   + ", recomputed " + avalue;
         }
     }
     return "";

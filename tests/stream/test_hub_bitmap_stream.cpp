@@ -19,12 +19,13 @@
 namespace katric::stream {
 namespace {
 
-StreamRunSpec bitmap_spec(Rank p) {
-    StreamRunSpec spec;
-    spec.num_ranks = p;
-    spec.options.intersect = seq::IntersectKind::kBitmap;
-    spec.options.hub_threshold = 1;  // every non-empty row is a hub
-    return spec;
+Config bitmap_config(Rank p) {
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = p;
+    config.options.intersect = seq::IntersectKind::kBitmap;
+    config.options.hub_threshold = 1;  // every non-empty row is a hub
+    return config;
 }
 
 /// Every indexed bitmap must answer membership exactly like its row — the
@@ -53,12 +54,12 @@ void expect_bitmaps_match_rows(const DynamicDistGraph& view) {
 
 TEST(HubBitmapStreaming, DirtyInvalidationKeepsBitmapsExact) {
     const auto base = gen::generate_rmat(7, 640, 17);
-    const auto spec = bitmap_spec(4);
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_count(base, spec.static_spec());
+    const auto config = bitmap_config(4);
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_count(base, config.run_spec());
     ASSERT_FALSE(initial.oom);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                initial.triangles);
     for (const auto& view : views) { expect_bitmaps_match_rows(view); }
 
@@ -75,19 +76,19 @@ TEST(HubBitmapStreaming, DirtyInvalidationKeepsBitmapsExact) {
 TEST(HubBitmapStreaming, CountsMatchRecountWithBitmapsForcedOn) {
     const auto base = gen::generate_rmat(8, 1536, 9);
     for (const Rank p : {1u, 4u, 7u}) {
-        const auto spec = bitmap_spec(p);
+        const auto config = bitmap_config(p);
         const auto stream = make_churn_stream(base, 240, 0.45, 1234);
 
-        auto views = distribute_dynamic(base, spec);
-        net::Simulator sim(spec.num_ranks, spec.network);
-        const auto initial = test::engine_count(base, spec.static_spec());
+        auto views = test::dynamic_views(base, config);
+        net::Simulator sim(config.num_ranks, config.network);
+        const auto initial = test::engine_count(base, config.run_spec());
         ASSERT_FALSE(initial.oom);
-        IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+        IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                    initial.triangles);
         for (const auto& batch : stream.batches_of(30)) {
             const auto stats = counter.apply_batch(batch);
             const auto recount =
-                test::engine_count(materialize_global(views), spec.static_spec());
+                test::engine_count(materialize_global(views), config.run_spec());
             ASSERT_FALSE(recount.oom);
             ASSERT_EQ(counter.triangles(), recount.triangles)
                 << "p=" << p << ", batch " << stats.batch_index;
@@ -97,14 +98,14 @@ TEST(HubBitmapStreaming, CountsMatchRecountWithBitmapsForcedOn) {
 
 TEST(HubBitmapStreaming, LccStaysExactUnderBitmapKernels) {
     const auto base = gen::generate_rmat(7, 768, 5);
-    const auto spec = bitmap_spec(5);
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_lcc(base, spec.static_spec());
+    const auto config = bitmap_config(5);
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_lcc(base, config.run_spec());
     ASSERT_FALSE(initial.count.oom);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                initial.count.triangles);
-    IncrementalLcc lcc(sim, views, spec.options, spec.indirect, initial.delta);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
     lcc.attach(counter);
 
     const auto stream = make_churn_stream(base, 180, 0.5, 77);
@@ -112,7 +113,7 @@ TEST(HubBitmapStreaming, LccStaysExactUnderBitmapKernels) {
         counter.apply_batch(batch);
         lcc.finish_batch();
         const auto current = materialize_global(views);
-        const auto full = test::engine_lcc(current, spec.static_spec());
+        const auto full = test::engine_lcc(current, config.run_spec());
         ASSERT_FALSE(full.count.oom);
         ASSERT_EQ(lcc.delta(), full.delta);
     }
@@ -120,10 +121,10 @@ TEST(HubBitmapStreaming, LccStaysExactUnderBitmapKernels) {
 
 TEST(HubBitmapStreaming, DeletingEveryEdgeDropsEveryHub) {
     const auto base = katric::test::complete_graph(9);  // 84 triangles
-    const auto spec = bitmap_spec(3);
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, 84);
+    const auto config = bitmap_config(3);
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 84);
 
     EdgeStream stream;
     double t = 0.0;

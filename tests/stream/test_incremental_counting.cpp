@@ -38,29 +38,31 @@ TEST_P(IncrementalMatchesRecountTest, EveryBatchAgreesWithStaticCount) {
     const auto [family, partition, p, kind] = GetParam();
     const auto base = make_base(family);
 
-    StreamRunSpec spec;
-    spec.num_ranks = p;
-    spec.partition = partition;
-    spec.options.intersect = kind;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = p;
+    config.partition = partition;
+    config.options.intersect = kind;
     // A tiny threshold turns most rows into hubs, so the bitmap path (and
     // its per-batch dirty invalidation) is exercised on every intersection,
     // not just on the degree tail.
-    if (core::uses_hub_bitmaps(kind)) { spec.options.hub_threshold = 2; }
+    if (core::uses_hub_bitmaps(kind)) { config.options.hub_threshold = 2; }
 
     const auto stream = make_churn_stream(base, 240, 0.45, 1234);
     const auto batches = stream.batches_of(30);
 
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_count(base, spec.static_spec());
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_count(base, config.run_spec());
     ASSERT_FALSE(initial.oom);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, initial.triangles);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
+                               initial.triangles);
 
     for (const auto& batch : batches) {
         const auto stats = counter.apply_batch(batch);
         const auto current = materialize_global(views);
         // Fresh static recount through the full distributed pipeline.
-        const auto recount = test::engine_count(current, spec.static_spec());
+        const auto recount = test::engine_count(current, config.run_spec());
         ASSERT_FALSE(recount.oom);
         ASSERT_EQ(counter.triangles(), recount.triangles)
             << "batch " << stats.batch_index << " (" << stats.net_inserts << " ins, "
@@ -90,14 +92,15 @@ INSTANTIATE_TEST_SUITE_P(
 /// End-to-end runner checks: final count, per-batch bookkeeping, observer.
 TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
     const auto base = gen::generate_gnm(256, 1536, 3);
-    StreamRunSpec spec;
-    spec.num_ranks = 6;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 6;
     const auto stream = make_churn_stream(base, 300, 0.4, 55);
     const auto batches = stream.batches_of(50);
 
     std::size_t observed = 0;
     const auto result = test::engine_stream(
-        base, batches, spec, [&](const BatchStats& stats) {
+        base, batches, config, [&](const BatchStats& stats) {
             EXPECT_EQ(stats.batch_index, observed);
             ++observed;
         });
@@ -105,9 +108,9 @@ TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
     ASSERT_EQ(result.batches.size(), batches.size());
 
     // Replay the stream on fresh views to rebuild the final graph.
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                result.initial.triangles);
     for (const auto& batch : batches) { counter.apply_batch(batch); }
     const auto final_graph = materialize_global(views);
@@ -125,16 +128,18 @@ TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
 
 TEST(IncrementalCounting, IndirectRoutingStaysExact) {
     const auto base = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 9.0), 21);
-    StreamRunSpec spec;
-    spec.num_ranks = 9;  // 3×3 grid
-    spec.indirect = true;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 9;  // 3×3 grid
+    config.stream_indirect = true;
     const auto stream = make_churn_stream(base, 200, 0.45, 77);
     const auto batches = stream.batches_of(25);
 
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_count(base, spec.static_spec());
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, initial.triangles);
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_count(base, config.run_spec());
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
+                               initial.triangles);
     for (const auto& batch : batches) {
         counter.apply_batch(batch);
         EXPECT_EQ(counter.triangles(),
@@ -144,15 +149,16 @@ TEST(IncrementalCounting, IndirectRoutingStaysExact) {
 
 TEST(IncrementalCounting, PathologicalThresholdForcesManyFlushesButStaysExact) {
     const auto base = gen::generate_gnm(200, 1200, 13);
-    StreamRunSpec spec;
-    spec.num_ranks = 8;
-    spec.options.buffer_threshold_words = 8;  // pathological δ
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 8;
+    config.options.buffer_threshold_words = 8;  // pathological δ
     const auto stream = make_churn_stream(base, 150, 0.5, 31);
-    const auto result = test::engine_stream(base, stream.batches_of(25), spec);
+    const auto result = test::engine_stream(base, stream.batches_of(25), config);
 
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                result.initial.triangles);
     for (const auto& batch : stream.batches_of(25)) { counter.apply_batch(batch); }
     EXPECT_EQ(result.count.triangles,
@@ -161,11 +167,11 @@ TEST(IncrementalCounting, PathologicalThresholdForcesManyFlushesButStaysExact) {
 
 TEST(IncrementalCounting, NoOpEventsFoldAway) {
     const auto base = katric::test::complete_graph(8);  // 56 triangles
-    StreamRunSpec spec;
-    spec.num_ranks = 3;
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, 56);
+    Config config;
+    config.num_ranks = 3;
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 56);
 
     EdgeBatch batch;
     batch.events.push_back({0.0, 0, 1, EventKind::kInsert});  // re-insert: no-op
@@ -182,11 +188,11 @@ TEST(IncrementalCounting, NoOpEventsFoldAway) {
 
 TEST(IncrementalCounting, InsertThenDeleteWithinOneBatchIsTransparent) {
     const auto base = katric::test::path_graph(10);
-    StreamRunSpec spec;
-    spec.num_ranks = 4;
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, 0);
+    Config config;
+    config.num_ranks = 4;
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 0);
 
     EdgeBatch batch;
     batch.events.push_back({0.0, 0, 2, EventKind::kInsert});  // closes {0,1,2}
@@ -200,11 +206,11 @@ TEST(IncrementalCounting, InsertThenDeleteWithinOneBatchIsTransparent) {
 
 TEST(IncrementalCounting, DeletingEveryEdgeReachesZero) {
     const auto base = katric::test::complete_graph(10);  // 120 triangles
-    StreamRunSpec spec;
-    spec.num_ranks = 5;
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, 120);
+    Config config;
+    config.num_ranks = 5;
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 120);
 
     EdgeStream stream;
     double t = 0.0;
@@ -228,12 +234,12 @@ TEST(IncrementalCounting, MultiChangedEdgeTrianglesAreCorrectedExactly) {
     // together, so every intersection sees k ∈ {2,3} — the multiplicity
     // correction path, not the common k=1 path.
     const auto base = graph::build_undirected(graph::EdgeList{}, 9);
-    StreamRunSpec spec;
-    spec.num_ranks = 3;
-    spec.partition = core::PartitionStrategy::kUniformVertices;  // edgeless input
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, 0);
+    Config config;
+    config.num_ranks = 3;
+    config.partition = core::PartitionStrategy::kUniformVertices;  // edgeless input
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 0);
 
     EdgeBatch whole_triangle;
     whole_triangle.events.push_back({0.0, 0, 4, EventKind::kInsert});

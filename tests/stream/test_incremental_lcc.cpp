@@ -31,14 +31,14 @@ graph::CsrGraph make_base(const std::string& family) {
 /// (and the sequential oracle) after every batch.
 void expect_lcc_tracks_recompute(const graph::CsrGraph& base,
                                  const std::vector<EdgeBatch>& batches,
-                                 const StreamRunSpec& spec) {
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_lcc(base, spec.static_spec());
+                                 const Config& config) {
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_lcc(base, config.run_spec());
     ASSERT_FALSE(initial.count.oom);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                initial.count.triangles);
-    IncrementalLcc lcc(sim, views, spec.options, spec.indirect, initial.delta);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
     lcc.attach(counter);
 
     for (const auto& batch : batches) {
@@ -47,7 +47,7 @@ void expect_lcc_tracks_recompute(const graph::CsrGraph& base,
         EXPECT_GE(flush_seconds, 0.0);
 
         const auto current = materialize_global(views);
-        const auto full = test::engine_lcc(current, spec.static_spec());
+        const auto full = test::engine_lcc(current, config.run_spec());
         ASSERT_FALSE(full.count.oom);
         ASSERT_EQ(counter.triangles(), full.count.triangles)
             << "batch " << stats.batch_index;
@@ -89,14 +89,15 @@ TEST_P(StreamingLccMatchesFullTest, EveryBatchAgreesWithDistributedLcc) {
     const auto [family, partition, p, kind] = GetParam();
     const auto base = make_base(family);
 
-    StreamRunSpec spec;
-    spec.num_ranks = p;
-    spec.partition = partition;
-    spec.options.intersect = kind;
-    if (core::uses_hub_bitmaps(kind)) { spec.options.hub_threshold = 2; }
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = p;
+    config.partition = partition;
+    config.options.intersect = kind;
+    if (core::uses_hub_bitmaps(kind)) { config.options.hub_threshold = 2; }
 
     const auto stream = make_churn_stream(base, 240, 0.45, 4321);
-    expect_lcc_tracks_recompute(base, stream.batches_of(30), spec);
+    expect_lcc_tracks_recompute(base, stream.batches_of(30), config);
 }
 
 std::string property_name(const ::testing::TestParamInfo<PropertyParam>& info) {
@@ -124,16 +125,17 @@ TEST(StreamingLccEdgeCases, IsolatedAndDegreeOneVerticesReportZero) {
         graph::EdgeList{{graph::Edge{0, 1}, graph::Edge{1, 2}, graph::Edge{0, 2},
                          graph::Edge{0, 3}}},
         6);
-    StreamRunSpec spec;
-    spec.num_ranks = 3;
-    spec.partition = core::PartitionStrategy::kUniformVertices;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 3;
+    config.partition = core::PartitionStrategy::kUniformVertices;
 
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_lcc(base, spec.static_spec());
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_lcc(base, config.run_spec());
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                initial.count.triangles);
-    IncrementalLcc lcc(sim, views, spec.options, spec.indirect, initial.delta);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
     lcc.attach(counter);
 
     // Churn an edge elsewhere so the batch is not a global no-op.
@@ -157,16 +159,17 @@ TEST(StreamingLccEdgeCases, IsolatedAndDegreeOneVerticesReportZero) {
 
 TEST(StreamingLccEdgeCases, DegreeDroppingBelowTwoZerosTheCoefficient) {
     const auto base = katric::test::triangle_graph();  // K3 on vertices 0,1,2
-    StreamRunSpec spec;
-    spec.num_ranks = 2;
-    spec.partition = core::PartitionStrategy::kUniformVertices;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 2;
+    config.partition = core::PartitionStrategy::kUniformVertices;
 
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_lcc(base, spec.static_spec());
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_lcc(base, config.run_spec());
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                initial.count.triangles);
-    IncrementalLcc lcc(sim, views, spec.options, spec.indirect, initial.delta);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
     lcc.attach(counter);
     EXPECT_DOUBLE_EQ(lcc.lcc_of(2), 1.0);
 
@@ -186,14 +189,15 @@ TEST(StreamingLccEdgeCases, DegreeDroppingBelowTwoZerosTheCoefficient) {
 
 TEST(StreamingLccEdgeCases, DeleteThenReinsertWithinOneBatchIsInvisible) {
     const auto base = katric::test::bowtie_graph();  // two triangles sharing vertex 2
-    StreamRunSpec spec;
-    spec.num_ranks = 2;
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    const auto initial = test::engine_lcc(base, spec.static_spec());
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 2;
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    const auto initial = test::engine_lcc(base, config.run_spec());
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                initial.count.triangles);
-    IncrementalLcc lcc(sim, views, spec.options, spec.indirect, initial.delta);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
     lcc.attach(counter);
 
     // {0,1} leaves and returns within the batch — the fold must erase the
@@ -218,13 +222,13 @@ TEST(StreamingLccEdgeCases, WholeTriangleArrivingAndLeavingInOneBatch) {
     // All three edges of a triangle inserted together: every find runs with
     // multiplicity k ∈ {2,3}, the per-vertex 6/k attribution path.
     const auto base = graph::build_undirected(graph::EdgeList{}, 6);
-    StreamRunSpec spec;
-    spec.num_ranks = 3;
-    spec.partition = core::PartitionStrategy::kUniformVertices;
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect, 0);
-    IncrementalLcc lcc(sim, views, spec.options, spec.indirect,
+    Config config;
+    config.num_ranks = 3;
+    config.partition = core::PartitionStrategy::kUniformVertices;
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 0);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect,
                        std::vector<std::uint64_t>(6, 0));
     lcc.attach(counter);
 
@@ -254,20 +258,21 @@ TEST(StreamingLccEdgeCases, WholeTriangleArrivingAndLeavingInOneBatch) {
 
 TEST(CountTrianglesStreamingLcc, RunnerMaintainsLccAndReportsFlushTimes) {
     const auto base = gen::generate_gnm(256, 1536, 3);
-    StreamRunSpec spec;
-    spec.num_ranks = 6;
-    spec.maintain_lcc = true;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 6;
+    config.maintain_lcc = true;
     const auto stream = make_churn_stream(base, 300, 0.4, 55);
     const auto batches = stream.batches_of(50);
 
-    const auto result = test::engine_stream(base, batches, spec);
+    const auto result = test::engine_stream(base, batches, config);
     ASSERT_EQ(result.batches.size(), batches.size());
     for (const auto& stats : result.batches) { EXPECT_GE(stats.lcc_seconds, 0.0); }
 
     // Final state must equal the oracle of the final graph.
-    auto views = distribute_dynamic(base, spec);
-    net::Simulator sim(spec.num_ranks, spec.network);
-    IncrementalCounter counter(sim, views, spec.options, spec.indirect,
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network);
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                result.initial.triangles);
     for (const auto& batch : batches) { counter.apply_batch(batch); }
     const auto oracle = seq::compute_lcc_oracle(materialize_global(views));
@@ -280,10 +285,11 @@ TEST(CountTrianglesStreamingLcc, RunnerMaintainsLccAndReportsFlushTimes) {
 
 TEST(CountTrianglesStreamingLcc, WithoutMaintenanceVectorsStayEmpty) {
     const auto base = katric::test::petersen_graph();
-    StreamRunSpec spec;
-    spec.num_ranks = 2;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 2;
     const auto stream = make_churn_stream(base, 40, 0.3, 8);
-    const auto result = test::engine_stream(base, stream.batches_of(10), spec);
+    const auto result = test::engine_stream(base, stream.batches_of(10), config);
     EXPECT_TRUE(result.delta.empty());
     EXPECT_TRUE(result.lcc.empty());
     for (const auto& stats : result.batches) { EXPECT_EQ(stats.lcc_seconds, 0.0); }
@@ -291,11 +297,12 @@ TEST(CountTrianglesStreamingLcc, WithoutMaintenanceVectorsStayEmpty) {
 
 TEST(StreamingLccEdgeCases, IndirectRoutingFlushStaysExact) {
     const auto base = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 9.0), 21);
-    StreamRunSpec spec;
-    spec.num_ranks = 9;  // 3×3 grid
-    spec.indirect = true;
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 9;  // 3×3 grid
+    config.stream_indirect = true;
     const auto stream = make_churn_stream(base, 120, 0.45, 77);
-    expect_lcc_tracks_recompute(base, stream.batches_of(30), spec);
+    expect_lcc_tracks_recompute(base, stream.batches_of(30), config);
 }
 
 }  // namespace

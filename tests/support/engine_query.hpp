@@ -49,10 +49,17 @@ inline core::AmqResult engine_approx(const graph::CsrGraph& g,
 
 inline Report engine_stream(const graph::CsrGraph& initial,
                             const std::vector<stream::EdgeBatch>& batches,
-                            const stream::StreamRunSpec& spec,
+                            const Config& config,
                             const stream::BatchObserver& observer = {}) {
-    const Engine engine(initial, Config::from_stream_spec(spec));
+    const Engine engine(initial, config);
     return engine.stream(batches, observer);
+}
+
+/// Every rank's dynamic view of `g` under the config's partition strategy,
+/// for tests that drive stream::IncrementalCounter directly.
+inline std::vector<stream::DynamicDistGraph> dynamic_views(const graph::CsrGraph& g,
+                                                           const Config& config) {
+    return stream::distribute_dynamic(g, core::make_partition(g, config.run_spec()));
 }
 
 }  // namespace katric::test
