@@ -20,8 +20,9 @@ Rules (each finding names its rule id):
                      queues, never RankHandle::send/send_sized directly —
                      direct sends skip the message-size charging the cost
                      model depends on. Outside src/net/ a direct send needs
-                     a waiver (TriC's deliberately unbuffered static mode
-                     is the one legitimate site).
+                     a waiver (the per-record send of the deliberately
+                     unbuffered edge iterator in core/exchange.cpp is the
+                     one legitimate site).
 
   umbrella-hygiene   Include discipline: library code never includes the
                      katric.hpp umbrella, the umbrella's includes all
