@@ -75,8 +75,4 @@ inline std::string time_or_oom(const core::CountResult& result) {
 
 inline std::string time_or_oom(const Report& report) { return time_or_oom(report.count); }
 
-/// The single JSON emitter lives in the library now (katric::JsonWriter /
-/// Report::to_json); the old bench-local JsonReport name stays as an alias.
-using JsonReport = katric::JsonWriter;
-
 }  // namespace katric::bench

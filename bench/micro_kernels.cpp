@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
 
     Table table({"ratio", "gap", "small", "count", "kernel", "ns/call", "ops",
                  "speedup vs merge"});
-    bench::JsonReport report;
+    JsonWriter report;
     bool all_agree = true;
     double worst_bitmap_hub_speedup = -1.0;
 

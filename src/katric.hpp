@@ -52,7 +52,6 @@
 #include "net/network_config.hpp"
 #include "net/termination.hpp"
 #include "obs/observability.hpp"
-#include "obs/trace_check.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
 #include "seq/parallel_local.hpp"

@@ -15,6 +15,7 @@
 #include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
 #include "stream/edge_stream.hpp"
+#include "support/trace_check.hpp"
 #include "util/hash.hpp"
 
 namespace katric {
@@ -192,48 +193,50 @@ const std::vector<Axis>& axes() {
     return list;
 }
 
+/// One (graph, axis) block of cells, in golden order, appended to `lines`.
+/// Every engine starts from `base`, then the axis and the cell apply.
+void append_axis_cells(std::vector<std::string>& lines, const GoldenGraph& graph,
+                       const Axis& axis, const Config& base) {
+    for (const auto partition : {core::PartitionStrategy::kBalancedEdges,
+                                 core::PartitionStrategy::kUniformVertices}) {
+        for (const auto kernel :
+             {seq::IntersectKind::kMerge, seq::IntersectKind::kAdaptive}) {
+            Config config = base;
+            config.num_ranks = kRanks;
+            config.partition = partition;
+            config.options.intersect = kernel;
+            axis.apply(config);
+            const Engine engine(graph.graph, config);
+            const std::string prefix = graph.name + "/" + axis.name + "/"
+                                       + partition_strategy_name(partition) + "/"
+                                       + seq::intersect_kind_name(kernel) + "/";
+            for (const auto algorithm : core::all_algorithms()) {
+                QueryOptions query;
+                query.algorithm = algorithm;
+                const std::string cell = prefix + core::algorithm_name(algorithm);
+                lines.push_back(report_line(cell + "/count", engine.count(query)).text());
+                if (!core::algorithm_supports_sink(algorithm)) { continue; }
+                lines.push_back(lcc_line(cell + "/lcc", engine.lcc(query)).text());
+                lines.push_back(
+                    enumerate_line(cell + "/enumerate", engine.enumerate(query)).text());
+            }
+            for (const bool adaptive : {false, true}) {
+                core::AmqOptions amq;
+                amq.adaptive = adaptive;
+                const std::string cell =
+                    prefix + (adaptive ? "AMQ/approx-adaptive" : "AMQ/approx");
+                lines.push_back(approx_line(cell, engine.approx_count(amq)).text());
+            }
+        }
+    }
+}
+
 std::vector<std::string> recompute_golden() {
     std::vector<std::string> lines;
     const auto graphs = golden_graphs();
-    for (const auto& [graph_name, g] : graphs) {
+    for (const auto& graph : graphs) {
         for (const auto& axis : axes()) {
-            for (const auto partition : {core::PartitionStrategy::kBalancedEdges,
-                                         core::PartitionStrategy::kUniformVertices}) {
-                for (const auto kernel :
-                     {seq::IntersectKind::kMerge, seq::IntersectKind::kAdaptive}) {
-                    Config config;
-                    config.num_ranks = kRanks;
-                    config.partition = partition;
-                    config.options.intersect = kernel;
-                    axis.apply(config);
-                    const Engine engine(g, config);
-                    const std::string prefix =
-                        graph_name + "/" + axis.name + "/"
-                        + partition_strategy_name(partition) + "/"
-                        + seq::intersect_kind_name(kernel) + "/";
-                    for (const auto algorithm : core::all_algorithms()) {
-                        QueryOptions query;
-                        query.algorithm = algorithm;
-                        const std::string cell = prefix + core::algorithm_name(algorithm);
-                        lines.push_back(
-                            report_line(cell + "/count", engine.count(query)).text());
-                        if (!core::algorithm_supports_sink(algorithm)) { continue; }
-                        lines.push_back(
-                            lcc_line(cell + "/lcc", engine.lcc(query)).text());
-                        lines.push_back(
-                            enumerate_line(cell + "/enumerate", engine.enumerate(query))
-                                .text());
-                    }
-                    for (const bool adaptive : {false, true}) {
-                        core::AmqOptions amq;
-                        amq.adaptive = adaptive;
-                        const std::string cell =
-                            prefix + (adaptive ? "AMQ/approx-adaptive" : "AMQ/approx");
-                        lines.push_back(
-                            approx_line(cell, engine.approx_count(amq)).text());
-                    }
-                }
-            }
+            append_axis_cells(lines, graph, axis, Config{});
         }
     }
 
@@ -298,19 +301,10 @@ std::string first_difference(const std::string& golden, const std::string& actua
     return "";
 }
 
-TEST(GoldenReports, SimulatedCostsMatchTheCheckedInGolden) {
-    const auto actual = recompute_golden();
-    {
-        std::ofstream out(KATRIC_GOLDEN_OUT);
-        for (const auto& line : actual) { out << line << '\n'; }
-    }
-
-    std::ifstream in(KATRIC_GOLDEN_FILE);
-    ASSERT_TRUE(in.good()) << "missing golden " << KATRIC_GOLDEN_FILE
-                           << "; recomputed file written to " << KATRIC_GOLDEN_OUT;
-    std::vector<std::string> golden;
-    for (std::string line; std::getline(in, line);) { golden.push_back(line); }
-
+/// Empty when every line matches; otherwise the number of differing lines
+/// and the first difference.
+std::string mismatch(const std::vector<std::string>& golden,
+                     const std::vector<std::string>& actual) {
     std::size_t differing = 0;
     std::string first;
     for (std::size_t i = 0; i < std::max(golden.size(), actual.size()); ++i) {
@@ -319,9 +313,61 @@ TEST(GoldenReports, SimulatedCostsMatchTheCheckedInGolden) {
         if (diff.empty()) { continue; }
         if (differing++ == 0) { first = "line " + std::to_string(i + 1) + ": " + diff; }
     }
-    EXPECT_EQ(golden.size(), actual.size());
-    EXPECT_EQ(differing, 0u) << "first difference at " << first
-                             << "\nrecomputed file: " << KATRIC_GOLDEN_OUT;
+    if (differing == 0) { return ""; }
+    return std::to_string(differing) + " of " + std::to_string(golden.size())
+           + " golden lines differ (" + std::to_string(actual.size())
+           + " recomputed); first difference at " + first;
+}
+
+std::vector<std::string> read_golden() {
+    std::ifstream in(KATRIC_GOLDEN_FILE);
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);) { golden.push_back(line); }
+    return golden;
+}
+
+TEST(GoldenReports, SimulatedCostsMatchTheCheckedInGolden) {
+    const auto actual = recompute_golden();
+    {
+        std::ofstream out(KATRIC_GOLDEN_OUT);
+        for (const auto& line : actual) { out << line << '\n'; }
+    }
+
+    const auto golden = read_golden();
+    ASSERT_FALSE(golden.empty()) << "missing golden " << KATRIC_GOLDEN_FILE
+                                 << "; recomputed file written to " << KATRIC_GOLDEN_OUT;
+    const auto diff = mismatch(golden, actual);
+    EXPECT_TRUE(diff.empty()) << diff << "\nrecomputed file: " << KATRIC_GOLDEN_OUT;
+}
+
+/// Observability records, it never steers: the default-axis cells of both
+/// graphs, rerun with the metrics registry on and a trace written, render
+/// exactly the golden's default lines.
+TEST(GoldenReports, ObservabilityLeavesDefaultCellsUnchanged) {
+    Config observed;
+    observed.metrics = true;
+    // In the build tree; a stale file from an earlier run must not pass.
+    observed.trace_out = "golden_reports.trace.json";
+    std::remove(observed.trace_out.c_str());
+    std::vector<std::string> actual;
+    for (const auto& graph : golden_graphs()) {
+        append_axis_cells(actual, graph, axes().front(), observed);
+    }
+
+    std::vector<std::string> golden;
+    for (const auto& line : read_golden()) {
+        const auto cell = line.substr(0, line.find(' '));
+        if (cell.find("/default/") != std::string::npos) { golden.push_back(line); }
+    }
+    ASSERT_FALSE(golden.empty()) << "missing golden " << KATRIC_GOLDEN_FILE;
+    const auto diff = mismatch(golden, actual);
+    EXPECT_TRUE(diff.empty()) << diff;
+
+    // Every engine is gone, so its trace has been written.
+    const auto check = test::check_trace_file(observed.trace_out);
+    EXPECT_TRUE(check.ok) << check.error;
+    EXPECT_GT(check.num_spans, 0u);
+    std::remove(observed.trace_out.c_str());
 }
 
 }  // namespace

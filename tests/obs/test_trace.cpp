@@ -1,22 +1,18 @@
-// obs::Tracer and obs::check_trace_json — the span recorder must emit
+// obs::Tracer and test::check_trace_json — the span recorder must emit
 // Chrome trace-event JSON the schema checker accepts (balanced B/E stacks,
 // monotone timestamps), and the checker must reject every malformation a
-// drifting emitter could produce. When KATRIC_TRACE_FILE is set, the last
-// test validates that external artifact — the CI smoke leg points it at a
-// trace produced by a real bench run.
+// drifting emitter could produce.
 
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 
 #include "engine.hpp"
 #include "gen/rgg2d.hpp"
 #include "net/simulator.hpp"
-#include "obs/trace_check.hpp"
+#include "support/trace_check.hpp"
 
 namespace katric {
 namespace {
@@ -46,7 +42,7 @@ TEST(Tracer, HostSpansProduceValidBalancedTrace) {
     // Appended end-to-end on the running cursor.
     EXPECT_GE(tracer.spans()[1].begin_us, tracer.spans()[0].end_us);
 
-    const auto check = obs::check_trace_json(tracer.to_json());
+    const auto check = test::check_trace_json(tracer.to_json());
     EXPECT_TRUE(check.ok) << check.error;
     EXPECT_EQ(check.num_spans, 2u);
     EXPECT_EQ(check.num_events, 4u);  // metadata events are not counted
@@ -80,7 +76,7 @@ TEST(Tracer, RecordQueryEmitsHierarchyAndRankLanes) {
     // Two ranks with busy time in each of the four supersteps.
     EXPECT_EQ(rank_spans, 8u);
 
-    const auto check = obs::check_trace_json(tracer.to_json());
+    const auto check = test::check_trace_json(tracer.to_json());
     EXPECT_TRUE(check.ok) << check.error;
     EXPECT_EQ(check.num_spans, tracer.spans().size());
 }
@@ -91,7 +87,7 @@ TEST(Tracer, RankLanesNeedPhaseDetails) {
     obs::Tracer tracer;
     tracer.record_query("count#0", sim);
     for (const auto& span : tracer.spans()) { EXPECT_NE(span.cat, "rank"); }
-    EXPECT_TRUE(obs::check_trace_json(tracer.to_json()).ok);
+    EXPECT_TRUE(test::check_trace_json(tracer.to_json()).ok);
 }
 
 TEST(Tracer, QueriesAppendLeftToRight) {
@@ -115,7 +111,7 @@ TEST(Tracer, QueriesAppendLeftToRight) {
         }
     }
     EXPECT_GE(second_begin, cursor_after_first);
-    EXPECT_TRUE(obs::check_trace_json(tracer.to_json()).ok);
+    EXPECT_TRUE(test::check_trace_json(tracer.to_json()).ok);
 }
 
 TEST(Tracer, EmptySimulatorRecordsNothing) {
@@ -123,7 +119,7 @@ TEST(Tracer, EmptySimulatorRecordsNothing) {
     obs::Tracer tracer;
     tracer.record_query("count#0", sim);
     EXPECT_TRUE(tracer.spans().empty());
-    EXPECT_TRUE(obs::check_trace_json(tracer.to_json()).ok);
+    EXPECT_TRUE(test::check_trace_json(tracer.to_json()).ok);
 }
 
 // --- the checker itself ---------------------------------------------------
@@ -137,39 +133,39 @@ TEST(TraceCheck, AcceptsMinimalHandwrittenTrace) {
         {"ph": "E", "pid": 1, "tid": 0, "ts": 2},
         {"ph": "E", "pid": 1, "tid": 0, "ts": 4}
     ]})";
-    const auto check = obs::check_trace_json(doc);
+    const auto check = test::check_trace_json(doc);
     EXPECT_TRUE(check.ok) << check.error;
     EXPECT_EQ(check.num_spans, 2u);
     EXPECT_EQ(check.num_events, 4u);
 }
 
 TEST(TraceCheck, RejectsMalformedJson) {
-    EXPECT_FALSE(obs::check_trace_json(""));
-    EXPECT_FALSE(obs::check_trace_json("{"));
-    EXPECT_FALSE(obs::check_trace_json(R"({"traceEvents": [}])"));
-    EXPECT_FALSE(obs::check_trace_json(R"({"traceEvents": []} trailing)"));
-    EXPECT_FALSE(obs::check_trace_json(R"({"traceEvents": [{"ph": "B",}]})"));
-    EXPECT_FALSE(obs::check_trace_json(R"([1, 2, 3])"));  // array top level
-    EXPECT_FALSE(obs::check_trace_json(R"({"events": []})"));  // wrong key
+    EXPECT_FALSE(test::check_trace_json(""));
+    EXPECT_FALSE(test::check_trace_json("{"));
+    EXPECT_FALSE(test::check_trace_json(R"({"traceEvents": [}])"));
+    EXPECT_FALSE(test::check_trace_json(R"({"traceEvents": []} trailing)"));
+    EXPECT_FALSE(test::check_trace_json(R"({"traceEvents": [{"ph": "B",}]})"));
+    EXPECT_FALSE(test::check_trace_json(R"([1, 2, 3])"));  // array top level
+    EXPECT_FALSE(test::check_trace_json(R"({"events": []})"));  // wrong key
 }
 
 TEST(TraceCheck, RejectsUnbalancedStacks) {
     // E with no open B.
-    EXPECT_FALSE(obs::check_trace_json(
+    EXPECT_FALSE(test::check_trace_json(
         R"({"traceEvents": [{"ph": "E", "pid": 1, "tid": 0, "ts": 0}]})"));
     // B left open at the end.
-    EXPECT_FALSE(obs::check_trace_json(
+    EXPECT_FALSE(test::check_trace_json(
         R"({"traceEvents": [{"ph": "B", "name": "a", "pid": 1, "tid": 0, "ts": 0}]})"));
     // Balanced per document but crossed between lanes: each tid's stack is
     // checked independently, so tid 1's E has no matching B.
-    EXPECT_FALSE(obs::check_trace_json(R"({"traceEvents": [
+    EXPECT_FALSE(test::check_trace_json(R"({"traceEvents": [
         {"ph": "B", "name": "a", "pid": 1, "tid": 0, "ts": 0},
         {"ph": "E", "pid": 1, "tid": 1, "ts": 1}
     ]})"));
 }
 
 TEST(TraceCheck, RejectsNonMonotoneTimestamps) {
-    EXPECT_FALSE(obs::check_trace_json(R"({"traceEvents": [
+    EXPECT_FALSE(test::check_trace_json(R"({"traceEvents": [
         {"ph": "B", "name": "a", "pid": 1, "tid": 0, "ts": 5},
         {"ph": "E", "pid": 1, "tid": 0, "ts": 4}
     ]})"));
@@ -177,20 +173,20 @@ TEST(TraceCheck, RejectsNonMonotoneTimestamps) {
 
 TEST(TraceCheck, RejectsEventsMissingRequiredFields) {
     // B without a name.
-    EXPECT_FALSE(obs::check_trace_json(
+    EXPECT_FALSE(test::check_trace_json(
         R"({"traceEvents": [{"ph": "B", "pid": 1, "tid": 0, "ts": 0}]})"));
     // B with a string ts.
-    EXPECT_FALSE(obs::check_trace_json(R"({"traceEvents": [
+    EXPECT_FALSE(test::check_trace_json(R"({"traceEvents": [
         {"ph": "B", "name": "a", "pid": 1, "tid": 0, "ts": "0"},
         {"ph": "E", "pid": 1, "tid": 0, "ts": 1}
     ]})"));
     // Event without ph.
     EXPECT_FALSE(
-        obs::check_trace_json(R"({"traceEvents": [{"name": "a", "ts": 0}]})"));
+        test::check_trace_json(R"({"traceEvents": [{"name": "a", "ts": 0}]})"));
 }
 
 TEST(TraceCheck, MissingFileFails) {
-    const auto check = obs::check_trace_file("/nonexistent/katric-trace.json");
+    const auto check = test::check_trace_file("/nonexistent/katric-trace.json");
     EXPECT_FALSE(check.ok);
     EXPECT_FALSE(check.error.empty());
 }
@@ -213,7 +209,7 @@ TEST(EngineTrace, WritesValidatedFileOnRelease) {
         (void)engine.lcc();
         // File is written when the engine (the last owner) goes away.
     }
-    const auto check = obs::check_trace_file(path);
+    const auto check = test::check_trace_file(path);
     EXPECT_TRUE(check.ok) << check.error;
     EXPECT_GT(check.num_spans, 0u);
     std::remove(path.c_str());
@@ -238,22 +234,9 @@ TEST(EngineTrace, EnginesSharingAPathShareOneTimeline) {
         (void)second.count();
         EXPECT_EQ(first.observability()->tracer().num_queries(), 4u);
     }
-    const auto check = obs::check_trace_file(path);
+    const auto check = test::check_trace_file(path);
     EXPECT_TRUE(check.ok) << check.error;
     std::remove(path.c_str());
-}
-
-/// CI hook: when KATRIC_TRACE_FILE names a trace artifact (the smoke job
-/// points it at a traced bench_engine_amortization run), validate it against
-/// the full schema. Skipped in a plain local run.
-TEST(EngineTrace, ValidatesExternalArtifactFromEnv) {
-    const char* path = std::getenv("KATRIC_TRACE_FILE");
-    if (path == nullptr || *path == '\0') {
-        GTEST_SKIP() << "KATRIC_TRACE_FILE not set";
-    }
-    const auto check = obs::check_trace_file(path);
-    EXPECT_TRUE(check.ok) << path << ": " << check.error;
-    EXPECT_GT(check.num_spans, 0u);
 }
 
 }  // namespace

@@ -1,17 +1,31 @@
-#include "obs/trace_check.hpp"
+#pragma once
 
 #include <cctype>
+#include <cstddef>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
-namespace katric::obs {
+namespace katric::test {
 
-namespace {
+/// Outcome of validating a Chrome trace-event JSON document against the
+/// schema obs::Tracer emits. `ok` with empty `error` on success; otherwise
+/// the first violation found.
+struct TraceCheckResult {
+    bool ok = false;
+    std::string error;
+    std::size_t num_events = 0;  ///< B/E events checked (metadata excluded)
+    std::size_t num_spans = 0;   ///< matched B/E pairs
+
+    explicit operator bool() const noexcept { return ok; }
+};
+
+namespace detail {
 
 // --- strict RFC 8259 parser ------------------------------------------
 // Purpose-built for validation: builds a full value tree (traces are small)
@@ -35,9 +49,9 @@ struct JsonValue {
     }
 };
 
-class Parser {
+class JsonParser {
 public:
-    explicit Parser(const std::string& text) : text_(text) {}
+    explicit JsonParser(const std::string& text) : text_(text) {}
 
     std::optional<JsonValue> parse(std::string& error) {
         JsonValue value;
@@ -79,6 +93,15 @@ private:
         }
         ++pos_;
         return true;
+    }
+
+    bool digit_at(std::size_t i) const {
+        return i < text_.size()
+               && std::isdigit(static_cast<unsigned char>(text_[i])) != 0;
+    }
+
+    void skip_digits() {
+        while (digit_at(pos_)) { ++pos_; }
     }
 
     bool parse_value(JsonValue& out) {
@@ -224,42 +247,24 @@ private:
     bool parse_number(JsonValue& out) {
         const std::size_t start = pos_;
         if (pos_ < text_.size() && text_[pos_] == '-') { ++pos_; }
-        if (pos_ >= text_.size()
-            || std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-            return fail("invalid number");
-        }
+        if (!digit_at(pos_)) { return fail("invalid number"); }
         if (text_[pos_] == '0') {
             ++pos_;
         } else {
-            while (pos_ < text_.size()
-                   && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-                ++pos_;
-            }
+            skip_digits();
         }
         if (pos_ < text_.size() && text_[pos_] == '.') {
             ++pos_;
-            if (pos_ >= text_.size()
-                || std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-                return fail("digits required after decimal point");
-            }
-            while (pos_ < text_.size()
-                   && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-                ++pos_;
-            }
+            if (!digit_at(pos_)) { return fail("digits required after decimal point"); }
+            skip_digits();
         }
         if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
             ++pos_;
             if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
                 ++pos_;
             }
-            if (pos_ >= text_.size()
-                || std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-                return fail("digits required in exponent");
-            }
-            while (pos_ < text_.size()
-                   && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-                ++pos_;
-            }
+            if (!digit_at(pos_)) { return fail("digits required in exponent"); }
+            skip_digits();
         }
         out.v = std::stod(text_.substr(start, pos_ - start));
         return true;
@@ -270,33 +275,48 @@ private:
     std::string error_;
 };
 
-TraceCheckResult failure(std::string error) {
+inline TraceCheckResult trace_failure(std::string error) {
     TraceCheckResult result;
     result.error = std::move(error);
     return result;
 }
 
-std::optional<double> get_number(const JsonValue& event, const std::string& key) {
+inline std::optional<double> get_number(const JsonValue& event, const std::string& key) {
     const JsonValue* value = event.find(key);
     if (value == nullptr) { return std::nullopt; }
     const auto* number = std::get_if<double>(&value->v);
     return number == nullptr ? std::nullopt : std::optional<double>(*number);
 }
 
-}  // namespace
+inline const std::string* get_string(const JsonValue& event, const std::string& key) {
+    const JsonValue* value = event.find(key);
+    return value == nullptr ? nullptr : std::get_if<std::string>(&value->v);
+}
 
-TraceCheckResult check_trace_json(const std::string& json) {
-    Parser parser(json);
+}  // namespace detail
+
+/// Validates a trace document:
+///   1. it parses as strict JSON (a purpose-built parser — no third-party
+///      dependency — that accepts exactly the RFC 8259 grammar),
+///   2. the top level is an object with a "traceEvents" array,
+///   3. every event is an object with a one-character "ph"; B/E events
+///      carry numeric "ts"/"pid"/"tid" and B events a "name",
+///   4. timestamps are monotone non-decreasing in array order,
+///   5. on each (pid, tid) lane, B/E events form a balanced stack — every
+///      E closes the most recent open B, and nothing stays open at the end.
+[[nodiscard]] inline TraceCheckResult check_trace_json(const std::string& json) {
+    using detail::trace_failure;
+    detail::JsonParser parser(json);
     std::string parse_error;
     const auto root = parser.parse(parse_error);
-    if (!root.has_value()) { return failure("invalid JSON: " + parse_error); }
+    if (!root.has_value()) { return trace_failure("invalid JSON: " + parse_error); }
 
-    const JsonValue* events_value = root->find("traceEvents");
+    const detail::JsonValue* events_value = root->find("traceEvents");
     if (events_value == nullptr) {
-        return failure("top-level object lacks a \"traceEvents\" member");
+        return trace_failure("top-level object lacks a \"traceEvents\" member");
     }
-    const auto* events = std::get_if<JsonArray>(&events_value->v);
-    if (events == nullptr) { return failure("\"traceEvents\" is not an array"); }
+    const auto* events = std::get_if<detail::JsonArray>(&events_value->v);
+    if (events == nullptr) { return trace_failure("\"traceEvents\" is not an array"); }
 
     TraceCheckResult result;
     // Per-lane stacks of open span names; the key is (pid, tid).
@@ -305,28 +325,25 @@ TraceCheckResult check_trace_json(const std::string& json) {
     bool have_ts = false;
 
     for (std::size_t i = 0; i < events->size(); ++i) {
-        const JsonValue& event = (*events)[i];
-        const JsonValue* ph_value = event.find("ph");
-        const auto* ph = ph_value == nullptr ? nullptr
-                                             : std::get_if<std::string>(&ph_value->v);
-        std::ostringstream where;
-        where << "event " << i;
+        const detail::JsonValue& event = (*events)[i];
+        const std::string* ph = detail::get_string(event, "ph");
+        const std::string where = "event " + std::to_string(i);
         if (ph == nullptr || ph->size() != 1) {
-            return failure(where.str() + ": missing one-character \"ph\"");
+            return trace_failure(where + ": missing one-character \"ph\"");
         }
         const char kind = (*ph)[0];
         if (kind == 'M') { continue; }  // metadata carries no timing
         if (kind != 'B' && kind != 'E') {
-            return failure(where.str() + ": unexpected phase type '" + *ph + "'");
+            return trace_failure(where + ": unexpected phase type '" + *ph + "'");
         }
-        const auto ts = get_number(event, "ts");
-        const auto pid = get_number(event, "pid");
-        const auto tid = get_number(event, "tid");
+        const auto ts = detail::get_number(event, "ts");
+        const auto pid = detail::get_number(event, "pid");
+        const auto tid = detail::get_number(event, "tid");
         if (!ts || !pid || !tid) {
-            return failure(where.str() + ": B/E event lacks numeric ts/pid/tid");
+            return trace_failure(where + ": B/E event lacks numeric ts/pid/tid");
         }
         if (have_ts && *ts < last_ts) {
-            return failure(where.str() + ": timestamps not monotone");
+            return trace_failure(where + ": timestamps not monotone");
         }
         last_ts = *ts;
         have_ts = true;
@@ -334,17 +351,14 @@ TraceCheckResult check_trace_json(const std::string& json) {
 
         auto& stack = open[{*pid, *tid}];
         if (kind == 'B') {
-            const JsonValue* name_value = event.find("name");
-            const auto* name = name_value == nullptr
-                                   ? nullptr
-                                   : std::get_if<std::string>(&name_value->v);
+            const std::string* name = detail::get_string(event, "name");
             if (name == nullptr) {
-                return failure(where.str() + ": begin event lacks a \"name\"");
+                return trace_failure(where + ": begin event lacks a \"name\"");
             }
             stack.push_back(*name);
         } else {
             if (stack.empty()) {
-                return failure(where.str() + ": end event with no open span");
+                return trace_failure(where + ": end event with no open span");
             }
             stack.pop_back();
             ++result.num_spans;
@@ -356,7 +370,7 @@ TraceCheckResult check_trace_json(const std::string& json) {
             std::ostringstream out;
             out << "unclosed span \"" << stack.back() << "\" on lane (pid "
                 << lane.first << ", tid " << lane.second << ")";
-            return failure(out.str());
+            return trace_failure(out.str());
         }
     }
 
@@ -364,12 +378,13 @@ TraceCheckResult check_trace_json(const std::string& json) {
     return result;
 }
 
-TraceCheckResult check_trace_file(const std::string& path) {
+/// check_trace_json over a file's contents; fails when unreadable.
+[[nodiscard]] inline TraceCheckResult check_trace_file(const std::string& path) {
     std::ifstream file(path);
-    if (!file) { return failure("cannot open trace file: " + path); }
+    if (!file) { return detail::trace_failure("cannot open trace file: " + path); }
     std::ostringstream buffer;
     buffer << file.rdbuf();
     return check_trace_json(buffer.str());
 }
 
-}  // namespace katric::obs
+}  // namespace katric::test
