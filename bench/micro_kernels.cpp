@@ -1,6 +1,8 @@
-// Kernel-comparison harness for the intersection subsystem: merge vs binary
-// vs galloping vs SIMD block-merge vs hub-bitmap probes, swept across size
-// ratios (1:1 … 1:1024) and densities (mean gap between consecutive IDs).
+// Kernel-comparison harness for the intersection subsystem: merge vs the
+// kernels the adaptive dispatcher chooses between — galloping, SIMD
+// block-merge, hub-bitmap probes and (at 1:1) the hub∩hub word-AND — swept
+// across size ratios (1:1 … 1:1024) and densities (mean gap between
+// consecutive IDs).
 // Doubles as a correctness gate — every kernel must report the merge
 // oracle's count on every configuration or the harness exits non-zero —
 // and emits the same --json artifact format as the stream benches
@@ -14,14 +16,11 @@
 #include "amq/bloom.hpp"
 #include "bench_common.hpp"
 #include "gen/proxies.hpp"
-#include "gen/rgg2d.hpp"
-#include "graph/orientation.hpp"
 #include "net/message_queue.hpp"
 #include "seq/bitmap_index.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/intersection.hpp"
 #include "seq/intersection_simd.hpp"
-#include "seq/parallel_local.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -91,8 +90,8 @@ double time_ns_per_call(Fn&& fn, double min_ms) {
 int main(int argc, char** argv) {
     using namespace katric;
     CliParser cli("bench_micro_kernels",
-                  "intersection kernel comparison: merge|binary|galloping|simd|bitmap "
-                  "across size ratios and densities");
+                  "intersection kernel comparison: merge|galloping|simd|bitmap|"
+                  "bitmap-and across size ratios and densities");
     cli.option("large", "8192", "size of the large (hub) operand");
     cli.option("ratios", "1,4,16,64,256,1024", "size ratios large:small to sweep");
     cli.option("gaps", "2,16", "mean ID gaps (density = 1/gap) to sweep");
@@ -156,9 +155,6 @@ int main(int argc, char** argv) {
             std::vector<Kernel> kernels;
             kernels.push_back({"merge", measure([&] {
                                    return seq::intersect_merge(small, large);
-                               }, min_ms)});
-            kernels.push_back({"binary", measure([&] {
-                                   return seq::intersect_binary(small, large);
                                }, min_ms)});
             kernels.push_back({"galloping", measure([&] {
                                    return seq::intersect_simd_galloping(small, large);
@@ -284,21 +280,6 @@ int main(int argc, char** argv) {
                                              (void)t;
                                          },
                                          min_ms));
-        const graph::VertexId n = 1 << 14;
-        const auto rgg = gen::generate_rgg2d(
-            n, gen::rgg2d_radius_for_degree(n, 16.0), 5);
-        const auto oriented = graph::orient_by_degree(rgg);
-        for (const int threads : {1, 2, 4}) {
-            other_row("parallel-local-t" + std::to_string(threads),
-                      time_ns_per_call(
-                          [&] {
-                              volatile auto t =
-                                  seq::count_oriented_parallel(oriented, threads)
-                                      .triangles;
-                              (void)t;
-                          },
-                          min_ms));
-        }
     }
     other.print(std::cout);
 

@@ -1,6 +1,7 @@
 #include "config.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -19,6 +20,17 @@ std::string format_double(double value) {
 }
 
 std::string format_bool(bool value) { return value ? "1" : "0"; }
+
+/// An unsigned flag narrowed to the field's type: a value the field cannot
+/// hold is rejected, never wrapped or truncated.
+template <typename T>
+T get_narrow(const CliParser& cli, const std::string& name) {
+    const std::uint64_t value = cli.get_uint(name);
+    KATRIC_ASSERT_MSG(value <= static_cast<std::uint64_t>(std::numeric_limits<T>::max()),
+                      "--" << name << "=" << value << " is out of range (max "
+                           << std::numeric_limits<T>::max() << ")");
+    return static_cast<T>(value);
+}
 
 /// The sentinel default for the numeric machine-model flags: "take the
 /// value from the --network preset".
@@ -95,10 +107,9 @@ void Config::register_cli(CliParser& cli, const Config& defaults) {
                "per-PE buffered-communication budget in words "
                "(default: from --network)");
     cli.option("intersect", seq::intersect_kind_name(defaults.options.intersect),
-               "intersection kernel (adaptive|merge|binary|hybrid|galloping|simd|"
-               "bitmap)");
+               "intersection kernel (merge|adaptive)");
     cli.option("hub-threshold", std::to_string(defaults.options.hub_threshold),
-               "hub bitmap degree threshold for adaptive/bitmap kernels (0 = auto)");
+               "hub bitmap degree threshold for the adaptive kernel (0 = auto)");
     cli.option("buffer-threshold",
                std::to_string(defaults.options.buffer_threshold_words),
                "message-queue buffer threshold δ in words (0 = auto O(|E_i|))");
@@ -165,7 +176,7 @@ Config Config::from_args(const CliParser& cli) {
     KATRIC_ASSERT_MSG(algorithm.has_value(),
                       "unknown algorithm '" << cli.get_string("algorithm") << "'");
     config.algorithm = *algorithm;
-    config.num_ranks = static_cast<graph::Rank>(cli.get_uint("ranks"));
+    config.num_ranks = get_narrow<graph::Rank>(cli, "ranks");
     KATRIC_ASSERT_MSG(config.num_ranks >= 1, "--ranks must be at least 1");
     config.partition = parse_partition_strategy(cli.get_string("partition"));
     config.network = parse_network_preset(cli.get_string("network"));
@@ -190,8 +201,8 @@ Config Config::from_args(const CliParser& cli) {
     config.options.hub_threshold =
         static_cast<graph::Degree>(cli.get_uint("hub-threshold"));
     config.options.buffer_threshold_words = cli.get_uint("buffer-threshold");
-    config.options.threads = static_cast<int>(cli.get_uint("threads"));
-    config.options.pes_per_node = static_cast<graph::Rank>(cli.get_uint("pes-per-node"));
+    config.options.threads = get_narrow<int>(cli, "threads");
+    config.options.pes_per_node = get_narrow<graph::Rank>(cli, "pes-per-node");
     config.options.compress_neighborhoods = cli.get_uint("compress") != 0;
     config.options.detect_termination = cli.get_uint("detect-termination") != 0;
     config.stream_indirect = cli.get_uint("indirect") != 0;
@@ -201,7 +212,7 @@ Config Config::from_args(const CliParser& cli) {
         cli.get_uint("charge-reused-preprocessing") != 0;
     config.metrics = cli.get_uint("metrics") != 0;
     config.trace_out = cli.get_string("trace-out");
-    config.serve_threads = static_cast<int>(cli.get_uint("serve-threads"));
+    config.serve_threads = get_narrow<int>(cli, "serve-threads");
     config.queue_depth = static_cast<std::size_t>(cli.get_uint("queue-depth"));
     config.fault_spec = cli.get_string("fault-spec");
     if (!config.fault_spec.empty()) {
@@ -215,7 +226,7 @@ Config Config::from_args(const CliParser& cli) {
                                                 << cli.get_string("recovery")
                                                 << "' (fail-fast|retry|degrade)");
     config.recovery = *recovery;
-    config.max_retries = static_cast<std::uint32_t>(cli.get_uint("max-retries"));
+    config.max_retries = get_narrow<std::uint32_t>(cli, "max-retries");
     config.phase_timeout = cli.get_double("phase-timeout");
     KATRIC_ASSERT_MSG(config.phase_timeout >= 0.0, "--phase-timeout must be >= 0");
     config.deadline_seconds = cli.get_double("deadline");
@@ -286,8 +297,8 @@ ConfigParse Config::try_from_flags(const std::vector<std::string>& flags) {
         }
         parse.config = from_args(cli);
     } catch (const std::exception& e) {
-        // Enum parses and numeric conversions reject here (assertion_error /
-        // std::invalid_argument from sto*), all with the value in the text.
+        // Enum parses, numeric conversions and range checks reject here
+        // (assertion_error), all with the value in the text.
         return fail(ConfigError::kBadValue, e.what());
     }
     return parse;

@@ -8,7 +8,7 @@ namespace katric::core {
 /// Deterministic model of the hybrid (threads-per-rank) local phase of
 /// Section IV-D: intersection tasks are assigned chunk-wise to the
 /// least-loaded thread — the behaviour of edge-centric work stealing /
-/// OpenMP dynamic scheduling — and the phase costs the makespan over
+/// dynamic loop scheduling — and the phase costs the makespan over
 /// threads. With one thread this degenerates to the sequential sum.
 class ThreadBinner {
 public:

@@ -1,12 +1,11 @@
 #include "fault_plan.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 
 namespace katric::fault {
 
@@ -70,20 +69,6 @@ bool parse_double(const std::string& token, double& out) {
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) { return false; }
     if (!(value >= 0.0) || !std::isfinite(value)) { return false; }  // also NaN
-    out = value;
-    return true;
-}
-
-bool parse_u64(const std::string& token, std::uint64_t& out) {
-    // strtoull silently wraps a leading '-' to a huge positive value; demand
-    // a digit up front so "-1" is malformed, not ~0.
-    if (token.empty() || std::isdigit(static_cast<unsigned char>(token[0])) == 0) {
-        return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end != token.c_str() + token.size() || errno == ERANGE) { return false; }
     out = value;
     return true;
 }

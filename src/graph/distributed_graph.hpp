@@ -116,7 +116,7 @@ public:
     /// after contraction; determines the global-phase communication volume.
     [[nodiscard]] EdgeId contracted_size() const;
 
-    // --- hub bitmap index (adaptive/bitmap kernels) -----------------------
+    // --- hub bitmap index (adaptive kernel) -------------------------------
     /// Materializes this rank's hub bitmap index over the oriented rows the
     /// counting phases intersect against — A(v) for locals, the rewired
     /// A(g) for ghosts. Returns the elementary ops spent (for simulator

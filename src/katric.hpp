@@ -54,6 +54,5 @@
 #include "obs/observability.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
-#include "seq/parallel_local.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/stream_runner.hpp"

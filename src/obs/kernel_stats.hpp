@@ -8,15 +8,19 @@
 namespace katric::obs {
 
 /// The kernel a dispatcher actually executed for one intersection — finer
-/// grained than seq::IntersectKind because the adaptive/bitmap kinds resolve
-/// to different kernels per call (and the hub path splits into word-AND vs
+/// grained than seq::IntersectKind because kAdaptive resolves to a
+/// different kernel per call (and the hub path splits into word-AND vs
 /// probe). This is the substrate for crossover tuning: pairing each choice
 /// with the operand-size bucket it fired in shows where the dispatch
 /// boundaries actually sit on a live workload.
+///
+/// kBinary and kHybrid are never recorded: no IntersectKind runs those
+/// kernels. They keep their slots so every `seq.calls.<choice>` series the
+/// benchmark emits keeps its name (and reads 0).
 enum class KernelChoice : std::uint8_t {
     kMerge,         ///< scalar merge scan
-    kBinary,        ///< per-element binary probes
-    kHybrid,        ///< size-ratio merge/binary choice (paper-era kernel)
+    kBinary,        ///< never recorded
+    kHybrid,        ///< never recorded
     kGalloping,     ///< cursor galloping (SIMD front scan when available)
     kSimdMerge,     ///< AVX2 block merge (scalar merge when unavailable)
     kBitmapHubHub,  ///< hub∩hub word-AND + popcount
@@ -29,8 +33,8 @@ inline constexpr std::size_t kNumKernelChoices = 7;
 
 /// Dispatch-mix counters recorded by seq::AdaptiveIntersect: how often each
 /// kernel fired, bucketed by the smaller operand's log₂ size (the cost
-/// driver of every kernel), plus hub-bitmap hit/miss rates for the
-/// hub-aware kinds. Recording is a single array increment on the already
+/// driver of every kernel), plus hub-bitmap hit/miss rates for
+/// kAdaptive. Recording is a single array increment on the already
 /// decided branch — cheap enough for the per-intersection hot path — and
 /// entirely skipped when no stats object is attached (the disabled default).
 ///
@@ -44,10 +48,10 @@ struct KernelStats {
     static constexpr std::size_t kBuckets = 24;
 
     std::array<std::array<std::uint64_t, kBuckets>, kNumKernelChoices> dispatch{};
-    /// Hub-index outcomes on the kAdaptive/kBitmap kinds: a hit means at
-    /// least one operand was served from its bitmap; a miss means an index
-    /// existed but covered neither operand (the dispatcher fell through to
-    /// the size-adaptive choice).
+    /// Hub-index outcomes on kAdaptive: a hit means at least one operand
+    /// was served from its bitmap; a miss means an index existed but
+    /// covered neither operand (the dispatcher fell through to the
+    /// size-adaptive choice).
     std::uint64_t hub_hits = 0;
     std::uint64_t hub_misses = 0;
 

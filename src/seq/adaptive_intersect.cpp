@@ -7,14 +7,16 @@ namespace katric::seq {
 
 namespace {
 
+using graph::VertexId;
+using Span = std::span<const VertexId>;
+
 /// Resolves which side (if any) can be served from the hub index. Returns
 /// the intersection result, or nullopt when neither row is covered. On
 /// success `choice` reports which bitmap kernel ran.
-std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs,
-                                          std::span<const graph::VertexId> a,
-                                          std::span<const graph::VertexId> b,
-                                          graph::VertexId a_id, graph::VertexId b_id,
-                                          std::vector<graph::VertexId>* out,
+template <bool kCollect>
+std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs, Span a, Span b,
+                                          VertexId a_id, VertexId b_id,
+                                          std::vector<VertexId>* out,
                                           obs::KernelChoice& choice) {
     if (hubs == nullptr || hubs->empty()) { return std::nullopt; }
     // No row shorter than the smallest indexed row can be covered, so such
@@ -27,120 +29,73 @@ std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs,
     const auto* b_hub = b_id != graph::kInvalidVertex && b.size() >= gate
                             ? hubs->lookup(b_id, b)
                             : nullptr;
-    if (a_hub != nullptr && b_hub != nullptr && out == nullptr) {
+    if constexpr (!kCollect) {
         // Word-AND + popcount, unless probing the smaller row through the
         // other's bitmap is cheaper (sparse rows in a large universe).
-        const std::uint64_t probe_cost = std::min(a.size(), b.size());
-        if (hubs->words_per_row() <= probe_cost) {
+        if (a_hub != nullptr && b_hub != nullptr
+            && hubs->words_per_row() <= std::min(a.size(), b.size())) {
             choice = obs::KernelChoice::kBitmapHubHub;
             return hubs->intersect_hub_hub(*a_hub, *b_hub);
         }
     }
+    // Probe the (typically smaller) non-hub side through the other's bitmap.
+    const bool through_b = b_hub != nullptr && !(a_hub != nullptr && a.size() > b.size());
+    if (!through_b && a_hub == nullptr) { return std::nullopt; }
+    const auto& hub = through_b ? *b_hub : *a_hub;
+    const Span probe = through_b ? a : b;
     choice = obs::KernelChoice::kBitmapProbe;
-    if (b_hub != nullptr && !(a_hub != nullptr && a.size() > b.size())) {
-        // Probe the (typically smaller) non-hub side through b's bitmap.
-        return out == nullptr ? hubs->intersect_count(*b_hub, a)
-                              : hubs->intersect_collect(*b_hub, a, *out);
+    if constexpr (kCollect) {
+        return hubs->intersect_collect(hub, probe, *out);
+    } else {
+        return hubs->intersect_count(hub, probe);
     }
-    if (a_hub != nullptr) {
-        return out == nullptr ? hubs->intersect_count(*a_hub, b)
-                              : hubs->intersect_collect(*a_hub, b, *out);
-    }
-    return std::nullopt;
 }
 
 }  // namespace
 
-IntersectResult AdaptiveIntersect::count(std::span<const graph::VertexId> a,
-                                         std::span<const graph::VertexId> b,
-                                         graph::VertexId a_id,
-                                         graph::VertexId b_id) const {
+template <bool kCollect>
+IntersectResult AdaptiveIntersect::dispatch(Span a, Span b, std::vector<VertexId>* out,
+                                            VertexId a_id, VertexId b_id) const {
     const std::size_t smaller = std::min(a.size(), b.size());
-    switch (kind_) {
-        case IntersectKind::kMerge:
-            note(obs::KernelChoice::kMerge, smaller);
-            return intersect_merge(a, b);
-        case IntersectKind::kBinary:
-            note(obs::KernelChoice::kBinary, smaller);
-            return intersect_binary(a, b);
-        case IntersectKind::kHybrid:
-            note(obs::KernelChoice::kHybrid, smaller);
-            return intersect_hybrid(a, b);
-        case IntersectKind::kGalloping:
-            note(obs::KernelChoice::kGalloping, smaller);
-            return intersect_simd_galloping(a, b);
-        case IntersectKind::kSimd:
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge(a, b);
-        case IntersectKind::kBitmap:
-            // No hub coverage: degrade exactly like the span-only
-            // seq::intersect() entry point, so the named kernel charges the
-            // same ops on every call path.
-            [[fallthrough]];
-        case IntersectKind::kAdaptive: {
-            obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
-            if (auto r = try_bitmap(hubs_, a, b, a_id, b_id, nullptr, bitmap_choice)) {
-                if (stats_ != nullptr) {
-                    ++stats_->hub_hits;
-                    stats_->record(bitmap_choice, smaller);
-                }
-                return *r;
-            }
-            if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
-                ++stats_->hub_misses;
-            }
-            if (probe_search_pays_off(a.size(), b.size())) {
-                note(obs::KernelChoice::kGalloping, smaller);
-                return intersect_simd_galloping(a, b);
-            }
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge(a, b);
+    const auto run = [&](obs::KernelChoice choice, auto count_kernel,
+                         auto collect_kernel) {
+        note(choice, smaller);
+        if constexpr (kCollect) {
+            return collect_kernel(a, b, *out);
+        } else {
+            return count_kernel(a, b);
         }
+    };
+    if (kind_ == IntersectKind::kMerge) {
+        return run(obs::KernelChoice::kMerge, intersect_merge, intersect_merge_collect);
     }
-    return {};
+    obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
+    if (auto r = try_bitmap<kCollect>(hubs_, a, b, a_id, b_id, out, bitmap_choice)) {
+        if (stats_ != nullptr) {
+            ++stats_->hub_hits;
+            stats_->record(bitmap_choice, smaller);
+        }
+        return *r;
+    }
+    if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
+        ++stats_->hub_misses;
+    }
+    if (probe_search_pays_off(a.size(), b.size())) {
+        return run(obs::KernelChoice::kGalloping, intersect_simd_galloping,
+                   intersect_simd_galloping_collect);
+    }
+    return run(obs::KernelChoice::kSimdMerge, intersect_simd_merge,
+               intersect_simd_merge_collect);
 }
 
-IntersectResult AdaptiveIntersect::collect(std::span<const graph::VertexId> a,
-                                           std::span<const graph::VertexId> b,
-                                           std::vector<graph::VertexId>& out,
-                                           graph::VertexId a_id,
-                                           graph::VertexId b_id) const {
-    const std::size_t smaller = std::min(a.size(), b.size());
-    switch (kind_) {
-        case IntersectKind::kMerge:
-        case IntersectKind::kBinary:
-        case IntersectKind::kHybrid:
-            note(obs::KernelChoice::kMerge, smaller);
-            return intersect_merge_collect(a, b, out);
-        case IntersectKind::kGalloping:
-            note(obs::KernelChoice::kGalloping, smaller);
-            return intersect_simd_galloping_collect(a, b, out);
-        case IntersectKind::kSimd:
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge_collect(a, b, out);
-        case IntersectKind::kBitmap:
-            [[fallthrough]];  // no hub coverage degrades like kAdaptive
-        case IntersectKind::kAdaptive: {
-            obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
-            if (auto r = try_bitmap(hubs_, a, b, a_id, b_id, &out, bitmap_choice)) {
-                if (stats_ != nullptr) {
-                    ++stats_->hub_hits;
-                    stats_->record(bitmap_choice, smaller);
-                }
-                return *r;
-            }
-            if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
-                ++stats_->hub_misses;
-            }
-            if (probe_search_pays_off(a.size(), b.size())) {
-                note(obs::KernelChoice::kGalloping, smaller);
-                return intersect_simd_galloping_collect(a, b, out);
-            }
-            note(obs::KernelChoice::kSimdMerge, smaller);
-            return intersect_simd_merge_collect(a, b, out);
-        }
-    }
-    return {};
+IntersectResult AdaptiveIntersect::count(Span a, Span b, VertexId a_id,
+                                         VertexId b_id) const {
+    return dispatch<false>(a, b, nullptr, a_id, b_id);
+}
+
+IntersectResult AdaptiveIntersect::collect(Span a, Span b, std::vector<VertexId>& out,
+                                           VertexId a_id, VertexId b_id) const {
+    return dispatch<true>(a, b, &out, a_id, b_id);
 }
 
 }  // namespace katric::seq

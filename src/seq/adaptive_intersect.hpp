@@ -11,33 +11,27 @@
 
 namespace katric::seq {
 
-/// Per-intersection kernel dispatcher — the one object the counting paths
-/// talk to instead of raw IntersectKind plumbing. Given the two operand
+/// Per-intersection kernel dispatcher — the one object every counting path
+/// talks to instead of raw IntersectKind plumbing. Given the two operand
 /// spans (and, when known, their vertex IDs for hub lookup), it picks:
 ///
 ///   kind        | decision
 ///   ------------+------------------------------------------------------
 ///   merge       | scalar merge, always
-///   binary      | per-element binary probes of the larger side
-///   hybrid      | size-ratio choice between merge and binary (paper-era)
-///   galloping   | cursor galloping (SIMD front scan when available)
-///   simd        | AVX2 block merge (scalar merge when unavailable)
-///   bitmap      | identical to adaptive (hub bitmap where indexed, the
-///               | size-adaptive choice elsewhere) — kept as a separate
-///               | CLI name so runs can document the intent
-///   adaptive    | hub bitmap if indexed; else galloping when
-///               | probe_search_pays_off(|a|,|b|); else SIMD block merge
+///   adaptive    | hub bitmap if indexed; else galloping (SIMD front scan
+///               | when available) when probe_search_pays_off(|a|,|b|);
+///               | else SIMD block merge (scalar merge when unavailable)
 ///
-/// For the bitmap paths, hub∩hub additionally compares the word-AND cost
+/// For the bitmap path, hub∩hub additionally compares the word-AND cost
 /// against probing the smaller row and takes the cheaper one. All kernels
 /// return exactly the same count/elements; only the measured `ops` — and
 /// therefore the simulated compute charge — differ.
 ///
 /// When an obs::KernelStats sink is attached, every call additionally
 /// records the kernel that actually fired (bucketed by smaller-operand
-/// size) and, on the hub-aware kinds, whether the hub index served the
-/// call — the dispatch-mix telemetry behind crossover tuning. With the
-/// default null sink the recording branch is a single predictable test.
+/// size) and, on kAdaptive, whether the hub index served the call — the
+/// dispatch-mix telemetry behind crossover tuning. With the default null
+/// sink the recording branch is a single predictable test.
 class AdaptiveIntersect {
 public:
     AdaptiveIntersect() = default;
@@ -65,6 +59,14 @@ public:
                             graph::VertexId b_id = graph::kInvalidVertex) const;
 
 private:
+    /// The decision table above, written once: count() instantiates it
+    /// without an output vector, collect() with one.
+    template <bool kCollect>
+    IntersectResult dispatch(std::span<const graph::VertexId> a,
+                             std::span<const graph::VertexId> b,
+                             std::vector<graph::VertexId>* out, graph::VertexId a_id,
+                             graph::VertexId b_id) const;
+
     void note(obs::KernelChoice choice, std::size_t smaller) const noexcept {
         if (stats_ != nullptr) { stats_->record(choice, smaller); }
     }

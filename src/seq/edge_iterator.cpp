@@ -26,11 +26,12 @@ std::uint64_t count_brute_force(const CsrGraph& undirected) {
 
 SeqCountResult count_oriented(const CsrGraph& oriented, IntersectKind kind) {
     KATRIC_ASSERT(oriented.is_oriented());
+    const AdaptiveIntersect isect(kind);
     SeqCountResult result;
     for (VertexId v = 0; v < oriented.num_vertices(); ++v) {
         const auto out_v = oriented.neighbors(v);
         for (VertexId u : out_v) {
-            const auto r = intersect(kind, out_v, oriented.neighbors(u));
+            const auto r = isect.count(out_v, oriented.neighbors(u));
             result.triangles += r.count;
             result.ops += r.ops;
         }

@@ -35,7 +35,7 @@ struct SeqCountResult {
 
 /// Δ(v) for every vertex: number of triangles incident to v. Basis of the
 /// local clustering coefficient. `kind` selects the closing-vertex collect
-/// kernel (merge/galloping/SIMD families; every kind yields identical Δ).
+/// kernel (both kinds yield identical Δ).
 [[nodiscard]] std::vector<std::uint64_t> per_vertex_triangles(
     const graph::CsrGraph& undirected, IntersectKind kind = IntersectKind::kMerge);
 

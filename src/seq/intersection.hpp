@@ -17,59 +17,26 @@ struct IntersectResult {
     std::uint64_t ops = 0;
 };
 
+/// The kernel menu. kMerge runs the paper's merge on every intersection;
+/// kAdaptive picks per intersection — hub bitmap, galloping or SIMD block
+/// merge — from operand sizes and hub membership (see
+/// seq::AdaptiveIntersect for the decision table).
+enum class IntersectKind {
+    kMerge,
+    kAdaptive,
+};
+
+[[nodiscard]] std::string intersect_kind_name(IntersectKind kind);
+/// Parses "merge|adaptive"; throws assertion_error on anything else (CLI
+/// typos must fail loudly).
+[[nodiscard]] IntersectKind parse_intersect_kind(const std::string& name);
+[[nodiscard]] const std::vector<IntersectKind>& all_intersect_kinds();
+
 /// Merge-style intersection of two ID-sorted neighborhoods — the kernel the
 /// paper uses ("a procedure similar to the merge phase of merge sort").
 /// ops = number of comparisons ≈ |a| + |b|.
 [[nodiscard]] IntersectResult intersect_merge(std::span<const graph::VertexId> a,
                                               std::span<const graph::VertexId> b) noexcept;
-
-/// Binary-search intersection: probe each element of the smaller set in the
-/// larger one. ops = the probe comparisons *actually performed* (measured,
-/// not the ⌈log₂|large|⌉ upper bound), so hybrid/adaptive crossover
-/// decisions and simulator costs reflect real work. Wins for very skewed
-/// sizes and is the GPU-friendly variant discussed in related work.
-[[nodiscard]] IntersectResult intersect_binary(std::span<const graph::VertexId> a,
-                                               std::span<const graph::VertexId> b) noexcept;
-
-/// Galloping (exponential-search) intersection: walk the smaller set and
-/// gallop a monotone cursor through the larger one. Unlike intersect_binary
-/// the probes share one forward-moving cursor, so the cost adapts to the
-/// overlap pattern: O(small · log(large/small)) worst case, near O(small)
-/// when matches cluster. ops = measured comparisons.
-[[nodiscard]] IntersectResult intersect_galloping(
-    std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
-
-/// Size-ratio dispatch between merge and binary search.
-[[nodiscard]] IntersectResult intersect_hybrid(std::span<const graph::VertexId> a,
-                                               std::span<const graph::VertexId> b) noexcept;
-
-/// The kernel menu. kMerge/kBinary/kHybrid are the paper-era scalar kernels;
-/// kGalloping/kSimd add the cursor-galloping and AVX2 block-merge kernels;
-/// kBitmap forces hub-bitmap probes where a hub row is available; kAdaptive
-/// picks per intersection from size ratio + hub membership (see
-/// seq::AdaptiveIntersect for the decision table).
-enum class IntersectKind {
-    kMerge,
-    kBinary,
-    kHybrid,
-    kGalloping,
-    kSimd,
-    kBitmap,
-    kAdaptive,
-};
-
-/// Span-only dispatch. kBitmap/kAdaptive degrade gracefully here (no hub
-/// index in scope): they fall back to the size-adaptive galloping/SIMD
-/// choice. Hub-aware dispatch lives in seq::AdaptiveIntersect.
-[[nodiscard]] IntersectResult intersect(IntersectKind kind,
-                                        std::span<const graph::VertexId> a,
-                                        std::span<const graph::VertexId> b) noexcept;
-
-[[nodiscard]] std::string intersect_kind_name(IntersectKind kind);
-/// Parses "merge|binary|hybrid|galloping|simd|bitmap|adaptive"; throws
-/// assertion_error on anything else (CLI typos must fail loudly).
-[[nodiscard]] IntersectKind parse_intersect_kind(const std::string& name);
-[[nodiscard]] const std::vector<IntersectKind>& all_intersect_kinds();
 
 /// Merge intersection that also reports the common elements — needed for
 /// per-vertex triangle counts (LCC), where every closing vertex w must be
@@ -77,6 +44,14 @@ enum class IntersectKind {
 IntersectResult intersect_merge_collect(std::span<const graph::VertexId> a,
                                         std::span<const graph::VertexId> b,
                                         std::vector<graph::VertexId>& out);
+
+/// Galloping (exponential-search) intersection: walk the smaller set and
+/// gallop a monotone cursor through the larger one. The probes share one
+/// forward-moving cursor, so the cost adapts to the overlap pattern:
+/// O(small · log(large/small)) worst case, near O(small) when matches
+/// cluster. ops = measured comparisons.
+[[nodiscard]] IntersectResult intersect_galloping(
+    std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
 
 /// Galloping counterpart of intersect_merge_collect (same output contract).
 IntersectResult intersect_galloping_collect(std::span<const graph::VertexId> a,
@@ -92,8 +67,8 @@ IntersectResult intersect_galloping_collect(std::span<const graph::VertexId> a,
                                              std::uint64_t& ops) noexcept;
 
 /// True when |small|-probe search is estimated cheaper than a linear merge
-/// of both sets — the shared crossover rule of the hybrid and adaptive
-/// dispatchers.
+/// of both sets — the size crossover of the adaptive dispatcher and of the
+/// streaming counter.
 [[nodiscard]] bool probe_search_pays_off(std::size_t size_a, std::size_t size_b) noexcept;
 
 /// Per-thread reusable collect buffer: call sites that enumerate closing

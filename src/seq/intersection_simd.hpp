@@ -15,7 +15,8 @@ namespace katric::seq {
 /// function-level target attributes — no -march=native requirement — and
 /// every entry point silently degrades to the scalar kernel when the
 /// feature is compiled out, the CPU lacks AVX2, or a test forces the
-/// scalar path.
+/// scalar path. They are defined in intersection.cpp, beside the scalar
+/// kernels whose loops they share.
 ///
 /// Op-cost calibration: one 4×4 block comparison (4 cmpeq + mask extract +
 /// advance) replaces up to 8 scalar merge comparisons but retires in a few
@@ -37,8 +38,8 @@ void force_scalar_simd(bool force) noexcept;
 
 /// Shuffle-based block merge: compares 4-element blocks of both inputs
 /// all-pairs via lane rotations, advancing the block with the smaller
-/// maximum. Exact same result as intersect_merge. Falls back to
-/// intersect_merge when simd_available() is false.
+/// maximum, and finishes the tail with the scalar merge. Exact same result
+/// as intersect_merge; is intersect_merge when simd_available() is false.
 [[nodiscard]] IntersectResult intersect_simd_merge(
     std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
 
@@ -50,7 +51,7 @@ IntersectResult intersect_simd_merge_collect(std::span<const graph::VertexId> a,
 
 /// Galloping probe with a vectorized front scan: each probe first compares
 /// one 4-lane window at the shared cursor (1 charged op) and only gallops
-/// scalar beyond it. Falls back to intersect_galloping when unavailable.
+/// scalar beyond it. Is intersect_galloping when simd_available() is false.
 [[nodiscard]] IntersectResult intersect_simd_galloping(
     std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
 

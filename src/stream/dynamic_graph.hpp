@@ -79,7 +79,7 @@ public:
         return adjacency_;
     }
 
-    // --- hub bitmaps (adaptive/bitmap streaming kernels) ------------------
+    // --- hub bitmaps (adaptive streaming kernel) --------------------------
     /// Turns on hub bitmap maintenance over the local rows and builds the
     /// initial index. From here on every insert/erase_half_edge marks its
     /// row dirty; rebuild_dirty_hubs() re-materializes exactly the dirty

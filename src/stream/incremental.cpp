@@ -229,9 +229,7 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
         sixths_[self.rank()] += gained;
         return;
     }
-    if ((kind == seq::IntersectKind::kAdaptive
-         || kind == seq::IntersectKind::kGalloping)
-        && flagged_a.size() <= row_b.size()
+    if (kind == seq::IntersectKind::kAdaptive && flagged_a.size() <= row_b.size()
         && seq::probe_search_pays_off(flagged_a.size(), row_b.size())) {
         // Galloping path: walk the (small) shipped row, gallop the local
         // one. The a-side flags ride along; masking restores the IDs.
@@ -251,8 +249,9 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
         sixths_[self.rank()] += gained;
         return;
     }
-    // Merge path (every remaining kind): the flag bit sits above any valid
-    // vertex ID, so masking per element keeps the scan order intact.
+    // Merge path (kMerge, or kAdaptive when neither shortcut applies): the
+    // flag bit sits above any valid vertex ID, so masking per element keeps
+    // the scan order intact.
     self.charge_ops(flagged_a.size() + row_b.size());
     std::size_t i = 0;
     std::size_t j = 0;

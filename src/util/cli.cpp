@@ -5,8 +5,30 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 
 namespace katric {
+
+namespace {
+
+/// Applies a std::sto* conversion to `value` and demands it consume every
+/// character; garbage, overflow and trailing characters all fail with the
+/// option named.
+template <typename Convert>
+auto whole_token(const std::string& name, const std::string& value, Convert convert) {
+    std::size_t used = 0;
+    decltype(convert(value, &used)) parsed{};
+    try {
+        parsed = convert(value, &used);
+    } catch (const std::logic_error&) {
+        used = 0;  // std::invalid_argument / std::out_of_range
+    }
+    KATRIC_ASSERT_MSG(!value.empty() && used == value.size(),
+                      "--" << name << " expects a number, got '" << value << "'");
+    return parsed;
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -74,15 +96,26 @@ bool CliParser::was_set(const std::string& name) const {
 }
 
 std::int64_t CliParser::get_int(const std::string& name) const {
-    return std::stoll(get_string(name));
+    return whole_token(name, get_string(name),
+                       [](const std::string& value, std::size_t* used) {
+                           return std::stoll(value, used);
+                       });
 }
 
 std::uint64_t CliParser::get_uint(const std::string& name) const {
-    return std::stoull(get_string(name));
+    const std::string value = get_string(name);
+    std::uint64_t parsed = 0;
+    KATRIC_ASSERT_MSG(parse_u64(value, parsed),
+                      "--" << name << " expects an unsigned integer, got '" << value
+                           << "'");
+    return parsed;
 }
 
 double CliParser::get_double(const std::string& name) const {
-    return std::stod(get_string(name));
+    return whole_token(name, get_string(name),
+                       [](const std::string& value, std::size_t* used) {
+                           return std::stod(value, used);
+                       });
 }
 
 bool CliParser::get_flag(const std::string& name) const {
@@ -95,7 +128,12 @@ std::vector<std::uint64_t> CliParser::get_uint_list(const std::string& name) con
     std::stringstream stream(get_string(name));
     std::string token;
     while (std::getline(stream, token, ',')) {
-        if (!token.empty()) { result.push_back(std::stoull(token)); }
+        if (token.empty()) { continue; }
+        std::uint64_t parsed = 0;
+        KATRIC_ASSERT_MSG(parse_u64(token, parsed),
+                          "--" << name << " expects unsigned integers, got '" << token
+                               << "'");
+        result.push_back(parsed);
     }
     return result;
 }

@@ -42,6 +42,9 @@ public:
     [[nodiscard]] std::string get_string(const std::string& name) const;
     /// True iff the user explicitly passed the option (vs. its default).
     [[nodiscard]] bool was_set(const std::string& name) const;
+    /// Numeric getters consume the whole value: "4x", "1e3" for an integer
+    /// or a leading '-' for an unsigned one throw assertion_error naming the
+    /// option instead of yielding 4, 1 or a wrapped 2^64-1.
     [[nodiscard]] std::int64_t get_int(const std::string& name) const;
     [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
     [[nodiscard]] double get_double(const std::string& name) const;

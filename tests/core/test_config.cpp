@@ -199,6 +199,43 @@ TEST(Config, TryFromFlagsRejectsMissingValueAndBadValue) {
     EXPECT_EQ(not_a_flag.error, ConfigError::kBadValue);
 }
 
+TEST(Config, TryFromFlagsRejectsRetiredIntersectKinds) {
+    // Only merge and adaptive remain; every retired kernel name is a typed
+    // bad value that names what was passed.
+    for (const std::string name : {"binary", "hybrid", "galloping", "simd", "bitmap"}) {
+        const auto parse = Config::try_from_flags({"--intersect=" + name});
+        EXPECT_EQ(parse.error, ConfigError::kBadValue) << name;
+        EXPECT_NE(parse.detail.find("'" + name + "'"), std::string::npos) << parse.detail;
+    }
+    for (const auto kind : seq::all_intersect_kinds()) {
+        const auto name = seq::intersect_kind_name(kind);
+        const auto parse = Config::try_from_flags({"--intersect=" + name});
+        ASSERT_TRUE(parse.ok()) << name << ": " << parse.message();
+        EXPECT_EQ(parse.config->options.intersect, kind);
+    }
+}
+
+TEST(Config, TryFromFlagsRejectsWrappedOrTruncatedNumbers) {
+    // Each of these used to parse "successfully" into a wrapped or
+    // truncated value (e.g. --ranks=-1 gave 4294967295, --threads=4x gave 4).
+    for (const std::string flag :
+         {"--ranks=-1", "--ranks=4294967297", "--ranks=1e3", "--threads=4x",
+          "--max-retries=-1", "--threads=2147483648", "--serve-threads=4294967296",
+          "--pes-per-node=4294967296", "--max-retries=4294967296",
+          "--buffer-threshold=18446744073709551616", "--alpha=1e-6s"}) {
+        const auto parse = Config::try_from_flags({flag});
+        EXPECT_EQ(parse.error, ConfigError::kBadValue) << flag;
+        EXPECT_FALSE(parse.config.has_value()) << flag;
+    }
+    // The largest value each field can hold still parses.
+    const auto edge = Config::try_from_flags(
+        {"--ranks=4294967295", "--threads=2147483647", "--max-retries=4294967295"});
+    ASSERT_TRUE(edge.ok()) << edge.message();
+    EXPECT_EQ(edge.config->num_ranks, 4294967295u);
+    EXPECT_EQ(edge.config->options.threads, 2147483647);
+    EXPECT_EQ(edge.config->max_retries, 4294967295u);
+}
+
 TEST(Config, RoundTripSurvivesTypedValidation) {
     // parse(to_flags(c)) == c must keep holding through try_from_flags (no
     // preset emits a duplicate or unknown flag).

@@ -60,6 +60,52 @@ TEST_P(HybridThreadsTest, CountsStayExact) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, HybridThreadsTest, ::testing::Values(1, 2, 6, 12));
 
+// On a single PE every intersection runs in the local phase, so the binned
+// local phase is the shared-memory parallel counter.
+Report single_pe_count(const graph::CsrGraph& g, int threads) {
+    Config config;
+    config.algorithm = Algorithm::kDitric;
+    config.num_ranks = 1;
+    config.options.threads = threads;
+    return Engine(g, config).count();
+}
+
+class ParallelThreadsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelThreadsTest, MatchesSequentialOnAllFamilies) {
+    const int threads = GetParam();
+    for (const auto& fc : test::family_cases()) {
+        SCOPED_TRACE(fc.name);
+        const auto seq_result = seq::count_edge_iterator(fc.graph);
+        const auto one = single_pe_count(fc.graph, 1);
+        const auto par = single_pe_count(fc.graph, threads);
+        EXPECT_EQ(par.count.triangles, seq_result.triangles);
+        EXPECT_EQ(par.count.local_phase_triangles, seq_result.triangles);
+        EXPECT_EQ(par.total_compute_ops, one.total_compute_ops);  // same total work
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelThreadsTest, ::testing::Values(1, 2, 4, 8));
+
+TEST(ParallelLocal, MaxThreadOpsBoundedByTotal) {
+    // The binned phase costs the busiest thread's ops: at most the
+    // sequential sum, at least its even share (pigeonhole).
+    const auto g = gen::generate_rmat(10, 8192, 3);
+    const auto one = single_pe_count(g, 1);
+    const auto four = single_pe_count(g, 4);
+    EXPECT_EQ(four.count.triangles, one.count.triangles);
+    EXPECT_LT(four.count.local_time, one.count.local_time);
+    EXPECT_GE(four.count.local_time, one.count.local_time / 4.0 * (1.0 - 1e-12));
+}
+
+TEST(ParallelLocal, SingleThreadDegenerate) {
+    const auto report = single_pe_count(test::complete_graph(16), 1);
+    EXPECT_EQ(report.count.triangles, 560u);  // C(16,3)
+    EXPECT_EQ(report.count.local_phase_triangles, 560u);
+    EXPECT_EQ(report.count.global_phase_triangles, 0u);
+    EXPECT_EQ(report.max_compute_ops, report.total_compute_ops);
+}
+
 TEST(Hybrid, MoreThreadsShrinkLocalPhaseTime) {
     const auto g = gen::generate_rmat(12, 1 << 15, 21);
     RunSpec spec;

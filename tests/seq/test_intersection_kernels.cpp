@@ -1,16 +1,17 @@
 // Differential tests for the intersection kernel subsystem: every kernel
-// (binary, hybrid, galloping, SIMD block merge, SIMD galloping, hub bitmap,
-// adaptive dispatch) against the scalar merge oracle on randomized sorted
-// sets — including the SIMD tail lengths 0–17, bitmap collect order, and
-// adversarial shapes (empty, disjoint, identical, one-element, 1:10⁶ skew).
-// Each randomized case runs on both the AVX2 path and the forced-scalar
-// fallback so the two stay bit-identical.
+// (merge, galloping, SIMD block merge, SIMD galloping, hub-bitmap probe,
+// hub∩hub word-AND, adaptive dispatch) against std::set_intersection on
+// randomized sorted sets — including the SIMD tail lengths 0–17, collect
+// order, and adversarial shapes (empty, disjoint, identical, one-element,
+// 1:10⁶ skew). Each randomized case runs on both the AVX2 path and the
+// forced-scalar fallback so the two stay bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "seq/adaptive_intersect.hpp"
@@ -46,23 +47,56 @@ public:
     ~ScopedSimdMode() { force_scalar_simd(false); }
 };
 
+/// The hub kernels on the same operands: both non-empty rows are indexed
+/// (a as hub 0, b as hub 1), so the bitmap probe, the word-AND and the
+/// adaptive dispatcher's bitmap branches all run.
+void expect_hub_kernels_match(const std::vector<VertexId>& a,
+                              const std::vector<VertexId>& b,
+                              const std::vector<VertexId>& expected) {
+    HubBitmapIndex::Config config;
+    config.degree_threshold = 1;
+    config.max_hubs = 2;
+    config.universe = 1 + std::max(a.empty() ? 0 : a.back(), b.empty() ? 0 : b.back());
+    HubBitmapIndex index;
+    const std::vector<VertexId> ids{0, 1};
+    index.build(config, ids,
+                [&](VertexId id) { return std::span<const VertexId>(id == 0 ? a : b); });
+    std::vector<VertexId> collected;
+    if (index.contains_hub(1)) {
+        EXPECT_EQ(index.intersect_count(1, a).count, expected.size());
+        index.intersect_collect(1, a, collected);
+        EXPECT_EQ(collected, expected);
+        if (index.contains_hub(0)) {
+            EXPECT_EQ(index.intersect_hub_hub(0, 1).count, expected.size());
+        }
+    }
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive, &index);
+    const std::vector<std::pair<VertexId, VertexId>> id_pairs = {
+        {0, 1}, {graph::kInvalidVertex, 1}, {0, graph::kInvalidVertex}};
+    for (const auto& [a_id, b_id] : id_pairs) {
+        EXPECT_EQ(adaptive.count(a, b, a_id, b_id).count, expected.size());
+        collected.clear();
+        adaptive.collect(a, b, collected, a_id, b_id);
+        EXPECT_EQ(collected, expected);
+    }
+}
+
 void expect_all_kernels_match(const std::vector<VertexId>& a,
                               const std::vector<VertexId>& b) {
     const auto expected = reference_intersection(a, b);
     const auto n = static_cast<std::uint64_t>(expected.size());
     EXPECT_EQ(intersect_merge(a, b).count, n);
-    EXPECT_EQ(intersect_binary(a, b).count, n);
-    EXPECT_EQ(intersect_hybrid(a, b).count, n);
     EXPECT_EQ(intersect_galloping(a, b).count, n);
     EXPECT_EQ(intersect_galloping(b, a).count, n);
     EXPECT_EQ(intersect_simd_merge(a, b).count, n);
     EXPECT_EQ(intersect_simd_merge(b, a).count, n);
     EXPECT_EQ(intersect_simd_galloping(a, b).count, n);
-    for (const auto kind : all_intersect_kinds()) {
-        EXPECT_EQ(intersect(kind, a, b).count, n) << intersect_kind_name(kind);
-    }
+    EXPECT_EQ(intersect_simd_galloping(b, a).count, n);
 
     std::vector<VertexId> collected;
+    intersect_merge_collect(a, b, collected);
+    EXPECT_EQ(collected, expected);
+    collected.clear();
     intersect_simd_merge_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
     collected.clear();
@@ -71,6 +105,15 @@ void expect_all_kernels_match(const std::vector<VertexId>& a,
     collected.clear();
     intersect_simd_galloping_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
+
+    for (const auto kind : all_intersect_kinds()) {
+        const AdaptiveIntersect isect(kind);
+        EXPECT_EQ(isect.count(a, b).count, n) << intersect_kind_name(kind);
+        collected.clear();
+        isect.collect(a, b, collected);
+        EXPECT_EQ(collected, expected) << intersect_kind_name(kind);
+    }
+    expect_hub_kernels_match(a, b, expected);
 }
 
 /// (size_a, size_b, force_scalar): the tail grid 0–17 crosses every SIMD
@@ -156,10 +199,10 @@ TEST_P(KernelRandomTest, ExtremeSkewOneToMillion) {
     // a linear merge scan.
     const auto merge = intersect_merge(tiny, big);
     const auto gallop = intersect_galloping(tiny, big);
-    const auto binary = intersect_binary(tiny, big);
+    const auto simd_gallop = intersect_simd_galloping(tiny, big);
     EXPECT_EQ(gallop.count, merge.count);
     EXPECT_LT(gallop.ops, merge.ops / 100);
-    EXPECT_LT(binary.ops, merge.ops / 100);
+    EXPECT_LT(simd_gallop.ops, merge.ops / 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(SimdAndScalar, KernelRandomTest, ::testing::Bool(),
@@ -185,19 +228,6 @@ TEST(KernelHighBitIds, Bit63ValuesOrderExactlyLikeScalar) {
         EXPECT_EQ(intersect_simd_merge(small, big).count, expected);
         EXPECT_EQ(intersect_galloping(small, big).count, expected);
     }
-}
-
-TEST(BinaryOps, CountsMeasuredProbesNotTheUpperBound) {
-    std::vector<VertexId> big(1 << 12);
-    for (std::size_t i = 0; i < big.size(); ++i) { big[i] = i; }
-    const std::vector<VertexId> probes{0, 2048, 4095};
-    const auto r = intersect_binary(probes, big);
-    EXPECT_EQ(r.count, 3u);
-    // Measured: a lower bound on 2¹² elements takes 13 halvings, plus one
-    // equality test per probe; anything above that would be the old
-    // upper-bound charging.
-    EXPECT_LE(r.ops, probes.size() * 14);
-    EXPECT_GE(r.ops, probes.size() * 12);
 }
 
 TEST(GallopingOps, AdaptsToClusteredMatches) {

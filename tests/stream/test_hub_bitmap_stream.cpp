@@ -23,7 +23,7 @@ Config bitmap_config(Rank p) {
     Config config;
     config.algorithm = core::Algorithm::kCetric;
     config.num_ranks = p;
-    config.options.intersect = seq::IntersectKind::kBitmap;
+    config.options.intersect = seq::IntersectKind::kAdaptive;
     config.options.hub_threshold = 1;  // every non-empty row is a hub
     return config;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "util/assert.hpp"
 
 namespace katric {
@@ -49,6 +52,41 @@ TEST(CliParser, UintListParses) {
     const char* argv[] = {"prog", "--ps", "1,2,4,8,16"};
     ASSERT_TRUE(cli.parse(3, argv));
     EXPECT_EQ(cli.get_uint_list("ps"), (std::vector<std::uint64_t>{1, 2, 4, 8, 16}));
+}
+
+TEST(CliParser, UintRejectsSignTrailingCharactersAndOverflow) {
+    for (const char* value : {"-1", "4x", "1e3", " 4", "", "18446744073709551616"}) {
+        auto cli = make_parser();
+        const std::string arg = std::string("--p=") + value;
+        const char* argv[] = {"prog", arg.c_str()};
+        ASSERT_TRUE(cli.parse(2, argv));
+        EXPECT_THROW((void)cli.get_uint("p"), assertion_error) << "'" << value << "'";
+    }
+    auto cli = make_parser();
+    const char* argv[] = {"prog", "--p=18446744073709551615"};
+    ASSERT_TRUE(cli.parse(2, argv));
+    EXPECT_EQ(cli.get_uint("p"), ~std::uint64_t{0});
+}
+
+TEST(CliParser, IntAndDoubleConsumeTheWholeToken) {
+    auto cli = make_parser();
+    const char* argv[] = {"prog", "--p=4x", "--ratio=0.25y"};
+    ASSERT_TRUE(cli.parse(3, argv));
+    EXPECT_THROW((void)cli.get_int("p"), assertion_error);
+    EXPECT_THROW((void)cli.get_double("ratio"), assertion_error);
+
+    auto clean = make_parser();
+    const char* clean_argv[] = {"prog", "--p=-3", "--ratio=1e-3"};
+    ASSERT_TRUE(clean.parse(3, clean_argv));
+    EXPECT_EQ(clean.get_int("p"), -3);
+    EXPECT_DOUBLE_EQ(clean.get_double("ratio"), 1e-3);
+}
+
+TEST(CliParser, UintListRejectsMalformedEntries) {
+    auto cli = make_parser();
+    const char* argv[] = {"prog", "--ps", "1,-2,4"};
+    ASSERT_TRUE(cli.parse(3, argv));
+    EXPECT_THROW((void)cli.get_uint_list("ps"), assertion_error);
 }
 
 TEST(CliParser, UnknownOptionThrows) {
