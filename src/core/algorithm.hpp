@@ -85,18 +85,21 @@ struct AlgorithmOptions {
     /// neighborhood-exchange algorithm (DITRIC/DITRIC2/CETRIC/CETRIC2 and
     /// the unbuffered edge iterator); the baselines and CETRIC-AMQ ignore it.
     bool detect_termination = false;
-    /// Optional dispatch-mix sink threaded into every AdaptiveIntersect the
-    /// run constructs (kernel chosen × operand-size bucket, hub hit/miss).
-    /// Not a tuning knob and never serialized to flags: katric::Engine sets
-    /// it on its per-query option copy when metrics are enabled; null keeps
-    /// recording disabled.
-    obs::KernelStats* kernel_stats = nullptr;
+    /// Optional dispatch-mix sinks, one per rank, threaded into every
+    /// AdaptiveIntersect the run constructs (kernel chosen × operand-size
+    /// bucket, hub hit/miss). Not a tuning knob and never serialized to
+    /// flags: katric::Engine sets it on its per-query option copy when
+    /// metrics are enabled; null keeps recording disabled.
+    obs::KernelStatsByRank* kernel_stats = nullptr;
 
     friend bool operator==(const AlgorithmOptions&, const AlgorithmOptions&) = default;
 };
 
 /// Optional triangle observer: called once per found triangle with the
 /// finding rank and the triangle's vertices. Basis of the LCC extension.
+/// Calls for one finder are sequential and in a fixed order; calls for
+/// different finders may run concurrently (a finder's local-phase finds come
+/// from a parallel start round), so keep state per finder or synchronize.
 using TriangleSink = std::function<void(Rank finder, VertexId v, VertexId u, VertexId w)>;
 
 /// Everything the paper reports per run: the count, simulated phase times,

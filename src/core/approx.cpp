@@ -60,7 +60,7 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
         const Rank r = self.rank();
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(spec.options.intersect, view.hub_index(),
-                                           spec.options.kernel_stats);
+                                           obs::rank_sink(spec.options.kernel_stats, r));
         KATRIC_ASSERT(record.size() >= 2);
         const VertexId v = record[0];
         const std::uint64_t kind = record[1];

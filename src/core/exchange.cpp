@@ -104,9 +104,12 @@ std::vector<std::uint64_t> run_local_phase(net::Simulator& sim,
         const Rank r = self.rank();
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
-                                           options.kernel_stats);
+                                           obs::rank_sink(options.kernel_stats, r));
         ThreadBinner binner(options.threads);
         const bool hybrid = options.threads > 1 && sink == nullptr;
+        // Summed locally and stored once: the ranks' counters share cache
+        // lines, and the ranks of a start round run on different threads.
+        std::uint64_t found = 0;
         auto process = [&](VertexId v, std::span<const VertexId> a_v) {
             for (const VertexId u : a_v) {
                 if (!expanded && !view.is_local(u)) { continue; }
@@ -114,9 +117,9 @@ std::vector<std::uint64_t> run_local_phase(net::Simulator& sim,
                 if (hybrid) {
                     const auto res = isect.count(a_v, a_u, v, u);
                     binner.add_task(res.ops);
-                    counts[r] += res.count;
+                    found += res.count;
                 } else {
-                    counts[r] += intersect_for(self, a_v, a_u, isect, sink, v, u, 1);
+                    found += intersect_for(self, a_v, a_u, isect, sink, v, u, 1);
                 }
             }
         };
@@ -134,6 +137,7 @@ std::vector<std::uint64_t> run_local_phase(net::Simulator& sim,
                                     * self.config().compute_op,
                                 binner.total_ops());
         }
+        counts[r] = found;
     }, {});
     return counts;
 }
@@ -196,7 +200,7 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
         if (detect) { detector.note_received(r); }
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
-                                           options.kernel_stats);
+                                           obs::rank_sink(options.kernel_stats, r));
         const auto a_v = decode_neighborhood(self, record, compress, decoded);
         const VertexId v = record[0];
         for (const VertexId u : a_v) {

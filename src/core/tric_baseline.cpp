@@ -32,21 +32,26 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
 
     // TriC never runs the preprocessing phase, so no hub index exists; the
     // dispatcher still honors the size-adaptive kernels.
-    const seq::AdaptiveIntersect isect(options.intersect, nullptr, options.kernel_stats);
+    const auto kernels = [&](Rank r) {
+        return seq::AdaptiveIntersect(options.intersect, nullptr,
+                                      obs::rank_sink(options.kernel_stats, r));
+    };
 
     // --- local pairs ------------------------------------------------------
     sim.run_phase("local", [&](net::RankHandle& self) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
+        const auto isect = kernels(r);
+        std::uint64_t found = 0;  // stored once: see run_local_phase
         for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
              ++v) {
             const auto out_v = id_out(view, v);
             for (VertexId u : out_v) {
                 if (!view.is_local(u)) { continue; }
-                local_counts[r] +=
-                    charged_intersect(self, out_v, id_out(view, u), isect, v, u);
+                found += charged_intersect(self, out_v, id_out(view, u), isect, v, u);
             }
         }
+        local_counts[r] = found;
     }, {});
 
     // --- static buffer assembly (the all-up-front aggregation) -----------
@@ -81,6 +86,8 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
     sim.run_phase("global", [&](net::RankHandle& self) {
         const Rank r = self.rank();
         const DistGraph& view = views[r];
+        const auto isect = kernels(r);
+        std::uint64_t found = 0;
         for (Rank src = 0; src < p; ++src) {
             const auto& payload = received[r][src];
             std::size_t index = 0;
@@ -92,13 +99,13 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
                     std::span<const std::uint64_t>(payload).subspan(index + 2, length);
                 for (const VertexId u : a_v) {
                     if (!view.is_local(u)) { continue; }
-                    global_counts[r] +=
-                        charged_intersect(self, a_v, id_out(view, u), isect,
-                                          graph::kInvalidVertex, u);
+                    found += charged_intersect(self, a_v, id_out(view, u), isect,
+                                               graph::kInvalidVertex, u);
                 }
                 index += 2 + length;
             }
         }
+        global_counts[r] = found;
     }, {});
 
     reduce_counts(sim, local_counts, global_counts, result);

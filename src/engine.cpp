@@ -1,6 +1,7 @@
 #include "engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -173,11 +174,15 @@ template <typename Body>
 Report Engine::run_query(Query kind, core::RunSpec spec, const QueryOptions& query,
                          bool arm, const Body& body) const {
     WallTimer timer;
-    // Query-local dispatch-mix recording: merged into the session totals on
-    // finalize, so concurrent queries never write one shared sink.
-    obs::KernelStats kernel_stats;
+    // Query-local dispatch-mix recording, one sink per rank: merged into the
+    // session totals on finalize, so neither concurrent queries nor the
+    // ranks of one start round ever write one shared sink.
     const bool record_kernels = obs_ && obs_->metrics_enabled();
-    if (record_kernels) { spec.options.kernel_stats = &kernel_stats; }
+    std::optional<obs::KernelStatsByRank> kernel_stats;
+    if (record_kernels) {
+        kernel_stats.emplace(spec.num_ranks);
+        spec.options.kernel_stats = &*kernel_stats;
+    }
     const auto prep = preprocess();
     Report report;
     report.query = kind;
@@ -203,8 +208,9 @@ Report Engine::run_query(Query kind, core::RunSpec spec, const QueryOptions& que
         core::fill_metrics(sim, report.count);
     }
     record_faults(report, guard);
-    finalize(report, sim, timer.elapsed_seconds(),
-             record_kernels ? &kernel_stats : nullptr);
+    const obs::KernelStats merged =
+        record_kernels ? kernel_stats->merged() : obs::KernelStats{};
+    finalize(report, sim, timer.elapsed_seconds(), record_kernels ? &merged : nullptr);
     return report;
 }
 
@@ -248,7 +254,9 @@ Report Engine::lcc(const QueryOptions& query) const {
 
 Report Engine::enumerate(const core::TriangleSink* sink,
                          const QueryOptions& query) const {
-    std::vector<core::Triangle> triangles;
+    // Per finder: the TriangleSink contract lets different finders run
+    // concurrently (a parallel start round), never one finder's calls.
+    std::vector<std::vector<core::Triangle>> found(config_.num_ranks);
     std::vector<std::size_t> found_per_rank(config_.num_ranks, 0);
     const core::TriangleSink collector = [&](core::Rank finder, core::VertexId v,
                                              core::VertexId u, core::VertexId w) {
@@ -261,12 +269,16 @@ Report Engine::enumerate(const core::TriangleSink* sink,
         if (sink != nullptr) {
             (*sink)(finder, v, u, w);
         } else {
-            triangles.push_back(t);
+            found[finder].push_back(t);
         }
         ++found_per_rank[finder];
     };
     Report report = count(&collector, query);
     report.query = Query::kEnumerate;
+    std::vector<core::Triangle> triangles;
+    for (const auto& part : found) {
+        triangles.insert(triangles.end(), part.begin(), part.end());
+    }
     if (sink == nullptr && report.ok()) {
         std::sort(triangles.begin(), triangles.end());
         KATRIC_ASSERT_MSG(std::adjacent_find(triangles.begin(), triangles.end())

@@ -10,7 +10,9 @@ namespace katric::net {
 /// Per-PE communication and compute counters. These are *exact*
 /// combinatorial quantities — independent of the time model — and are the
 /// basis of the paper's "sent messages" and "bottleneck volume" plots.
-struct RankMetrics {
+/// Cache-line aligned: the ranks of a parallel start round update their own
+/// counters concurrently and must not share a line.
+struct alignas(64) RankMetrics {
     std::uint64_t messages_sent = 0;
     std::uint64_t messages_received = 0;
     std::uint64_t words_sent = 0;
@@ -21,6 +23,8 @@ struct RankMetrics {
     std::uint64_t peak_buffered_words = 0;
 
     void merge(const RankMetrics& other) noexcept;
+
+    friend bool operator==(const RankMetrics&, const RankMetrics&) = default;
 };
 
 /// Max over PEs of messages_sent — the paper's Fig. 5 middle row.
@@ -41,6 +45,12 @@ struct PhaseRecord {
     /// the metric deltas it accrued during this superstep. Empty otherwise.
     std::vector<double> rank_busy_end;
     std::vector<RankMetrics> rank_delta;
+    /// Host wall seconds of this superstep's start round, of its delivery
+    /// (events, lost-frame sweeps) and of its idle rounds. Measured, so not
+    /// deterministic: nothing that compares runs may read them.
+    double host_start_seconds = 0.0;
+    double host_deliver_seconds = 0.0;
+    double host_idle_seconds = 0.0;
     [[nodiscard]] double duration() const noexcept { return end_time - start_time; }
 };
 

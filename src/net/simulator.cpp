@@ -1,11 +1,14 @@
 #include "net/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <sstream>
 
 #include "net/encoding.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
+#include "util/timer.hpp"
 
 namespace katric::net {
 
@@ -33,25 +36,26 @@ Rank RankHandle::size() const noexcept { return sim_->num_ranks(); }
 const NetworkConfig& RankHandle::config() const noexcept { return sim_->config_; }
 
 void RankHandle::send(Rank dest, WordVec payload, int tag) {
-    sim_->send_from(rank_, dest, tag, std::move(payload));
+    const auto words = static_cast<std::uint64_t>(payload.size());
+    sim_->post(rank_, dest, tag, words, std::move(payload), /*sized=*/false);
 }
 
 void RankHandle::send_sized(Rank dest, std::uint64_t words, int tag) {
-    sim_->send_sized_from(rank_, dest, tag, words);
+    sim_->post(rank_, dest, tag, words, WordVec{}, /*sized=*/true);
 }
 
 void RankHandle::charge_ops(std::uint64_t ops) {
-    sim_->clocks_[rank_] += static_cast<double>(ops) * sim_->config_.compute_op;
+    sim_->lanes_[rank_].clock += static_cast<double>(ops) * sim_->config_.compute_op;
     sim_->metrics_[rank_].compute_ops += ops;
 }
 
 void RankHandle::charge_seconds(double seconds, std::uint64_t ops) {
     KATRIC_ASSERT(seconds >= 0.0);
-    sim_->clocks_[rank_] += seconds;
+    sim_->lanes_[rank_].clock += seconds;
     sim_->metrics_[rank_].compute_ops += ops;
 }
 
-double RankHandle::now() const noexcept { return sim_->clocks_[rank_]; }
+double RankHandle::now() const noexcept { return sim_->lanes_[rank_].clock; }
 
 void RankHandle::note_buffered_words(std::uint64_t current_words) {
     auto& m = sim_->metrics_[rank_];
@@ -63,10 +67,10 @@ void RankHandle::note_buffered_words(std::uint64_t current_words) {
 
 const RankMetrics& RankHandle::metrics() const noexcept { return sim_->metrics_[rank_]; }
 
-Simulator::Simulator(Rank num_ranks, NetworkConfig config)
-    : config_(config), num_ranks_(num_ranks) {
+Simulator::Simulator(Rank num_ranks, NetworkConfig config, RankPool& pool)
+    : config_(config), num_ranks_(num_ranks), pool_(&pool) {
     KATRIC_ASSERT(num_ranks >= 1);
-    clocks_.assign(num_ranks_, 0.0);
+    lanes_.resize(num_ranks_);
     metrics_.assign(num_ranks_, RankMetrics{});
 }
 
@@ -75,37 +79,59 @@ void Simulator::harden(const HardenOptions& options) {
     fault_->opts = options;
 }
 
-void Simulator::send_from(Rank src, Rank dest, int tag, WordVec payload) {
-    if (fault_ != nullptr && fault_->opts.frame && src != dest) {
-        // Hardened path: frame, retain for retransmission, inject. Self-sends
-        // never cross the network and keep the raw path; size-only sends
-        // (send_sized_from) carry no payload to protect and do the same.
-        KATRIC_ASSERT(dest < num_ranks_);
-        const std::uint64_t id = ++fault_->next_frame_id;
-        WordVec framed = frame_payload(id, src, dest, tag,
-                                       std::span<const std::uint64_t>(payload));
-        fault_->in_flight.emplace(id, InFlightFrame{src, dest, tag, std::move(framed), 1});
-        if (fault_->opts.stats != nullptr) { ++fault_->opts.stats->frames_sent; }
-        push_hardened(id);
-        return;
+void Simulator::post(Rank src, Rank dest, int tag, std::uint64_t words, WordVec payload,
+                     bool sized) {
+    KATRIC_ASSERT(dest < num_ranks_);
+    // Hardened sends are framed at the drain. Self-sends never cross the
+    // network and keep the raw path; size-only sends carry no payload to
+    // protect and do the same.
+    const bool framed = fault_ != nullptr && fault_->opts.frame && src != dest && !sized;
+    Lane& lane = lanes_[src];
+    if (src != dest) {
+        // Single-ported injection: the sender's port is busy for α + β·ℓ,
+        // ℓ including the frame header — the hardening overhead is visible
+        // in simulated time, as it would be on a real wire.
+        const std::uint64_t wire = framed ? words + kFrameHeaderWords : words;
+        lane.clock += config_.alpha + config_.beta * static_cast<double>(wire);
+        metrics_[src].messages_sent += 1;
+        metrics_[src].words_sent += wire;
     }
-    const auto len = static_cast<std::uint64_t>(payload.size());
-    enqueue(src, dest, tag, len, std::move(payload));
+    // Staged payloads wait for the whole round before delivery frees them:
+    // drop the growth slack of push_back-built buffers so the round holds
+    // only the words it sends. (A framed send is copied at the drain.)
+    if (!framed) { payload.shrink_to_fit(); }
+    lane.outbox.push_back(
+        Outgoing{dest, tag, framed, words, lane.clock, std::move(payload)});
 }
 
-void Simulator::push_hardened(std::uint64_t frame_id) {
+void Simulator::drain(Rank src) {
+    auto& outbox = lanes_[src].outbox;
+    for (Outgoing& out : outbox) {
+        if (out.framed) {
+            send_framed(src, out);
+        } else {
+            events_.push(Event{out.arrival, next_seq_++, src, out.dest, out.tag,
+                               out.words, std::move(out.payload)});
+        }
+    }
+    outbox.clear();
+}
+
+void Simulator::send_framed(Rank src, Outgoing& out) {
+    FaultState& st = *fault_;
+    const std::uint64_t id = ++st.next_frame_id;
+    WordVec framed = frame_payload(id, src, out.dest, out.tag,
+                                   std::span<const std::uint64_t>(out.payload));
+    st.in_flight.emplace(id, InFlightFrame{src, out.dest, out.tag, std::move(framed), 1});
+    if (st.opts.stats != nullptr) { ++st.opts.stats->frames_sent; }
+    inject(id, out.arrival);
+}
+
+void Simulator::inject(std::uint64_t frame_id, double arrival) {
     FaultState& st = *fault_;
     const InFlightFrame& f = st.in_flight.at(frame_id);
-    WordVec buffer = f.framed;  // pristine retained copy; faults mutate this one
-    // Sender injection charge, including the 3-word frame header — the
-    // hardening overhead is visible in simulated time, as it would be on a
-    // real wire.
-    const auto words = static_cast<std::uint64_t>(buffer.size());
-    clocks_[f.src] += config_.alpha + config_.beta * static_cast<double>(words);
-    double arrival = clocks_[f.src];
-    metrics_[f.src].messages_sent += 1;
-    metrics_[f.src].words_sent += words;
-
+    const auto words = static_cast<std::uint64_t>(f.framed.size());
+    std::optional<WordVec> mutated;  // a fault's own copy of the bytes
     bool duplicate = false;
     if (st.opts.injector != nullptr) {
         fault::FaultStats* stats = st.opts.stats;
@@ -133,15 +159,16 @@ void Simulator::push_hardened(std::uint64_t frame_id) {
                 case fault::FaultKind::kTruncate: {
                     if (stats != nullptr) { ++stats->injected_truncate; }
                     const auto cut = std::min<std::size_t>(
-                        static_cast<std::size_t>(d->detail), buffer.size());
-                    buffer.resize(buffer.size() - cut);
+                        static_cast<std::size_t>(d->detail), f.framed.size());
+                    mutated.emplace(f.framed.begin(),
+                                    f.framed.end() - static_cast<std::ptrdiff_t>(cut));
                     break;
                 }
                 case fault::FaultKind::kBitFlip: {
                     if (stats != nullptr) { ++stats->injected_bitflip; }
-                    const std::uint64_t bit =
-                        d->detail % (static_cast<std::uint64_t>(buffer.size()) * 64);
-                    buffer[bit / 64] ^= 1ULL << (bit % 64);
+                    const std::uint64_t bit = d->detail % (words * 64);
+                    mutated.emplace(f.framed);
+                    (*mutated)[bit / 64] ^= 1ULL << (bit % 64);
                     break;
                 }
                 case fault::FaultKind::kStall:
@@ -150,14 +177,21 @@ void Simulator::push_hardened(std::uint64_t frame_id) {
             }
         }
     }
-    const auto delivered_words = static_cast<std::uint64_t>(buffer.size());
-    if (duplicate) {
-        WordVec copy = buffer;
+    if (mutated.has_value()) {
+        const auto delivered_words = static_cast<std::uint64_t>(mutated->size());
         events_.push(Event{arrival, next_seq_++, f.src, f.dest, f.tag, delivered_words,
-                           std::move(copy), frame_id});
+                           std::move(*mutated), frame_id});
+        return;
     }
-    events_.push(Event{arrival, next_seq_++, f.src, f.dest, f.tag, delivered_words,
-                       std::move(buffer), frame_id});
+    // The first of a duplicated pair is delivered first (equal arrival,
+    // lower sequence number) and retires the frame, so only the second needs
+    // bytes of its own.
+    events_.push(Event{arrival, next_seq_++, f.src, f.dest, f.tag, words, WordVec{},
+                       frame_id, /*retained=*/true});
+    if (duplicate) {
+        events_.push(
+            Event{arrival, next_seq_++, f.src, f.dest, f.tag, words, f.framed, frame_id});
+    }
 }
 
 void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
@@ -179,16 +213,26 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
     // re-injection charge, so repeated failures slow the offered load instead
     // of hammering the link.
     const auto shift = std::min<std::uint32_t>(f.attempts, 16);
-    clocks_[f.src] += config_.alpha * static_cast<double>(1ULL << shift);
-    push_hardened(frame_id);
+    Lane& lane = lanes_[f.src];
+    lane.clock += config_.alpha * static_cast<double>(1ULL << shift);
+    const auto words = static_cast<std::uint64_t>(f.framed.size());
+    lane.clock += config_.alpha + config_.beta * static_cast<double>(words);
+    metrics_[f.src].messages_sent += 1;
+    metrics_[f.src].words_sent += words;
+    inject(frame_id, lane.clock);
 }
 
-std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(
-    const Event& event) {
+std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(Event& event) {
     FaultState& st = *fault_;
+    const auto frame = st.in_flight.find(event.frame);
+    std::span<const std::uint64_t> wire(event.payload);
+    if (event.retained) {
+        KATRIC_ASSERT_MSG(frame != st.in_flight.end(),
+                          "retained frame " << event.frame << " retired before delivery");
+        wire = frame->second.framed;
+    }
     const FrameView view =
-        verify_frame(std::span<const std::uint64_t>(event.payload),
-                     static_cast<std::uint32_t>(event.src),
+        verify_frame(wire, static_cast<std::uint32_t>(event.src),
                      static_cast<std::uint32_t>(event.dest), event.tag);
     if (view.status != FrameStatus::kOk) {
         // Detected truncation/corruption: request a fresh copy immediately.
@@ -204,31 +248,27 @@ std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(
         if (st.opts.stats != nullptr) { ++st.opts.stats->duplicates_suppressed; }
         return std::nullopt;
     }
-    st.in_flight.erase(event.frame);
+    // Moving the vector keeps its heap buffer, so `view` stays valid.
+    if (event.retained) { event.payload = std::move(frame->second.framed); }
+    st.in_flight.erase(frame);
     return view.payload;
 }
 
-void Simulator::send_sized_from(Rank src, Rank dest, int tag, std::uint64_t words) {
-    enqueue(src, dest, tag, words, WordVec{});
-}
-
-void Simulator::enqueue(Rank src, Rank dest, int tag, std::uint64_t words,
-                        WordVec payload) {
-    KATRIC_ASSERT(dest < num_ranks_);
-    double arrival = clocks_[src];
-    if (src != dest) {
-        // Single-ported injection: the sender's port is busy for α + β·ℓ.
-        const double cost = config_.alpha + config_.beta * static_cast<double>(words);
-        clocks_[src] += cost;
-        arrival = clocks_[src];
-        metrics_[src].messages_sent += 1;
-        metrics_[src].words_sent += words;
+template <typename Fn>
+void Simulator::call_and_drain(Rank rank, const Fn& fn) {
+    RankHandle handle(*this, rank);
+    try {
+        fn(handle);
+    } catch (...) {
+        drain(rank);
+        throw;
     }
-    events_.push(Event{arrival, next_seq_++, src, dest, tag, words, std::move(payload)});
+    drain(rank);
 }
 
-void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
-                                        const RankFn& on_idle) {
+double Simulator::deliver_until_quiescent(const MessageHandler& on_message,
+                                          const RankFn& on_idle) {
+    double idle_seconds = 0.0;
     while (true) {
         while (!events_.empty()) {
             // priority_queue::top is const; the payload must be moved out, so
@@ -237,14 +277,13 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
             Event event = std::move(const_cast<Event&>(events_.top()));
             events_.pop();
             const Rank dest = event.dest;
-            RankHandle handle(*this, dest);
-            clocks_[dest] = std::max(clocks_[dest], event.arrival);
+            double& clock = lanes_[dest].clock;
+            clock = std::max(clock, event.arrival);
             if (event.src != dest) {
                 // Receiver port occupancy, mirroring the sender charge: the
                 // paper's hotspot analysis ("p messages require time
                 // p(α+β)") charges the receiving PE per message.
-                clocks_[dest] += config_.alpha
-                                 + config_.beta * static_cast<double>(event.words);
+                clock += config_.alpha + config_.beta * static_cast<double>(event.words);
                 metrics_[dest].messages_received += 1;
                 metrics_[dest].words_received += event.words;
             }
@@ -254,7 +293,11 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
                 if (!verified.has_value()) { continue; }  // suppressed or re-sent
                 payload = *verified;
             }
-            if (on_message) { on_message(handle, event.src, event.tag, payload); }
+            if (on_message) {
+                call_and_drain(dest, [&](RankHandle& handle) {
+                    on_message(handle, event.src, event.tag, payload);
+                });
+            }
         }
         if (fault_ != nullptr && !fault_->in_flight.empty()) {
             // The queue drained but frames are unaccounted for: they were
@@ -268,10 +311,9 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
             continue;
         }
         if (!on_idle) { break; }
-        for (Rank r = 0; r < num_ranks_; ++r) {
-            RankHandle handle(*this, r);
-            on_idle(handle);
-        }
+        const WallTimer idle_timer;
+        for (Rank r = 0; r < num_ranks_; ++r) { call_and_drain(r, on_idle); }
+        idle_seconds += idle_timer.elapsed_seconds();
         // A frame sent during the idle round may itself have been dropped:
         // the event queue is then empty but the frame is unaccounted for.
         // Loop back so the lost-frame sweep above runs; only true quiescence
@@ -281,12 +323,51 @@ void Simulator::deliver_until_quiescent(const MessageHandler& on_message,
             break;
         }
     }
+    return idle_seconds;
+}
+
+void Simulator::run_start_round(const RankFn& start) {
+    if (!pool_->fans_out(num_ranks_)) {
+        for (Rank r = 0; r < num_ranks_; ++r) { call_and_drain(r, start); }
+        return;
+    }
+    // What a sequential run would leave in ranks it never started, should a
+    // lower rank throw.
+    std::vector<double> clocks_before(num_ranks_);
+    for (Rank r = 0; r < num_ranks_; ++r) { clocks_before[r] = lanes_[r].clock; }
+    const std::vector<RankMetrics> metrics_before = metrics_;
+    std::vector<std::exception_ptr> errors(num_ranks_);
+    std::atomic<Rank> first_failed{num_ranks_};
+    pool_->run(num_ranks_, [&](Rank r) {
+        // A sequential run would never reach ranks past a failure.
+        if (r > first_failed.load(std::memory_order_relaxed)) { return; }
+        RankHandle handle(*this, r);
+        try {
+            start(handle);
+        } catch (...) {
+            errors[r] = std::current_exception();
+            Rank seen = first_failed.load(std::memory_order_relaxed);
+            while (r < seen && !first_failed.compare_exchange_weak(seen, r)) {}
+        }
+    });
+    const Rank failed = first_failed.load();
+    for (Rank r = 0; r < num_ranks_; ++r) {
+        if (r <= failed) {
+            drain(r);
+        } else {
+            lanes_[r].clock = clocks_before[r];
+            metrics_[r] = metrics_before[r];
+            lanes_[r].outbox.clear();
+        }
+    }
+    if (failed < num_ranks_) { std::rethrow_exception(errors[failed]); }
 }
 
 double Simulator::run_phase(const std::string& name, const RankFn& start,
                             const MessageHandler& on_message, const RankFn& on_idle) {
+    const RankPool::SuperstepScope in_superstep;
     const double phase_start = barrier_time_;
-    std::fill(clocks_.begin(), clocks_.end(), phase_start);
+    for (Lane& lane : lanes_) { lane.clock = phase_start; }
     if (fault_ != nullptr) {
         FaultState& st = *fault_;
         // Cooperative cancellation and rank-level faults land at superstep
@@ -306,23 +387,22 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
                 if (st.opts.injector->stalls(static_cast<std::uint32_t>(r),
                                              st.superstep)) {
                     if (st.opts.stats != nullptr) { ++st.opts.stats->injected_stall; }
-                    clocks_[r] += st.opts.injector->plan().stall_seconds;
+                    lanes_[r].clock += st.opts.injector->plan().stall_seconds;
                 }
             }
         }
     }
     std::vector<RankMetrics> metrics_before;
     if (record_phase_details_) { metrics_before = metrics_; }
-    if (start) {
-        for (Rank r = 0; r < num_ranks_; ++r) {
-            RankHandle handle(*this, r);
-            start(handle);
-        }
-    }
-    deliver_until_quiescent(on_message, on_idle);
+    WallTimer host;
+    if (start) { run_start_round(start); }
+    const double host_start = host.elapsed_seconds();
+    host.restart();
+    const double host_idle = deliver_until_quiescent(on_message, on_idle);
+    const double host_deliver = host.elapsed_seconds() - host_idle;
 
     double makespan = phase_start;
-    for (double clock : clocks_) { makespan = std::max(makespan, clock); }
+    for (const Lane& lane : lanes_) { makespan = std::max(makespan, lane.clock); }
     if (num_ranks_ > 1) {
         makespan += config_.alpha * static_cast<double>(katric::ceil_log2(num_ranks_));
     }
@@ -331,8 +411,12 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
     record.name = name;
     record.start_time = phase_start;
     record.end_time = barrier_time_;
+    record.host_start_seconds = host_start;
+    record.host_deliver_seconds = host_deliver;
+    record.host_idle_seconds = host_idle;
     if (record_phase_details_) {
-        record.rank_busy_end = clocks_;
+        record.rank_busy_end.reserve(num_ranks_);
+        for (const Lane& lane : lanes_) { record.rank_busy_end.push_back(lane.clock); }
         record.rank_delta.resize(static_cast<std::size_t>(num_ranks_));
         for (Rank r = 0; r < num_ranks_; ++r) {
             const RankMetrics& before = metrics_before[r];

@@ -17,6 +17,7 @@
 #include "graph/types.hpp"
 #include "net/metrics.hpp"
 #include "net/network_config.hpp"
+#include "net/rank_pool.hpp"
 
 namespace katric::net {
 
@@ -135,23 +136,39 @@ private:
 
 /// Deterministic discrete-event simulator of a p-PE message-passing machine.
 ///
-/// Execution model: a *phase* (superstep) runs every rank's
-/// start function, then delivers messages in global arrival order until
-/// quiescence — handlers may send further messages (aggregation proxies,
-/// replies). An optional idle hook runs when the event queue drains, so
-/// message queues can flush residual buffers; the phase ends when an idle
-/// round generates no new traffic. A closing barrier lifts all clocks to the
-/// maximum plus α·⌈log₂ p⌉.
+/// Execution model: a *phase* (superstep) runs every rank's start function,
+/// then delivers messages in global arrival order until quiescence —
+/// handlers may send further messages (aggregation proxies, replies). An
+/// optional idle hook runs when the event queue drains, so message queues
+/// can flush residual buffers; the phase ends when an idle round generates
+/// no new traffic. A closing barrier lifts all clocks to the maximum plus
+/// α·⌈log₂ p⌉.
+///
+/// Start rounds run in parallel on the host (RankPool): each start function
+/// may touch only its own rank's state — its clock, metrics and outbox
+/// through the RankHandle, and whatever per-rank algorithm state it owns.
+/// A send charges the sender's clock and metrics at once and is staged in
+/// that rank's outbox; after the last start the outboxes drain in (rank,
+/// local order), handing out sequence numbers, hardened frame ids and
+/// injector decisions exactly as one thread running the ranks in order
+/// would. An exception thrown by a start surfaces as the lowest throwing
+/// rank's; the ranks above it get back the clocks and metrics they had
+/// before the round, as if never started. Delivery and idle rounds stay
+/// sequential: handlers stage through the same outbox, drained after each
+/// call, so every event keeps its place in the global order.
 ///
 /// Determinism: ties in arrival time break by send sequence number, and
-/// per-channel FIFO follows from per-sender clock monotonicity.
+/// per-channel FIFO follows from per-sender clock monotonicity. The result
+/// never depends on the number of host threads.
 class Simulator {
 public:
     using MessageHandler =
         std::function<void(RankHandle&, Rank src, int tag, std::span<const std::uint64_t>)>;
     using RankFn = std::function<void(RankHandle&)>;
 
-    Simulator(Rank num_ranks, NetworkConfig config);
+    /// `pool` runs the start rounds; tests hand in their own to pin the
+    /// host thread count.
+    Simulator(Rank num_ranks, NetworkConfig config, RankPool& pool = RankPool::shared());
 
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
@@ -169,6 +186,8 @@ public:
         return metrics_;
     }
     [[nodiscard]] std::span<const PhaseRecord> phases() const noexcept { return phases_; }
+    /// Events scheduled so far, i.e. the next send sequence number.
+    [[nodiscard]] std::uint64_t events_scheduled() const noexcept { return next_seq_; }
 
     /// When enabled, each PhaseRecord additionally captures per-rank busy
     /// clocks and per-rank metric deltas for that superstep (the raw data
@@ -207,6 +226,11 @@ private:
         /// or hardening off). The network's own knowledge of which send this
         /// is — corruption mutates the payload buffer, never this.
         std::uint64_t frame = 0;
+        /// Clean hardened delivery: the bytes are the in-flight frame's
+        /// retained buffer, looked up by `frame`; `payload` stays empty.
+        /// Only a fault that needs its own bytes (duplicate, truncate,
+        /// bit flip) materializes a copy.
+        bool retained = false;
     };
     struct EventLater {
         bool operator()(const Event& a, const Event& b) const noexcept {
@@ -214,10 +238,40 @@ private:
         }
     };
 
-    void send_from(Rank src, Rank dest, int tag, WordVec payload);
-    void send_sized_from(Rank src, Rank dest, int tag, std::uint64_t words);
-    void enqueue(Rank src, Rank dest, int tag, std::uint64_t words, WordVec payload);
-    void deliver_until_quiescent(const MessageHandler& on_message, const RankFn& on_idle);
+    /// A send already charged to its sender, waiting for the drain that
+    /// gives it its place in the global order.
+    struct Outgoing {
+        Rank dest;
+        int tag;
+        bool framed;           ///< takes the hardened path at the drain
+        std::uint64_t words;   ///< payload words (size-only sends: the length)
+        double arrival;
+        WordVec payload;
+    };
+
+    /// What one rank owns while its start function runs, on its own cache
+    /// lines: charge_ops writes the clock on every intersection.
+    struct alignas(64) Lane {
+        double clock = 0.0;
+        std::vector<Outgoing> outbox;
+    };
+
+    /// The one send path: charges the sender (α + β·ℓ, ℓ including the frame
+    /// header when the send will be framed) and stages it in its outbox.
+    void post(Rank src, Rank dest, int tag, std::uint64_t words, WordVec payload,
+              bool sized);
+    /// Moves rank `src`'s staged sends into the event queue, in order.
+    void drain(Rank src);
+    /// Runs every rank's start function (on the pool when it fans out) and
+    /// drains the outboxes in rank order.
+    void run_start_round(const RankFn& start);
+    /// Calls fn(handle of `rank`) and drains what it staged — also when it
+    /// throws, so the machine holds exactly what a direct send would have.
+    template <typename Fn>
+    void call_and_drain(Rank rank, const Fn& fn);
+    /// Returns the host seconds spent in idle rounds.
+    double deliver_until_quiescent(const MessageHandler& on_message,
+                                   const RankFn& on_idle);
 
     /// Retained copy of a hardened in-flight frame, kept until its verified
     /// delivery so loss and corruption can be repaired by retransmission.
@@ -242,11 +296,13 @@ private:
         std::unordered_set<std::uint64_t> delivered;
     };
 
-    /// Charges the sender and pushes the retained frame's event(s) through
-    /// the injector: 0 (drop), 1, or 2 (duplicate) events, possibly with a
-    /// mutated copy of the buffer (truncate/bitflip) or a perturbed arrival
-    /// (reorder/delay). Used by both the first send and retransmissions.
-    void push_hardened(std::uint64_t frame_id);
+    /// Frames a drained send, retains it for retransmission and injects it.
+    void send_framed(Rank src, Outgoing& out);
+    /// Pushes an already charged frame's event(s) through the injector: 0
+    /// (drop), 1, or 2 (duplicate) events, possibly with a mutated copy of
+    /// the buffer (truncate/bitflip) or a perturbed arrival (reorder/delay).
+    /// Used by both the first send and retransmissions.
+    void inject(std::uint64_t frame_id, double arrival);
     /// Re-sends a frame after detected loss/corruption, charging the sender
     /// the backoff α·2^attempt on top of the normal injection cost. Throws
     /// FaultError when the retry budget is exhausted.
@@ -254,11 +310,15 @@ private:
     /// Verified-delivery bookkeeping for one hardened event. Returns the
     /// payload span to hand the handler, or nullopt when the event must be
     /// suppressed (duplicate) — retransmission on corruption happens inside.
-    std::optional<std::span<const std::uint64_t>> receive_hardened(const Event& event);
+    /// A verified retained event takes over the frame's buffer, so the span
+    /// outlives the frame's retirement.
+    std::optional<std::span<const std::uint64_t>> receive_hardened(Event& event);
 
     NetworkConfig config_;
     Rank num_ranks_;
-    std::vector<double> clocks_;
+    RankPool* pool_;
+    std::vector<Lane> lanes_;
+    /// alignas(64) per element: each rank's counters on their own line.
     std::vector<RankMetrics> metrics_;
     std::priority_queue<Event, std::vector<Event>, EventLater> events_;
     std::uint64_t next_seq_ = 0;

@@ -49,6 +49,12 @@ void KernelStats::merge(const KernelStats& other) noexcept {
 
 void KernelStats::reset() noexcept { *this = KernelStats{}; }
 
+KernelStats KernelStatsByRank::merged() const noexcept {
+    KernelStats total;
+    for (const Sink& sink : sinks_) { total.merge(sink.stats); }
+    return total;
+}
+
 std::uint64_t KernelStats::total() const noexcept {
     std::uint64_t sum = 0;
     for (std::size_t c = 0; c < kNumKernelChoices; ++c) {

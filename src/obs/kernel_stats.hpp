@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace katric::obs {
 
@@ -38,10 +39,10 @@ inline constexpr std::size_t kNumKernelChoices = 7;
 /// decided branch — cheap enough for the per-intersection hot path — and
 /// entirely skipped when no stats object is attached (the disabled default).
 ///
-/// Not thread-safe: the counting paths run intersections inside the
-/// simulator's serial event loop, so one instance per *query* suffices —
-/// the Engine records into a query-local instance and merges it into the
-/// session totals under Observability's record mutex on finalize.
+/// Not thread-safe: one instance per simulated PE (KernelStatsByRank), since
+/// the ranks of a start round run on different host threads. The Engine
+/// records into a query-local set and merges it into the session totals
+/// under Observability's record mutex on finalize.
 struct KernelStats {
     /// Smaller-operand log₂ buckets: bucket i covers sizes [2^(i-1), 2^i),
     /// bucket 0 is empty/size-0 operands, the last bucket saturates.
@@ -69,6 +70,32 @@ struct KernelStats {
     /// count, plus the hub hit/miss summary.
     [[nodiscard]] std::string to_string() const;
 };
+
+/// One KernelStats sink per simulated PE, each on its own cache lines: a
+/// rank's intersections record only into its own sink, whichever host
+/// thread runs them.
+class KernelStatsByRank {
+public:
+    explicit KernelStatsByRank(std::size_t ranks) : sinks_(ranks) {}
+
+    [[nodiscard]] KernelStats* at(std::size_t rank) noexcept {
+        return &sinks_[rank].stats;
+    }
+    /// The sum over all ranks.
+    [[nodiscard]] KernelStats merged() const noexcept;
+
+private:
+    struct alignas(64) Sink {
+        KernelStats stats;
+    };
+    std::vector<Sink> sinks_;
+};
+
+/// `rank`'s sink in `sinks`, or null when recording is off (null set).
+[[nodiscard]] inline KernelStats* rank_sink(KernelStatsByRank* sinks,
+                                            std::size_t rank) noexcept {
+    return sinks != nullptr ? sinks->at(rank) : nullptr;
+}
 
 /// Bucket index for a smaller-operand size (see KernelStats::kBuckets).
 [[nodiscard]] std::size_t kernel_size_bucket(std::size_t smaller_size) noexcept;

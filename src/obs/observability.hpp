@@ -48,17 +48,6 @@ public:
 
     MetricsRegistry& registry() noexcept { return registry_; }
     [[nodiscard]] const MetricsRegistry& registry() const noexcept { return registry_; }
-    /// The dispatch-mix sink to thread into AlgorithmOptions::kernel_stats
-    /// (null unless metrics are enabled — recording stays zero-cost off).
-    /// NOT safe as a sink for concurrent queries: Engine queries record into
-    /// a query-local KernelStats and merge it via observe_query instead.
-    /// Analysis escape: hands out an unguarded pointer to the one-shot
-    /// single-threaded recording path — the record mutex cannot travel with
-    /// the pointer.
-    [[nodiscard]] KernelStats* kernel_stats_sink() noexcept
-        KATRIC_NO_THREAD_SAFETY_ANALYSIS {
-        return metrics_enabled() ? &kernel_stats_ : nullptr;
-    }
     /// Quiescence-only accessor: read after drain() (or with no query in
     /// flight) — the analysis escape mirrors Tracer::spans().
     [[nodiscard]] const KernelStats& kernel_stats() const noexcept

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 namespace katric::obs {
 
@@ -51,7 +52,8 @@ void Tracer::record_query(const std::string& label, const net::Simulator& sim) {
     const double base = cursor_us_;
     const double query_us = sim.time() * kSecondsToUs;
     if (query_us > 0.0) {
-        spans_.push_back(TraceSpan{label, "query", 0, base, base + query_us, {}});
+        spans_.push_back(
+            TraceSpan{label, "query", kSimulatedPid, 0, base, base + query_us, {}});
     }
 
     const auto phases = sim.phases();
@@ -68,7 +70,8 @@ void Tracer::record_query(const std::string& label, const net::Simulator& sim) {
         const double group_end = base + phases[j - 1].end_time * kSecondsToUs;
         const bool redundant = j - i == 1 && phases[i].name == key;
         if (!redundant && group_end > group_begin) {
-            spans_.push_back(TraceSpan{key, "phase", 0, group_begin, group_end, {}});
+            spans_.push_back(
+                TraceSpan{key, "phase", kSimulatedPid, 0, group_begin, group_end, {}});
         }
         i = j;
     }
@@ -77,7 +80,8 @@ void Tracer::record_query(const std::string& label, const net::Simulator& sim) {
         const double begin = base + phase.start_time * kSecondsToUs;
         const double end = base + phase.end_time * kSecondsToUs;
         if (end <= begin) { continue; }
-        spans_.push_back(TraceSpan{phase.name, "superstep", 0, begin, end, {}});
+        spans_.push_back(
+            TraceSpan{phase.name, "superstep", kSimulatedPid, 0, begin, end, {}});
         // Rank lanes (phase details recorded): each rank's busy window in
         // this superstep, annotated with the work it did there.
         for (std::size_t r = 0; r < phase.rank_busy_end.size(); ++r) {
@@ -85,7 +89,7 @@ void Tracer::record_query(const std::string& label, const net::Simulator& sim) {
             if (busy_end <= begin) { continue; }
             const auto tid = static_cast<std::uint32_t>(1 + r);
             max_tid_ = std::max(max_tid_, tid);
-            TraceSpan span{phase.name, "rank", tid, begin, busy_end, {}};
+            TraceSpan span{phase.name, "rank", kSimulatedPid, tid, begin, busy_end, {}};
             if (r < phase.rank_delta.size()) {
                 const auto& delta = phase.rank_delta[r];
                 span.args.emplace_back("ops", delta.compute_ops);
@@ -97,7 +101,43 @@ void Tracer::record_query(const std::string& label, const net::Simulator& sim) {
     }
 
     cursor_us_ += query_us;
+    record_host(label, phases);
     ++queries_;
+}
+
+void Tracer::record_host(const std::string& label,
+                         std::span<const net::PhaseRecord> phases) {
+    // Parents are pushed before their children and closed once the children
+    // are laid out: at equal timestamps and durations the stable sort in
+    // to_json keeps that order, so spans nest.
+    const double begin = host_cursor_us_;
+    const std::size_t query = spans_.size();
+    spans_.push_back(TraceSpan{label, "host", kHostPid, 0, begin, begin, {}});
+    double at = begin;
+    for (const auto& phase : phases) {
+        const std::size_t superstep = spans_.size();
+        spans_.push_back(TraceSpan{phase.name, "host", kHostPid, 0, at, at, {}});
+        for (const auto& [round, seconds] :
+             {std::pair{"start", phase.host_start_seconds},
+              std::pair{"deliver", phase.host_deliver_seconds},
+              std::pair{"idle", phase.host_idle_seconds}}) {
+            if (seconds <= 0.0) { continue; }
+            const double end = at + seconds * kSecondsToUs;
+            spans_.push_back(TraceSpan{round, "host", kHostPid, 0, at, end, {}});
+            at = end;
+        }
+        if (at > spans_[superstep].begin_us) {
+            spans_[superstep].end_us = at;
+        } else {
+            spans_.pop_back();
+        }
+    }
+    if (at > begin) {
+        spans_[query].end_us = at;
+    } else {
+        spans_.pop_back();
+    }
+    host_cursor_us_ = at;
 }
 
 void Tracer::record_span(const std::string& label, const std::string& cat,
@@ -105,7 +145,8 @@ void Tracer::record_span(const std::string& label, const std::string& cat,
     const util::MutexLock lock(mutex_);
     const double us = seconds * kSecondsToUs;
     if (us > 0.0) {
-        spans_.push_back(TraceSpan{label, cat, 0, cursor_us_, cursor_us_ + us, {}});
+        spans_.push_back(
+            TraceSpan{label, cat, kSimulatedPid, 0, cursor_us_, cursor_us_ + us, {}});
     }
     cursor_us_ += us;
     ++queries_;
@@ -137,6 +178,10 @@ std::string Tracer::to_json() const {
     out << R"({"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"katric"}})";
     out << ",\n"
         << R"({"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"queries"}})";
+    out << ",\n"
+        << R"({"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"host"}})";
+    out << ",\n"
+        << R"({"ph":"M","pid":2,"tid":0,"name":"thread_name","args":{"name":"rounds"}})";
     for (std::uint32_t tid = 1; tid <= max_tid_; ++tid) {
         out << ",\n"
             << R"({"ph":"M","pid":1,"tid":)" << tid
@@ -145,7 +190,8 @@ std::string Tracer::to_json() const {
     for (const auto& event : events) {
         out << ",\n";
         if (event.begin) {
-            out << R"({"ph":"B","pid":1,"tid":)" << event.span->tid << ",\"ts\":"
+            out << R"({"ph":"B","pid":)" << event.span->pid << R"(,"tid":)"
+                << event.span->tid << ",\"ts\":"
                 << event.ts << ",\"name\":\"";
             append_escaped(out, event.span->name);
             out << "\",\"cat\":\"";
@@ -165,7 +211,8 @@ std::string Tracer::to_json() const {
             }
             out << '}';
         } else {
-            out << R"({"ph":"E","pid":1,"tid":)" << event.span->tid << ",\"ts\":"
+            out << R"({"ph":"E","pid":)" << event.span->pid << R"(,"tid":)"
+                << event.span->tid << ",\"ts\":"
                 << event.ts << '}';
         }
     }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,13 +12,20 @@
 
 namespace katric::obs {
 
-/// One closed span on the trace timeline, in microseconds of simulated time
-/// offset from the trace origin. Spans are hierarchical by containment:
-/// query ⊃ phase ⊃ superstep on the control lane, with per-rank busy spans
-/// on the rank lanes.
+/// Trace process of the simulated timeline.
+inline constexpr std::uint32_t kSimulatedPid = 1;
+/// Trace process of the host timeline: wall seconds per superstep round.
+inline constexpr std::uint32_t kHostPid = 2;
+
+/// One closed span on the trace timeline, in microseconds offset from the
+/// trace origin — simulated time in process kSimulatedPid, host wall time in
+/// kHostPid. Spans are hierarchical by containment: query ⊃ phase ⊃
+/// superstep on the control lane, with per-rank busy spans on the rank
+/// lanes; query ⊃ superstep ⊃ start/deliver/idle on the host lane.
 struct TraceSpan {
     std::string name;
-    std::string cat;           ///< "query", "phase", "superstep", "rank"
+    std::string cat;           ///< "query", "phase", "superstep", "rank", "host"
+    std::uint32_t pid = kSimulatedPid;
     std::uint32_t tid = 0;     ///< lane: 0 = control, 1+r = rank r
     double begin_us = 0.0;
     double end_us = 0.0;
@@ -39,6 +47,12 @@ struct TraceSpan {
 ///   tid 0      — control lane: query spans, phase-group spans, supersteps
 ///   tid 1 + r  — rank r: one busy span per superstep it participated in,
 ///                with ops/words-sent args (needs record_phase_details)
+///
+/// A second process, "host", lays the same queries out on their own cursor
+/// in host wall time: per superstep, the seconds of its start round, its
+/// delivery and its idle rounds (net::PhaseRecord's host fields), laid end
+/// to end — where a query's host time went, beside where its simulated time
+/// went. Host time is measured, so two runs' host lanes differ.
 ///
 /// Thread safety: record_query / record_span / to_json / write serialize on
 /// an internal mutex, so concurrent serve workers (and a StreamSession on
@@ -80,10 +94,16 @@ public:
     bool write(const std::string& path) const;
 
 private:
+    /// The host-lane spans of one query (see the class comment).
+    void record_host(const std::string& label, std::span<const net::PhaseRecord> phases)
+        KATRIC_REQUIRES(mutex_);
+
     mutable util::Mutex mutex_;
     std::vector<TraceSpan> spans_ KATRIC_GUARDED_BY(mutex_);
     /// End of the last recorded query.
     double cursor_us_ KATRIC_GUARDED_BY(mutex_) = 0.0;
+    /// End of the last recorded query on the host timeline.
+    double host_cursor_us_ KATRIC_GUARDED_BY(mutex_) = 0.0;
     /// Widest rank lane seen.
     std::uint32_t max_tid_ KATRIC_GUARDED_BY(mutex_) = 0;
     std::atomic<std::size_t> queries_{0};

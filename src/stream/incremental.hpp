@@ -45,7 +45,8 @@ struct BatchStats {
 /// vertices, with the same 6/k-sixths weight that flows into the global
 /// count — negated for delete-superstep finds. Summed over a triangle's k
 /// finds, every incident vertex receives exactly ±6 sixths, so consumers
-/// that aggregate by owner recover exact signed per-vertex Δ counts.
+/// that aggregate by owner recover exact signed per-vertex Δ counts. As with
+/// core::TriangleSink, different finding ranks may call it concurrently.
 using StreamTriangleSink =
     std::function<void(net::RankHandle& self, graph::VertexId vertex,
                        std::int64_t signed_sixths)>;

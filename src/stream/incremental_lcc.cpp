@@ -9,7 +9,10 @@ namespace katric::stream {
 IncrementalLcc::IncrementalLcc(net::Simulator& sim, std::vector<DynamicDistGraph>& views,
                                const core::AlgorithmOptions& options, bool indirect,
                                const std::vector<std::uint64_t>& initial_delta)
-    : sim_(&sim), views_(&views), state_(views.front().partition()) {
+    : sim_(&sim),
+      views_(&views),
+      state_(views.front().partition()),
+      touched_(static_cast<std::size_t>(sim.num_ranks())) {
     KATRIC_ASSERT(static_cast<Rank>(views.size()) == sim.num_ranks());
     const auto& partition = state_.partition();
     KATRIC_ASSERT_MSG(initial_delta.size() == partition.num_vertices(),
@@ -32,7 +35,7 @@ void IncrementalLcc::attach(IncrementalCounter& counter) {
     counter.set_triangle_sink(
         [this](net::RankHandle& self, graph::VertexId vertex, std::int64_t sixths) {
             if (state_.partition().is_local(vertex, self.rank())) {
-                touched_.push_back(vertex);
+                touched_[self.rank()].push_back(vertex);
             }
             state_.credit(self.rank(), vertex, sixths);
         });
@@ -41,7 +44,7 @@ void IncrementalLcc::attach(IncrementalCounter& counter) {
 void IncrementalLcc::deliver_record(net::RankHandle& self,
                                     std::span<const std::uint64_t> record) {
     KATRIC_ASSERT_MSG(record.size() == 2, "malformed Δ-flush record");
-    touched_.push_back(record[0]);
+    touched_[self.rank()].push_back(record[0]);
     state_.absorb(self.rank(), record[0], net::decode_signed(record[1]));
     self.charge_ops(1);
 }
@@ -84,12 +87,15 @@ double IncrementalLcc::finish_batch() {
     // k finds, so any other residue means a lost or double-counted find.
     // Only slots credited this batch can have changed, so the check is
     // O(touched), not O(n).
-    for (const auto v : touched_) {
-        const auto value = state_.local(state_.partition().rank_of(v), v);
-        KATRIC_ASSERT_MSG(value >= 0 && value % 6 == 0,
-                          "per-vertex sixths out of balance at " << v << ": " << value);
+    for (Rank r = 0; r < touched_.size(); ++r) {
+        for (const auto v : touched_[r]) {
+            const auto value = state_.local(r, v);
+            KATRIC_ASSERT_MSG(value >= 0 && value % 6 == 0,
+                              "per-vertex sixths out of balance at " << v << ": "
+                                                                     << value);
+        }
+        touched_[r].clear();
     }
-    touched_.clear();
     return sim_->time() - before;
 }
 

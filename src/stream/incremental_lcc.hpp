@@ -81,10 +81,11 @@ private:
     core::LccDeltaState state_;  // units: sixths of a triangle
     std::unique_ptr<net::Router> router_;
     std::vector<net::MessageQueue> queues_;
-    /// Owner-side slots credited since the last flush (may hold duplicates)
-    /// — the scope of finish_batch's sixths-invariant check, keeping it
-    /// O(touched) instead of O(n) per batch.
-    std::vector<VertexId> touched_;
+    /// Per rank: owner-side slots credited since the last flush (may hold
+    /// duplicates) — the scope of finish_batch's sixths-invariant check,
+    /// keeping it O(touched) instead of O(n) per batch. Per rank because the
+    /// ranks of a start round credit concurrently.
+    std::vector<std::vector<VertexId>> touched_;
     std::uint64_t epoch_ = 0;
     std::size_t batches_ = 0;
 };

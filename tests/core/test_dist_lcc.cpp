@@ -5,7 +5,11 @@
 #include "util/assert.hpp"
 
 #include <numeric>
+#include <string>
 
+#include "gen/rmat.hpp"
+#include "graph/distributed_graph.hpp"
+#include "net/rank_pool.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
 #include "support/engine_query.hpp"
@@ -65,6 +69,37 @@ TEST(DistLcc, PostprocessingIsAccounted) {
     const auto result = test::engine_lcc(g, spec);
     EXPECT_GT(result.postprocess_time, 0.0);
     EXPECT_GE(result.count.total_time, result.postprocess_time);
+}
+
+/// Preprocessing, the local phase and the Δ push all run as parallel start
+/// rounds; with helper threads the finder-partitioned Δ state still adds
+/// up to the oracle, at the inline run's simulated cost.
+TEST(DistLcc, HelperThreadsMatchOracle) {
+    net::RankPool inline_pool(0);
+    net::RankPool helpers(3);
+    const auto g = gen::generate_rmat(9, 4096, 5);
+    const auto oracle = seq::compute_lcc_oracle(g);
+    for (const auto algorithm : {Algorithm::kDitric, Algorithm::kCetric}) {
+        RunSpec spec;
+        spec.algorithm = algorithm;
+        spec.num_ranks = 8;
+        const auto run = [&](net::RankPool& pool) {
+            auto views = graph::distribute(g, make_partition(g, spec));
+            net::Simulator sim(spec.num_ranks, spec.network, pool);
+            return compute_distributed_lcc(sim, views, g, spec);
+        };
+        const auto reference = run(inline_pool);
+        const auto result = run(helpers);
+        const std::string what = algorithm_name(algorithm);
+        EXPECT_EQ(result.delta, oracle.delta) << what;
+        ASSERT_EQ(result.lcc.size(), oracle.lcc.size()) << what;
+        for (std::size_t v = 0; v < oracle.lcc.size(); ++v) {
+            EXPECT_DOUBLE_EQ(result.lcc[v], oracle.lcc[v]) << what << ", vertex " << v;
+        }
+        EXPECT_EQ(result.count.total_time, reference.count.total_time) << what;
+        EXPECT_EQ(result.count.total_words_sent, reference.count.total_words_sent)
+            << what;
+    }
 }
 
 TEST(LccDeltaState, LocalCreditsLandDirectlyGhostsNeedAFlush) {

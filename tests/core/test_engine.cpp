@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -431,12 +432,13 @@ TEST(Engine, EnumerateWithSinkForwardsEveryFind) {
     config.algorithm = Algorithm::kCetric;
     config.num_ranks = 2;
     const Engine engine(g, config);
-    std::size_t forwarded = 0;
-    const core::TriangleSink sink = [&](core::Rank, core::VertexId, core::VertexId,
-                                        core::VertexId) { ++forwarded; };
+    // Counted per finder: different finders may call the sink concurrently.
+    std::vector<std::size_t> forwarded(config.num_ranks, 0);
+    const core::TriangleSink sink = [&](core::Rank finder, core::VertexId, core::VertexId,
+                                        core::VertexId) { ++forwarded[finder]; };
     const auto report = engine.enumerate(sink);
     EXPECT_TRUE(report.ok());
-    EXPECT_EQ(forwarded, 2u);
+    EXPECT_EQ(std::accumulate(forwarded.begin(), forwarded.end(), std::size_t{0}), 2u);
     EXPECT_TRUE(report.triangles.empty()) << "sink mode collects nothing";
     EXPECT_EQ(report.count.triangles, 2u);
 }

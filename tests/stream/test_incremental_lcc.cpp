@@ -7,6 +7,7 @@
 #include "gen/gnm.hpp"
 #include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
+#include "net/rank_pool.hpp"
 #include "graph/builder.hpp"
 #include "seq/lcc.hpp"
 #include "stream/stream_runner.hpp"
@@ -31,9 +32,10 @@ graph::CsrGraph make_base(const std::string& family) {
 /// (and the sequential oracle) after every batch.
 void expect_lcc_tracks_recompute(const graph::CsrGraph& base,
                                  const std::vector<EdgeBatch>& batches,
-                                 const Config& config) {
+                                 const Config& config,
+                                 net::RankPool& pool = net::RankPool::shared()) {
     auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network);
+    net::Simulator sim(config.num_ranks, config.network, pool);
     const auto initial = test::engine_lcc(base, config.run_spec());
     ASSERT_FALSE(initial.count.oom);
     IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
@@ -117,6 +119,21 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(seq::IntersectKind::kMerge,
                                          seq::IntersectKind::kAdaptive)),
     property_name);
+
+/// The apply superstep mutates each rank's view and credits Δ from a
+/// parallel start round: with helper threads every batch still matches the
+/// full recompute and the oracle.
+TEST(StreamingLccMatchesFull, HelperThreadsKeepEveryBatchExact) {
+    net::RankPool helpers(3);
+    const auto base = make_base("rmat");
+    Config config;
+    config.algorithm = core::Algorithm::kCetric;
+    config.num_ranks = 7;
+    config.options.intersect = seq::IntersectKind::kAdaptive;
+    config.options.hub_threshold = 2;
+    const auto stream = make_churn_stream(base, 240, 0.45, 4321);
+    expect_lcc_tracks_recompute(base, stream.batches_of(30), config, helpers);
+}
 
 TEST(StreamingLccEdgeCases, IsolatedAndDegreeOneVerticesReportZero) {
     // Vertices 0–2 form a triangle; 3 is a pendant off 0; 4 and 5 are

@@ -77,14 +77,19 @@ inline Report oneshot_enumerate(const graph::CsrGraph& g, const core::RunSpec& s
         Query::kEnumerate, g, spec,
         [&](Report& report, net::Simulator& sim, detail::Views& views) {
             report.found_per_rank.assign(spec.num_ranks, 0);
+            // Per finder: different finders may call the sink concurrently.
+            std::vector<std::vector<core::Triangle>> found(spec.num_ranks);
             const core::TriangleSink sink = [&](core::Rank finder, core::VertexId v,
                                                 core::VertexId u, core::VertexId w) {
                 std::array<core::VertexId, 3> t{v, u, w};
                 std::sort(t.begin(), t.end());
-                report.triangles.push_back(core::Triangle{t[0], t[1], t[2]});
+                found[finder].push_back(core::Triangle{t[0], t[1], t[2]});
                 ++report.found_per_rank[finder];
             };
             report.count = core::dispatch_algorithm(sim, views, spec, &sink);
+            for (const auto& part : found) {
+                report.triangles.insert(report.triangles.end(), part.begin(), part.end());
+            }
             std::sort(report.triangles.begin(), report.triangles.end());
         });
 }
