@@ -1,20 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "engine.hpp"
 #include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
 #include "stream/edge_stream.hpp"
+#include "support/golden.hpp"
 #include "support/trace_check.hpp"
 #include "util/hash.hpp"
 
@@ -29,46 +24,9 @@ namespace {
 /// (KATRIC_GOLDEN_OUT) — a reviewed `cp` of that file over the golden is how
 /// an intended change lands.
 constexpr graph::Rank kRanks = 12;
-constexpr double kRelativeTolerance = 1e-12;
 
-/// One report rendered as `cell name=value …`. Finite doubles always carry
-/// a '.', integers and hashes never do — that is what selects the tolerant
-/// comparison.
-class Line {
-public:
-    explicit Line(std::string cell) : text_(std::move(cell)) {}
-
-    void add(const std::string& name, std::uint64_t value) {
-        field(name, std::to_string(value));
-    }
-    void add(const std::string& name, double value) {
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-        std::string rendered = buffer;
-        if (std::isfinite(value) && rendered.find('.') == std::string::npos) {
-            rendered.insert(std::min(rendered.find('e'), rendered.size()), ".0");
-        }
-        field(name, rendered);
-    }
-    void add_hash(const std::string& name, std::uint64_t hash) {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%016llx",
-                      static_cast<unsigned long long>(hash));
-        field(name, buffer);
-    }
-
-    [[nodiscard]] const std::string& text() const noexcept { return text_; }
-
-private:
-    void field(const std::string& name, const std::string& value) {
-        text_ += ' ';
-        text_ += name;
-        text_ += '=';
-        text_ += value;
-    }
-
-    std::string text_;
-};
+using test::golden_mismatch;
+using test::Line;
 
 template <typename T, typename Bits>
 std::uint64_t hash_values(const std::vector<T>& values, const Bits& bits) {
@@ -153,7 +111,7 @@ Line stream_line(const std::string& cell, const Report& report) {
     line.add("stream_seconds", report.stream_seconds);
     for (std::size_t i = 0; i < report.batches.size(); ++i) {
         const auto& batch = report.batches[i];
-        const std::string prefix = "b" + std::to_string(i) + ".";
+        const auto prefix = std::string("b") + std::to_string(i) + ".";
         line.add(prefix + "seconds", batch.seconds);
         line.add(prefix + "lcc_seconds", batch.lcc_seconds);
         line.add(prefix + "messages", batch.messages_sent);
@@ -257,86 +215,16 @@ std::vector<std::string> recompute_golden() {
     return lines;
 }
 
-std::vector<std::string> split(const std::string& text) {
-    std::vector<std::string> tokens;
-    std::istringstream in(text);
-    for (std::string token; in >> token;) { tokens.push_back(token); }
-    return tokens;
-}
-
-bool values_match(const std::string& golden, const std::string& actual) {
-    if (golden == actual) { return true; }
-    const bool doubles = golden.find('.') != std::string::npos
-                         && actual.find('.') != std::string::npos;
-    if (!doubles) { return false; }
-    const double a = std::strtod(golden.c_str(), nullptr);
-    const double b = std::strtod(actual.c_str(), nullptr);
-    return std::fabs(a - b) <= kRelativeTolerance * std::max(std::fabs(a), std::fabs(b));
-}
-
-/// Empty when the line matches; otherwise names the first differing field.
-std::string first_difference(const std::string& golden, const std::string& actual) {
-    const auto g = split(golden);
-    const auto a = split(actual);
-    if (g.empty() || a.empty() || g.front() != a.front()) {
-        return "cell order differs: golden '" + (g.empty() ? "" : g.front())
-               + "', recomputed '" + (a.empty() ? "" : a.front()) + "'";
-    }
-    for (std::size_t i = 1; i < std::max(g.size(), a.size()); ++i) {
-        const std::string gf = i < g.size() ? g[i] : "<missing>";
-        const std::string af = i < a.size() ? a[i] : "<missing>";
-        const auto gname = gf.substr(0, gf.find('='));
-        const auto aname = af.substr(0, af.find('='));
-        if (gname != aname) {
-            return g.front() + ": field '" + gname + "' vs recomputed field '" + aname
-                   + "'";
-        }
-        const auto gvalue = gf.substr(gf.find('=') + 1);
-        const auto avalue = af.substr(af.find('=') + 1);
-        if (!values_match(gvalue, avalue)) {
-            return g.front() + ": field '" + gname + "' golden " + gvalue
-                   + ", recomputed " + avalue;
-        }
-    }
-    return "";
-}
-
-/// Empty when every line matches; otherwise the number of differing lines
-/// and the first difference.
-std::string mismatch(const std::vector<std::string>& golden,
-                     const std::vector<std::string>& actual) {
-    std::size_t differing = 0;
-    std::string first;
-    for (std::size_t i = 0; i < std::max(golden.size(), actual.size()); ++i) {
-        const auto diff = first_difference(i < golden.size() ? golden[i] : "",
-                                           i < actual.size() ? actual[i] : "");
-        if (diff.empty()) { continue; }
-        if (differing++ == 0) { first = "line " + std::to_string(i + 1) + ": " + diff; }
-    }
-    if (differing == 0) { return ""; }
-    return std::to_string(differing) + " of " + std::to_string(golden.size())
-           + " golden lines differ (" + std::to_string(actual.size())
-           + " recomputed); first difference at " + first;
-}
-
-std::vector<std::string> read_golden() {
-    std::ifstream in(KATRIC_GOLDEN_FILE);
-    std::vector<std::string> golden;
-    for (std::string line; std::getline(in, line);) { golden.push_back(line); }
-    return golden;
-}
+std::vector<std::string> read_golden() { return test::read_golden(KATRIC_GOLDEN_FILE); }
 
 TEST(GoldenReports, SimulatedCostsMatchTheCheckedInGolden) {
     const auto actual = recompute_golden();
-    {
-        std::ofstream out(KATRIC_GOLDEN_OUT);
-        for (const auto& line : actual) { out << line << '\n'; }
-    }
+    test::write_golden(KATRIC_GOLDEN_OUT, actual);
 
     const auto golden = read_golden();
     ASSERT_FALSE(golden.empty()) << "missing golden " << KATRIC_GOLDEN_FILE
                                  << "; recomputed file written to " << KATRIC_GOLDEN_OUT;
-    const auto diff = mismatch(golden, actual);
+    const auto diff = golden_mismatch(golden, actual);
     EXPECT_TRUE(diff.empty()) << diff << "\nrecomputed file: " << KATRIC_GOLDEN_OUT;
 }
 
@@ -360,7 +248,7 @@ TEST(GoldenReports, ObservabilityLeavesDefaultCellsUnchanged) {
         if (cell.find("/default/") != std::string::npos) { golden.push_back(line); }
     }
     ASSERT_FALSE(golden.empty()) << "missing golden " << KATRIC_GOLDEN_FILE;
-    const auto diff = mismatch(golden, actual);
+    const auto diff = golden_mismatch(golden, actual);
     EXPECT_TRUE(diff.empty()) << diff;
 
     // Every engine is gone, so its trace has been written.
