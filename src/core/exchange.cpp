@@ -194,14 +194,15 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
     const bool compress = options.compress_neighborhoods;
 
     std::vector<std::uint64_t> global_counts(p, 0);
-    std::vector<VertexId> decoded;
+    // Per rank: the handlers of one delivery window may run concurrently.
+    std::vector<std::vector<VertexId>> decoded(p);
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
         const Rank r = self.rank();
         if (detect) { detector.note_received(r); }
         const DistGraph& view = views[r];
         const seq::AdaptiveIntersect isect(options.intersect, view.hub_index(),
                                            obs::rank_sink(options.kernel_stats, r));
-        const auto a_v = decode_neighborhood(self, record, compress, decoded);
+        const auto a_v = decode_neighborhood(self, record, compress, decoded[r]);
         const VertexId v = record[0];
         for (const VertexId u : a_v) {
             if (!view.is_local(u)) { continue; }

@@ -73,7 +73,9 @@ std::uint64_t allreduce_sum(Simulator& sim, const std::vector<std::uint64_t>& va
     std::vector<std::uint64_t> acc(values);
     std::vector<int> pending(p, 0);
     std::vector<std::uint64_t> result(p, 0);
-    std::vector<bool> done(p, false);
+    // Bytes, not std::vector<bool>: each rank's handler sets its own flag,
+    // and handlers of one delivery window may run concurrently.
+    std::vector<std::uint8_t> done(p, 0);
     for (Rank r = 0; r < p; ++r) {
         for (Rank d = 1; r + d < p && r % (2 * d) == 0; d *= 2) { ++pending[r]; }
     }
@@ -81,7 +83,7 @@ std::uint64_t allreduce_sum(Simulator& sim, const std::vector<std::uint64_t>& va
     auto forward_down = [&](RankHandle& self) {
         const Rank r = self.rank();
         result[r] = acc[r];
-        done[r] = true;
+        done[r] = 1;
         for (Rank d = 1; r + d < p && r % (2 * d) == 0; d *= 2) {
             self.send(static_cast<Rank>(r + d), WordVec{acc[r]}, kTagBroadcast);
         }
@@ -119,7 +121,7 @@ std::uint64_t allreduce_sum(Simulator& sim, const std::vector<std::uint64_t>& va
         });
 
     for (Rank r = 0; r < p; ++r) {
-        KATRIC_ASSERT_MSG(done[r], "allreduce did not reach rank " << r);
+        KATRIC_ASSERT_MSG(done[r] != 0, "allreduce did not reach rank " << r);
         KATRIC_ASSERT_MSG(result[r] == result[0], "allreduce results disagree");
     }
     return result[0];

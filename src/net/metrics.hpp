@@ -51,6 +51,11 @@ struct PhaseRecord {
     double host_start_seconds = 0.0;
     double host_deliver_seconds = 0.0;
     double host_idle_seconds = 0.0;
+    /// Delivery windows this superstep popped (see Simulator), and how many
+    /// of them fanned out to the rank pool. Host bookkeeping like the
+    /// seconds above: the fanned count depends on the host's cores.
+    std::uint64_t host_windows = 0;
+    std::uint64_t host_windows_fanned = 0;
     [[nodiscard]] double duration() const noexcept { return end_time - start_time; }
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <limits>
 #include <sstream>
 
 #include "net/encoding.hpp"
@@ -13,6 +14,17 @@
 namespace katric::net {
 
 namespace {
+
+/// A delivery window fans out to the pool only when it carries at least this
+/// many materialized payload words. Waking the helpers costs 0.3–1.2 ms a
+/// round on a 2-vCPU host, so only windows heavy with handler work pay for
+/// it. On the benchmark's social-global workload (seed 1, 2 vCPUs), about 2
+/// of the 28 `global` windows a query reach 64 Ki words, yet they hold most
+/// of the handler time: fanning them out took `global` delivery from 126 to
+/// 80 host ms a query. The ledger replay's size-only sends carry no payload
+/// and the 16 `reduce` windows a query are tiny, so both stay on the caller.
+constexpr std::uint64_t kFanOutWindowWords = std::uint64_t{64} * 1024;
+
 std::string oom_message(Rank rank, std::uint64_t words) {
     std::ostringstream out;
     out << "PE " << rank << " exceeded its memory budget with " << words
@@ -104,16 +116,18 @@ void Simulator::post(Rank src, Rank dest, int tag, std::uint64_t words, WordVec 
         Outgoing{dest, tag, framed, words, lane.clock, std::move(payload)});
 }
 
+void Simulator::enqueue(Rank src, Outgoing& out) {
+    if (out.framed) {
+        send_framed(src, out);
+    } else {
+        events_.push(Event{out.arrival, next_seq_++, src, out.dest, out.tag, out.words,
+                           std::move(out.payload)});
+    }
+}
+
 void Simulator::drain(Rank src) {
     auto& outbox = lanes_[src].outbox;
-    for (Outgoing& out : outbox) {
-        if (out.framed) {
-            send_framed(src, out);
-        } else {
-            events_.push(Event{out.arrival, next_seq_++, src, out.dest, out.tag,
-                               out.words, std::move(out.payload)});
-        }
-    }
+    for (Outgoing& out : outbox) { enqueue(src, out); }
     outbox.clear();
 }
 
@@ -266,36 +280,155 @@ void Simulator::call_and_drain(Rank rank, const Fn& fn) {
     drain(rank);
 }
 
-double Simulator::deliver_until_quiescent(const MessageHandler& on_message,
-                                          const RankFn& on_idle) {
-    double idle_seconds = 0.0;
+Simulator::WindowBounds Simulator::pop_window(bool single) {
+    window_.clear();
+    WindowBounds bounds{std::numeric_limits<double>::infinity(), 0};
+    const std::uint64_t stamp = ++windows_popped_;
+    do {
+        // priority_queue::top is const; the payload must be moved out, so
+        // const_cast the pop-and-move — standard idiom for move-only
+        // payloads in a priority queue.
+        Delivery& delivery = window_.emplace_back();
+        delivery.event = std::move(const_cast<Event&>(events_.top()));
+        events_.pop();
+        const Event& event = delivery.event;
+        delivery.payload = event.payload;
+        bounds.words += event.retained ? event.words : event.payload.size();
+        Lane& lane = lanes_[event.dest];
+        if (lane.seen_in != stamp) {
+            // The rank's earliest pending event bounds everything it sends
+            // in this window. A rank not seen yet has its earliest event at
+            // or after the top, so its bound cannot undercut the horizon.
+            lane.seen_in = stamp;
+            double bound = std::max(lane.clock, event.arrival);
+            if (event.src != event.dest) {
+                bound += config_.alpha + config_.beta * static_cast<double>(event.words);
+            }
+            bounds.horizon = std::min(bounds.horizon, bound);
+        }
+    } while (!single && !events_.empty() && events_.top().arrival < bounds.horizon);
+    return bounds;
+}
+
+bool Simulator::verify(Delivery& delivery) {
+    const auto verified = receive_hardened(delivery.event);
+    if (!verified.has_value()) { return false; }
+    delivery.payload = *verified;
+    delivery.verified = true;
+    return true;
+}
+
+void Simulator::receive(RankHandle& handle, Delivery& delivery,
+                        const MessageHandler& on_message) {
+    Event& event = delivery.event;
+    const Rank dest = handle.rank();
+    double& clock = lanes_[dest].clock;
+    clock = std::max(clock, event.arrival);
+    if (event.src != dest) {
+        // Receiver port occupancy, mirroring the sender charge: the paper's
+        // hotspot analysis ("p messages require time p(α+β)") charges the
+        // receiving PE per message.
+        clock += config_.alpha + config_.beta * static_cast<double>(event.words);
+        metrics_[dest].messages_received += 1;
+        metrics_[dest].words_received += event.words;
+    }
+    if (event.frame != 0 && !delivery.verified && !verify(delivery)) {
+        return;  // suppressed or re-sent
+    }
+    if (on_message) { on_message(handle, event.src, event.tag, delivery.payload); }
+    // Free the payload now, as a sequential run would: the window holds
+    // every event until its last delivery.
+    WordVec().swap(event.payload);
+}
+
+void Simulator::deliver_fanned_out(const MessageHandler& on_message, double horizon) {
+    const auto size = static_cast<std::uint32_t>(window_.size());
+    for (std::uint32_t i = 0; i < size; ++i) {
+        Delivery& delivery = window_[i];
+        if (delivery.event.frame != 0) {
+            // No injector is armed, so no frame can fail its check, and
+            // verifying ahead of the receive charges changes nothing.
+            const bool verified = verify(delivery);
+            KATRIC_ASSERT_MSG(verified, "frame " << delivery.event.frame
+                                                 << " failed verification without an "
+                                                    "injector");
+        }
+        lanes_[delivery.event.dest].inbox.push_back(i);
+    }
+    std::atomic<std::uint32_t> first_failed{size};
+    pool_->run(num_ranks_, [&](Rank r) {
+        Lane& lane = lanes_[r];
+        RankHandle handle(*this, r);
+        for (const std::uint32_t i : lane.inbox) {
+            // A sequential run would never reach events past a failure.
+            if (i > first_failed.load(std::memory_order_relaxed)) { break; }
+            Delivery& delivery = window_[i];
+            delivery.ran = true;
+            delivery.clock_before = lane.clock;
+            delivery.metrics_before = metrics_[r];
+            try {
+                receive(handle, delivery, on_message);
+            } catch (...) {
+                delivery.error = std::current_exception();
+                delivery.outbox_end = lane.outbox.size();
+                std::uint32_t seen = first_failed.load(std::memory_order_relaxed);
+                while (i < seen && !first_failed.compare_exchange_weak(seen, i)) {}
+                break;
+            }
+            delivery.outbox_end = lane.outbox.size();
+        }
+    });
+    const std::uint32_t failed = first_failed.load();
+    // Merge in event order: each event's staged sends get the sequence
+    // numbers and frame ids a sequential run would have handed them.
+    for (std::uint32_t i = 0; i < size && i <= failed; ++i) {
+        const Delivery& delivery = window_[i];
+        const Rank dest = delivery.event.dest;
+        Lane& lane = lanes_[dest];
+        for (; lane.merged < delivery.outbox_end; ++lane.merged) {
+            Outgoing& out = lane.outbox[lane.merged];
+            KATRIC_ASSERT_MSG(out.arrival >= horizon,
+                              "send from rank " << dest << " arrives at " << out.arrival
+                                                << ", before its window's horizon "
+                                                << horizon);
+            enqueue(dest, out);
+        }
+    }
+    // Undo what ran past the failure, latest first, so each rank ends at its
+    // state before its first such event.
+    for (std::uint32_t i = size; i-- > failed + 1;) {
+        const Delivery& delivery = window_[i];
+        if (!delivery.ran) { continue; }
+        lanes_[delivery.event.dest].clock = delivery.clock_before;
+        metrics_[delivery.event.dest] = delivery.metrics_before;
+    }
+    for (const Delivery& delivery : window_) {
+        Lane& lane = lanes_[delivery.event.dest];
+        lane.outbox.clear();
+        lane.inbox.clear();
+        lane.merged = 0;
+    }
+    if (failed < size) { std::rethrow_exception(window_[failed].error); }
+}
+
+Simulator::DeliveryStats Simulator::deliver_until_quiescent(
+    const MessageHandler& on_message, const RankFn& on_idle) {
+    DeliveryStats stats;
+    // An armed injector retransmits from inside a delivery, charging the
+    // sender's clock: no window past one event is safe then.
+    const bool single = fault_ != nullptr && fault_->opts.injector != nullptr;
     while (true) {
         while (!events_.empty()) {
-            // priority_queue::top is const; the payload must be moved out, so
-            // copy the small fields first and const_cast the pop-and-move —
-            // standard idiom for move-only payloads in a priority queue.
-            Event event = std::move(const_cast<Event&>(events_.top()));
-            events_.pop();
-            const Rank dest = event.dest;
-            double& clock = lanes_[dest].clock;
-            clock = std::max(clock, event.arrival);
-            if (event.src != dest) {
-                // Receiver port occupancy, mirroring the sender charge: the
-                // paper's hotspot analysis ("p messages require time
-                // p(α+β)") charges the receiving PE per message.
-                clock += config_.alpha + config_.beta * static_cast<double>(event.words);
-                metrics_[dest].messages_received += 1;
-                metrics_[dest].words_received += event.words;
+            const WindowBounds window = pop_window(single);
+            ++stats.windows;
+            if (window.words >= kFanOutWindowWords && pool_->fans_out(num_ranks_)) {
+                ++stats.windows_fanned;
+                deliver_fanned_out(on_message, window.horizon);
+                continue;
             }
-            std::span<const std::uint64_t> payload(event.payload);
-            if (event.frame != 0) {
-                const auto verified = receive_hardened(event);
-                if (!verified.has_value()) { continue; }  // suppressed or re-sent
-                payload = *verified;
-            }
-            if (on_message) {
-                call_and_drain(dest, [&](RankHandle& handle) {
-                    on_message(handle, event.src, event.tag, payload);
+            for (Delivery& delivery : window_) {
+                call_and_drain(delivery.event.dest, [&](RankHandle& handle) {
+                    receive(handle, delivery, on_message);
                 });
             }
         }
@@ -313,7 +446,7 @@ double Simulator::deliver_until_quiescent(const MessageHandler& on_message,
         if (!on_idle) { break; }
         const WallTimer idle_timer;
         for (Rank r = 0; r < num_ranks_; ++r) { call_and_drain(r, on_idle); }
-        idle_seconds += idle_timer.elapsed_seconds();
+        stats.idle_seconds += idle_timer.elapsed_seconds();
         // A frame sent during the idle round may itself have been dropped:
         // the event queue is then empty but the frame is unaccounted for.
         // Loop back so the lost-frame sweep above runs; only true quiescence
@@ -323,7 +456,7 @@ double Simulator::deliver_until_quiescent(const MessageHandler& on_message,
             break;
         }
     }
-    return idle_seconds;
+    return stats;
 }
 
 void Simulator::run_start_round(const RankFn& start) {
@@ -398,8 +531,8 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
     if (start) { run_start_round(start); }
     const double host_start = host.elapsed_seconds();
     host.restart();
-    const double host_idle = deliver_until_quiescent(on_message, on_idle);
-    const double host_deliver = host.elapsed_seconds() - host_idle;
+    const DeliveryStats delivery = deliver_until_quiescent(on_message, on_idle);
+    const double host_deliver = host.elapsed_seconds() - delivery.idle_seconds;
 
     double makespan = phase_start;
     for (const Lane& lane : lanes_) { makespan = std::max(makespan, lane.clock); }
@@ -413,7 +546,9 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
     record.end_time = barrier_time_;
     record.host_start_seconds = host_start;
     record.host_deliver_seconds = host_deliver;
-    record.host_idle_seconds = host_idle;
+    record.host_idle_seconds = delivery.idle_seconds;
+    record.host_windows = delivery.windows;
+    record.host_windows_fanned = delivery.windows_fanned;
     if (record_phase_details_) {
         record.rank_busy_end.reserve(num_ranks_);
         for (const Lane& lane : lanes_) { record.rank_busy_end.push_back(lane.clock); }

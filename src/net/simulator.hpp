@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -144,18 +145,37 @@ private:
 /// no new traffic. A closing barrier lifts all clocks to the maximum plus
 /// α·⌈log₂ p⌉.
 ///
-/// Start rounds run in parallel on the host (RankPool): each start function
-/// may touch only its own rank's state — its clock, metrics and outbox
-/// through the RankHandle, and whatever per-rank algorithm state it owns.
-/// A send charges the sender's clock and metrics at once and is staged in
-/// that rank's outbox; after the last start the outboxes drain in (rank,
-/// local order), handing out sequence numbers, hardened frame ids and
-/// injector decisions exactly as one thread running the ranks in order
-/// would. An exception thrown by a start surfaces as the lowest throwing
-/// rank's; the ranks above it get back the clocks and metrics they had
-/// before the round, as if never started. Delivery and idle rounds stay
-/// sequential: handlers stage through the same outbox, drained after each
-/// call, so every event keeps its place in the global order.
+/// Host parallelism (RankPool) never changes a result. A send charges the
+/// sender's clock and metrics at once and is staged in that rank's outbox;
+/// staged sends drain into the event queue in the order one thread running
+/// everything in sequence would have sent them, which hands out sequence
+/// numbers, hardened frame ids and injector decisions unchanged. So every
+/// start function and every handler may touch only its own rank's state —
+/// its clock, metrics and outbox through the RankHandle, and whatever
+/// per-rank algorithm state it owns.
+///
+/// - Start rounds run every rank in parallel; the outboxes drain in (rank,
+///   local order).
+/// - Delivery runs in safe time windows, the conservative rule of parallel
+///   discrete-event simulation. Delivering event e on rank r first lifts r's
+///   clock to e's arrival and adds the receive charge, so nothing r sends
+///   from then on arrives before that bound. The horizon H is the least
+///   bound over the ranks' earliest pending events; every pending event
+///   that arrives before H forms one window (the earliest event always
+///   does). No event sent inside the window can precede any of them, so
+///   each rank delivers its share of the window in order, independently of
+///   the others, and the staged sends drain afterwards in the order of the
+///   events that produced them. A window fans out only when it carries
+///   enough payload to pay for waking the helpers; a machine with an armed
+///   FaultInjector delivers one event at a time, since a retransmission
+///   charges another rank's clock.
+/// - Idle rounds run sequentially, each rank's sends drained after its call.
+///
+/// An exception thrown by a start function or handler surfaces as the one a
+/// sequential run would have raised first (lowest rank, lowest event); the
+/// work that run would never have reached is undone — clocks and metrics
+/// restored, staged sends dropped — so the machine's counters equal the
+/// sequential run's.
 ///
 /// Determinism: ties in arrival time break by send sequence number, and
 /// per-channel FIFO follows from per-sender clock monotonicity. The result
@@ -166,8 +186,8 @@ public:
         std::function<void(RankHandle&, Rank src, int tag, std::span<const std::uint64_t>)>;
     using RankFn = std::function<void(RankHandle&)>;
 
-    /// `pool` runs the start rounds; tests hand in their own to pin the
-    /// host thread count.
+    /// `pool` runs the start rounds and delivery windows; tests hand in
+    /// their own to pin the host thread count.
     Simulator(Rank num_ranks, NetworkConfig config, RankPool& pool = RankPool::shared());
 
     Simulator(const Simulator&) = delete;
@@ -249,17 +269,42 @@ private:
         WordVec payload;
     };
 
-    /// What one rank owns while its start function runs, on its own cache
-    /// lines: charge_ops writes the clock on every intersection.
+    /// What one rank owns while its start function or handlers run, on its
+    /// own cache lines: charge_ops writes the clock on every intersection.
     struct alignas(64) Lane {
         double clock = 0.0;
         std::vector<Outgoing> outbox;
+        /// Fanned-out window: this rank's events (indices into window_, in
+        /// key order) and how much of its outbox the merge has drained.
+        std::vector<std::uint32_t> inbox;
+        std::size_t merged = 0;
+        /// The last window whose horizon this rank's bound went into.
+        std::uint64_t seen_in = 0;
+    };
+
+    /// One event of a delivery window, and what delivering it left behind.
+    struct Delivery {
+        Event event;
+        /// What the handler sees; set by the receive, or on the caller for a
+        /// fanned-out hardened window.
+        std::span<const std::uint64_t> payload;
+        bool verified = false;
+        /// Fanned-out windows only, written by the delivering thread: the
+        /// rank's outbox size after the handler, and the rank's clock and
+        /// metrics before it, should an earlier event of the window throw.
+        bool ran = false;
+        std::size_t outbox_end = 0;
+        double clock_before = 0.0;
+        RankMetrics metrics_before;
+        std::exception_ptr error;
     };
 
     /// The one send path: charges the sender (α + β·ℓ, ℓ including the frame
     /// header when the send will be framed) and stages it in its outbox.
     void post(Rank src, Rank dest, int tag, std::uint64_t words, WordVec payload,
               bool sized);
+    /// Gives one staged send its place in the event queue.
+    void enqueue(Rank src, Outgoing& out);
     /// Moves rank `src`'s staged sends into the event queue, in order.
     void drain(Rank src);
     /// Runs every rank's start function (on the pool when it fans out) and
@@ -269,9 +314,33 @@ private:
     /// throws, so the machine holds exactly what a direct send would have.
     template <typename Fn>
     void call_and_drain(Rank rank, const Fn& fn);
-    /// Returns the host seconds spent in idle rounds.
-    double deliver_until_quiescent(const MessageHandler& on_message,
-                                   const RankFn& on_idle);
+    /// Host-side counts of one delivery, for the PhaseRecord.
+    struct DeliveryStats {
+        double idle_seconds = 0.0;
+        std::uint64_t windows = 0;
+        std::uint64_t windows_fanned = 0;
+    };
+    DeliveryStats deliver_until_quiescent(const MessageHandler& on_message,
+                                          const RankFn& on_idle);
+    /// The window pop_window left in window_: no event sent while
+    /// delivering it arrives before `horizon`; `words` is its materialized
+    /// payload.
+    struct WindowBounds {
+        double horizon;
+        std::uint64_t words;
+    };
+    /// Pops the next delivery window into window_ (one event when `single`).
+    WindowBounds pop_window(bool single);
+    /// receive_hardened for one delivery: false when the event must be
+    /// suppressed, else its payload is the verified frame's.
+    bool verify(Delivery& delivery);
+    /// Receive side of one delivery on its rank: clock, receive charge,
+    /// hardened verification unless already verified, then the handler.
+    void receive(RankHandle& handle, Delivery& delivery,
+                 const MessageHandler& on_message);
+    /// Delivers window_ on the pool and merges the staged sends in event
+    /// order; every merged send must arrive at or after `horizon`.
+    void deliver_fanned_out(const MessageHandler& on_message, double horizon);
 
     /// Retained copy of a hardened in-flight frame, kept until its verified
     /// delivery so loss and corruption can be repaired by retransmission.
@@ -321,6 +390,8 @@ private:
     /// alignas(64) per element: each rank's counters on their own line.
     std::vector<RankMetrics> metrics_;
     std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+    std::vector<Delivery> window_;
+    std::uint64_t windows_popped_ = 0;
     std::uint64_t next_seq_ = 0;
     double barrier_time_ = 0.0;
     std::vector<PhaseRecord> phases_;

@@ -14,11 +14,11 @@ TerminationDetector::TerminationDetector(Rank num_ranks, int report_tag, int ver
       received_(num_ranks, 0),
       last_reported_sent_(num_ranks, 0),
       last_reported_received_(num_ranks, 0),
-      reported_once_(num_ranks, false),
-      terminated_(num_ranks, false),
+      reported_once_(num_ranks, 0),
+      terminated_(num_ranks, 0),
       latest_sent_(num_ranks, 0),
       latest_received_(num_ranks, 0),
-      heard_from_(num_ranks, false) {}
+      heard_from_(num_ranks, 0) {}
 
 void TerminationDetector::on_idle(RankHandle& self) {
     const Rank r = self.rank();
@@ -27,11 +27,11 @@ void TerminationDetector::on_idle(RankHandle& self) {
     // to confirm, so even idle PEs must keep answering until the verdict.
     last_reported_sent_[r] = sent_[r];
     last_reported_received_[r] = received_[r];
-    reported_once_[r] = true;
+    reported_once_[r] = 1;
     if (r == 0) {
         latest_sent_[0] = sent_[0];
         latest_received_[0] = received_[0];
-        heard_from_[0] = true;
+        heard_from_[0] = 1;
         coordinator_check(self);
     } else {
         self.send(0, WordVec{sent_[r], received_[r]}, report_tag_);
@@ -46,12 +46,12 @@ bool TerminationDetector::handle(RankHandle& self, Rank src, int tag,
         KATRIC_ASSERT(payload.size() == 2);
         latest_sent_[src] = payload[0];
         latest_received_[src] = payload[1];
-        heard_from_[src] = true;
+        heard_from_[src] = 1;
         coordinator_check(self);
         return true;
     }
     if (tag == verdict_tag_) {
-        terminated_[r] = true;
+        terminated_[r] = 1;
         return true;
     }
     return false;
@@ -59,7 +59,7 @@ bool TerminationDetector::handle(RankHandle& self, Rank src, int tag,
 
 void TerminationDetector::coordinator_check(RankHandle& self) {
     if (verdict_sent_) { return; }
-    if (!std::all_of(heard_from_.begin(), heard_from_.end(), [](bool h) { return h; })) {
+    if (std::find(heard_from_.begin(), heard_from_.end(), 0) != heard_from_.end()) {
         return;
     }
     std::uint64_t total_sent = 0;
@@ -77,7 +77,7 @@ void TerminationDetector::coordinator_check(RankHandle& self) {
             && total_sent == previous_total_sent_
             && total_received == previous_total_received_)) {
         verdict_sent_ = true;
-        terminated_[0] = true;
+        terminated_[0] = 1;
         for (Rank r = 1; r < num_ranks_; ++r) { self.send(r, WordVec{1}, verdict_tag_); }
         return;
     }
@@ -85,11 +85,11 @@ void TerminationDetector::coordinator_check(RankHandle& self) {
     previous_total_received_ = total_received;
     have_previous_snapshot_ = true;
     // Start the next wave: forget this one's reports.
-    std::fill(heard_from_.begin(), heard_from_.end(), false);
+    std::fill(heard_from_.begin(), heard_from_.end(), 0);
 }
 
 bool TerminationDetector::all_terminated() const {
-    return std::all_of(terminated_.begin(), terminated_.end(), [](bool t) { return t; });
+    return std::find(terminated_.begin(), terminated_.end(), 0) == terminated_.end();
 }
 
 }  // namespace katric::net

@@ -46,7 +46,7 @@ public:
     bool handle(RankHandle& self, Rank src, int tag,
                 std::span<const std::uint64_t> payload);
 
-    [[nodiscard]] bool terminated(Rank rank) const { return terminated_[rank]; }
+    [[nodiscard]] bool terminated(Rank rank) const { return terminated_[rank] != 0; }
     [[nodiscard]] bool all_terminated() const;
     /// Number of completed snapshot waves (for tests/diagnostics).
     [[nodiscard]] std::uint64_t waves() const noexcept { return waves_; }
@@ -61,13 +61,15 @@ private:
     std::vector<std::uint64_t> received_;
     std::vector<std::uint64_t> last_reported_sent_;
     std::vector<std::uint64_t> last_reported_received_;
-    std::vector<bool> reported_once_;
-    std::vector<bool> terminated_;
+    // Bytes, not std::vector<bool>: the ranks' handlers set their own flags
+    // concurrently, and packed bits of one word would race.
+    std::vector<std::uint8_t> reported_once_;
+    std::vector<std::uint8_t> terminated_;
 
     // Coordinator state (only rank 0 uses these).
     std::vector<std::uint64_t> latest_sent_;
     std::vector<std::uint64_t> latest_received_;
-    std::vector<bool> heard_from_;
+    std::vector<std::uint8_t> heard_from_;
     std::uint64_t waves_ = 0;
     bool have_previous_snapshot_ = false;
     std::uint64_t previous_total_sent_ = 0;

@@ -57,6 +57,14 @@ void Observability::observe_query(const std::string& kind, const net::Simulator&
     registry_.count("query." + kind);
     registry_.observe_latency("query." + kind + ".latency_seconds", wall_seconds);
     registry_.observe_latency("query." + kind + ".sim_seconds", sim.time());
+    std::uint64_t windows = 0;
+    std::uint64_t windows_fanned = 0;
+    for (const auto& phase : sim.phases()) {
+        windows += phase.host_windows;
+        windows_fanned += phase.host_windows_fanned;
+    }
+    registry_.count("host.deliver_windows", windows);
+    registry_.count("host.deliver_windows_fanned", windows_fanned);
     for (const auto& rank : sim.rank_metrics()) {
         registry_.count("comm.messages_sent", rank.messages_sent);
         registry_.count("comm.words_sent", rank.words_sent);

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace katric::obs {
@@ -123,7 +124,12 @@ void Tracer::record_host(const std::string& label,
               std::pair{"idle", phase.host_idle_seconds}}) {
             if (seconds <= 0.0) { continue; }
             const double end = at + seconds * kSecondsToUs;
-            spans_.push_back(TraceSpan{round, "host", kHostPid, 0, at, end, {}});
+            TraceSpan span{round, "host", kHostPid, 0, at, end, {}};
+            if (std::string_view(round) == "deliver") {
+                span.args.emplace_back("windows", phase.host_windows);
+                span.args.emplace_back("fanned", phase.host_windows_fanned);
+            }
+            spans_.push_back(std::move(span));
             at = end;
         }
         if (at > spans_[superstep].begin_us) {

@@ -52,7 +52,9 @@ struct TraceSpan {
 /// in host wall time: per superstep, the seconds of its start round, its
 /// delivery and its idle rounds (net::PhaseRecord's host fields), laid end
 /// to end — where a query's host time went, beside where its simulated time
-/// went. Host time is measured, so two runs' host lanes differ.
+/// went. The delivery span carries its delivery-window count and how many
+/// of them fanned out. Host time is measured, so two runs' host lanes
+/// differ.
 ///
 /// Thread safety: record_query / record_span / to_json / write serialize on
 /// an internal mutex, so concurrent serve workers (and a StreamSession on

@@ -9,6 +9,8 @@
 
 #include "core/algorithm.hpp"
 #include "fault/injector.hpp"
+#include "net/indirection.hpp"
+#include "net/message_queue.hpp"
 #include "report.hpp"
 #include "support/expect_count.hpp"
 
@@ -406,6 +408,245 @@ TEST(ParallelStartRound, RecordsHostSecondsPerRound) {
     EXPECT_GT(phase.host_start_seconds, 0.0);
     EXPECT_GT(phase.host_deliver_seconds, 0.0);
     EXPECT_GT(phase.host_idle_seconds, 0.0);
+}
+
+// --- parallel delivery windows ---------------------------------------------
+//
+// A delivery window that carries at least 64 Ki payload words fans out to the
+// pool: each rank delivers its share of the window on its stripe's thread,
+// and the staged sends merge in event order. Handlers here log per rank —
+// the ranks of a fanned-out window run concurrently.
+
+/// A run's trail plus its delivery-window counts, summed over supersteps.
+/// Here `trail.deliveries[r]` is rank r's own log, rows flattened.
+struct WindowedRun {
+    Trail trail;
+    std::uint64_t windows = 0;
+    std::uint64_t fanned = 0;
+};
+
+void finish(WindowedRun& run, const Simulator& sim) {
+    run.trail.metrics.assign(sim.rank_metrics().begin(), sim.rank_metrics().end());
+    run.trail.busy_end = sim.phases().back().rank_busy_end;
+    run.trail.events = sim.events_scheduled();
+    run.trail.time = sim.time();
+    for (const PhaseRecord& phase : sim.phases()) {
+        run.windows += phase.host_windows;
+        run.fanned += phase.host_windows_fanned;
+    }
+}
+
+/// Appends [src, tag, the receiver's clock bits, payload size] to the
+/// receiving rank's log.
+void log_message(Trail& trail, const RankHandle& self, Rank src, int tag,
+                 std::span<const std::uint64_t> payload) {
+    auto& log = trail.deliveries[self.rank()];
+    log.insert(log.end(), {src, static_cast<std::uint64_t>(tag),
+                           std::bit_cast<std::uint64_t>(self.now()), payload.size()});
+}
+
+constexpr int kTagQueue = 3;
+constexpr std::uint64_t kRecordWords = 3000;
+
+/// Every rank posts two 3000-word records to every other rank through
+/// grid-routed message queues: proxies re-post the records in transit and
+/// flush past the threshold from inside their handlers, the final
+/// destination answers each first record with a short reply through its
+/// queue, and the idle hook flushes what is left.
+WindowedRun queue_run(RankPool& pool, bool harden) {
+    Simulator sim(kRanks, NetworkConfig{}, pool);
+    sim.record_phase_details(true);
+    WindowedRun run;
+    run.trail.deliveries.resize(kRanks);
+    if (harden) {
+        HardenOptions options;
+        options.stats = &run.trail.faults;
+        sim.harden(options);
+    }
+    const GridRouter router(kRanks);
+    std::vector<MessageQueue> queues;
+    for (Rank r = 0; r < kRanks; ++r) { queues.emplace_back(20000, router, kTagQueue); }
+    // Record: [kind (0 = data, 1 = reply), origin, index, filler…].
+    const auto deliver = [&](RankHandle& self, std::span<const std::uint64_t> record) {
+        auto& log = run.trail.deliveries[self.rank()];
+        log.push_back(std::bit_cast<std::uint64_t>(self.now()));
+        log.insert(log.end(), record.begin(), record.begin() + 3);
+        log.push_back(record.back());
+        if (record[0] == 0 && record[2] == 0) {
+            const WordVec reply{1, self.rank(), 0, record.size()};
+            queues[self.rank()].post(self, static_cast<Rank>(record[1]), reply);
+        }
+    };
+    sim.run_phase(
+        "queue",
+        [&](RankHandle& self) {
+            const Rank r = self.rank();
+            self.charge_ops(100 * (r % 3));
+            for (std::uint64_t index = 0; index < 2; ++index) {
+                for (Rank offset = 1; offset < kRanks; ++offset) {
+                    const auto dest = static_cast<Rank>((r + offset) % kRanks);
+                    WordVec record(kRecordWords + (r * 7 + dest) % 50, r * 1000 + dest);
+                    record[0] = 0;
+                    record[1] = r;
+                    record[2] = index;
+                    queues[r].post(self, dest, record);
+                }
+            }
+        },
+        [&](RankHandle& self, Rank src, int tag, std::span<const std::uint64_t> payload) {
+            log_message(run.trail, self, src, tag, payload);
+            queues[self.rank()].handle(self, payload, deliver);
+        },
+        [&](RankHandle& self) { queues[self.rank()].flush(self); });
+    finish(run, sim);
+    return run;
+}
+
+TEST(ParallelDeliveryWindow, GridQueueMatchesSequential) {
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowedRun sequential = queue_run(inline_pool, /*harden=*/false);
+    EXPECT_EQ(sequential.fanned, 0u);
+    for (int run = 0; run < 3; ++run) {
+        const WindowedRun parallel = queue_run(helpers, /*harden=*/false);
+        EXPECT_GT(parallel.fanned, 0u) << "run " << run;
+        EXPECT_EQ(parallel.windows, sequential.windows) << "run " << run;
+        EXPECT_TRUE(parallel.trail == sequential.trail) << "run " << run;
+    }
+}
+
+TEST(ParallelDeliveryWindow, HardenedFramingMatchesSequential) {
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowedRun sequential = queue_run(inline_pool, /*harden=*/true);
+    EXPECT_GT(sequential.trail.faults.frames_sent, 0u);
+    EXPECT_EQ(sequential.trail.faults.retransmits, 0u);
+    // Framing costs header words on the wire: a different machine than the
+    // plain run, frame for frame the same with and without helpers.
+    EXPECT_FALSE(sequential.trail == queue_run(inline_pool, /*harden=*/false).trail);
+    for (int run = 0; run < 3; ++run) {
+        const WindowedRun parallel = queue_run(helpers, /*harden=*/true);
+        EXPECT_GT(parallel.fanned, 0u) << "run " << run;
+        EXPECT_EQ(parallel.windows, sequential.windows) << "run " << run;
+        EXPECT_TRUE(parallel.trail == sequential.trail) << "run " << run;
+    }
+}
+
+/// Every rank sends one 8 Ki-word message to its predecessor at the same
+/// simulated time — one window of 128 Ki words — and each handler answers
+/// rank 0 at once: fifteen replies tied in arrival time, which only their
+/// sequence numbers order (rank 0's own answer is a free self-send).
+WindowedRun tied_replies_run(RankPool& pool) {
+    Simulator sim(kRanks, NetworkConfig{}, pool);
+    sim.record_phase_details(true);
+    WindowedRun run;
+    run.trail.deliveries.resize(kRanks);
+    sim.run_phase(
+        "tied-replies",
+        [](RankHandle& self) {
+            const Rank p = self.size();
+            self.send((self.rank() + p - 1) % p, WordVec(8 * 1024, self.rank()));
+        },
+        [&](RankHandle& self, Rank src, int tag, std::span<const std::uint64_t> payload) {
+            log_message(run.trail, self, src, tag, payload);
+            if (payload.size() > 1) { self.send(0, WordVec{self.rank()}, 1); }
+        });
+    finish(run, sim);
+    return run;
+}
+
+TEST(ParallelDeliveryWindow, TiedRepliesMergeInEventOrder) {
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowedRun sequential = tied_replies_run(inline_pool);
+    // Rank 0 hears the tied replies in the order of the deliveries that
+    // sent them, and those follow their senders: rank 0's message (lowest
+    // sequence number) reached rank 15 first, rank 1's reached rank 0, …
+    std::vector<std::uint64_t> reply_sources;
+    const auto& log = sequential.trail.deliveries[0];
+    for (std::size_t row = 0; row < log.size(); row += 4) {
+        if (log[row + 1] == 1) { reply_sources.push_back(log[row]); }
+    }
+    std::vector<std::uint64_t> expected{0, kRanks - 1};
+    for (Rank r = 1; r + 1 < kRanks; ++r) { expected.push_back(r); }
+    EXPECT_EQ(reply_sources, expected);
+    for (int run = 0; run < 3; ++run) {
+        const WindowedRun parallel = tied_replies_run(helpers);
+        EXPECT_EQ(parallel.fanned, 1u) << "run " << run;
+        EXPECT_TRUE(parallel.trail == sequential.trail) << "run " << run;
+    }
+}
+
+struct WindowOomOutcome {
+    OomOutcome outcome;
+    std::uint64_t warm_up_fanned = 0;
+};
+
+/// Every rank sends one 8 Ki-word message to its successor at the same
+/// simulated time, so the sixteen deliveries form one window of 128 Ki
+/// words. A warm-up superstep runs it cleanly; in the second, the handlers
+/// on ranks 5 and 11 send a reply and then blow their memory budget. Rank
+/// 5's delivery comes first in event order, so its error must win, and the
+/// deliveries after it must look never run.
+WindowOomOutcome window_oom_outcome(RankPool& pool) {
+    NetworkConfig config;
+    config.memory_limit_words = 100;
+    Simulator sim(kRanks, config, pool);
+    sim.record_phase_details(true);
+    const auto exchange = [](RankHandle& self) {
+        self.send((self.rank() + 1) % self.size(), WordVec(8 * 1024, self.rank()));
+    };
+    const auto handle = [](bool oom) {
+        return [oom](RankHandle& self, Rank src, int,
+                     std::span<const std::uint64_t> payload) {
+            if (payload.size() == 1) { return; }  // a reply
+            const Rank r = self.rank();
+            self.charge_ops(10 * (r + 1));
+            self.send(src, WordVec{r});
+            self.note_buffered_words(oom && (r == 5 || r == 11) ? 1000 + r : 10 + r);
+            self.charge_ops(7);
+        };
+    };
+    WindowOomOutcome result;
+    sim.run_phase("warm-up", exchange, handle(false));
+    result.warm_up_fanned = sim.phases().back().host_windows_fanned;
+    OomOutcome& outcome = result.outcome;
+    try {
+        sim.run_phase("oom", exchange, handle(true));
+        ADD_FAILURE() << "expected OomError";
+    } catch (const OomError& e) {
+        outcome.rank = e.rank();
+        outcome.words = e.words();
+    }
+    outcome.report = oom_report(sim);
+    outcome.metrics.assign(sim.rank_metrics().begin(), sim.rank_metrics().end());
+    outcome.events = sim.events_scheduled();
+    return result;
+}
+
+TEST(ParallelDeliveryWindow, OomSurfacesAsFirstEventWithSequentialMetrics) {
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowOomOutcome sequential = window_oom_outcome(inline_pool);
+    EXPECT_EQ(sequential.warm_up_fanned, 0u);
+    EXPECT_EQ(sequential.outcome.rank, 5u);
+    EXPECT_EQ(sequential.outcome.words, 1005u);
+    // Rank 5 replied before it threw; rank 6 received in the warm-up only
+    // (a message and a reply).
+    EXPECT_EQ(sequential.outcome.metrics[5].messages_sent, 4u);
+    EXPECT_EQ(sequential.outcome.metrics[6].messages_received, 2u);
+    EXPECT_EQ(sequential.outcome.metrics[11].peak_buffered_words, 21u);
+    for (int run = 0; run < 3; ++run) {
+        const WindowOomOutcome parallel = window_oom_outcome(helpers);
+        const std::string what = "run " + std::to_string(run);
+        EXPECT_EQ(parallel.warm_up_fanned, 1u) << what;
+        EXPECT_EQ(parallel.outcome.rank, sequential.outcome.rank) << what;
+        EXPECT_EQ(parallel.outcome.words, sequential.outcome.words) << what;
+        EXPECT_TRUE(parallel.outcome.metrics == sequential.outcome.metrics) << what;
+        EXPECT_EQ(parallel.outcome.events, sequential.outcome.events) << what;
+        test::expect_identical_reports(parallel.outcome.report, sequential.outcome.report,
+                                       what);
+    }
 }
 
 }  // namespace

@@ -170,6 +170,11 @@ TEST(EngineMetrics, MetricsEngineRecordsLatencyCommAndDispatchMix) {
     EXPECT_GT(sim_time->percentile(0.5), 0.0);
     EXPECT_GT(registry.counter("comm.words_sent"), 0u);
     EXPECT_GT(registry.counter("comm.messages_sent"), 0u);
+    // Every superstep with traffic delivers in at least one window; whether
+    // any fanned out depends on the host, so only the bound is pinned.
+    EXPECT_GT(registry.counter("host.deliver_windows"), 0u);
+    EXPECT_LE(registry.counter("host.deliver_windows_fanned"),
+              registry.counter("host.deliver_windows"));
     // The constructor's preprocessing pass is observed as its own kind.
     EXPECT_EQ(registry.counter("query.preprocess"), 1u);
     const auto* per_rank = registry.histogram("comm.rank_words_sent");

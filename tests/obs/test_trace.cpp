@@ -81,6 +81,31 @@ TEST(Tracer, RecordQueryEmitsHierarchyAndRankLanes) {
     EXPECT_EQ(check.num_spans, tracer.spans().size());
 }
 
+TEST(Tracer, HostDeliverSpansCarryWindowCounts) {
+    net::Simulator sim(2, test_network());
+    run_phases(sim);
+    std::uint64_t windows = 0;
+    for (const auto& phase : sim.phases()) { windows += phase.host_windows; }
+    ASSERT_GT(windows, 0u);
+
+    obs::Tracer tracer;
+    tracer.record_query("count#0", sim);
+    std::uint64_t traced = 0;
+    for (const auto& span : tracer.spans()) {
+        if (span.pid != obs::kHostPid || span.name != "deliver") { continue; }
+        ASSERT_EQ(span.args.size(), 2u);
+        EXPECT_EQ(span.args[0].first, "windows");
+        EXPECT_EQ(span.args[1].first, "fanned");
+        // Three-word messages never reach the fan-out size.
+        EXPECT_EQ(span.args[1].second, 0u);
+        traced += span.args[0].second;
+    }
+    // Zero-length deliveries are skipped, so the trace may count fewer.
+    EXPECT_GT(traced, 0u);
+    EXPECT_LE(traced, windows);
+    EXPECT_TRUE(test::check_trace_json(tracer.to_json()).ok);
+}
+
 TEST(Tracer, RankLanesNeedPhaseDetails) {
     net::Simulator sim(2, test_network());
     run_phases(sim);  // details off: control lanes only
