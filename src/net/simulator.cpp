@@ -282,7 +282,7 @@ void Simulator::call_and_drain(Rank rank, const Fn& fn) {
 
 Simulator::WindowBounds Simulator::pop_window(bool single) {
     window_.clear();
-    WindowBounds bounds{std::numeric_limits<double>::infinity(), 0};
+    WindowBounds bounds{std::numeric_limits<double>::infinity(), 0, 0};
     const std::uint64_t stamp = ++windows_popped_;
     do {
         // priority_queue::top is const; the payload must be moved out, so
@@ -300,6 +300,7 @@ Simulator::WindowBounds Simulator::pop_window(bool single) {
             // in this window. A rank not seen yet has its earliest event at
             // or after the top, so its bound cannot undercut the horizon.
             lane.seen_in = stamp;
+            ++bounds.ranks;
             double bound = std::max(lane.clock, event.arrival);
             if (event.src != event.dest) {
                 bound += config_.alpha + config_.beta * static_cast<double>(event.words);
@@ -341,33 +342,25 @@ void Simulator::receive(RankHandle& handle, Delivery& delivery,
     WordVec().swap(event.payload);
 }
 
-void Simulator::deliver_fanned_out(const MessageHandler& on_message, double horizon) {
+template <typename Fn>
+void Simulator::run_window(const Fn& run, double horizon) {
     const auto size = static_cast<std::uint32_t>(window_.size());
     for (std::uint32_t i = 0; i < size; ++i) {
-        Delivery& delivery = window_[i];
-        if (delivery.event.frame != 0) {
-            // No injector is armed, so no frame can fail its check, and
-            // verifying ahead of the receive charges changes nothing.
-            const bool verified = verify(delivery);
-            KATRIC_ASSERT_MSG(verified, "frame " << delivery.event.frame
-                                                 << " failed verification without an "
-                                                    "injector");
-        }
-        lanes_[delivery.event.dest].inbox.push_back(i);
+        lanes_[window_[i].event.dest].inbox.push_back(i);
     }
     std::atomic<std::uint32_t> first_failed{size};
     pool_->run(num_ranks_, [&](Rank r) {
         Lane& lane = lanes_[r];
         RankHandle handle(*this, r);
         for (const std::uint32_t i : lane.inbox) {
-            // A sequential run would never reach events past a failure.
+            // A sequential run would never reach units past a failure.
             if (i > first_failed.load(std::memory_order_relaxed)) { break; }
             Delivery& delivery = window_[i];
             delivery.ran = true;
             delivery.clock_before = lane.clock;
             delivery.metrics_before = metrics_[r];
             try {
-                receive(handle, delivery, on_message);
+                run(handle, delivery);
             } catch (...) {
                 delivery.error = std::current_exception();
                 delivery.outbox_end = lane.outbox.size();
@@ -379,8 +372,8 @@ void Simulator::deliver_fanned_out(const MessageHandler& on_message, double hori
         }
     });
     const std::uint32_t failed = first_failed.load();
-    // Merge in event order: each event's staged sends get the sequence
-    // numbers and frame ids a sequential run would have handed them.
+    // Merge in unit order: each unit's staged sends get the sequence numbers
+    // and frame ids a sequential run would have handed them.
     for (std::uint32_t i = 0; i < size && i <= failed; ++i) {
         const Delivery& delivery = window_[i];
         const Rank dest = delivery.event.dest;
@@ -395,7 +388,7 @@ void Simulator::deliver_fanned_out(const MessageHandler& on_message, double hori
         }
     }
     // Undo what ran past the failure, latest first, so each rank ends at its
-    // state before its first such event.
+    // state before its first such unit.
     for (std::uint32_t i = size; i-- > failed + 1;) {
         const Delivery& delivery = window_[i];
         if (!delivery.ran) { continue; }
@@ -411,6 +404,22 @@ void Simulator::deliver_fanned_out(const MessageHandler& on_message, double hori
     if (failed < size) { std::rethrow_exception(window_[failed].error); }
 }
 
+void Simulator::deliver_fanned_out(const MessageHandler& on_message, double horizon) {
+    for (Delivery& delivery : window_) {
+        if (delivery.event.frame != 0) {
+            // No injector is armed, so no frame can fail its check, and
+            // verifying ahead of the receive charges changes nothing.
+            const bool verified = verify(delivery);
+            KATRIC_ASSERT_MSG(verified, "frame " << delivery.event.frame
+                                                 << " failed verification without an "
+                                                    "injector");
+        }
+    }
+    run_window([&](RankHandle& handle,
+                   Delivery& delivery) { receive(handle, delivery, on_message); },
+               horizon);
+}
+
 Simulator::DeliveryStats Simulator::deliver_until_quiescent(
     const MessageHandler& on_message, const RankFn& on_idle) {
     DeliveryStats stats;
@@ -421,7 +430,12 @@ Simulator::DeliveryStats Simulator::deliver_until_quiescent(
         while (!events_.empty()) {
             const WindowBounds window = pop_window(single);
             ++stats.windows;
-            if (window.words >= kFanOutWindowWords && pool_->fans_out(num_ranks_)) {
+            // Fan out only a window with work for two ranks or more and
+            // enough payload to pay for waking the helpers, never an
+            // injector's one-event window: a retransmission charges the
+            // sender's clock, which another thread may be running.
+            if (!single && window.ranks > 1 && window.words >= kFanOutWindowWords
+                && pool_->fans_out(num_ranks_)) {
                 ++stats.windows_fanned;
                 deliver_fanned_out(on_message, window.horizon);
                 continue;
@@ -464,36 +478,13 @@ void Simulator::run_start_round(const RankFn& start) {
         for (Rank r = 0; r < num_ranks_; ++r) { call_and_drain(r, start); }
         return;
     }
-    // What a sequential run would leave in ranks it never started, should a
-    // lower rank throw.
-    std::vector<double> clocks_before(num_ranks_);
-    for (Rank r = 0; r < num_ranks_; ++r) { clocks_before[r] = lanes_[r].clock; }
-    const std::vector<RankMetrics> metrics_before = metrics_;
-    std::vector<std::exception_ptr> errors(num_ranks_);
-    std::atomic<Rank> first_failed{num_ranks_};
-    pool_->run(num_ranks_, [&](Rank r) {
-        // A sequential run would never reach ranks past a failure.
-        if (r > first_failed.load(std::memory_order_relaxed)) { return; }
-        RankHandle handle(*this, r);
-        try {
-            start(handle);
-        } catch (...) {
-            errors[r] = std::current_exception();
-            Rank seen = first_failed.load(std::memory_order_relaxed);
-            while (r < seen && !first_failed.compare_exchange_weak(seen, r)) {}
-        }
-    });
-    const Rank failed = first_failed.load();
-    for (Rank r = 0; r < num_ranks_; ++r) {
-        if (r <= failed) {
-            drain(r);
-        } else {
-            lanes_[r].clock = clocks_before[r];
-            metrics_[r] = metrics_before[r];
-            lanes_[r].outbox.clear();
-        }
-    }
-    if (failed < num_ranks_) { std::rethrow_exception(errors[failed]); }
+    // One unit per rank, in rank order: the outboxes then drain as the
+    // sequential round would drain them, and no horizon applies.
+    window_.clear();
+    window_.resize(num_ranks_);
+    for (Rank r = 0; r < num_ranks_; ++r) { window_[r].event.dest = r; }
+    run_window([&](RankHandle& handle, Delivery&) { start(handle); },
+               -std::numeric_limits<double>::infinity());
 }
 
 double Simulator::run_phase(const std::string& name, const RankFn& start,

@@ -165,17 +165,19 @@ private:
 ///   does). No event sent inside the window can precede any of them, so
 ///   each rank delivers its share of the window in order, independently of
 ///   the others, and the staged sends drain afterwards in the order of the
-///   events that produced them. A window fans out only when it carries
-///   enough payload to pay for waking the helpers; a machine with an armed
-///   FaultInjector delivers one event at a time, since a retransmission
-///   charges another rank's clock.
+///   events that produced them. A window fans out only when it holds
+///   events for two ranks or more and enough payload to pay for waking the
+///   helpers; a machine with an armed FaultInjector delivers one event at a
+///   time, on the caller, since a retransmission charges another rank's
+///   clock.
 /// - Idle rounds run sequentially, each rank's sends drained after its call.
 ///
 /// An exception thrown by a start function or handler surfaces as the one a
 /// sequential run would have raised first (lowest rank, lowest event); the
 /// work that run would never have reached is undone — clocks and metrics
 /// restored, staged sends dropped — so the machine's counters equal the
-/// sequential run's.
+/// sequential run's. Both rounds share this policy (run_window): a start
+/// round fans out as a window of one unit per rank.
 ///
 /// Determinism: ties in arrival time break by send sequence number, and
 /// per-channel FIFO follows from per-sender clock monotonicity. The result
@@ -274,7 +276,7 @@ private:
     struct alignas(64) Lane {
         double clock = 0.0;
         std::vector<Outgoing> outbox;
-        /// Fanned-out window: this rank's events (indices into window_, in
+        /// Fanned-out round: this rank's units (indices into window_, in
         /// key order) and how much of its outbox the merge has drained.
         std::vector<std::uint32_t> inbox;
         std::size_t merged = 0;
@@ -283,15 +285,17 @@ private:
     };
 
     /// One event of a delivery window, and what delivering it left behind.
+    /// A fanned-out start round holds one per rank, with only `event.dest`
+    /// set.
     struct Delivery {
         Event event;
         /// What the handler sees; set by the receive, or on the caller for a
         /// fanned-out hardened window.
         std::span<const std::uint64_t> payload;
         bool verified = false;
-        /// Fanned-out windows only, written by the delivering thread: the
-        /// rank's outbox size after the handler, and the rank's clock and
-        /// metrics before it, should an earlier event of the window throw.
+        /// Fanned-out rounds only, written by the running thread: the
+        /// rank's outbox size after this unit, and the rank's clock and
+        /// metrics before it, should an earlier unit of the round throw.
         bool ran = false;
         std::size_t outbox_end = 0;
         double clock_before = 0.0;
@@ -307,8 +311,8 @@ private:
     void enqueue(Rank src, Outgoing& out);
     /// Moves rank `src`'s staged sends into the event queue, in order.
     void drain(Rank src);
-    /// Runs every rank's start function (on the pool when it fans out) and
-    /// drains the outboxes in rank order.
+    /// Runs every rank's start function (on the pool, as one unit per rank,
+    /// when it fans out) and drains the outboxes in rank order.
     void run_start_round(const RankFn& start);
     /// Calls fn(handle of `rank`) and drains what it staged — also when it
     /// throws, so the machine holds exactly what a direct send would have.
@@ -324,10 +328,11 @@ private:
                                           const RankFn& on_idle);
     /// The window pop_window left in window_: no event sent while
     /// delivering it arrives before `horizon`; `words` is its materialized
-    /// payload.
+    /// payload and `ranks` the number of ranks it delivers to.
     struct WindowBounds {
         double horizon;
         std::uint64_t words;
+        Rank ranks;
     };
     /// Pops the next delivery window into window_ (one event when `single`).
     WindowBounds pop_window(bool single);
@@ -338,8 +343,16 @@ private:
     /// hardened verification unless already verified, then the handler.
     void receive(RankHandle& handle, Delivery& delivery,
                  const MessageHandler& on_message);
-    /// Delivers window_ on the pool and merges the staged sends in event
-    /// order; every merged send must arrive at or after `horizon`.
+    /// Runs window_ on the pool: each rank calls run(handle, unit) on its
+    /// units in key order. The staged sends then merge in unit order, and
+    /// each must arrive at or after `horizon`. Should units throw, the
+    /// lowest one's exception surfaces, its sends and those of earlier units
+    /// merge, and the units past it, which a sequential run would never have
+    /// reached, are undone: clocks and metrics restored, sends dropped.
+    template <typename Fn>
+    void run_window(const Fn& run, double horizon);
+    /// Verifies window_'s frames on the caller, in key order, then delivers
+    /// it with run_window.
     void deliver_fanned_out(const MessageHandler& on_message, double horizon);
 
     /// Retained copy of a hardened in-flight frame, kept until its verified

@@ -20,7 +20,7 @@ namespace katric::core {
 namespace {
 
 // The real message handlers in parallel delivery windows: on an instance
-// whose global phase carries windows of 64 Ki payload words and more, a
+// whose global phase carries windows past kFanOutWindowWords (64 Ki), a
 // 3-helper pool fans them out, and every count, Δ, estimate and simulated
 // metric must equal the inline run's. Under TSan this is the check that the
 // handlers touch only their own rank's state.

@@ -412,10 +412,11 @@ TEST(ParallelStartRound, RecordsHostSecondsPerRound) {
 
 // --- parallel delivery windows ---------------------------------------------
 //
-// A delivery window that carries at least 64 Ki payload words fans out to the
-// pool: each rank delivers its share of the window on its stripe's thread,
-// and the staged sends merge in event order. Handlers here log per rank —
-// the ranks of a fanned-out window run concurrently.
+// A delivery window for two ranks or more that carries at least
+// kFanOutWindowWords (64 Ki) payload words fans out to the pool: each rank
+// delivers its share of the window on its stripe's thread, and the staged
+// sends merge in event order. Handlers here log per rank — the ranks of a
+// fanned-out window run concurrently.
 
 /// A run's trail plus its delivery-window counts, summed over supersteps.
 /// Here `trail.deliveries[r]` is rank r's own log, rows flattened.
@@ -575,6 +576,88 @@ TEST(ParallelDeliveryWindow, TiedRepliesMergeInEventOrder) {
         EXPECT_EQ(parallel.fanned, 1u) << "run " << run;
         EXPECT_TRUE(parallel.trail == sequential.trail) << "run " << run;
     }
+}
+
+/// Every rank sends one 66 Ki-word message to its successor at the same
+/// simulated time, through an armed injector that duplicates and flips bits
+/// in some frames; each handler answers the sender with one word. Every
+/// event is a window of its own, and each carries more payload than the
+/// fan-out threshold.
+WindowedRun injected_run(RankPool& pool, const fault::FaultInjector& injector) {
+    Simulator sim(kRanks, NetworkConfig{}, pool);
+    sim.record_phase_details(true);
+    WindowedRun run;
+    run.trail.deliveries.resize(kRanks);
+    HardenOptions options;
+    options.injector = &injector;
+    options.stats = &run.trail.faults;
+    options.max_retries = 16;
+    sim.harden(options);
+    sim.run_phase(
+        "injected",
+        [](RankHandle& self) {
+            const Rank p = self.size();
+            self.send((self.rank() + 1) % p, WordVec(66 * 1024, self.rank()));
+        },
+        [&](RankHandle& self, Rank src, int tag, std::span<const std::uint64_t> payload) {
+            log_message(run.trail, self, src, tag, payload);
+            if (payload.size() > 1) { self.send(src, WordVec{self.rank()}, 1); }
+        });
+    finish(run, sim);
+    return run;
+}
+
+TEST(ParallelDeliveryWindow, InjectedFaultsDeliverOneEventAtATime) {
+    const fault::FaultInjector injector(
+        fault::FaultPlan::parse("seed=5;dup=0.3;bitflip=0.3"));
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowedRun sequential = injected_run(inline_pool, injector);
+    // Duplicates and corrupt frames of the large messages were delivered,
+    // suppressed or re-sent from inside the delivery.
+    EXPECT_GT(sequential.trail.faults.injected_duplicate, 0u);
+    EXPECT_GT(sequential.trail.faults.duplicates_suppressed, 0u);
+    EXPECT_GT(sequential.trail.faults.injected_bitflip, 0u);
+    EXPECT_GT(sequential.trail.faults.corrupt_detected, 0u);
+    EXPECT_GT(sequential.trail.faults.retransmits, 0u);
+    for (int run = 0; run < 3; ++run) {
+        const WindowedRun parallel = injected_run(helpers, injector);
+        EXPECT_EQ(parallel.fanned, 0u) << "run " << run;
+        EXPECT_EQ(parallel.windows, sequential.windows) << "run " << run;
+        EXPECT_TRUE(parallel.trail == sequential.trail) << "run " << run;
+    }
+}
+
+/// Ranks 1 to 3 each send one 40 Ki-word message to rank 0 at the same
+/// simulated time: one window of 120 Ki words, all for one rank.
+WindowedRun one_rank_run(RankPool& pool) {
+    Simulator sim(kRanks, NetworkConfig{}, pool);
+    sim.record_phase_details(true);
+    WindowedRun run;
+    run.trail.deliveries.resize(kRanks);
+    sim.run_phase(
+        "one-rank",
+        [](RankHandle& self) {
+            if (self.rank() >= 1 && self.rank() <= 3) {
+                self.send(0, WordVec(40 * 1024, self.rank()));
+            }
+        },
+        [&](RankHandle& self, Rank src, int tag, std::span<const std::uint64_t> payload) {
+            log_message(run.trail, self, src, tag, payload);
+        });
+    finish(run, sim);
+    return run;
+}
+
+TEST(ParallelDeliveryWindow, OneRankWindowStaysOnCaller) {
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowedRun sequential = one_rank_run(inline_pool);
+    EXPECT_EQ(sequential.windows, 1u);
+    const WindowedRun parallel = one_rank_run(helpers);
+    EXPECT_EQ(parallel.windows, 1u);
+    EXPECT_EQ(parallel.fanned, 0u);
+    EXPECT_TRUE(parallel.trail == sequential.trail);
 }
 
 struct WindowOomOutcome {
