@@ -1,5 +1,6 @@
 #include "config.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -194,6 +195,13 @@ Config Config::from_args(const CliParser& cli) {
     if (numeric_applies("compute-op")) {
         config.network.compute_op = cli.get_double("compute-op");
     }
+    const auto& net = config.network;
+    for (const auto& [flag, value] :
+         {std::pair{"alpha", net.alpha}, std::pair{"beta", net.beta},
+          std::pair{"compute-op", net.compute_op}}) {
+        KATRIC_ASSERT_MSG(std::isfinite(value) && value >= 0.0,
+                          "--" << flag << " must be finite and >= 0, got " << value);
+    }
     if (numeric_applies("memory-limit")) {
         config.network.memory_limit_words = cli.get_uint("memory-limit");
     }
@@ -232,6 +240,8 @@ Config Config::from_args(const CliParser& cli) {
     config.deadline_seconds = cli.get_double("deadline");
     KATRIC_ASSERT_MSG(config.deadline_seconds >= 0.0, "--deadline must be >= 0");
     config.amq.target_fpr = cli.get_double("amq-fpr");
+    KATRIC_ASSERT_MSG(config.amq.target_fpr > 0.0 && config.amq.target_fpr < 1.0,
+                      "--amq-fpr must lie in (0, 1), got " << config.amq.target_fpr);
     config.amq.truthful = cli.get_uint("amq-truthful") != 0;
     config.amq.adaptive = cli.get_uint("amq-adaptive") != 0;
     config.amq.seed = cli.get_uint("amq-seed");

@@ -56,6 +56,17 @@ std::vector<graph::DistGraph> preprocessed(std::vector<graph::DistGraph> views,
     return views;
 }
 
+/// Every rank's dynamic view, copied from its preprocessed static view.
+std::vector<stream::DynamicDistGraph> dynamic_views(
+    const std::vector<graph::DistGraph>& views) {
+    std::vector<stream::DynamicDistGraph> dynamic;
+    dynamic.reserve(views.size());
+    for (const auto& view : views) {
+        dynamic.push_back(stream::DynamicDistGraph::from_view(view));
+    }
+    return dynamic;
+}
+
 /// Folds the machine's per-PE compute counters into a report's telemetry.
 void accumulate_ops(Report& report, const net::Simulator& sim) {
     for (const auto& metrics : sim.rank_metrics()) {
@@ -318,7 +329,7 @@ StreamSession Engine::open_stream() const {
     KATRIC_ASSERT_MSG(seeded.count.error == core::RunError::kNone,
                       core::run_error_message(seeded.count.error, config_.algorithm));
     KATRIC_ASSERT_MSG(!seeded.count.oom, "initial static count ran out of memory");
-    return StreamSession(*graph_, partition_, config_, std::move(seeded.count),
+    return StreamSession(views_, config_, std::move(seeded.count),
                          std::move(seeded.delta), seeded.reused_preprocessing, obs_);
 }
 
@@ -334,8 +345,7 @@ Report Engine::stream(const std::vector<stream::EdgeBatch>& batches,
 
 // --- StreamSession ------------------------------------------------------
 
-StreamSession::StreamSession(const graph::CsrGraph& graph,
-                             const graph::Partition1D& partition, Config config,
+StreamSession::StreamSession(const std::vector<graph::DistGraph>& views, Config config,
                              core::CountResult initial,
                              std::vector<std::uint64_t> initial_delta,
                              bool initial_reused,
@@ -346,7 +356,7 @@ StreamSession::StreamSession(const graph::CsrGraph& graph,
       initial_reused_(initial_reused),
       sim_(std::make_unique<net::Simulator>(config_.num_ranks, config_.network)),
       views_(std::make_unique<std::vector<stream::DynamicDistGraph>>(
-          stream::distribute_dynamic(graph, partition))),
+          dynamic_views(views))),
       counter_(std::make_unique<stream::IncrementalCounter>(
           *sim_, *views_, config_.options, config_.stream_indirect,
           initial_.triangles)) {

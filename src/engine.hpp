@@ -21,9 +21,11 @@ namespace katric {
 class Engine;
 
 /// A streaming session promoted from an Engine's built state
-/// (Engine::open_stream): the engine's partition is reused to build every
-/// rank's DynamicDistGraph — no second partitioning pass — and batches are
-/// then ingested incrementally on a dedicated simulated machine.
+/// (Engine::open_stream): every rank's DynamicDistGraph is copied from the
+/// engine's preprocessed DistGraph view — its rows and exchanged ghost
+/// degrees, no second partitioning pass and no read of the global graph —
+/// and batches are then ingested incrementally on a dedicated simulated
+/// machine.
 class StreamSession {
 public:
     StreamSession(StreamSession&&) = default;
@@ -59,8 +61,8 @@ public:
 
 private:
     friend class Engine;
-    StreamSession(const graph::CsrGraph& graph, const graph::Partition1D& partition,
-                  Config config, core::CountResult initial,
+    StreamSession(const std::vector<graph::DistGraph>& views, Config config,
+                  core::CountResult initial,
                   std::vector<std::uint64_t> initial_delta, bool initial_reused,
                   std::shared_ptr<obs::Observability> obs);
 
@@ -249,6 +251,11 @@ public:
     [[nodiscard]] const graph::Partition1D& partition() const noexcept {
         return partition_;
     }
+    /// Every rank's preprocessed static view (ghost degrees exchanged,
+    /// oriented), as the constructor built it.
+    [[nodiscard]] const std::vector<graph::DistGraph>& views() const noexcept {
+        return views_;
+    }
     [[nodiscard]] std::size_t queries_run() const noexcept {
         return queries_.load(std::memory_order_relaxed);
     }
@@ -315,9 +322,10 @@ public:
 
     /// Promotes the built state into a streaming session: the initial count
     /// (and, with Config::maintain_lcc, the initial Δ vector) is computed on
-    /// the shared static views, then the engine's partition is reused to
-    /// build the session's own dynamic per-rank views — no second
-    /// partitioning pass, and the engine's views stay untouched.
+    /// the shared static views, then each rank's dynamic view is copied from
+    /// its preprocessed static view (DynamicDistGraph::from_view: local rows
+    /// plus the exchanged ghost degrees). No second partitioning pass, no
+    /// read of the global graph, and the engine's views stay untouched.
     [[nodiscard]] StreamSession open_stream() const;
 
     /// Convenience: open_stream + ingest every batch (observer fires after

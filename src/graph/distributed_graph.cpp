@@ -7,28 +7,22 @@
 
 namespace katric::graph {
 
-DistGraph DistGraph::from_global(const CsrGraph& global, const Partition1D& partition,
-                                 Rank rank) {
-    KATRIC_ASSERT(rank < partition.num_ranks());
-    KATRIC_ASSERT_MSG(partition.num_vertices() == global.num_vertices(),
-                      "partition covers " << partition.num_vertices() << " vertices, graph has "
-                                          << global.num_vertices());
+template <typename RowOf>
+DistGraph DistGraph::assemble(const Partition1D& partition, Rank rank, RowOf row_of) {
     DistGraph view;
     view.partition_ = partition;
     view.rank_ = rank;
-
     const VertexId begin = partition.begin(rank);
     const VertexId end = partition.end(rank);
-    const VertexId local_count = end - begin;
 
-    view.offsets_.resize(local_count + 1);
+    view.offsets_.resize(end - begin + 1);
     view.offsets_[0] = 0;
     for (VertexId v = begin; v < end; ++v) {
-        view.offsets_[v - begin + 1] = view.offsets_[v - begin] + global.degree(v);
+        view.offsets_[v - begin + 1] = view.offsets_[v - begin] + row_of(v).size();
     }
     view.targets_.reserve(view.offsets_.back());
     for (VertexId v = begin; v < end; ++v) {
-        const auto nbrs = global.neighbors(v);
+        const auto nbrs = row_of(v);
         view.targets_.insert(view.targets_.end(), nbrs.begin(), nbrs.end());
     }
 
@@ -45,19 +39,23 @@ DistGraph DistGraph::from_global(const CsrGraph& global, const Partition1D& part
     return view;
 }
 
+DistGraph DistGraph::from_global(const CsrGraph& global, const Partition1D& partition,
+                                 Rank rank) {
+    KATRIC_ASSERT(rank < partition.num_ranks());
+    KATRIC_ASSERT_MSG(partition.num_vertices() == global.num_vertices(),
+                      "partition covers " << partition.num_vertices() << " vertices, graph has "
+                                          << global.num_vertices());
+    return assemble(partition, rank, [&](VertexId v) { return global.neighbors(v); });
+}
+
 DistGraph DistGraph::from_local_edges(const Partition1D& partition, Rank rank,
                                       EdgeList local_edges) {
     KATRIC_ASSERT(rank < partition.num_ranks());
     local_edges.normalize();
-
-    DistGraph view;
-    view.partition_ = partition;
-    view.rank_ = rank;
     const VertexId begin = partition.begin(rank);
     const VertexId end = partition.end(rank);
-    const VertexId local_count = end - begin;
 
-    std::vector<std::vector<VertexId>> adjacency(local_count);
+    std::vector<std::vector<VertexId>> adjacency(end - begin);
     for (const auto& e : local_edges.edges()) {
         const bool u_local = e.u >= begin && e.u < end;
         const bool v_local = e.v >= begin && e.v < end;
@@ -67,31 +65,13 @@ DistGraph DistGraph::from_local_edges(const Partition1D& partition, Rank rank,
         if (u_local) { adjacency[e.u - begin].push_back(e.v); }
         if (v_local) { adjacency[e.v - begin].push_back(e.u); }
     }
-
-    view.offsets_.resize(local_count + 1);
-    view.offsets_[0] = 0;
-    for (VertexId i = 0; i < local_count; ++i) {
-        auto& nbrs = adjacency[i];
+    for (auto& nbrs : adjacency) {
         std::sort(nbrs.begin(), nbrs.end());
         nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-        view.offsets_[i + 1] = view.offsets_[i] + nbrs.size();
     }
-    view.targets_.reserve(view.offsets_.back());
-    for (const auto& nbrs : adjacency) {
-        view.targets_.insert(view.targets_.end(), nbrs.begin(), nbrs.end());
-    }
-
-    for (VertexId target : view.targets_) {
-        if (target < begin || target >= end) {
-            view.ghost_ids_.push_back(target);
-            ++view.num_cut_edges_;
-        }
-    }
-    std::sort(view.ghost_ids_.begin(), view.ghost_ids_.end());
-    view.ghost_ids_.erase(std::unique(view.ghost_ids_.begin(), view.ghost_ids_.end()),
-                          view.ghost_ids_.end());
-    view.ghost_degrees_.assign(view.ghost_ids_.size(), 0);
-    return view;
+    return assemble(partition, rank, [&](VertexId v) {
+        return std::span<const VertexId>(adjacency[v - begin]);
+    });
 }
 
 std::size_t DistGraph::local_index(VertexId v) const {

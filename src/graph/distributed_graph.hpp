@@ -128,6 +128,12 @@ public:
     }
 
 private:
+    /// The one row/ghost assembly both builders share: copies the ID-sorted,
+    /// duplicate-free row_of(v) of every local v, then collects the ghosts
+    /// and cut edges those rows name.
+    template <typename RowOf>
+    [[nodiscard]] static DistGraph assemble(const Partition1D& partition, Rank rank,
+                                            RowOf row_of);
     [[nodiscard]] std::size_t local_index(VertexId v) const;
 
     Partition1D partition_;

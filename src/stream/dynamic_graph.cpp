@@ -8,26 +8,24 @@
 
 namespace katric::stream {
 
-DynamicDistGraph DynamicDistGraph::from_global(const CsrGraph& global,
-                                               const Partition1D& partition, Rank rank) {
-    KATRIC_ASSERT(rank < partition.num_ranks());
-    KATRIC_ASSERT(partition.num_vertices() == global.num_vertices());
-    DynamicDistGraph view;
-    view.partition_ = partition;
-    view.rank_ = rank;
-    const VertexId begin = partition.begin(rank);
-    const VertexId end = partition.end(rank);
-    view.adjacency_ = graph::MutableAdjacency::from_csr_range(global, begin, end);
-    // Seed exact ghost degrees — the one-time exchange a native streaming
-    // system performs before ingesting deltas.
-    for (VertexId v = begin; v < end; ++v) {
-        for (const VertexId w : global.neighbors(v)) {
-            if (!partition.is_local(w, rank) && !view.ghost_degrees_.contains(w)) {
-                view.ghost_degrees_.emplace(w, global.degree(w));
-            }
-        }
+DynamicDistGraph DynamicDistGraph::from_view(const graph::DistGraph& view) {
+    KATRIC_ASSERT_MSG(view.ghost_degrees_ready(),
+                      "a dynamic view seeds its ghost degrees from the exchanged ones");
+    DynamicDistGraph dynamic;
+    dynamic.partition_ = view.partition();
+    dynamic.rank_ = view.rank();
+    dynamic.rows_.reserve(view.num_local());
+    const VertexId end = view.first_local() + view.num_local();
+    for (VertexId v = view.first_local(); v < end; ++v) {
+        const auto neighbors = view.neighbors(v);
+        dynamic.rows_.emplace_back(neighbors.begin(), neighbors.end());
     }
-    return view;
+    dynamic.num_half_edges_ = view.num_local_half_edges();
+    dynamic.ghost_degrees_.reserve(view.num_ghosts());
+    for (const VertexId g : view.ghost_ids()) {
+        dynamic.ghost_degrees_.emplace(g, view.degree(g));
+    }
+    return dynamic;
 }
 
 std::size_t DynamicDistGraph::local_index(VertexId v) const {
@@ -36,29 +34,38 @@ std::size_t DynamicDistGraph::local_index(VertexId v) const {
 }
 
 Degree DynamicDistGraph::degree(VertexId local_v) const {
-    return adjacency_.degree(local_index(local_v));
+    return static_cast<Degree>(rows_[local_index(local_v)].size());
 }
 
 std::span<const VertexId> DynamicDistGraph::neighbors(VertexId local_v) const {
-    return adjacency_.row(local_index(local_v));
+    return rows_[local_index(local_v)];
 }
 
 bool DynamicDistGraph::has_edge(VertexId local_u, VertexId v) const {
-    return adjacency_.contains(local_index(local_u), v);
+    const auto& row = rows_[local_index(local_u)];
+    return std::binary_search(row.begin(), row.end(), v);
 }
 
 bool DynamicDistGraph::insert_half_edge(VertexId local_u, VertexId v) {
     KATRIC_ASSERT_MSG(local_u != v, "self-loops are not representable");
     KATRIC_ASSERT(v < partition_.num_vertices());
-    const bool applied = adjacency_.insert(local_index(local_u), v);
-    if (applied && hub_index_) { hub_index_->mark_dirty(local_u); }
-    return applied;
+    auto& row = rows_[local_index(local_u)];
+    const auto it = std::lower_bound(row.begin(), row.end(), v);
+    if (it != row.end() && *it == v) { return false; }
+    row.insert(it, v);
+    ++num_half_edges_;
+    if (hub_index_) { hub_index_->mark_dirty(local_u); }
+    return true;
 }
 
 bool DynamicDistGraph::erase_half_edge(VertexId local_u, VertexId v) {
-    const bool applied = adjacency_.erase(local_index(local_u), v);
-    if (applied && hub_index_) { hub_index_->mark_dirty(local_u); }
-    return applied;
+    auto& row = rows_[local_index(local_u)];
+    const auto it = std::lower_bound(row.begin(), row.end(), v);
+    if (it == row.end() || *it != v) { return false; }
+    row.erase(it);
+    --num_half_edges_;
+    if (hub_index_) { hub_index_->mark_dirty(local_u); }
+    return true;
 }
 
 std::optional<Degree> DynamicDistGraph::ghost_degree(VertexId v) const {

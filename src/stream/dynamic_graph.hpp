@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/mutable_adjacency.hpp"
+#include "graph/distributed_graph.hpp"
 #include "graph/partition.hpp"
 #include "graph/types.hpp"
 #include "seq/bitmap_index.hpp"
@@ -24,24 +24,27 @@ using graph::VertexId;
 /// The per-rank state of a 1-D partitioned *dynamic* graph — the streaming
 /// sibling of graph::DistGraph. Each rank owns the contiguous vertex range
 /// V_i of a fixed partition and stores the full, ID-sorted neighborhood of
-/// every local vertex in a MutableAdjacency, so local degrees stay exact as
-/// deltas arrive (Arifuzzaman et al.'s bookkeeping discipline: an edge
-/// update {u,v} touches exactly owner(u) and owner(v)).
+/// every local vertex as one mutable row (O(log d) membership, O(d) sorted
+/// insert/erase), so local degrees stay exact as deltas arrive (Arifuzzaman
+/// et al.'s bookkeeping discipline: an edge update {u,v} touches exactly
+/// owner(u) and owner(v)).
 ///
 /// Ghost degrees — degrees of remote endpoints of cut edges — cannot be
-/// derived locally. They are seeded exactly at construction (a real system
-/// runs one initial ghost-degree exchange, Algorithm 3's
-/// exchange_ghost_degree) and then maintained *approximately* by
-/// degree-delta notifications posted after each batch. They only steer the
-/// ship-vs-pull direction choice of the incremental counter, so staleness
-/// costs volume, never correctness.
+/// derived locally. They are copied from the static view's ghost-degree
+/// exchange (Algorithm 3's exchange_ghost_degree) at construction and then
+/// maintained *approximately* by degree-delta notifications posted after
+/// each batch. They only steer the ship-vs-pull direction choice of the
+/// incremental counter, so staleness costs volume, never correctness.
+///
+/// The static view stays a separate type: its hub index covers oriented rows
+/// over a fixed ghost set, this one's covers full rows while its ghost set
+/// grows mid-stream.
 class DynamicDistGraph {
 public:
-    /// Builds rank `rank`'s view of `global`, reading only V_rank's
-    /// neighborhoods, and seeds exact ghost degrees for every current ghost.
-    [[nodiscard]] static DynamicDistGraph from_global(const CsrGraph& global,
-                                                      const Partition1D& partition,
-                                                      Rank rank);
+    /// Rank view.rank()'s dynamic view, copied from its static view: every
+    /// local row, and the exchanged degree of every ghost (requires
+    /// view.ghost_degrees_ready()). Reads no global graph.
+    [[nodiscard]] static DynamicDistGraph from_view(const graph::DistGraph& view);
 
     [[nodiscard]] Rank rank() const noexcept { return rank_; }
     [[nodiscard]] const Partition1D& partition() const noexcept { return partition_; }
@@ -57,9 +60,7 @@ public:
 
     /// Number of stored half-edges |E_i| — the streaming analogue of the
     /// paper's per-PE input size, used for the buffer threshold δ.
-    [[nodiscard]] EdgeId num_local_half_edges() const noexcept {
-        return adjacency_.total_entries();
-    }
+    [[nodiscard]] EdgeId num_local_half_edges() const noexcept { return num_half_edges_; }
 
     /// Inserts/erases v in local_u's neighborhood only (the other endpoint's
     /// owner maintains the reverse direction). Returns false on no-op.
@@ -74,10 +75,6 @@ public:
     /// Distinct remote ranks owning at least one current neighbor of
     /// local_v — the recipients of a degree-delta notification for it.
     [[nodiscard]] std::vector<Rank> neighbor_ranks(VertexId local_v) const;
-
-    [[nodiscard]] const graph::MutableAdjacency& adjacency() const noexcept {
-        return adjacency_;
-    }
 
     // --- hub bitmaps (adaptive streaming kernel) --------------------------
     /// Turns on hub bitmap maintenance over the local rows and builds the
@@ -99,7 +96,8 @@ private:
 
     Partition1D partition_;
     Rank rank_ = 0;
-    graph::MutableAdjacency adjacency_;
+    std::vector<std::vector<VertexId>> rows_;  // ID-sorted; row i is first_local() + i
+    EdgeId num_half_edges_ = 0;                // Σ row sizes
     std::unordered_map<VertexId, Degree> ghost_degrees_;
     std::unique_ptr<seq::HubBitmapIndex> hub_index_;
 };

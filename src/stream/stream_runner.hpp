@@ -14,11 +14,12 @@ namespace katric::stream {
 /// Per-batch observer, called after each batch commits.
 using BatchObserver = std::function<void(const BatchStats&)>;
 
-/// Builds every rank's dynamic view of `initial` under `partition` — the
-/// streaming analogue of graph::distribute: katric::Engine's path when it
-/// promotes its built static state into a stream session without paying a
-/// second partitioning pass, and the entry point for tests and benches that
-/// drive IncrementalCounter directly.
+/// Builds every rank's dynamic view of `initial` under `partition`, one rank
+/// at a time: DistGraph::from_global, ghost degrees read from `initial`,
+/// then DynamicDistGraph::from_view. The entry point for tests and benches
+/// that drive IncrementalCounter directly; katric::Engine derives its
+/// stream views from its own preprocessed views instead, and both paths
+/// give the same views.
 [[nodiscard]] std::vector<DynamicDistGraph> distribute_dynamic(
     const graph::CsrGraph& initial, const graph::Partition1D& partition);
 

@@ -197,6 +197,25 @@ TEST(Config, TryFromFlagsRejectsMissingValueAndBadValue) {
 
     const auto not_a_flag = Config::try_from_flags({"ranks=4"});
     EXPECT_EQ(not_a_flag.error, ConfigError::kBadValue);
+
+    // Out-of-range doubles: an AMQ false-positive rate outside (0, 1), and
+    // negative or non-finite machine parameters (a negative --alpha used to
+    // give a DITRIC count a negative total_time).
+    for (const std::string flag :
+         {"--amq-fpr=1.5", "--amq-fpr=1", "--amq-fpr=0", "--amq-fpr=-0.1",
+          "--amq-fpr=nan", "--alpha=-1e-3", "--alpha=inf", "--alpha=nan",
+          "--beta=-1e-9", "--beta=inf", "--beta=nan", "--compute-op=-1e-9",
+          "--compute-op=inf", "--compute-op=nan", "--phase-timeout=-1",
+          "--deadline=-1"}) {
+        const auto parse = Config::try_from_flags({flag});
+        EXPECT_EQ(parse.error, ConfigError::kBadValue) << flag;
+        EXPECT_FALSE(parse.config.has_value()) << flag;
+    }
+    const auto edge = Config::try_from_flags(
+        {"--amq-fpr=0.999", "--alpha=0", "--beta=0", "--compute-op=0"});
+    ASSERT_TRUE(edge.ok()) << edge.message();
+    EXPECT_EQ(edge.config->amq.target_fpr, 0.999);
+    EXPECT_EQ(edge.config->network.alpha, 0.0);
 }
 
 TEST(Config, TryFromFlagsRejectsRetiredIntersectKinds) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
+#include "engine.hpp"
 #include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "stream/stream_runner.hpp"
 #include "support/test_graphs.hpp"
 #include "util/assert.hpp"
 
@@ -14,43 +18,193 @@ namespace katric::stream {
 namespace {
 
 std::vector<DynamicDistGraph> build_views(const CsrGraph& g, Rank p) {
-    const auto partition = Partition1D::uniform(g.num_vertices(), p);
-    std::vector<DynamicDistGraph> views;
-    for (Rank r = 0; r < p; ++r) {
-        views.push_back(DynamicDistGraph::from_global(g, partition, r));
-    }
-    return views;
+    return distribute_dynamic(g, Partition1D::uniform(g.num_vertices(), p));
 }
 
-TEST(DynamicDistGraph, FromGlobalMirrorsLocalNeighborhoods) {
-    const auto g = gen::generate_rmat(7, 512, 19);
-    const Rank p = 4;
-    auto views = build_views(g, p);
-    for (const auto& view : views) {
-        for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
-             ++v) {
-            const auto expected = g.neighbors(v);
-            const auto got = view.neighbors(v);
-            ASSERT_EQ(got.size(), expected.size());
-            EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()));
-        }
-    }
+/// The two ways to build every rank's dynamic view: from a preprocessed
+/// Engine's static views (the StreamSession path), and per rank from the
+/// global graph (distribute_dynamic, the path tests and benches replay on).
+struct BuildPath {
+    std::string name;
+    std::function<std::vector<DynamicDistGraph>(const CsrGraph&, const Partition1D&)>
+        build;
+};
+
+std::vector<BuildPath> build_paths() {
+    return {
+        {"engine views",
+         [](const CsrGraph& g, const Partition1D& partition) {
+             Config config;
+             config.num_ranks = partition.num_ranks();
+             const Engine engine(g, config, partition);
+             std::vector<DynamicDistGraph> views;
+             for (const auto& view : engine.views()) {
+                 views.push_back(DynamicDistGraph::from_view(view));
+             }
+             return views;
+         }},
+        {"distribute_dynamic",
+         [](const CsrGraph& g, const Partition1D& partition) {
+             return distribute_dynamic(g, partition);
+         }},
+    };
 }
 
-TEST(DynamicDistGraph, GhostDegreesSeededExactly) {
-    const auto g = gen::generate_rgg2d(200, gen::rgg2d_radius_for_degree(200, 8.0), 3);
-    auto views = build_views(g, 5);
-    for (const auto& view : views) {
-        for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
-             ++v) {
-            for (const VertexId w : view.neighbors(v)) {
-                if (view.is_local(w)) { continue; }
-                const auto degree = view.ghost_degree(w);
-                ASSERT_TRUE(degree.has_value());
-                EXPECT_EQ(*degree, g.degree(w));
+struct PartitionCase {
+    std::string name;
+    CsrGraph graph;
+    Partition1D partition;
+};
+
+std::vector<PartitionCase> partition_cases() {
+    auto rmat = gen::generate_rmat(7, 512, 19);
+    auto rgg = gen::generate_rgg2d(200, gen::rgg2d_radius_for_degree(200, 8.0), 3);
+    auto petersen = katric::test::petersen_graph();
+    std::vector<PartitionCase> cases;
+    cases.push_back(
+        {"rmat uniform p=4", rmat, Partition1D::uniform(rmat.num_vertices(), 4)});
+    cases.push_back(
+        {"rgg2d uniform p=5", rgg, Partition1D::uniform(rgg.num_vertices(), 5)});
+    // p > n: some ranks own no vertex at all.
+    cases.push_back({"petersen uniform p=13", petersen,
+                     Partition1D::uniform(petersen.num_vertices(), 13)});
+    // Injected and uneven, with an empty first rank.
+    cases.push_back({"rmat injected uneven", rmat, Partition1D({0, 0, 3, 90, 128})});
+    return cases;
+}
+
+TEST(DynamicDistGraph, BothBuildPathsMirrorLocalNeighborhoods) {
+    for (const auto& pc : partition_cases()) {
+        for (const auto& path : build_paths()) {
+            SCOPED_TRACE(pc.name + " / " + path.name);
+            const auto views = path.build(pc.graph, pc.partition);
+            ASSERT_EQ(views.size(), pc.partition.num_ranks());
+            for (const auto& view : views) {
+                EXPECT_EQ(view.num_local(), pc.partition.size(view.rank()));
+                EdgeId half_edges = 0;
+                for (VertexId v = view.first_local();
+                     v < view.first_local() + view.num_local(); ++v) {
+                    const auto expected = pc.graph.neighbors(v);
+                    const auto got = view.neighbors(v);
+                    ASSERT_EQ(got.size(), expected.size());
+                    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()));
+                    half_edges += expected.size();
+                }
+                EXPECT_EQ(view.num_local_half_edges(), half_edges);
             }
         }
     }
+}
+
+TEST(DynamicDistGraph, BothBuildPathsSeedGhostDegreesExactly) {
+    for (const auto& pc : partition_cases()) {
+        for (const auto& path : build_paths()) {
+            SCOPED_TRACE(pc.name + " / " + path.name);
+            const auto views = path.build(pc.graph, pc.partition);
+            for (const auto& view : views) {
+                // Exactly the remote neighbors are ghosts, each with its
+                // true degree; every other remote vertex is unknown.
+                for (VertexId w = 0; w < pc.graph.num_vertices(); ++w) {
+                    if (view.is_local(w)) { continue; }
+                    const auto nbrs = pc.graph.neighbors(w);
+                    const bool ghost = std::any_of(
+                        nbrs.begin(), nbrs.end(),
+                        [&](VertexId x) { return view.is_local(x); });
+                    const auto degree = view.ghost_degree(w);
+                    ASSERT_EQ(degree.has_value(), ghost) << "vertex " << w;
+                    if (ghost) { EXPECT_EQ(*degree, pc.graph.degree(w)); }
+                }
+            }
+        }
+    }
+}
+
+TEST(DynamicDistGraph, EngineStreamMatchesPerRankReplay) {
+    // A StreamSession derives its views from the engine's; a replay over
+    // distribute_dynamic must charge every batch exactly the same.
+    const auto base = gen::generate_rmat(8, 1536, 9);
+    const auto batches = make_churn_stream(base, 480, 0.4, 17).batches_of(96);
+    auto config = Config::preset("streaming-lcc");
+    config.num_ranks = 6;
+    const Engine engine(base, config);
+    const auto report = engine.stream(batches);
+    auto session = engine.open_stream();
+
+    net::Simulator sim(config.num_ranks, config.network);
+    auto views = distribute_dynamic(base, engine.partition());
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
+                               session.initial().triangles);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect,
+                       session.delta());
+    lcc.attach(counter);
+
+    ASSERT_EQ(report.batches.size(), batches.size());
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        SCOPED_TRACE("batch " + std::to_string(i));
+        const auto expected = session.ingest(batches[i]);
+        auto stats = counter.apply_batch(batches[i]);
+        stats.lcc_seconds = lcc.finish_batch();
+        for (const auto* streamed : {&expected, &report.batches[i]}) {
+            EXPECT_EQ(stats.seconds, streamed->seconds);
+            EXPECT_EQ(stats.lcc_seconds, streamed->lcc_seconds);
+            EXPECT_EQ(stats.words_sent, streamed->words_sent);
+            EXPECT_EQ(stats.messages_sent, streamed->messages_sent);
+            EXPECT_EQ(stats.delta, streamed->delta);
+            EXPECT_EQ(stats.triangles, streamed->triangles);
+        }
+        EXPECT_EQ(lcc.delta(), session.delta());
+    }
+    EXPECT_EQ(lcc.delta(), report.delta);
+}
+
+TEST(DynamicDistGraph, StartsEmptyOnAnEdgelessGraph) {
+    auto views = build_views(graph::build_undirected(graph::EdgeList{}, 4), 1);
+    const auto& view = views[0];
+    EXPECT_EQ(view.num_local(), 4u);
+    EXPECT_EQ(view.num_local_half_edges(), 0u);
+    EXPECT_EQ(view.degree(0), 0u);
+    EXPECT_FALSE(view.has_edge(0, 1));
+}
+
+TEST(DynamicDistGraph, InsertKeepsRowsSortedAndDeduplicated) {
+    auto views = build_views(graph::build_undirected(graph::EdgeList{}, 8), 2);
+    auto& view = views[0];
+    EXPECT_TRUE(view.insert_half_edge(0, 5));
+    EXPECT_TRUE(view.insert_half_edge(0, 1));
+    EXPECT_TRUE(view.insert_half_edge(0, 3));
+    EXPECT_FALSE(view.insert_half_edge(0, 3));  // duplicate is a no-op
+    const auto row = view.neighbors(0);
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
+    EXPECT_EQ(view.degree(0), 3u);
+    EXPECT_EQ(view.num_local_half_edges(), 3u);
+    EXPECT_TRUE(view.has_edge(0, 1));
+    EXPECT_TRUE(view.has_edge(0, 3));
+    EXPECT_TRUE(view.has_edge(0, 5));
+}
+
+TEST(DynamicDistGraph, EraseRemovesAndReportsAbsence) {
+    auto views = build_views(graph::build_undirected(graph::EdgeList{}, 8), 2);
+    auto& view = views[0];
+    view.insert_half_edge(0, 2);
+    view.insert_half_edge(0, 4);
+    EXPECT_TRUE(view.erase_half_edge(0, 2));
+    EXPECT_FALSE(view.erase_half_edge(0, 2));  // already gone
+    EXPECT_FALSE(view.has_edge(0, 2));
+    EXPECT_EQ(view.num_local_half_edges(), 1u);
+}
+
+TEST(DynamicDistGraph, RoundTripInsertEraseRestoresRow) {
+    auto views = build_views(katric::test::complete_graph(8), 1);
+    auto& view = views[0];
+    const auto row = view.neighbors(3);
+    const std::vector<VertexId> before(row.begin(), row.end());
+    const EdgeId half_edges = view.num_local_half_edges();
+    ASSERT_TRUE(view.erase_half_edge(3, 5));
+    EXPECT_EQ(view.num_local_half_edges(), half_edges - 1);
+    ASSERT_TRUE(view.insert_half_edge(3, 5));
+    const std::vector<VertexId> after(view.neighbors(3).begin(), view.neighbors(3).end());
+    EXPECT_EQ(before, after);
+    EXPECT_EQ(view.num_local_half_edges(), half_edges);
 }
 
 TEST(DynamicDistGraph, InsertEraseHalfEdgesAreIdempotentPerDirection) {
