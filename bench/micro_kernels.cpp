@@ -1,22 +1,27 @@
-// Kernel-comparison harness for the intersection subsystem: merge vs the
+// Kernel-comparison harness for the intersection subsystem: the reference
+// merge and the merge kind's mark-and-probe vs the
 // kernels the adaptive dispatcher chooses between — galloping, SIMD
 // block-merge, hub-bitmap probes and (at 1:1) the hub∩hub word-AND — swept
 // across size ratios (1:1 … 1:1024) and densities (mean gap between
 // consecutive IDs).
 // Doubles as a correctness gate — every kernel must report the merge
-// oracle's count on every configuration or the harness exits non-zero —
+// oracle's count (merge-probe also its ops) on every configuration or the
+// harness exits non-zero —
 // and emits the same --json artifact format as the stream benches
 // (snapshot schema: bench/BENCH_kernels.json).
 
 #include <algorithm>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "amq/bloom.hpp"
 #include "bench_common.hpp"
 #include "gen/proxies.hpp"
 #include "net/message_queue.hpp"
+#include "seq/adaptive_intersect.hpp"
 #include "seq/bitmap_index.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/intersection.hpp"
@@ -85,13 +90,29 @@ double time_ns_per_call(Fn&& fn, double min_ms) {
     }
 }
 
+/// The CPU model from /proc/cpuinfo ("unknown" where it is absent), so a
+/// snapshot names the host its timings came from.
+std::string cpu_model() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos && colon + 2 <= line.size()) {
+                return line.substr(colon + 2);
+            }
+        }
+    }
+    return "unknown";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     using namespace katric;
     CliParser cli("bench_micro_kernels",
-                  "intersection kernel comparison: merge|galloping|simd|bitmap|"
-                  "bitmap-and across size ratios and densities");
+                  "intersection kernel comparison: merge|merge-probe|galloping|simd|"
+                  "bitmap|bitmap-and across size ratios and densities");
     cli.option("large", "8192", "size of the large (hub) operand");
     cli.option("ratios", "1,4,16,64,256,1024", "size ratios large:small to sweep");
     cli.option("gaps", "2,16", "mean ID gaps (density = 1/gap) to sweep");
@@ -119,9 +140,17 @@ int main(int argc, char** argv) {
     Table table({"ratio", "gap", "small", "count", "kernel", "ns/call", "ops",
                  "speedup vs merge"});
     JsonWriter report;
+    report.begin_row()
+        .field("host", cpu_model())
+        .field("hardware_concurrency",
+               static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+        .field("compiler", std::string(__VERSION__))
+        .field("simd",
+               seq::simd_available() ? std::string("avx2") : std::string("scalar"));
     bool all_agree = true;
     double worst_bitmap_hub_speedup = -1.0;
 
+    const seq::AdaptiveIntersect merge_kind(seq::IntersectKind::kMerge);
     for (const auto gap : gaps) {
         // The large operand doubles as the hub row: indexed once, like a
         // rank's preprocessing would.
@@ -155,6 +184,12 @@ int main(int argc, char** argv) {
             std::vector<Kernel> kernels;
             kernels.push_back({"merge", measure([&] {
                                    return seq::intersect_merge(small, large);
+                               }, min_ms)});
+            // The merge kind's host kernel: mark `small`, probe `large`,
+            // clear. Fixing inside the timed call is the worst case — in
+            // the counting loops one fix serves every partner of the row.
+            kernels.push_back({"merge-probe", measure([&] {
+                                   return merge_kind.fix(small).count(large);
                                }, min_ms)});
             kernels.push_back({"galloping", measure([&] {
                                    return seq::intersect_simd_galloping(small, large);
@@ -190,6 +225,13 @@ int main(int argc, char** argv) {
                               << m.result.count << " != merge oracle "
                               << merge.result.count << " (ratio 1:" << ratio
                               << ", gap " << gap << ")\n";
+                    all_agree = false;
+                }
+                // The merge kind must charge the reference merge's ops.
+                if (name == "merge-probe" && m.result.ops != merge.result.ops) {
+                    std::cerr << "FAIL: merge-probe charged " << m.result.ops
+                              << " ops != merge oracle " << merge.result.ops
+                              << " (ratio 1:" << ratio << ", gap " << gap << ")\n";
                     all_agree = false;
                 }
                 const double speedup =

@@ -143,16 +143,15 @@ inline constexpr int kTagStream = 4;
 /// Tag of the streaming LCC Δ-flush queues (src/stream/incremental_lcc).
 inline constexpr int kTagStreamLcc = 5;
 
-/// Intersection that charges its measured kernel cost to the PE's clock.
-/// Pass operand vertex IDs when known so the dispatcher can route hub rows
-/// through their bitmaps; kInvalidVertex skips the hub lookup.
+/// Intersection of a fixed row with `b` that charges its measured kernel
+/// cost to the PE's clock. Pass b's vertex ID when known so the dispatcher
+/// can route hub rows through their bitmaps; kInvalidVertex skips the hub
+/// lookup.
 inline std::uint64_t charged_intersect(net::RankHandle& self,
-                                       std::span<const VertexId> a,
+                                       const seq::AdaptiveIntersect::FixedRow& row,
                                        std::span<const VertexId> b,
-                                       const seq::AdaptiveIntersect& isect,
-                                       VertexId a_id = graph::kInvalidVertex,
                                        VertexId b_id = graph::kInvalidVertex) {
-    const auto r = isect.count(a, b, a_id, b_id);
+    const auto r = row.count(b, b_id);
     self.charge_ops(r.ops);
     return r.count;
 }

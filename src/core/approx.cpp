@@ -69,10 +69,10 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
         // The local receivers of v's neighborhood are exactly the local
         // vertices u with v ≺ u adjacent to v — the rewired ghost list.
         if (kind == kKindRawList) {
-            const auto a_v = record.subspan(2);
+            const auto row_v = isect.fix(record.subspan(2), v);
             for (const VertexId u : view.ghost_out_neighbors(*gi)) {
-                estimates[r] += static_cast<double>(charged_intersect(
-                    self, a_v, view.contracted_out_neighbors(u), isect, v, u));
+                estimates[r] += static_cast<double>(
+                    charged_intersect(self, row_v, view.contracted_out_neighbors(u), u));
             }
             return;
         }

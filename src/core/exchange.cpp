@@ -44,21 +44,21 @@ void charge_parallel_ops(net::RankHandle& self, std::uint64_t ops, int threads) 
     }
 }
 
-/// Count-or-collect intersection: with a sink, enumerate closing vertices
-/// (via the shared per-thread scratch — no per-call vector churn).
-std::uint64_t intersect_for(net::RankHandle& self, std::span<const VertexId> a,
-                            std::span<const VertexId> b,
-                            const seq::AdaptiveIntersect& isect,
-                            const TriangleSink* sink, VertexId v, VertexId u,
-                            int parallel_threads) {
+/// Count-or-collect intersection of v's fixed row with A(u): with a sink,
+/// enumerate closing vertices (via the shared per-thread scratch — no
+/// per-call vector churn).
+std::uint64_t intersect_for(net::RankHandle& self,
+                            const seq::AdaptiveIntersect::FixedRow& row,
+                            std::span<const VertexId> b, const TriangleSink* sink,
+                            VertexId v, VertexId u, int parallel_threads) {
     if (sink == nullptr) {
-        const auto r = isect.count(a, b, v, u);
+        const auto r = row.count(b, u);
         charge_parallel_ops(self, r.ops, parallel_threads);
         return r.count;
     }
     auto& scratch = seq::collect_scratch();
     scratch.clear();
-    const auto r = isect.collect(a, b, scratch, v, u);
+    const auto r = row.collect(b, scratch, u);
     charge_parallel_ops(self, r.ops, parallel_threads);
     for (const VertexId w : scratch) { (*sink)(self.rank(), v, u, w); }
     return r.count;
@@ -111,15 +111,16 @@ std::vector<std::uint64_t> run_local_phase(net::Simulator& sim,
         // lines, and the ranks of a start round run on different threads.
         std::uint64_t found = 0;
         auto process = [&](VertexId v, std::span<const VertexId> a_v) {
+            const auto row_v = isect.fix(a_v, v);
             for (const VertexId u : a_v) {
                 if (!expanded && !view.is_local(u)) { continue; }
                 const auto a_u = view.a_set(u);
                 if (hybrid) {
-                    const auto res = isect.count(a_v, a_u, v, u);
+                    const auto res = row_v.count(a_u, u);
                     binner.add_task(res.ops);
                     found += res.count;
                 } else {
-                    found += intersect_for(self, a_v, a_u, isect, sink, v, u, 1);
+                    found += intersect_for(self, row_v, a_u, sink, v, u, 1);
                 }
             }
         };
@@ -204,9 +205,10 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
                                            obs::rank_sink(options.kernel_stats, r));
         const auto a_v = decode_neighborhood(self, record, compress, decoded[r]);
         const VertexId v = record[0];
+        const auto row_v = isect.fix(a_v, v);
         for (const VertexId u : a_v) {
             if (!view.is_local(u)) { continue; }
-            global_counts[r] += intersect_for(self, a_v, row(view, u), isect, sink, v, u,
+            global_counts[r] += intersect_for(self, row_v, row(view, u), sink, v, u,
                                               options.threads);
         }
     };

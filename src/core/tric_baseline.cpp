@@ -46,9 +46,10 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
         for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
              ++v) {
             const auto out_v = id_out(view, v);
+            const auto row_v = isect.fix(out_v, v);
             for (VertexId u : out_v) {
                 if (!view.is_local(u)) { continue; }
-                found += charged_intersect(self, out_v, id_out(view, u), isect, v, u);
+                found += charged_intersect(self, row_v, id_out(view, u), u);
             }
         }
         local_counts[r] = found;
@@ -97,10 +98,10 @@ CountResult run_tric_style(net::Simulator& sim, const std::vector<DistGraph>& vi
                 KATRIC_ASSERT(index + 2 + length <= payload.size());
                 const auto a_v =
                     std::span<const std::uint64_t>(payload).subspan(index + 2, length);
+                const auto row_v = isect.fix(a_v);
                 for (const VertexId u : a_v) {
                     if (!view.is_local(u)) { continue; }
-                    found += charged_intersect(self, a_v, id_out(view, u), isect,
-                                               graph::kInvalidVertex, u);
+                    found += charged_intersect(self, row_v, id_out(view, u), u);
                 }
                 index += 2 + length;
             }

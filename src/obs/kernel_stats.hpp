@@ -19,7 +19,7 @@ namespace katric::obs {
 /// kernels. They keep their slots so every `seq.calls.<choice>` series the
 /// benchmark emits keeps its name (and reads 0).
 enum class KernelChoice : std::uint8_t {
-    kMerge,         ///< scalar merge scan
+    kMerge,         ///< merge kind: mark-and-probe, charged as the scalar merge
     kBinary,        ///< never recorded
     kHybrid,        ///< never recorded
     kGalloping,     ///< cursor galloping (SIMD front scan when available)

@@ -30,8 +30,9 @@ SeqCountResult count_oriented(const CsrGraph& oriented, IntersectKind kind) {
     SeqCountResult result;
     for (VertexId v = 0; v < oriented.num_vertices(); ++v) {
         const auto out_v = oriented.neighbors(v);
+        const auto row_v = isect.fix(out_v);
         for (VertexId u : out_v) {
-            const auto r = isect.count(out_v, oriented.neighbors(u));
+            const auto r = row_v.count(oriented.neighbors(u));
             result.triangles += r.count;
             result.ops += r.ops;
         }
@@ -68,9 +69,10 @@ std::vector<std::uint64_t> per_vertex_triangles(const CsrGraph& undirected,
     auto& closing = collect_scratch();
     for (VertexId v = 0; v < oriented.num_vertices(); ++v) {
         const auto out_v = oriented.neighbors(v);
+        const auto row_v = isect.fix(out_v, v);
         for (VertexId u : out_v) {
             closing.clear();
-            isect.collect(out_v, oriented.neighbors(u), closing, v, u);
+            row_v.collect(oriented.neighbors(u), closing, u);
             delta[v] += closing.size();
             delta[u] += closing.size();
             for (VertexId w : closing) { ++delta[w]; }

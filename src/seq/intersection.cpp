@@ -207,11 +207,7 @@ void force_scalar_simd(bool force) noexcept {
     g_force_scalar.store(force, std::memory_order_relaxed);
 }
 
-// The merge loop is nearly all the host time of merge workloads, and its
-// speed moved by ~8% with where the linker happened to place it (R-MAT
-// counts, GCC 12 -O3 on a Xeon VM). A cache-line-aligned entry pins the
-// placement.
-__attribute__((aligned(64))) IntersectResult intersect_merge(Span a, Span b) noexcept {
+IntersectResult intersect_merge(Span a, Span b) noexcept {
     return merge_kernel(a, b, false, Count{});
 }
 

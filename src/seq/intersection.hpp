@@ -34,7 +34,10 @@ enum class IntersectKind {
 
 /// Merge-style intersection of two ID-sorted neighborhoods — the kernel the
 /// paper uses ("a procedure similar to the merge phase of merge sort").
-/// ops = number of comparisons ≈ |a| + |b|.
+/// ops = number of comparisons ≈ |a| + |b|. The merge kind charges exactly
+/// these ops but runs mark-and-probe on the host
+/// (seq::AdaptiveIntersect::FixedRow); this loop is the reference for that
+/// charge, kept for the tests and bench_micro_kernels.
 [[nodiscard]] IntersectResult intersect_merge(std::span<const graph::VertexId> a,
                                               std::span<const graph::VertexId> b) noexcept;
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "gen/rmat.hpp"
 #include "graph/distributed_graph.hpp"
 #include "net/rank_pool.hpp"
+#include "seq/adaptive_intersect.hpp"
 #include "seq/edge_iterator.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/incremental.hpp"
@@ -114,6 +116,70 @@ TEST(ParallelDelivery, LccAndAmqMatchInlineRun) {
     EXPECT_GT(amq_fanned, 0u);
     EXPECT_EQ(amq_parallel.estimated_triangles, amq_reference.estimated_triangles);
     test::expect_identical_counts(amq_parallel.metrics, amq_reference.metrics, "AMQ");
+}
+
+TEST(ParallelDelivery, MergeKernelCellsMatchInlineRun) {
+    // The merge kind marks each fixed row in a bitmap owned by the host
+    // thread, so fanned-out start rounds and delivery windows mark one
+    // bitmap per helper. Counts, Δ, enumerated triangles and every
+    // simulated metric must still equal the inline run's.
+    net::RankPool inline_pool(0);
+    net::RankPool helpers(3);
+    const auto merge_spec = [](Algorithm algorithm) {
+        RunSpec spec = spec_for(algorithm);
+        spec.options.intersect = seq::IntersectKind::kMerge;
+        return spec;
+    };
+    const std::uint64_t expected = seq::count_edge_iterator(instance()).triangles;
+
+    const RunSpec ditric = merge_spec(Algorithm::kDitric);
+    const CountOutcome count_reference = run_count(inline_pool, ditric);
+    const CountOutcome count_parallel = run_count(helpers, ditric);
+    EXPECT_EQ(count_reference.count.triangles, expected);
+    EXPECT_GT(count_parallel.fanned, 0u);
+    test::expect_identical_counts(count_parallel.count, count_reference.count,
+                                  "DITRIC merge count");
+
+    const RunSpec cetric2 = merge_spec(Algorithm::kCetric2);
+    const auto lcc = [&](net::RankPool& pool) {
+        auto views = graph::distribute(instance(), make_partition(instance(), cetric2));
+        net::Simulator sim(cetric2.num_ranks, cetric2.network, pool);
+        auto result = compute_distributed_lcc(sim, views, instance(), cetric2);
+        return std::pair{std::move(result), fanned_windows(sim)};
+    };
+    const auto [lcc_reference, lcc_inline_fanned] = lcc(inline_pool);
+    const auto [lcc_parallel, lcc_fanned] = lcc(helpers);
+    EXPECT_EQ(lcc_inline_fanned, 0u);
+    EXPECT_GT(lcc_fanned, 0u);
+    EXPECT_EQ(lcc_parallel.delta, lcc_reference.delta);
+    test::expect_identical_counts(lcc_parallel.count, lcc_reference.count,
+                                  "CETRIC2 merge LCC");
+
+    // Each finder rank appends to its own list; a rank's handlers run in
+    // event order whichever thread runs them, so the lists match exactly.
+    using Found = std::vector<std::vector<std::array<VertexId, 3>>>;
+    const auto enumerate = [&](net::RankPool& pool) {
+        Found found(kRanks);
+        const TriangleSink sink = [&](Rank finder, VertexId v, VertexId u, VertexId w) {
+            found[finder].push_back({v, u, w});
+        };
+        auto views = graph::distribute(instance(), make_partition(instance(), ditric));
+        net::Simulator sim(ditric.num_ranks, ditric.network, pool);
+        CountOutcome outcome;
+        outcome.count = dispatch_algorithm(sim, views, ditric, &sink);
+        outcome.fanned = fanned_windows(sim);
+        return std::pair{std::move(outcome), std::move(found)};
+    };
+    const auto [enum_reference, found_reference] = enumerate(inline_pool);
+    const auto [enum_parallel, found_parallel] = enumerate(helpers);
+    EXPECT_GT(enum_parallel.fanned, 0u);
+    test::expect_identical_counts(enum_parallel.count, enum_reference.count,
+                                  "DITRIC merge enumerate");
+    EXPECT_EQ(found_parallel, found_reference);
+    std::uint64_t listed = 0;
+    for (const auto& per_rank : found_parallel) { listed += per_rank.size(); }
+    EXPECT_EQ(listed, expected);
+    EXPECT_EQ(seq::merge_marks_set_on_this_thread(), 0u);
 }
 
 TEST(ParallelDelivery, StreamingBatchesMatchInlineRun) {

@@ -4,12 +4,14 @@
 // randomized sorted sets — including the SIMD tail lengths 0–17, collect
 // order, and adversarial shapes (empty, disjoint, identical, one-element,
 // 1:10⁶ skew). Each randomized case runs on both the AVX2 path and the
-// forced-scalar fallback so the two stay bit-identical.
+// forced-scalar fallback so the two stay bit-identical. The merge kind's
+// mark-and-probe rows must also charge exactly the reference merge's ops.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "seq/bitmap_index.hpp"
 #include "seq/intersection.hpp"
 #include "seq/intersection_simd.hpp"
+#include "util/assert.hpp"
 #include "util/random.hpp"
 
 namespace katric::seq {
@@ -406,6 +409,169 @@ TEST(AdaptiveIntersect, EveryKindAgreesOnRandomInputs) {
             EXPECT_EQ(collected, expected) << intersect_kind_name(kind);
         }
     }
+}
+
+// --- merge mark-and-probe ---------------------------------------------
+
+/// The merge kind's fixed row (and its two-span form) against the reference
+/// merge: equal count, equal collected elements, and equal charged ops.
+void expect_probe_matches_merge(const std::vector<VertexId>& a,
+                                const std::vector<VertexId>& b) {
+    const auto reference = intersect_merge(a, b);
+    std::vector<VertexId> reference_out{7};  // collect appends
+    const auto reference_collect = intersect_merge_collect(a, b, reference_out);
+    const AdaptiveIntersect merge(IntersectKind::kMerge);
+    {
+        const auto row = merge.fix(a);
+        const auto counted = row.count(b);
+        EXPECT_EQ(counted.count, reference.count);
+        EXPECT_EQ(counted.ops, reference.ops);
+        std::vector<VertexId> out{7};
+        const auto collected = row.collect(b, out);
+        EXPECT_EQ(out, reference_out);
+        EXPECT_EQ(collected.count, reference_collect.count);
+        EXPECT_EQ(collected.ops, reference_collect.ops);
+    }
+    const auto counted = merge.count(a, b);
+    EXPECT_EQ(counted.count, reference.count);
+    EXPECT_EQ(counted.ops, reference.ops);
+    std::vector<VertexId> out{7};
+    EXPECT_EQ(merge.collect(a, b, out).ops, reference_collect.ops);
+    EXPECT_EQ(out, reference_out);
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+}
+
+std::vector<VertexId> range_row(VertexId first, VertexId last, VertexId step = 1) {
+    std::vector<VertexId> row;
+    for (VertexId w = first; w <= last; w += step) { row.push_back(w); }
+    return row;
+}
+
+TEST_P(KernelRandomTest, MergeProbeMatchesReferenceMerge) {
+    ScopedSimdMode mode(GetParam());
+    Xoshiro256 rng(GetParam() ? 17 : 19);
+    const AdaptiveIntersect merge(IntersectKind::kMerge);
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::uint64_t universe = 1 + rng.next_bounded(3000);
+        const auto a = sorted_sample(rng, rng.next_bounded(std::min<std::uint64_t>(
+                                              universe, 300)),
+                                     universe);
+        // One fixed row against many partners, as the counting loops use it.
+        const auto row = merge.fix(a);
+        for (int partner = 0; partner < 8; ++partner) {
+            const auto b = sorted_sample(
+                rng, rng.next_bounded(std::min<std::uint64_t>(universe, 300)), universe);
+            const auto reference = intersect_merge(a, b);
+            const auto counted = row.count(b);
+            EXPECT_EQ(counted.count, reference.count);
+            EXPECT_EQ(counted.ops, reference.ops);
+            std::vector<VertexId> expected;
+            intersect_merge_collect(a, b, expected);
+            std::vector<VertexId> out;
+            EXPECT_EQ(row.collect(b, out).ops, reference.ops);
+            EXPECT_EQ(out, expected);
+        }
+    }
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+}
+
+TEST_P(KernelRandomTest, MergeProbeAdversarialPairs) {
+    ScopedSimdMode mode(GetParam());
+    using Row = std::vector<VertexId>;
+    const Row empty;
+    const auto evens = range_row(0, 198, 2);
+    const auto odds = range_row(1, 199, 2);
+    const std::vector<std::pair<Row, Row>> pairs = {
+        {empty, empty},
+        {empty, evens},
+        {evens, empty},
+        {evens, odds},                         // disjoint, interleaved
+        {range_row(0, 9), range_row(20, 29)},  // disjoint, a wholly below
+        {range_row(20, 29), range_row(0, 9)},  // disjoint, b wholly below
+        {evens, evens},                        // identical
+        {Row{3, 9, 40}, Row{1, 9, 40}},        // equal last elements
+        {Row{5, 6, 40}, Row{40}},
+        {range_row(0, 9), range_row(5, 50)},  // overlap, a ends first
+        {range_row(5, 50), range_row(0, 9)},  // overlap, b ends first
+        {Row{5}, Row{5}},                     // single elements
+        {Row{5}, Row{6}},
+        {Row{6}, Row{5}},
+        {Row{5}, evens},
+        {odds, Row{5}},
+        // IDs on the bitmap's word edges.
+        {Row{63, 64, 127, 128}, Row{63, 128}},
+        {Row{63, 128}, Row{62, 63, 64, 127, 128, 129}},
+        {Row{0, 64, 128}, Row{63, 127}},
+        {range_row(60, 132), range_row(63, 128, 65)},
+    };
+    for (const auto& [a, b] : pairs) {
+        SCOPED_TRACE(::testing::Message() << "|a|=" << a.size() << " |b|=" << b.size());
+        expect_probe_matches_merge(a, b);
+    }
+}
+
+TEST(MergeProbe, LaterRowGrowsTheBitmap) {
+    // The first row sizes the thread's bitmap to one word; a later row's
+    // largest ID must grow it, and probes past the old end must still see
+    // only that row's marks.
+    expect_probe_matches_merge({1, 5, 63}, {5, 63});
+    const std::vector<VertexId> wide{2, 63, 64, 4095, 100'000};
+    expect_probe_matches_merge(wide, {63, 64, 99'999, 100'000, 100'001});
+    expect_probe_matches_merge({1, 5, 63}, wide);
+}
+
+TEST(MergeProbe, RecordsOneMergeChoicePerPartner) {
+    obs::KernelStats stats;
+    const AdaptiveIntersect merge(IntersectKind::kMerge, nullptr, &stats);
+    const std::vector<VertexId> a{1, 2, 3, 4};
+    {
+        const auto row = merge.fix(a);
+        (void)row.count(std::vector<VertexId>{2, 3});
+        std::vector<VertexId> out;
+        row.collect(std::vector<VertexId>{}, out);
+    }
+    EXPECT_EQ(stats.total(obs::KernelChoice::kMerge), 2u);
+    EXPECT_EQ(stats.total(), 2u);
+}
+
+TEST(MergeProbe, ThrowInsideAFixedRowLeavesNoStaleMarks) {
+    const AdaptiveIntersect merge(IntersectKind::kMerge);
+    const auto a = range_row(0, 300, 3);
+    EXPECT_THROW(
+        {
+            const auto row = merge.fix(a);
+            EXPECT_GT(merge_marks_set_on_this_thread(), 0u);
+            throw std::runtime_error("handler failed mid-row");
+        },
+        std::runtime_error);
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+    // A stale mark of a would make these partners over-count.
+    const auto next = range_row(1, 301, 5);
+    const auto b = range_row(0, 300, 2);
+    const auto row = merge.fix(next);
+    const auto counted = row.count(b);
+    EXPECT_EQ(counted.count, intersect_merge(next, b).count);
+    EXPECT_EQ(counted.ops, intersect_merge(next, b).ops);
+}
+
+TEST(MergeProbe, SecondFixOnOneThreadFailsLoudly) {
+    const AdaptiveIntersect merge(IntersectKind::kMerge);
+    const std::vector<VertexId> a{1, 4, 9};
+    const std::vector<VertexId> other{2, 4, 8};
+    {
+        const auto row = merge.fix(a);
+        EXPECT_THROW((void)merge.fix(other), assertion_error);
+        EXPECT_THROW((void)merge.count(other, a), assertion_error);
+        // The first row's marks are untouched by the failed fixes.
+        EXPECT_EQ(row.count(other).count, 1u);
+        EXPECT_EQ(merge_marks_set_on_this_thread(), a.size());
+    }
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+    // Adaptive rows take no marks, so they nest freely.
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive);
+    const auto outer = adaptive.fix(a);
+    const auto inner = merge.fix(other);
+    EXPECT_EQ(outer.count(other).count, inner.count(a).count);
 }
 
 TEST(CollectScratch, IsStableAndReusable) {
