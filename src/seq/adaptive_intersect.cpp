@@ -10,11 +10,14 @@ namespace katric::seq {
 
 namespace detail {
 
-/// The merge kind's mark bitmap, one per host thread: bit w is set iff w is
-/// in the row fixed by the thread's live merge FixedRow.
-struct MergeMarks {
+/// The marks of the row fixed on the calling thread: bit w of `words` is
+/// set iff w is in the row, bit w of `maxima` iff w is one of its block
+/// maxima a[4k+3] (adaptive rows only).
+struct RowMarks {
     std::vector<std::uint64_t> words;
-    bool fixed = false;
+    std::vector<std::uint64_t> maxima;
+    bool fixed = false;   ///< a row is fixed on this thread
+    bool marked = false;  ///< and its bits are set
 };
 
 }  // namespace detail
@@ -24,9 +27,22 @@ namespace {
 using graph::VertexId;
 using Span = std::span<const VertexId>;
 
-detail::MergeMarks& thread_marks() noexcept {
-    thread_local detail::MergeMarks marks;
+detail::RowMarks& thread_marks() noexcept {
+    thread_local detail::RowMarks marks;
     return marks;
+}
+
+/// |{x ∈ row : x ≤ value}| by a binary search whose steps are conditional
+/// moves, not branches.
+std::size_t count_at_most(Span row, VertexId value) noexcept {
+    if (row.empty()) { return 0; }
+    const VertexId* base = row.data();
+    for (std::size_t size = row.size(); size > 1;) {
+        const std::size_t half = size / 2;
+        base = base[half] <= value ? base + half : base;
+        size -= half;
+    }
+    return static_cast<std::size_t>(base - row.data()) + (*base <= value ? 1 : 0);
 }
 
 /// Where the scalar merge's cursors stop on (a, b): the row with the
@@ -38,42 +54,95 @@ struct MergeStops {
     std::size_t j_end = 0;
 };
 
-std::size_t count_at_most(Span row, VertexId x) noexcept {
-    return static_cast<std::size_t>(std::upper_bound(row.begin(), row.end(), x)
-                                    - row.begin());
-}
-
 MergeStops merge_stops(Span a, Span b) noexcept {
     if (a.empty() || b.empty()) { return {}; }
     if (a.back() <= b.back()) { return {a.size(), count_at_most(b, a.back())}; }
     return {count_at_most(a, b.back()), b.size()};
 }
 
-std::uint64_t marked(const std::uint64_t* words, VertexId w) noexcept {
-    return (words[w >> 6] >> (w & 63)) & 1u;
+std::uint64_t marked(const std::uint64_t* bits, VertexId w) noexcept {
+    return (bits[w >> 6] >> (w & 63)) & 1u;
 }
 
-IntersectResult probe_count(const std::uint64_t* words, Span a, Span b) noexcept {
-    const MergeStops stops = merge_stops(a, b);
+void set_bit(std::vector<std::uint64_t>& bits, VertexId w) noexcept {
+    bits[w >> 6] |= std::uint64_t{1} << (w & 63);
+}
+
+/// What one pass over a partner's candidates b[0, end) tallies, beside the
+/// matches: the matches above `low` and the elements at most `x_max` (the
+/// block-merge charge's inputs; the merge probe leaves them unused).
+struct Tally {
     std::uint64_t matches = 0;
-    for (std::size_t j = 0; j < stops.j_end; ++j) { matches += marked(words, b[j]); }
-    return {matches, stops.i_end + stops.j_end - matches};
+    std::uint64_t matches_above_low = 0;
+    std::uint64_t at_most_x_max = 0;
+};
+
+/// The probe pass: branch-free, one bitmap lookup per candidate. Collecting
+/// writes every candidate and moves the cursor only past a match, so the
+/// matches land in b's ascending order.
+template <bool kCollect>
+Tally probe_pass(const std::uint64_t* words, Span b, std::size_t end, VertexId low,
+                 VertexId x_max, std::vector<VertexId>* out) {
+    Tally tally;
+    VertexId* cursor = nullptr;
+    std::size_t base = 0;
+    if constexpr (kCollect) {
+        base = out->size();
+        out->resize(base + end);
+        cursor = out->data() + base;
+    }
+    for (std::size_t j = 0; j < end; ++j) {
+        const VertexId w = b[j];
+        const std::uint64_t hit = marked(words, w);
+        if constexpr (kCollect) {
+            *cursor = w;
+            cursor += hit;
+        }
+        tally.matches += hit;
+        tally.matches_above_low += hit & static_cast<std::uint64_t>(w > low);
+        tally.at_most_x_max += static_cast<std::uint64_t>(w <= x_max);
+    }
+    if constexpr (kCollect) { out->resize(base + tally.matches); }
+    return tally;
 }
 
-IntersectResult probe_collect(const std::uint64_t* words, Span a, Span b,
-                              std::vector<VertexId>& out) {
+/// The merge kind's partner: intersect_merge's matches and ops.
+template <bool kCollect>
+IntersectResult merge_probe(const detail::RowMarks& marks, Span a, Span b,
+                            std::vector<VertexId>* out) {
     const MergeStops stops = merge_stops(a, b);
-    const std::size_t base = out.size();
-    out.resize(base + stops.j_end);
-    // Every candidate is written; the cursor only moves past a match.
-    VertexId* cursor = out.data() + base;
-    for (std::size_t j = 0; j < stops.j_end; ++j) {
-        *cursor = b[j];
-        cursor += marked(words, b[j]);
+    const Tally tally = probe_pass<kCollect>(marks.words.data(), b, stops.j_end, 0, 0, out);
+    return {tally.matches, stops.i_end + stops.j_end - tally.matches};
+}
+
+/// The adaptive block-merge partner: intersect_block_merge's matches and
+/// ops (see FixedRow for the charge).
+template <bool kCollect>
+IntersectResult block_probe(const detail::RowMarks& marks, Span a, Span b,
+                            std::vector<VertexId>* out) {
+    const std::size_t a_blocks = a.size() / 4;
+    const std::size_t b_blocks = b.size() / 4;
+    if (a_blocks == 0 || b_blocks == 0) { return merge_probe<kCollect>(marks, a, b, out); }
+    const VertexId x_max = a[4 * a_blocks - 1];
+    const VertexId y_max = b[4 * b_blocks - 1];
+    const MergeStops stops = merge_stops(a, b);
+    const Tally tally = probe_pass<kCollect>(marks.words.data(), b, stops.j_end,
+                                             std::min(x_max, y_max), x_max, out);
+    // Every b maximum above a.back() lies past j_end and cannot tie.
+    std::uint64_t ties = 0;
+    for (std::size_t j = 3; j < stops.j_end; j += 4) {
+        ties += marked(marks.maxima.data(), b[j]);
     }
-    const auto matches = static_cast<std::uint64_t>(cursor - (out.data() + base));
-    out.resize(base + matches);
-    return {matches, stops.i_end + stops.j_end - matches};
+    const std::size_t x_end = count_at_most(a, y_max) / 4;
+    const std::size_t y_end = tally.at_most_x_max / 4;
+    IntersectResult result{tally.matches, kSimdMergeBlockOps * (x_end + y_end - ties)};
+    const std::size_t i = 4 * x_end;
+    const std::size_t j = 4 * y_end;
+    if (i < a.size() && j < b.size()) {
+        result.ops += std::max(stops.i_end, i) - i + std::max(stops.j_end, j) - j
+                      - tally.matches_above_low;
+    }
+    return result;
 }
 
 /// Resolves which side (if any) can be served from the hub index. Returns
@@ -119,38 +188,6 @@ std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs, Span a, Sp
 
 }  // namespace
 
-template <bool kCollect>
-IntersectResult AdaptiveIntersect::dispatch(Span a, Span b, std::vector<VertexId>* out,
-                                            VertexId a_id, VertexId b_id) const {
-    const std::size_t smaller = std::min(a.size(), b.size());
-    const auto run = [&](obs::KernelChoice choice, auto count_kernel,
-                         auto collect_kernel) {
-        note(choice, smaller);
-        if constexpr (kCollect) {
-            return collect_kernel(a, b, *out);
-        } else {
-            return count_kernel(a, b);
-        }
-    };
-    obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
-    if (auto r = try_bitmap<kCollect>(hubs_, a, b, a_id, b_id, out, bitmap_choice)) {
-        if (stats_ != nullptr) {
-            ++stats_->hub_hits;
-            stats_->record(bitmap_choice, smaller);
-        }
-        return *r;
-    }
-    if (stats_ != nullptr && hubs_ != nullptr && !hubs_->empty()) {
-        ++stats_->hub_misses;
-    }
-    if (probe_search_pays_off(a.size(), b.size())) {
-        return run(obs::KernelChoice::kGalloping, intersect_simd_galloping,
-                   intersect_simd_galloping_collect);
-    }
-    return run(obs::KernelChoice::kSimdMerge, intersect_simd_merge,
-               intersect_simd_merge_collect);
-}
-
 AdaptiveIntersect::FixedRow AdaptiveIntersect::fix(Span a, VertexId a_id) const {
     return FixedRow(*this, a, a_id);
 }
@@ -167,42 +204,85 @@ IntersectResult AdaptiveIntersect::collect(Span a, Span b, std::vector<VertexId>
 
 AdaptiveIntersect::FixedRow::FixedRow(const AdaptiveIntersect& isect, Span a,
                                       VertexId a_id)
-    : isect_(isect), a_(a), a_id_(a_id) {
-    if (isect.kind_ != IntersectKind::kMerge) { return; }
-    auto& marks = thread_marks();
-    KATRIC_ASSERT_MSG(!marks.fixed, "a merge row is already fixed on this thread");
-    if (!a.empty() && marks.words.size() <= a.back() >> 6) {
-        marks.words.resize((a.back() >> 6) + 1, 0);
-    }
-    for (const VertexId w : a) { marks.words[w >> 6] |= std::uint64_t{1} << (w & 63); }
-    marks.fixed = true;
-    marks_ = &marks;
+    : isect_(isect), a_(a), a_id_(a_id), marks_(thread_marks()) {
+    KATRIC_ASSERT_MSG(!marks_.fixed, "a row is already fixed on this thread");
+    marks_.fixed = true;
+    if (isect.kind_ == IntersectKind::kMerge) { mark(); }
+}
+
+void AdaptiveIntersect::FixedRow::mark() const {
+    marks_.marked = true;
+    if (a_.empty()) { return; }
+    const std::size_t words = (a_.back() >> 6) + 1;
+    if (marks_.words.size() < words) { marks_.words.resize(words, 0); }
+    for (const VertexId w : a_) { set_bit(marks_.words, w); }
+    if (isect_.kind_ == IntersectKind::kMerge) { return; }
+    if (marks_.maxima.size() < words) { marks_.maxima.resize(words, 0); }
+    for (std::size_t i = 3; i < a_.size(); i += 4) { set_bit(marks_.maxima, a_[i]); }
 }
 
 AdaptiveIntersect::FixedRow::~FixedRow() {
-    if (marks_ == nullptr) { return; }
-    // Only this row's bits are set, so clearing whole words is exact.
-    for (const VertexId w : a_) { marks_->words[w >> 6] = 0; }
-    marks_->fixed = false;
+    if (marks_.marked) {
+        // Only this row's bits are set, so clearing whole words is exact.
+        for (const VertexId w : a_) { marks_.words[w >> 6] = 0; }
+        if (isect_.kind_ != IntersectKind::kMerge) {
+            for (std::size_t i = 3; i < a_.size(); i += 4) {
+                marks_.maxima[a_[i] >> 6] = 0;
+            }
+        }
+        marks_.marked = false;
+    }
+    marks_.fixed = false;
+}
+
+template <bool kCollect>
+IntersectResult AdaptiveIntersect::FixedRow::dispatch(Span b, std::vector<VertexId>* out,
+                                                      VertexId b_id) const {
+    const std::size_t smaller = std::min(a_.size(), b.size());
+    obs::KernelStats* stats = isect_.stats_;
+    if (isect_.kind_ == IntersectKind::kMerge) {
+        isect_.note(obs::KernelChoice::kMerge, smaller);
+        return merge_probe<kCollect>(marks_, a_, b, out);
+    }
+    const HubBitmapIndex* hubs = isect_.hubs_;
+    obs::KernelChoice bitmap_choice = obs::KernelChoice::kBitmapProbe;
+    if (auto r = try_bitmap<kCollect>(hubs, a_, b, a_id_, b_id, out, bitmap_choice)) {
+        if (stats != nullptr) {
+            ++stats->hub_hits;
+            stats->record(bitmap_choice, smaller);
+        }
+        return *r;
+    }
+    if (stats != nullptr && hubs != nullptr && !hubs->empty()) { ++stats->hub_misses; }
+    if (probe_search_pays_off(a_.size(), b.size())) {
+        isect_.note(obs::KernelChoice::kGalloping, smaller);
+        if constexpr (kCollect) {
+            return intersect_galloping_collect(a_, b, *out);
+        } else {
+            return intersect_galloping(a_, b);
+        }
+    }
+    isect_.note(obs::KernelChoice::kSimdMerge, smaller);
+    if (!marks_.marked) { mark(); }
+    return block_probe<kCollect>(marks_, a_, b, out);
 }
 
 IntersectResult AdaptiveIntersect::FixedRow::count(Span b, VertexId b_id) const {
-    if (marks_ == nullptr) { return isect_.dispatch<false>(a_, b, nullptr, a_id_, b_id); }
-    isect_.note(obs::KernelChoice::kMerge, std::min(a_.size(), b.size()));
-    return probe_count(marks_->words.data(), a_, b);
+    return dispatch<false>(b, nullptr, b_id);
 }
 
 IntersectResult AdaptiveIntersect::FixedRow::collect(Span b, std::vector<VertexId>& out,
                                                      VertexId b_id) const {
-    if (marks_ == nullptr) { return isect_.dispatch<true>(a_, b, &out, a_id_, b_id); }
-    isect_.note(obs::KernelChoice::kMerge, std::min(a_.size(), b.size()));
-    return probe_collect(marks_->words.data(), a_, b, out);
+    return dispatch<true>(b, &out, b_id);
 }
 
 std::size_t merge_marks_set_on_this_thread() noexcept {
     std::size_t set = 0;
-    for (const std::uint64_t word : thread_marks().words) {
-        set += static_cast<std::size_t>(std::popcount(word));
+    const auto& marks = thread_marks();
+    for (const auto* bits : {&marks.words, &marks.maxima}) {
+        for (const std::uint64_t word : *bits) {
+            set += static_cast<std::size_t>(std::popcount(word));
+        }
     }
     return set;
 }

@@ -108,24 +108,6 @@ __attribute__((target("avx2"))) void block_merge_avx2(Span a, Span b, std::size_
     }
 }
 
-/// One 4-lane window compare at `pos`: returns how many of the four
-/// elements are < needle (0…4). Sorted input makes the lane mask a
-/// contiguous low-bit run, so popcount is the in-window lower bound.
-/// AVX2 only has a *signed* 64-bit compare; XOR-ing both sides with the
-/// sign bit maps unsigned order onto signed order, so IDs with bit 63 set
-/// (e.g. flag-annotated words) still compare exactly like the scalar
-/// kernels.
-__attribute__((target("avx2"))) inline unsigned window_less_count(
-    const VertexId* data, VertexId needle) noexcept {
-    const __m256i sign = _mm256_set1_epi64x(static_cast<long long>(1ull << 63));
-    const __m256i window = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data)), sign);
-    const __m256i pivot =
-        _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(needle)), sign);
-    const int less = lane_mask(_mm256_cmpgt_epi64(pivot, window));
-    return static_cast<unsigned>(std::popcount(static_cast<unsigned>(less)));
-}
-
 #endif  // KATRIC_SIMD_X86
 
 /// The merge kernel: two cursors, one op per comparison. With `blocks`
@@ -157,21 +139,20 @@ IntersectResult merge_kernel(Span a, Span b, bool blocks, Emit emit) {
     return result;
 }
 
-/// First index at or past `pos` whose element is ≥ x. With `window` (AVX2
-/// available), one 4-lane compare at the cursor (1 charged op) settles most
-/// probes and the scalar gallop only runs beyond it.
+/// First index at or past `pos` whose element is ≥ x. With `window`, the
+/// four elements at the cursor are compared first (1 charged op), which
+/// settles most probes; the gallop only runs beyond them.
 std::size_t seek(Span large, std::size_t pos, VertexId x, bool window,
                  std::uint64_t& ops) noexcept {
-#if KATRIC_SIMD_X86
     if (window && pos + 4 <= large.size()) {
         ++ops;
-        const unsigned less = window_less_count(large.data() + pos, x);
+        const std::size_t less = static_cast<std::size_t>(large[pos] < x)
+                                 + static_cast<std::size_t>(large[pos + 1] < x)
+                                 + static_cast<std::size_t>(large[pos + 2] < x)
+                                 + static_cast<std::size_t>(large[pos + 3] < x);
         if (less < 4) { return pos + less; }
         return gallop_lower_bound(large, pos + 4, x, ops);
     }
-#else
-    (void)window;
-#endif
     return gallop_lower_bound(large, pos, x, ops);
 }
 
@@ -224,11 +205,11 @@ IntersectResult intersect_simd_merge_collect(Span a, Span b, std::vector<VertexI
 }
 
 IntersectResult intersect_galloping(Span a, Span b) noexcept {
-    return gallop_kernel(a, b, false, Count{});
+    return gallop_kernel(a, b, true, Count{});
 }
 
 IntersectResult intersect_galloping_collect(Span a, Span b, std::vector<VertexId>& out) {
-    return gallop_kernel(a, b, false, Collect{out});
+    return gallop_kernel(a, b, true, Collect{out});
 }
 
 IntersectResult intersect_simd_galloping(Span a, Span b) noexcept {

@@ -48,6 +48,12 @@ IntersectResult intersect_merge_collect(std::span<const graph::VertexId> a,
                                         std::span<const graph::VertexId> b,
                                         std::vector<graph::VertexId>& out);
 
+/// The adaptive kind's block merge charges one 4×4 block comparison this
+/// many ops: it replaces up to 8 scalar merge comparisons but retires in a
+/// few instructions (calibrated against bench_micro_kernels, see
+/// docs/kernels.md).
+inline constexpr std::uint64_t kSimdMergeBlockOps = 3;
+
 /// Galloping (exponential-search) intersection: walk the smaller set and
 /// gallop a monotone cursor through the larger one. The probes share one
 /// forward-moving cursor, so the cost adapts to the overlap pattern:

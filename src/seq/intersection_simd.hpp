@@ -17,14 +17,6 @@ namespace katric::seq {
 /// feature is compiled out, the CPU lacks AVX2, or a test forces the
 /// scalar path. They are defined in intersection.cpp, beside the scalar
 /// kernels whose loops they share.
-///
-/// Op-cost calibration: one 4×4 block comparison (4 cmpeq + mask extract +
-/// advance) replaces up to 8 scalar merge comparisons but retires in a few
-/// instructions, so a block is charged kSimdMergeBlockOps — calibrated
-/// against bench_micro_kernels so simulated compute cost keeps tracking
-/// real work (see docs/kernels.md). Scalar tail comparisons are charged 1
-/// op each, exactly like intersect_merge.
-inline constexpr std::uint64_t kSimdMergeBlockOps = 3;
 
 /// True iff the AVX2 paths will actually run: compiled in, CPU supports
 /// AVX2, not overridden by force_scalar_simd() or KATRIC_FORCE_SCALAR=1 in

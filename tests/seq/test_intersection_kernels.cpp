@@ -567,11 +567,15 @@ TEST(MergeProbe, SecondFixOnOneThreadFailsLoudly) {
         EXPECT_EQ(merge_marks_set_on_this_thread(), a.size());
     }
     EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
-    // Adaptive rows take no marks, so they nest freely.
+    // An adaptive row owns the thread's marks too, even before it sets any.
     const AdaptiveIntersect adaptive(IntersectKind::kAdaptive);
-    const auto outer = adaptive.fix(a);
-    const auto inner = merge.fix(other);
-    EXPECT_EQ(outer.count(other).count, inner.count(a).count);
+    {
+        const auto outer = adaptive.fix(a);
+        EXPECT_THROW((void)merge.fix(other), assertion_error);
+        EXPECT_THROW((void)adaptive.fix(other), assertion_error);
+        EXPECT_EQ(outer.count(other).count, 1u);
+    }
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
 }
 
 TEST(CollectScratch, IsStableAndReusable) {
