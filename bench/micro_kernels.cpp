@@ -1,14 +1,14 @@
 // Kernel-comparison harness for the intersection subsystem: the reference
-// merge and the merge kind's mark-and-probe vs the
-// kernels the adaptive dispatcher chooses between — galloping, SIMD
-// block-merge, hub-bitmap probes and (at 1:1) the hub∩hub word-AND — swept
-// across size ratios (1:1 … 1:1024) and densities (mean gap between
-// consecutive IDs).
+// merge and the merge kind's mark-and-probe vs the kernels the adaptive
+// dispatcher chooses between — galloping, block merge (the adaptive fixed
+// row's host path, on the balanced pairs it serves), hub-bitmap probes and
+// (at 1:1) the hub∩hub word-AND — swept across large-operand sizes, size
+// ratios (1:1 … 1:1024) and densities (mean gap between consecutive IDs).
 // Doubles as a correctness gate — every kernel must report the merge
-// oracle's count (merge-probe also its ops) on every configuration or the
-// harness exits non-zero —
-// and emits the same --json artifact format as the stream benches
-// (snapshot schema: bench/BENCH_kernels.json).
+// oracle's count, merge-probe also its ops and block-merge
+// intersect_block_merge's ops, on every configuration or the harness exits
+// non-zero — and emits the same --json artifact format as the stream
+// benches (snapshot schema: bench/BENCH_kernels.json).
 
 #include <algorithm>
 #include <fstream>
@@ -25,7 +25,6 @@
 #include "seq/bitmap_index.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/intersection.hpp"
-#include "seq/intersection_simd.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -111,161 +110,172 @@ std::string cpu_model() {
 int main(int argc, char** argv) {
     using namespace katric;
     CliParser cli("bench_micro_kernels",
-                  "intersection kernel comparison: merge|merge-probe|galloping|simd|"
-                  "bitmap|bitmap-and across size ratios and densities");
-    cli.option("large", "8192", "size of the large (hub) operand");
+                  "intersection kernel comparison: merge|merge-probe|galloping|"
+                  "block-merge|bitmap|bitmap-and across sizes, size ratios and "
+                  "densities");
+    cli.option("large", "8192", "sizes of the large (hub) operand to sweep");
     cli.option("ratios", "1,4,16,64,256,1024", "size ratios large:small to sweep");
     cli.option("gaps", "2,16", "mean ID gaps (density = 1/gap) to sweep");
     cli.option("min-ms", "20", "minimum measured wall time per kernel (ms)");
     cli.option("seed", "42", "RNG seed");
     bench::add_json_option(cli);
     cli.flag("smoke", "CI preset: small sizes, short timings");
-    cli.flag("scalar", "force the scalar fallbacks (as if AVX2 were absent)");
     if (!cli.parse(argc, argv)) { return 0; }
 
-    if (cli.get_flag("scalar")) { seq::force_scalar_simd(true); }
     const bool smoke = cli.get_flag("smoke");
-    const std::size_t large_size = smoke ? 2048 : cli.get_uint("large");
+    const auto large_sizes =
+        smoke ? std::vector<std::uint64_t>{64, 2048} : cli.get_uint_list("large");
     const double min_ms = smoke ? 2.0 : cli.get_double("min-ms");
     const auto ratios = cli.get_uint_list("ratios");
     const auto gaps = cli.get_uint_list("gaps");
     const auto seed = cli.get_uint("seed");
 
     std::cout << "=== Intersection kernels ===\n"
-              << "large = " << large_size << ", SIMD "
-              << (seq::simd_available() ? "AVX2" : "scalar fallback")
-              << ", time = wall ns per intersection call; ops = charged simulator "
+              << "time = wall ns per intersection call; ops = charged simulator "
                  "cost\n\n";
 
-    Table table({"ratio", "gap", "small", "count", "kernel", "ns/call", "ops",
+    Table table({"large", "ratio", "gap", "small", "count", "kernel", "ns/call", "ops",
                  "speedup vs merge"});
     JsonWriter report;
     report.begin_row()
         .field("host", cpu_model())
         .field("hardware_concurrency",
                static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
-        .field("compiler", std::string(__VERSION__))
-        .field("simd",
-               seq::simd_available() ? std::string("avx2") : std::string("scalar"));
+        .field("compiler", std::string(__VERSION__));
     bool all_agree = true;
     double worst_bitmap_hub_speedup = -1.0;
 
     const seq::AdaptiveIntersect merge_kind(seq::IntersectKind::kMerge);
-    for (const auto gap : gaps) {
-        // The large operand doubles as the hub row: indexed once, like a
-        // rank's preprocessing would.
-        const auto large = sorted_random(large_size, gap, seed);
-        seq::HubBitmapIndex hubs;
-        seq::HubBitmapIndex::Config config;
-        config.degree_threshold = 1;
-        config.max_hubs = 1;
-        config.universe = large.back() + 1;
-        const VertexId hub_id = 0;
-        const std::vector<VertexId> candidates{hub_id};
-        hubs.build(config, candidates, [&](VertexId) {
-            return std::span<const VertexId>(large);
-        });
+    const seq::AdaptiveIntersect adaptive_kind(seq::IntersectKind::kAdaptive);
+    for (const auto large_size : large_sizes) {
+        for (const auto gap : gaps) {
+            // The large operand doubles as the hub row: indexed once, like a
+            // rank's preprocessing would.
+            const auto large = sorted_random(large_size, gap, seed);
+            seq::HubBitmapIndex hubs;
+            seq::HubBitmapIndex::Config config;
+            config.degree_threshold = 1;
+            config.max_hubs = 1;
+            config.universe = large.back() + 1;
+            const VertexId hub_id = 0;
+            const std::vector<VertexId> candidates{hub_id};
+            hubs.build(config, candidates, [&](VertexId) {
+                return std::span<const VertexId>(large);
+            });
 
-        for (const auto ratio : ratios) {
-            const std::size_t small_size =
-                std::max<std::size_t>(1, large_size / std::max<std::uint64_t>(ratio, 1));
-            // The small operand's gap scales with the ratio so both sets
-            // spread over the same ID range — the realistic shape of a
-            // low-degree row probed against a hub (clustered-prefix inputs
-            // would let merge exit early and understate every kernel).
-            const auto small =
-                sorted_random(small_size, gap * std::max<std::uint64_t>(ratio, 1),
-                              seed ^ (ratio * 77 + 1));
+            for (const auto ratio : ratios) {
+                const std::size_t small_size = std::max<std::size_t>(
+                    1, large_size / std::max<std::uint64_t>(ratio, 1));
+                // The small operand's gap scales with the ratio so both sets
+                // spread over the same ID range — the realistic shape of a
+                // low-degree row probed against a hub (clustered-prefix inputs
+                // would let merge exit early and understate every kernel).
+                const auto small =
+                    sorted_random(small_size, gap * std::max<std::uint64_t>(ratio, 1),
+                                  seed ^ (ratio * 77 + 1));
 
-            struct Kernel {
-                std::string name;
-                Measurement m;
-            };
-            std::vector<Kernel> kernels;
-            kernels.push_back({"merge", measure([&] {
-                                   return seq::intersect_merge(small, large);
-                               }, min_ms)});
-            // The merge kind's host kernel: mark `small`, probe `large`,
-            // clear. Fixing inside the timed call is the worst case — in
-            // the counting loops one fix serves every partner of the row.
-            kernels.push_back({"merge-probe", measure([&] {
-                                   return merge_kind.fix(small).count(large);
-                               }, min_ms)});
-            kernels.push_back({"galloping", measure([&] {
-                                   return seq::intersect_simd_galloping(small, large);
-                               }, min_ms)});
-            kernels.push_back({"simd", measure([&] {
-                                   return seq::intersect_simd_merge(small, large);
-                               }, min_ms)});
-            kernels.push_back({"bitmap", measure([&] {
-                                   return hubs.intersect_count(hub_id, small);
-                               }, min_ms)});
-            if (ratio == 1) {
-                // Equal-size case with both rows indexed: the hub∩hub
-                // word-AND + popcount kernel the dispatcher picks when two
-                // hubs meet.
-                seq::HubBitmapIndex both;
-                const VertexId other_id = 1;
-                const std::vector<VertexId> ids{hub_id, other_id};
-                seq::HubBitmapIndex::Config two = config;
-                two.max_hubs = 2;
-                two.universe = std::max(config.universe, small.back() + 1);
-                both.build(two, ids, [&](VertexId id) {
-                    return std::span<const VertexId>(id == hub_id ? large : small);
-                });
-                kernels.push_back({"bitmap-and", measure([&] {
-                                       return both.intersect_hub_hub(hub_id, other_id);
+                struct Kernel {
+                    std::string name;
+                    Measurement m;
+                };
+                std::vector<Kernel> kernels;
+                kernels.push_back({"merge", measure([&] {
+                                       return seq::intersect_merge(small, large);
                                    }, min_ms)});
-            }
+                // The merge kind's host kernel: mark `small`, probe `large`,
+                // clear. Fixing inside the timed call is the worst case — in
+                // the counting loops one fix serves every partner of the row.
+                kernels.push_back({"merge-probe", measure([&] {
+                                       return merge_kind.fix(small).count(large);
+                                   }, min_ms)});
+                kernels.push_back({"galloping", measure([&] {
+                                       return seq::intersect_galloping(small, large);
+                                   }, min_ms)});
+                // The adaptive kind's block-merge branch as the counting loops
+                // run it: one fixed row (marked at its first partner) probed
+                // per call. Only where the dispatcher picks it: balanced pairs.
+                if (!seq::probe_search_pays_off(small.size(), large.size())) {
+                    const auto row = adaptive_kind.fix(small);
+                    kernels.push_back({"block-merge", measure([&] {
+                                           return row.count(large);
+                                       }, min_ms)});
+                }
+                kernels.push_back({"bitmap", measure([&] {
+                                       return hubs.intersect_count(hub_id, small);
+                                   }, min_ms)});
+                if (ratio == 1) {
+                    // Equal-size case with both rows indexed: the hub∩hub
+                    // word-AND + popcount kernel the dispatcher picks when two
+                    // hubs meet.
+                    seq::HubBitmapIndex both;
+                    const VertexId other_id = 1;
+                    const std::vector<VertexId> ids{hub_id, other_id};
+                    seq::HubBitmapIndex::Config two = config;
+                    two.max_hubs = 2;
+                    two.universe = std::max(config.universe, small.back() + 1);
+                    both.build(two, ids, [&](VertexId id) {
+                        return std::span<const VertexId>(id == hub_id ? large : small);
+                    });
+                    kernels.push_back(
+                        {"bitmap-and", measure([&] {
+                             return both.intersect_hub_hub(hub_id, other_id);
+                         }, min_ms)});
+                }
 
-            const auto& merge = kernels.front().m;
-            for (const auto& [name, m] : kernels) {
-                if (m.result.count != merge.result.count) {
-                    std::cerr << "FAIL: kernel " << name << " counted "
-                              << m.result.count << " != merge oracle "
-                              << merge.result.count << " (ratio 1:" << ratio
-                              << ", gap " << gap << ")\n";
-                    all_agree = false;
+                const auto& merge = kernels.front().m;
+                for (const auto& [name, m] : kernels) {
+                    if (m.result.count != merge.result.count) {
+                        std::cerr << "FAIL: kernel " << name << " counted "
+                                  << m.result.count << " != merge oracle "
+                                  << merge.result.count << " (ratio 1:" << ratio
+                                  << ", gap " << gap << ")\n";
+                        all_agree = false;
+                    }
+                    // The fixed rows must charge their reference kernel's ops.
+                    std::uint64_t reference_ops = m.result.ops;
+                    if (name == "merge-probe") { reference_ops = merge.result.ops; }
+                    if (name == "block-merge") {
+                        reference_ops = seq::intersect_block_merge(small, large).ops;
+                    }
+                    if (m.result.ops != reference_ops) {
+                        std::cerr << "FAIL: " << name << " charged " << m.result.ops
+                                  << " ops != its reference kernel's " << reference_ops
+                                  << " (large " << large_size << ", ratio 1:" << ratio
+                                  << ", gap " << gap << ")\n";
+                        all_agree = false;
+                    }
+                    const double speedup =
+                        m.ns_per_call > 0.0 ? merge.ns_per_call / m.ns_per_call : 0.0;
+                    // Hub-vs-anything evidence: the probe kernel on genuinely
+                    // smaller "anything" sides (ratio ≥ 4), plus the word-AND
+                    // kernel when two hubs meet at 1:1.
+                    if ((name == "bitmap" && ratio >= 4) || name == "bitmap-and") {
+                        worst_bitmap_hub_speedup =
+                            worst_bitmap_hub_speedup < 0.0
+                                ? speedup
+                                : std::min(worst_bitmap_hub_speedup, speedup);
+                    }
+                    table.row()
+                        .cell(static_cast<std::uint64_t>(large_size))
+                        .cell("1:" + std::to_string(ratio))
+                        .cell(static_cast<std::uint64_t>(gap))
+                        .cell(static_cast<std::uint64_t>(small_size))
+                        .cell(m.result.count)
+                        .cell(name)
+                        .cell(m.ns_per_call, 1)
+                        .cell(m.result.ops)
+                        .cell(speedup, 2);
+                    report.begin_row()
+                        .field("large", static_cast<std::uint64_t>(large_size))
+                        .field("small", static_cast<std::uint64_t>(small_size))
+                        .field("ratio", static_cast<std::uint64_t>(ratio))
+                        .field("gap", static_cast<std::uint64_t>(gap))
+                        .field("kernel", name)
+                        .field("count", m.result.count)
+                        .field("ops", m.result.ops)
+                        .field("ns_per_call", m.ns_per_call)
+                        .field("speedup_vs_merge", speedup);
                 }
-                // The merge kind must charge the reference merge's ops.
-                if (name == "merge-probe" && m.result.ops != merge.result.ops) {
-                    std::cerr << "FAIL: merge-probe charged " << m.result.ops
-                              << " ops != merge oracle " << merge.result.ops
-                              << " (ratio 1:" << ratio << ", gap " << gap << ")\n";
-                    all_agree = false;
-                }
-                const double speedup =
-                    m.ns_per_call > 0.0 ? merge.ns_per_call / m.ns_per_call : 0.0;
-                // Hub-vs-anything evidence: the probe kernel on genuinely
-                // smaller "anything" sides (ratio ≥ 4), plus the word-AND
-                // kernel when two hubs meet at 1:1.
-                if ((name == "bitmap" && ratio >= 4) || name == "bitmap-and") {
-                    worst_bitmap_hub_speedup =
-                        worst_bitmap_hub_speedup < 0.0
-                            ? speedup
-                            : std::min(worst_bitmap_hub_speedup, speedup);
-                }
-                table.row()
-                    .cell("1:" + std::to_string(ratio))
-                    .cell(static_cast<std::uint64_t>(gap))
-                    .cell(static_cast<std::uint64_t>(small_size))
-                    .cell(m.result.count)
-                    .cell(name)
-                    .cell(m.ns_per_call, 1)
-                    .cell(m.result.ops)
-                    .cell(speedup, 2);
-                report.begin_row()
-                    .field("large", static_cast<std::uint64_t>(large_size))
-                    .field("small", static_cast<std::uint64_t>(small_size))
-                    .field("ratio", static_cast<std::uint64_t>(ratio))
-                    .field("gap", static_cast<std::uint64_t>(gap))
-                    .field("kernel", name)
-                    .field("simd", seq::simd_available() ? std::string("avx2")
-                                                         : std::string("scalar"))
-                    .field("count", m.result.count)
-                    .field("ops", m.result.ops)
-                    .field("ns_per_call", m.ns_per_call)
-                    .field("speedup_vs_merge", speedup);
             }
         }
     }
@@ -329,7 +339,7 @@ int main(int argc, char** argv) {
     std::cout << "\nworst-case bitmap speedup over merge (hub vs anything): "
               << worst_bitmap_hub_speedup << "×\n"
               << "Expected shape: bitmap ≥2× on every hub intersection; galloping "
-                 "wins with ratio; SIMD wins the balanced merges.\n";
+                 "wins with ratio; block-merge wins the balanced merges.\n";
     if (!all_agree) { return 1; }
     return 0;
 }

@@ -22,8 +22,8 @@ enum class KernelChoice : std::uint8_t {
     kMerge,         ///< merge kind: mark-and-probe, charged as the scalar merge
     kBinary,        ///< never recorded
     kHybrid,        ///< never recorded
-    kGalloping,     ///< cursor galloping (SIMD front scan when available)
-    kSimdMerge,     ///< AVX2 block merge (scalar merge when unavailable)
+    kGalloping,     ///< cursor galloping
+    kSimdMerge,     ///< adaptive block merge (the name the benchmark emits)
     kBitmapHubHub,  ///< hub∩hub word-AND + popcount
     kBitmapProbe,   ///< non-hub row probed through a hub bitmap
 };

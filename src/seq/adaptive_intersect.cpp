@@ -68,42 +68,27 @@ void set_bit(std::vector<std::uint64_t>& bits, VertexId w) noexcept {
     bits[w >> 6] |= std::uint64_t{1} << (w & 63);
 }
 
-/// What one pass over a partner's candidates b[0, end) tallies, beside the
-/// matches: the matches above `low` and the elements at most `x_max` (the
-/// block-merge charge's inputs; the merge probe leaves them unused).
-struct Tally {
-    std::uint64_t matches = 0;
-    std::uint64_t matches_above_low = 0;
-    std::uint64_t at_most_x_max = 0;
-};
-
-/// The probe pass: branch-free, one bitmap lookup per candidate. Collecting
-/// writes every candidate and moves the cursor only past a match, so the
-/// matches land in b's ascending order.
+/// The marked elements of b[from, to): their number, and, collecting, the
+/// elements themselves appended to `out` in b's order. Branch-free: every
+/// candidate is written and the cursor only moves past a match.
 template <bool kCollect>
-Tally probe_pass(const std::uint64_t* words, Span b, std::size_t end, VertexId low,
-                 VertexId x_max, std::vector<VertexId>* out) {
-    Tally tally;
-    VertexId* cursor = nullptr;
-    std::size_t base = 0;
+std::uint64_t probe(const std::uint64_t* words, Span b, std::size_t from, std::size_t to,
+                    std::vector<VertexId>* out) {
+    std::uint64_t matches = 0;
     if constexpr (kCollect) {
-        base = out->size();
-        out->resize(base + end);
-        cursor = out->data() + base;
-    }
-    for (std::size_t j = 0; j < end; ++j) {
-        const VertexId w = b[j];
-        const std::uint64_t hit = marked(words, w);
-        if constexpr (kCollect) {
-            *cursor = w;
-            cursor += hit;
+        const std::size_t base = out->size();
+        out->resize(base + (to - from));
+        VertexId* cursor = out->data() + base;
+        for (std::size_t j = from; j < to; ++j) {
+            *cursor = b[j];
+            cursor += marked(words, b[j]);
         }
-        tally.matches += hit;
-        tally.matches_above_low += hit & static_cast<std::uint64_t>(w > low);
-        tally.at_most_x_max += static_cast<std::uint64_t>(w <= x_max);
+        matches = static_cast<std::uint64_t>(cursor - (out->data() + base));
+        out->resize(base + matches);
+    } else {
+        for (std::size_t j = from; j < to; ++j) { matches += marked(words, b[j]); }
     }
-    if constexpr (kCollect) { out->resize(base + tally.matches); }
-    return tally;
+    return matches;
 }
 
 /// The merge kind's partner: intersect_merge's matches and ops.
@@ -111,8 +96,8 @@ template <bool kCollect>
 IntersectResult merge_probe(const detail::RowMarks& marks, Span a, Span b,
                             std::vector<VertexId>* out) {
     const MergeStops stops = merge_stops(a, b);
-    const Tally tally = probe_pass<kCollect>(marks.words.data(), b, stops.j_end, 0, 0, out);
-    return {tally.matches, stops.i_end + stops.j_end - tally.matches};
+    const std::uint64_t matches = probe<kCollect>(marks.words.data(), b, 0, stops.j_end, out);
+    return {matches, stops.i_end + stops.j_end - matches};
 }
 
 /// The adaptive block-merge partner: intersect_block_merge's matches and
@@ -123,24 +108,29 @@ IntersectResult block_probe(const detail::RowMarks& marks, Span a, Span b,
     const std::size_t a_blocks = a.size() / 4;
     const std::size_t b_blocks = b.size() / 4;
     if (a_blocks == 0 || b_blocks == 0) { return merge_probe<kCollect>(marks, a, b, out); }
-    const VertexId x_max = a[4 * a_blocks - 1];
-    const VertexId y_max = b[4 * b_blocks - 1];
-    const MergeStops stops = merge_stops(a, b);
-    const Tally tally = probe_pass<kCollect>(marks.words.data(), b, stops.j_end,
-                                             std::min(x_max, y_max), x_max, out);
-    // Every b maximum above a.back() lies past j_end and cannot tie.
+    // The blocks stop at the smaller of the two last block maxima, `low`.
+    const VertexId low = std::min(a[4 * a_blocks - 1], b[4 * b_blocks - 1]);
+    const std::size_t x_end = count_at_most(a, low) / 4;
+    const std::size_t b_low = count_at_most(b, low);
+    const std::size_t y_end = b_low / 4;
     std::uint64_t ties = 0;
-    for (std::size_t j = 3; j < stops.j_end; j += 4) {
+    for (std::size_t j = 3; j < 4 * y_end; j += 4) {
         ties += marked(marks.maxima.data(), b[j]);
     }
-    const std::size_t x_end = count_at_most(a, y_max) / 4;
-    const std::size_t y_end = tally.at_most_x_max / 4;
-    IntersectResult result{tally.matches, kSimdMergeBlockOps * (x_end + y_end - ties)};
+    // Marks above `low` are the tail's matches; those below were matched
+    // inside a block.
+    const MergeStops stops = merge_stops(a, b);
+    const std::uint64_t block_matches =
+        probe<kCollect>(marks.words.data(), b, 0, b_low, out);
+    const std::uint64_t tail_matches =
+        probe<kCollect>(marks.words.data(), b, b_low, stops.j_end, out);
+    IntersectResult result{block_matches + tail_matches,
+                           kSimdMergeBlockOps * (x_end + y_end - ties)};
     const std::size_t i = 4 * x_end;
     const std::size_t j = 4 * y_end;
     if (i < a.size() && j < b.size()) {
         result.ops += std::max(stops.i_end, i) - i + std::max(stops.j_end, j) - j
-                      - tally.matches_above_low;
+                      - tail_matches;
     }
     return result;
 }

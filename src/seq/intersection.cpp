@@ -1,21 +1,10 @@
 #include "seq/intersection.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cstdlib>
 
 #include "seq/intersection_simd.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
-
-#if defined(KATRIC_ENABLE_SIMD) && (defined(__x86_64__) || defined(_M_X64)) \
-    && (defined(__GNUC__) || defined(__clang__))
-#define KATRIC_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define KATRIC_SIMD_X86 0
-#endif
 
 namespace katric::seq {
 
@@ -23,25 +12,6 @@ namespace {
 
 using graph::VertexId;
 using Span = std::span<const VertexId>;
-
-std::atomic<bool> g_force_scalar{false};
-
-bool cpu_has_avx2() noexcept {
-#if KATRIC_SIMD_X86
-    // Cached once: cpuid is not free and the answer never changes. The
-    // KATRIC_FORCE_SCALAR env var is the headless/CI override.
-    static const bool supported = [] {
-        if (const char* env = std::getenv("KATRIC_FORCE_SCALAR");
-            env != nullptr && env[0] != '\0' && env[0] != '0') {
-            return false;
-        }
-        return __builtin_cpu_supports("avx2") != 0;
-    }();
-    return supported;
-#else
-    return false;
-#endif
-}
 
 // Every kernel below is written once and instantiated with one of two
 // emit policies: Count ignores the matches, Collect appends them to an
@@ -55,74 +25,10 @@ struct Collect {
     void operator()(VertexId match) const { out.push_back(match); }
 };
 
-#if KATRIC_SIMD_X86
-
-/// 4-bit lane mask (bit k set ⇔ lane k of `match` is all-ones).
-__attribute__((target("avx2"))) inline int lane_mask(__m256i match) noexcept {
-    return _mm256_movemask_pd(_mm256_castsi256_pd(match));
-}
-
-/// All-pairs equality of two 4×64 blocks: bit k of the result is set iff
-/// va's lane k equals *some* lane of vb (three lane rotations cover every
-/// pairing). Sorted duplicate-free inputs guarantee at most one partner per
-/// lane, so the popcount of the mask is the number of matching pairs.
-__attribute__((target("avx2"))) inline int block_match_mask(__m256i va,
-                                                            __m256i vb) noexcept {
-    __m256i match = _mm256_cmpeq_epi64(va, vb);
-    __m256i rot = _mm256_permute4x64_epi64(vb, _MM_SHUFFLE(0, 3, 2, 1));
-    match = _mm256_or_si256(match, _mm256_cmpeq_epi64(va, rot));
-    rot = _mm256_permute4x64_epi64(vb, _MM_SHUFFLE(1, 0, 3, 2));
-    match = _mm256_or_si256(match, _mm256_cmpeq_epi64(va, rot));
-    rot = _mm256_permute4x64_epi64(vb, _MM_SHUFFLE(2, 1, 0, 3));
-    match = _mm256_or_si256(match, _mm256_cmpeq_epi64(va, rot));
-    return lane_mask(match);
-}
-
-/// Block merge over full 4-lane blocks; the caller finishes the scalar tail
-/// from the returned (i, j). Every (a-block, b-block) cell on the staircase
-/// is visited exactly once, so counting matches per cell never double
-/// counts, and lane-order emission keeps collect output ascending.
+/// The merge loop from (i, j) on: two cursors, one op per comparison.
 template <typename Emit>
-__attribute__((target("avx2"))) void block_merge_avx2(Span a, Span b, std::size_t& i,
-                                                      std::size_t& j,
-                                                      IntersectResult& result,
-                                                      Emit emit) {
-    while (i + 4 <= a.size() && j + 4 <= b.size()) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.data() + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.data() + j));
-        const int mask = block_match_mask(va, vb);
-        result.ops += kSimdMergeBlockOps;
-        if (mask != 0) {
-            result.count += static_cast<std::uint64_t>(std::popcount(
-                static_cast<unsigned>(mask)));
-            for (unsigned lane = 0; lane < 4; ++lane) {
-                if ((mask & (1 << lane)) != 0) { emit(a[i + lane]); }
-            }
-        }
-        const VertexId a_max = a[i + 3];
-        const VertexId b_max = b[j + 3];
-        if (a_max <= b_max) { i += 4; }
-        if (b_max <= a_max) { j += 4; }
-    }
-}
-
-#endif  // KATRIC_SIMD_X86
-
-/// The merge kernel: two cursors, one op per comparison. With `blocks`
-/// (AVX2 available), full 4×4 blocks go through the block merge first and
-/// this loop finishes the tail; otherwise it runs alone.
-template <typename Emit>
-IntersectResult merge_kernel(Span a, Span b, bool blocks, Emit emit) {
-    IntersectResult result;
-    std::size_t i = 0;
-    std::size_t j = 0;
-#if KATRIC_SIMD_X86
-    if (blocks) { block_merge_avx2(a, b, i, j, result, emit); }
-#else
-    (void)blocks;
-#endif
+void merge_from(Span a, Span b, std::size_t i, std::size_t j, IntersectResult& result,
+                Emit emit) {
     while (i < a.size() && j < b.size()) {
         ++result.ops;
         if (a[i] < b[j]) {
@@ -136,15 +42,40 @@ IntersectResult merge_kernel(Span a, Span b, bool blocks, Emit emit) {
             ++j;
         }
     }
+}
+
+/// The block merge: while both rows have a full 4-element block left,
+/// compare the two blocks all-pairs (kSimdMergeBlockOps) and advance the
+/// block with the smaller maximum (both on a tie); the merge loop finishes
+/// the tail. Every cell on the staircase is visited once, so no match is
+/// counted twice, and the cells come in ascending order.
+template <typename Emit>
+IntersectResult block_merge_kernel(Span a, Span b, Emit emit) {
+    IntersectResult result;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i + 4 <= a.size() && j + 4 <= b.size()) {
+        result.ops += kSimdMergeBlockOps;
+        for (std::size_t lane = i; lane < i + 4; ++lane) {
+            if (std::find(b.begin() + j, b.begin() + j + 4, a[lane]) != b.begin() + j + 4) {
+                ++result.count;
+                emit(a[lane]);
+            }
+        }
+        const VertexId a_max = a[i + 3];
+        const VertexId b_max = b[j + 3];
+        if (a_max <= b_max) { i += 4; }
+        if (b_max <= a_max) { j += 4; }
+    }
+    merge_from(a, b, i, j, result, emit);
     return result;
 }
 
-/// First index at or past `pos` whose element is ≥ x. With `window`, the
-/// four elements at the cursor are compared first (1 charged op), which
-/// settles most probes; the gallop only runs beyond them.
-std::size_t seek(Span large, std::size_t pos, VertexId x, bool window,
-                 std::uint64_t& ops) noexcept {
-    if (window && pos + 4 <= large.size()) {
+/// First index at or past `pos` whose element is ≥ x. The four elements at
+/// the cursor are compared first (1 charged op), which settles most probes;
+/// the gallop only runs beyond them.
+std::size_t seek(Span large, std::size_t pos, VertexId x, std::uint64_t& ops) noexcept {
+    if (pos + 4 <= large.size()) {
         ++ops;
         const std::size_t less = static_cast<std::size_t>(large[pos] < x)
                                  + static_cast<std::size_t>(large[pos + 1] < x)
@@ -159,14 +90,14 @@ std::size_t seek(Span large, std::size_t pos, VertexId x, bool window,
 /// The galloping kernel: walk the smaller operand (`a` on ties) and move
 /// one monotone cursor through the larger one.
 template <typename Emit>
-IntersectResult gallop_kernel(Span a, Span b, bool window, Emit emit) {
+IntersectResult gallop_kernel(Span a, Span b, Emit emit) {
     const bool a_small = a.size() <= b.size();
     const Span small = a_small ? a : b;
     const Span large = a_small ? b : a;
     IntersectResult result;
     std::size_t pos = 0;
     for (const VertexId x : small) {
-        pos = seek(large, pos, x, window, result.ops);
+        pos = seek(large, pos, x, result.ops);
         if (pos == large.size()) { break; }  // every later probe is larger still
         ++result.ops;
         if (large[pos] == x) {
@@ -180,45 +111,34 @@ IntersectResult gallop_kernel(Span a, Span b, bool window, Emit emit) {
 
 }  // namespace
 
-bool simd_available() noexcept {
-    return cpu_has_avx2() && !g_force_scalar.load(std::memory_order_relaxed);
-}
-
-void force_scalar_simd(bool force) noexcept {
-    g_force_scalar.store(force, std::memory_order_relaxed);
-}
+bool simd_available() noexcept { return false; }
 
 IntersectResult intersect_merge(Span a, Span b) noexcept {
-    return merge_kernel(a, b, false, Count{});
+    IntersectResult result;
+    merge_from(a, b, 0, 0, result, Count{});
+    return result;
 }
 
 IntersectResult intersect_merge_collect(Span a, Span b, std::vector<VertexId>& out) {
-    return merge_kernel(a, b, false, Collect{out});
+    IntersectResult result;
+    merge_from(a, b, 0, 0, result, Collect{out});
+    return result;
 }
 
-IntersectResult intersect_simd_merge(Span a, Span b) noexcept {
-    return merge_kernel(a, b, simd_available(), Count{});
+IntersectResult intersect_block_merge(Span a, Span b) noexcept {
+    return block_merge_kernel(a, b, Count{});
 }
 
-IntersectResult intersect_simd_merge_collect(Span a, Span b, std::vector<VertexId>& out) {
-    return merge_kernel(a, b, simd_available(), Collect{out});
+IntersectResult intersect_block_merge_collect(Span a, Span b, std::vector<VertexId>& out) {
+    return block_merge_kernel(a, b, Collect{out});
 }
 
 IntersectResult intersect_galloping(Span a, Span b) noexcept {
-    return gallop_kernel(a, b, true, Count{});
+    return gallop_kernel(a, b, Count{});
 }
 
 IntersectResult intersect_galloping_collect(Span a, Span b, std::vector<VertexId>& out) {
-    return gallop_kernel(a, b, true, Collect{out});
-}
-
-IntersectResult intersect_simd_galloping(Span a, Span b) noexcept {
-    return gallop_kernel(a, b, simd_available(), Count{});
-}
-
-IntersectResult intersect_simd_galloping_collect(Span a, Span b,
-                                                 std::vector<VertexId>& out) {
-    return gallop_kernel(a, b, simd_available(), Collect{out});
+    return gallop_kernel(a, b, Collect{out});
 }
 
 std::size_t gallop_lower_bound(Span haystack, std::size_t from, VertexId needle,

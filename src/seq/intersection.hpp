@@ -18,9 +18,9 @@ struct IntersectResult {
 };
 
 /// The kernel menu. kMerge runs the paper's merge on every intersection;
-/// kAdaptive picks per intersection — hub bitmap, galloping or SIMD block
-/// merge — from operand sizes and hub membership (see
-/// seq::AdaptiveIntersect for the decision table).
+/// kAdaptive picks per intersection — hub bitmap, galloping or block merge
+/// — from operand sizes and hub membership (see seq::AdaptiveIntersect for
+/// the decision table).
 enum class IntersectKind {
     kMerge,
     kAdaptive,
@@ -48,17 +48,34 @@ IntersectResult intersect_merge_collect(std::span<const graph::VertexId> a,
                                         std::span<const graph::VertexId> b,
                                         std::vector<graph::VertexId>& out);
 
-/// The adaptive kind's block merge charges one 4×4 block comparison this
-/// many ops: it replaces up to 8 scalar merge comparisons but retires in a
-/// few instructions (calibrated against bench_micro_kernels, see
+/// The block merge charges one 4×4 block comparison this many ops: it
+/// replaces up to 8 scalar merge comparisons but retires in a few
+/// instructions (calibrated against bench_micro_kernels, see
 /// docs/kernels.md).
 inline constexpr std::uint64_t kSimdMergeBlockOps = 3;
 
+/// Block merge: while both rows have a full 4-element block left, compare
+/// the two blocks all-pairs (kSimdMergeBlockOps) and advance the block with
+/// the smaller maximum, both on a tie; the merge loop finishes the tail (1
+/// op per comparison). The adaptive kind charges exactly these ops but runs
+/// mark-and-probe on the host (seq::AdaptiveIntersect::FixedRow); this loop
+/// is the reference for that charge, kept for the tests and
+/// bench_micro_kernels.
+[[nodiscard]] IntersectResult intersect_block_merge(
+    std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
+
+/// Block-merge counterpart of intersect_merge_collect (same output
+/// contract).
+IntersectResult intersect_block_merge_collect(std::span<const graph::VertexId> a,
+                                              std::span<const graph::VertexId> b,
+                                              std::vector<graph::VertexId>& out);
+
 /// Galloping (exponential-search) intersection: walk the smaller set and
-/// gallop a monotone cursor through the larger one. The probes share one
-/// forward-moving cursor, so the cost adapts to the overlap pattern:
-/// O(small · log(large/small)) worst case, near O(small) when matches
-/// cluster. ops = measured comparisons.
+/// gallop a monotone cursor through the larger one. Each probe first
+/// compares the four elements at the cursor (1 charged op) and gallops
+/// only beyond them. The probes share one forward-moving cursor, so the
+/// cost adapts to the overlap pattern: O(small · log(large/small)) worst
+/// case, near O(small) when matches cluster. ops = measured comparisons.
 [[nodiscard]] IntersectResult intersect_galloping(
     std::span<const graph::VertexId> a, std::span<const graph::VertexId> b) noexcept;
 

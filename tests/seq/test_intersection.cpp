@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "seq/adaptive_intersect.hpp"
-#include "seq/intersection_simd.hpp"
 #include "util/random.hpp"
 
 namespace katric::seq {
@@ -55,8 +54,7 @@ TEST_P(IntersectionRandomTest, AllKernelsAgreeWithStl) {
         const auto expected = reference_count(a, b);
         EXPECT_EQ(intersect_merge(a, b).count, expected);
         EXPECT_EQ(intersect_galloping(a, b).count, expected);
-        EXPECT_EQ(intersect_simd_merge(a, b).count, expected);
-        EXPECT_EQ(intersect_simd_galloping(a, b).count, expected);
+        EXPECT_EQ(intersect_block_merge(a, b).count, expected);
     }
 }
 

@@ -1,11 +1,14 @@
 // Differential tests for the intersection kernel subsystem: every kernel
-// (merge, galloping, SIMD block merge, SIMD galloping, hub-bitmap probe,
-// hub∩hub word-AND, adaptive dispatch) against std::set_intersection on
-// randomized sorted sets — including the SIMD tail lengths 0–17, collect
-// order, and adversarial shapes (empty, disjoint, identical, one-element,
-// 1:10⁶ skew). Each randomized case runs on both the AVX2 path and the
-// forced-scalar fallback so the two stay bit-identical. The merge kind's
-// mark-and-probe rows must also charge exactly the reference merge's ops.
+// (merge, galloping, block merge, hub-bitmap probe, hub∩hub word-AND,
+// adaptive dispatch) against std::set_intersection on randomized sorted
+// sets — including the block tail lengths 0–17, collect order, and
+// adversarial shapes (empty, disjoint, identical, one-element, 1:10⁶
+// skew). The fixed rows run mark-and-probe on the host, so they must also
+// charge exactly the ops of the reference kernel their kind names: merge
+// rows intersect_merge's, adaptive rows intersect_block_merge's or
+// intersect_galloping's. Each randomized case runs twice: on a freshly
+// fixed adaptive row, and on one whose marks an earlier block-merge
+// partner has already set.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +22,6 @@
 #include "seq/adaptive_intersect.hpp"
 #include "seq/bitmap_index.hpp"
 #include "seq/intersection.hpp"
-#include "seq/intersection_simd.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
 
@@ -42,13 +44,6 @@ std::vector<VertexId> reference_intersection(const std::vector<VertexId>& a,
                           std::back_inserter(out));
     return out;
 }
-
-/// Restores the SIMD toggle even when an assertion bails out of a test.
-class ScopedSimdMode {
-public:
-    explicit ScopedSimdMode(bool force_scalar) { force_scalar_simd(force_scalar); }
-    ~ScopedSimdMode() { force_scalar_simd(false); }
-};
 
 /// The hub kernels on the same operands: both non-empty rows are indexed
 /// (a as hub 0, b as hub 1), so the bitmap probe, the word-AND and the
@@ -84,29 +79,56 @@ void expect_hub_kernels_match(const std::vector<VertexId>& a,
     }
 }
 
+/// The adaptive fixed row (no hub index) against the reference kernel its
+/// decision table names: equal count, equal collected elements, and equal
+/// charged ops. With `premarked`, the row first meets a block-merge partner
+/// (itself), so `b` finds the row's marks already set.
+void expect_adaptive_row_matches_reference(const std::vector<VertexId>& a,
+                                           const std::vector<VertexId>& b,
+                                           bool premarked) {
+    const bool gallops = probe_search_pays_off(a.size(), b.size());
+    const auto reference = gallops ? intersect_galloping(a, b) : intersect_block_merge(a, b);
+    std::vector<VertexId> reference_out{7};  // collect appends
+    const auto reference_collect = gallops
+                                       ? intersect_galloping_collect(a, b, reference_out)
+                                       : intersect_block_merge_collect(a, b, reference_out);
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive);
+    {
+        const auto row = adaptive.fix(a);
+        if (premarked) {
+            EXPECT_EQ(row.count(a).ops, intersect_block_merge(a, a).ops);
+            EXPECT_EQ(merge_marks_set_on_this_thread(), a.size() + a.size() / 4);
+        }
+        const auto counted = row.count(b);
+        EXPECT_EQ(counted.count, reference.count);
+        EXPECT_EQ(counted.ops, reference.ops);
+        std::vector<VertexId> out{7};
+        const auto collected = row.collect(b, out);
+        EXPECT_EQ(out, reference_out);
+        EXPECT_EQ(collected.count, reference_collect.count);
+        EXPECT_EQ(collected.ops, reference_collect.ops);
+    }
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+}
+
 void expect_all_kernels_match(const std::vector<VertexId>& a,
-                              const std::vector<VertexId>& b) {
+                              const std::vector<VertexId>& b, bool premarked) {
     const auto expected = reference_intersection(a, b);
     const auto n = static_cast<std::uint64_t>(expected.size());
     EXPECT_EQ(intersect_merge(a, b).count, n);
     EXPECT_EQ(intersect_galloping(a, b).count, n);
     EXPECT_EQ(intersect_galloping(b, a).count, n);
-    EXPECT_EQ(intersect_simd_merge(a, b).count, n);
-    EXPECT_EQ(intersect_simd_merge(b, a).count, n);
-    EXPECT_EQ(intersect_simd_galloping(a, b).count, n);
-    EXPECT_EQ(intersect_simd_galloping(b, a).count, n);
+    EXPECT_EQ(intersect_block_merge(a, b).count, n);
+    EXPECT_EQ(intersect_block_merge(b, a).count, n);
 
     std::vector<VertexId> collected;
     intersect_merge_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
     collected.clear();
-    intersect_simd_merge_collect(a, b, collected);
+    intersect_block_merge_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
     collected.clear();
     intersect_galloping_collect(a, b, collected);
-    EXPECT_EQ(collected, expected);
-    collected.clear();
-    intersect_simd_galloping_collect(a, b, collected);
     EXPECT_EQ(collected, expected);
 
     for (const auto kind : all_intersect_kinds()) {
@@ -116,30 +138,33 @@ void expect_all_kernels_match(const std::vector<VertexId>& a,
         isect.collect(a, b, collected);
         EXPECT_EQ(collected, expected) << intersect_kind_name(kind);
     }
+    expect_adaptive_row_matches_reference(a, b, premarked);
+    expect_adaptive_row_matches_reference(b, a, premarked);
     expect_hub_kernels_match(a, b, expected);
 }
 
-/// (size_a, size_b, force_scalar): the tail grid 0–17 crosses every SIMD
-/// block boundary (blocks are 4 lanes) plus one-past-a-block shapes.
+std::string marks_name(bool premarked) { return premarked ? "marked" : "fresh"; }
+
+/// (size_a, size_b, premarked): the tail grid 0–17 crosses every block
+/// boundary (blocks are 4 elements) plus one-past-a-block shapes.
 using TailParam = std::tuple<std::size_t, std::size_t, bool>;
 
 class KernelTailTest : public ::testing::TestWithParam<TailParam> {};
 
 TEST_P(KernelTailTest, AgreesWithMergeOracle) {
-    const auto [size_a, size_b, force_scalar] = GetParam();
-    ScopedSimdMode mode(force_scalar);
-    Xoshiro256 rng(size_a * 131 + size_b * 7 + (force_scalar ? 1 : 0));
+    const auto [size_a, size_b, premarked] = GetParam();
+    Xoshiro256 rng(size_a * 131 + size_b * 7 + (premarked ? 1 : 0));
     for (int trial = 0; trial < 8; ++trial) {
         const auto a = sorted_sample(rng, size_a, 3 * (size_a + size_b) + 8);
         const auto b = sorted_sample(rng, size_b, 3 * (size_a + size_b) + 8);
-        expect_all_kernels_match(a, b);
+        expect_all_kernels_match(a, b, premarked);
     }
 }
 
 std::string tail_name(const ::testing::TestParamInfo<TailParam>& info) {
-    const auto [size_a, size_b, force_scalar] = info.param;
-    return "a" + std::to_string(size_a) + "_b" + std::to_string(size_b)
-           + (force_scalar ? "_scalar" : "_simd");
+    const auto [size_a, size_b, premarked] = info.param;
+    return "a" + std::to_string(size_a) + "_b" + std::to_string(size_b) + "_"
+           + marks_name(premarked);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -153,7 +178,6 @@ INSTANTIATE_TEST_SUITE_P(
 class KernelRandomTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(KernelRandomTest, MediumSizesAgreeWithOracle) {
-    ScopedSimdMode mode(GetParam());
     Xoshiro256 rng(GetParam() ? 99 : 7);
     for (int trial = 0; trial < 30; ++trial) {
         const auto size_a = static_cast<std::size_t>(rng.next_bounded(600));
@@ -163,12 +187,12 @@ TEST_P(KernelRandomTest, MediumSizesAgreeWithOracle) {
             (size_a + size_b + 2) * (1 + rng.next_bounded(6));
         const auto a = sorted_sample(rng, size_a, universe);
         const auto b = sorted_sample(rng, size_b, universe);
-        expect_all_kernels_match(a, b);
+        expect_all_kernels_match(a, b, GetParam());
     }
 }
 
 TEST_P(KernelRandomTest, AdversarialShapes) {
-    ScopedSimdMode mode(GetParam());
+    const bool premarked = GetParam();
     const std::vector<VertexId> empty;
     const std::vector<VertexId> one{5};
     std::vector<VertexId> evens;
@@ -177,17 +201,16 @@ TEST_P(KernelRandomTest, AdversarialShapes) {
         evens.push_back(2 * i);
         odds.push_back(2 * i + 1);
     }
-    expect_all_kernels_match(empty, empty);
-    expect_all_kernels_match(empty, evens);
-    expect_all_kernels_match(evens, empty);
-    expect_all_kernels_match(one, evens);
-    expect_all_kernels_match(one, odds);
-    expect_all_kernels_match(evens, odds);    // disjoint, interleaved
-    expect_all_kernels_match(evens, evens);   // identical
+    expect_all_kernels_match(empty, empty, premarked);
+    expect_all_kernels_match(empty, evens, premarked);
+    expect_all_kernels_match(evens, empty, premarked);
+    expect_all_kernels_match(one, evens, premarked);
+    expect_all_kernels_match(one, odds, premarked);
+    expect_all_kernels_match(evens, odds, premarked);    // disjoint, interleaved
+    expect_all_kernels_match(evens, evens, premarked);   // identical
 }
 
 TEST_P(KernelRandomTest, ExtremeSkewOneToMillion) {
-    ScopedSimdMode mode(GetParam());
     // 1:10⁶ degree skew — the hub shape: a handful of probes against a
     // million-element row (duplicate-free, strided).
     std::vector<VertexId> big(1'000'000);
@@ -196,41 +219,36 @@ TEST_P(KernelRandomTest, ExtremeSkewOneToMillion) {
     }
     const std::vector<VertexId> tiny{0, 2, 3, 1'499'999, 1'500'000, 2'999'997,
                                      5'000'000};
-    expect_all_kernels_match(tiny, big);
+    expect_all_kernels_match(tiny, big, GetParam());
 
     // The probe kernels must also be *cheap* here: measured ops well under
     // a linear merge scan.
     const auto merge = intersect_merge(tiny, big);
     const auto gallop = intersect_galloping(tiny, big);
-    const auto simd_gallop = intersect_simd_galloping(tiny, big);
     EXPECT_EQ(gallop.count, merge.count);
     EXPECT_LT(gallop.ops, merge.ops / 100);
-    EXPECT_LT(simd_gallop.ops, merge.ops / 100);
 }
 
-INSTANTIATE_TEST_SUITE_P(SimdAndScalar, KernelRandomTest, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(FreshAndMarked, KernelRandomTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& name_info) {
-                             return name_info.param ? std::string("scalar")
-                                                    : std::string("simd");
+                             return marks_name(name_info.param);
                          });
 
-TEST(KernelHighBitIds, Bit63ValuesOrderExactlyLikeScalar) {
-    // Values with bit 63 set (the streaming flag range): AVX2 only has a
-    // signed 64-bit compare, so the window scan biases both sides by the
-    // sign bit — without that, these probes silently under-count.
+TEST(KernelHighBitIds, Bit63ValuesOrderExactly) {
+    // Values with bit 63 set (the streaming counter's flag range) must order
+    // as unsigned in the span kernels. Fixed rows never see them: they hold
+    // vertex IDs, which index the mark bitmaps.
     const VertexId top = VertexId{1} << 63;
     std::vector<VertexId> big;
     for (VertexId i = 0; i < 64; ++i) { big.push_back(3 * i); }
     for (VertexId i = 0; i < 64; ++i) { big.push_back(top + 5 * i); }
     const std::vector<VertexId> small{0, 7, 189, top, top + 5, top + 7, top + 315};
-    for (const bool force_scalar : {false, true}) {
-        ScopedSimdMode mode(force_scalar);
-        const auto expected = intersect_merge(small, big).count;
-        EXPECT_EQ(expected, 5u);
-        EXPECT_EQ(intersect_simd_galloping(small, big).count, expected);
-        EXPECT_EQ(intersect_simd_merge(small, big).count, expected);
-        EXPECT_EQ(intersect_galloping(small, big).count, expected);
-    }
+    const auto expected = intersect_merge(small, big).count;
+    EXPECT_EQ(expected, 5u);
+    EXPECT_EQ(intersect_galloping(small, big).count, expected);
+    EXPECT_EQ(intersect_galloping(big, small).count, expected);
+    EXPECT_EQ(intersect_block_merge(small, big).count, expected);
+    EXPECT_EQ(intersect_block_merge(big, small).count, expected);
 }
 
 TEST(GallopingOps, AdaptsToClusteredMatches) {
@@ -416,7 +434,7 @@ TEST(AdaptiveIntersect, EveryKindAgreesOnRandomInputs) {
 /// The merge kind's fixed row (and its two-span form) against the reference
 /// merge: equal count, equal collected elements, and equal charged ops.
 void expect_probe_matches_merge(const std::vector<VertexId>& a,
-                                const std::vector<VertexId>& b) {
+                                const std::vector<VertexId>& b, bool premarked = false) {
     const auto reference = intersect_merge(a, b);
     std::vector<VertexId> reference_out{7};  // collect appends
     const auto reference_collect = intersect_merge_collect(a, b, reference_out);
@@ -439,6 +457,7 @@ void expect_probe_matches_merge(const std::vector<VertexId>& a,
     EXPECT_EQ(merge.collect(a, b, out).ops, reference_collect.ops);
     EXPECT_EQ(out, reference_out);
     EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+    expect_adaptive_row_matches_reference(a, b, premarked);
 }
 
 std::vector<VertexId> range_row(VertexId first, VertexId last, VertexId step = 1) {
@@ -448,7 +467,6 @@ std::vector<VertexId> range_row(VertexId first, VertexId last, VertexId step = 1
 }
 
 TEST_P(KernelRandomTest, MergeProbeMatchesReferenceMerge) {
-    ScopedSimdMode mode(GetParam());
     Xoshiro256 rng(GetParam() ? 17 : 19);
     const AdaptiveIntersect merge(IntersectKind::kMerge);
     for (int trial = 0; trial < 40; ++trial) {
@@ -476,7 +494,6 @@ TEST_P(KernelRandomTest, MergeProbeMatchesReferenceMerge) {
 }
 
 TEST_P(KernelRandomTest, MergeProbeAdversarialPairs) {
-    ScopedSimdMode mode(GetParam());
     using Row = std::vector<VertexId>;
     const Row empty;
     const auto evens = range_row(0, 198, 2);
@@ -506,7 +523,7 @@ TEST_P(KernelRandomTest, MergeProbeAdversarialPairs) {
     };
     for (const auto& [a, b] : pairs) {
         SCOPED_TRACE(::testing::Message() << "|a|=" << a.size() << " |b|=" << b.size());
-        expect_probe_matches_merge(a, b);
+        expect_probe_matches_merge(a, b, GetParam());
     }
 }
 
@@ -576,6 +593,52 @@ TEST(MergeProbe, SecondFixOnOneThreadFailsLoudly) {
         EXPECT_EQ(outer.count(other).count, 1u);
     }
     EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+}
+
+// --- adaptive rows: lazy marks -----------------------------------------
+
+TEST(AdaptiveRow, GallopingAndHubPartnersSetNoMarks) {
+    const auto hub_row = range_row(0, 4000, 2);
+    HubBitmapIndex index;
+    const std::vector<VertexId> ids{42};
+    index.build(small_config(4001), ids,
+                [&](VertexId) { return std::span<const VertexId>(hub_row); });
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive, &index);
+    const auto a = range_row(10, 40, 3);
+    const auto long_row = range_row(0, 3000, 5);
+    const auto row = adaptive.fix(a);
+    EXPECT_EQ(row.count(hub_row, 42).count, intersect_merge(a, hub_row).count);
+    ASSERT_TRUE(probe_search_pays_off(a.size(), long_row.size()));
+    EXPECT_EQ(row.count(long_row).count, intersect_merge(a, long_row).count);
+    std::vector<VertexId> out;
+    row.collect(long_row, out);
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+    // The first balanced partner marks the row and its block maxima.
+    const auto balanced = range_row(12, 44, 2);
+    ASSERT_FALSE(probe_search_pays_off(a.size(), balanced.size()));
+    EXPECT_EQ(row.count(balanced).ops, intersect_block_merge(a, balanced).ops);
+    EXPECT_EQ(merge_marks_set_on_this_thread(), a.size() + a.size() / 4);
+}
+
+TEST(AdaptiveRow, ThrowAfterABlockMergePartnerLeavesNoStaleMarks) {
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive);
+    const auto a = range_row(0, 300, 3);
+    const auto b = range_row(0, 300, 2);
+    EXPECT_THROW(
+        {
+            const auto row = adaptive.fix(a);
+            (void)row.count(b);
+            EXPECT_GT(merge_marks_set_on_this_thread(), 0u);
+            throw std::runtime_error("handler failed mid-row");
+        },
+        std::runtime_error);
+    EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
+    // A stale mark of a would make the next row's partners over-count.
+    const auto next = range_row(1, 301, 5);
+    const auto row = adaptive.fix(next);
+    const auto counted = row.count(b);
+    EXPECT_EQ(counted.count, intersect_block_merge(next, b).count);
+    EXPECT_EQ(counted.ops, intersect_block_merge(next, b).ops);
 }
 
 TEST(CollectScratch, IsStableAndReusable) {

@@ -24,6 +24,14 @@ Rules (each finding names its rule id):
                      unbuffered edge iterator in core/exchange.cpp is the
                      one legitimate site).
 
+  host-isa           Simulated cost must not depend on the host's ISA: the
+                     kernels' charged ops are a model, so every host runs
+                     the same portable code. src/ may not include
+                     <immintrin.h>, probe the CPU (__builtin_cpu_supports),
+                     compile per-function ISA variants
+                     (__attribute__((target(...)))) or read a
+                     KATRIC_FORCE_SCALAR switch from the environment.
+
   umbrella-hygiene   Include discipline: library code never includes the
                      katric.hpp umbrella, the umbrella's includes all
                      exist, no `#include "../`, and every src/ header
@@ -73,6 +81,19 @@ ALLOWED_THROW_TYPES = {"OomError", "FaultError", "CancelledError", "assertion_er
 RAW_SEND_RE = re.compile(r"\.\s*(send|send_sized)\s*\(")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# Code patterns that make the executed kernel (and so its charge) depend
+# on the host CPU. The intrinsics include and the environment switch carry
+# their target in a literal, which scrub() blanks, so those two are matched
+# on the raw line.
+HOST_ISA_CODE_PATTERNS = [
+    re.compile(r"\b__builtin_cpu_supports\b"),
+    re.compile(r"__attribute__\s*\(\(\s*target\s*\("),
+]
+HOST_ISA_RAW_PATTERNS = [
+    re.compile(r"^\s*#\s*include\s*<immintrin\.h>"),
+    re.compile(r'\bgetenv\s*\(\s*"KATRIC_FORCE_SCALAR"'),
+]
 
 
 class Finding:
@@ -161,6 +182,7 @@ class Linter:
         if in_src:
             self.check_nondeterminism(rel, raw, code)
             self.check_raw_throw(rel, raw, code)
+            self.check_host_isa(rel, raw, code)
             self.check_umbrella(rel, raw, code, path)
         self.check_raw_send(rel, raw, code)
         self.check_unused_waivers(rel, raw)
@@ -192,6 +214,18 @@ class Linter:
                     f"throw of '{thrown}' — errors leave the library typed "
                     "(OomError/FaultError/CancelledError/assertion_error; "
                     "use KATRIC_ASSERT/KATRIC_THROW)")
+
+    def check_host_isa(self, rel, raw, code) -> None:
+        for lineno, (line, code_line) in enumerate(zip(raw, code), 1):
+            # A raw-line pattern only counts where the line still has code
+            # (an include or a getenv call), not inside a comment.
+            if any(p.search(code_line) for p in HOST_ISA_CODE_PATTERNS) or (
+                    code_line.strip()
+                    and any(p.search(line) for p in HOST_ISA_RAW_PATTERNS)):
+                self.emit(
+                    "host-isa", rel, lineno, raw,
+                    "host-ISA dispatch — simulated cost must not depend on "
+                    "the host CPU; write the kernel portably")
 
     def check_raw_send(self, rel, raw, code) -> None:
         if not rel.startswith(("src/",)) or rel.startswith("src/net/"):
@@ -290,6 +324,16 @@ SELF_TEST_CASES = [
      "    self.send(0, r, kTag);  // katric-lint: allow(raw-send)\n}\n"),
     ("waiver", "src/core/stale_waiver.cpp",
      "// katric-lint: allow(raw-send): nothing here sends\nint f();\n"),
+    ("host-isa", "src/seq/bad_intrinsics.cpp",
+     "#include <immintrin.h>\nint f();\n"),
+    ("host-isa", "src/seq/bad_dispatch.cpp",
+     '__attribute__((target("avx2"))) int f();\n'
+     'bool g() { return __builtin_cpu_supports("avx2") != 0; }\n'),
+    ("host-isa", "src/seq/bad_env.cpp",
+     'bool f() { return std::getenv("KATRIC_FORCE_SCALAR") != nullptr; }\n'),
+    (None, "src/seq/ok_portable.cpp",
+     "// No <immintrin.h>, no __attribute__((target(...))): one portable path.\n"
+     "bool simd_available() noexcept { return false; }\n"),
     ("umbrella-hygiene", "src/bad_umbrella.cpp",
      '#include "katric.hpp"\nint f();\n'),
     ("umbrella-hygiene", "src/bad_parent.cpp",
