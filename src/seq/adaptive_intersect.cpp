@@ -196,29 +196,30 @@ AdaptiveIntersect::FixedRow::FixedRow(const AdaptiveIntersect& isect, Span a,
                                       VertexId a_id)
     : isect_(isect), a_(a), a_id_(a_id), marks_(thread_marks()) {
     KATRIC_ASSERT_MSG(!marks_.fixed, "a row is already fixed on this thread");
-    marks_.fixed = true;
     if (isect.kind_ == IntersectKind::kMerge) { mark(); }
+    marks_.fixed = true;
 }
 
 void AdaptiveIntersect::FixedRow::mark() const {
-    marks_.marked = true;
-    if (a_.empty()) { return; }
-    const std::size_t words = (a_.back() >> 6) + 1;
+    // Grow first: a throw leaves no bit set and the row unmarked.
+    const bool maxima = isect_.kind_ == IntersectKind::kAdaptive;
+    const std::size_t words = a_.empty() ? 0 : (a_.back() >> 6) + 1;
     if (marks_.words.size() < words) { marks_.words.resize(words, 0); }
+    if (maxima && marks_.maxima.size() < words) { marks_.maxima.resize(words, 0); }
     for (const VertexId w : a_) { set_bit(marks_.words, w); }
-    if (isect_.kind_ == IntersectKind::kMerge) { return; }
-    if (marks_.maxima.size() < words) { marks_.maxima.resize(words, 0); }
-    for (std::size_t i = 3; i < a_.size(); i += 4) { set_bit(marks_.maxima, a_[i]); }
+    for (std::size_t i = 3; maxima && i < a_.size(); i += 4) {
+        set_bit(marks_.maxima, a_[i]);
+    }
+    marks_.marked = true;
 }
 
 AdaptiveIntersect::FixedRow::~FixedRow() {
     if (marks_.marked) {
         // Only this row's bits are set, so clearing whole words is exact.
         for (const VertexId w : a_) { marks_.words[w >> 6] = 0; }
-        if (isect_.kind_ != IntersectKind::kMerge) {
-            for (std::size_t i = 3; i < a_.size(); i += 4) {
-                marks_.maxima[a_[i] >> 6] = 0;
-            }
+        const bool maxima = isect_.kind_ == IntersectKind::kAdaptive;
+        for (std::size_t i = 3; maxima && i < a_.size(); i += 4) {
+            marks_.maxima[a_[i] >> 6] = 0;
         }
         marks_.marked = false;
     }
