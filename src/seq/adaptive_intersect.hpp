@@ -109,13 +109,13 @@ private:
 ///   matches, where one cursor sits at its row's end and the other at
 ///   upper_bound of that row's last element;
 /// - adaptive block merge: exactly intersect_block_merge's ops. Its blocks
-///   take one staircase step per distinct block maximum up to the smaller
-///   of the two last maxima: x_end + y_end − ties, where x_end (y_end)
-///   counts a's (b's) block maxima up to the other row's last one and a tie
-///   is a maximum of b marked in the maxima bitmap. Each step costs
+///   take one staircase step per distinct block maximum up to `low`, the
+///   smaller of the two rows' last block maxima: x_end + y_end − ties,
+///   where x_end (y_end) counts a's (b's) block maxima up to `low` and a
+///   tie is a maximum of b marked in the maxima bitmap. Each step costs
 ///   kSimdMergeBlockOps; the scalar tail from (4·x_end, 4·y_end) is charged
 ///   by the merge formula, its matches being the marked elements of b
-///   above the smaller last maximum.
+///   above `low`.
 class AdaptiveIntersect::FixedRow {
 public:
     FixedRow(const FixedRow&) = delete;
