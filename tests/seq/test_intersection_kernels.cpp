@@ -603,15 +603,17 @@ TEST(AdaptiveRow, GallopingAndHubPartnersSetNoMarks) {
     const std::vector<VertexId> ids{42};
     index.build(small_config(4001), ids,
                 [&](VertexId) { return std::span<const VertexId>(hub_row); });
-    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive, &index);
+    obs::KernelStats stats;
+    const AdaptiveIntersect adaptive(IntersectKind::kAdaptive, &index, &stats);
     const auto a = range_row(10, 40, 3);
     const auto long_row = range_row(0, 3000, 5);
     const auto row = adaptive.fix(a);
     EXPECT_EQ(row.count(hub_row, 42).count, intersect_merge(a, hub_row).count);
-    ASSERT_TRUE(probe_search_pays_off(a.size(), long_row.size()));
     EXPECT_EQ(row.count(long_row).count, intersect_merge(a, long_row).count);
     std::vector<VertexId> out;
     row.collect(long_row, out);
+    EXPECT_EQ(stats.total(obs::KernelChoice::kBitmapProbe), 1u);
+    EXPECT_EQ(stats.total(obs::KernelChoice::kGalloping), 2u);
     EXPECT_EQ(merge_marks_set_on_this_thread(), 0u);
     // The first balanced partner marks the row and its block maxima.
     const auto balanced = range_row(12, 44, 2);
