@@ -6,9 +6,15 @@
 // ratios (1:1 … 1:1024) and densities (mean gap between consecutive IDs).
 // Doubles as a correctness gate — every kernel must report the merge
 // oracle's count, merge-probe also its ops and block-merge
-// intersect_block_merge's ops, on every configuration or the harness exits
-// non-zero — and emits the same --json artifact format as the stream
-// benches (snapshot schema: bench/BENCH_kernels.json).
+// intersect_block_merge's ops, on every configuration and every partner or
+// the harness exits non-zero — and emits the same --json artifact format
+// as the stream benches (snapshot schema: bench/BENCH_kernels.json).
+//
+// Each configuration intersects one small row with a pool of distinct
+// large partners of the same size and density, and a timed call rotates
+// through them, so a branchy kernel cannot learn one pair's branch
+// pattern across repetitions. ns/call is the mean over the pool; count and
+// ops are the first partner's.
 
 #include <algorithm>
 #include <fstream>
@@ -46,23 +52,33 @@ std::vector<VertexId> sorted_random(std::size_t size, std::uint64_t mean_gap,
     return values;
 }
 
+/// Distinct large partners per configuration: their working set (16 ×
+/// 64 KiB at 8192 elements) outgrows the first-level caches, and their
+/// combined branch pattern outgrows a branch predictor's history.
+constexpr std::size_t kPartners = 16;
+
 struct Measurement {
-    IntersectResult result;
+    std::vector<IntersectResult> results;  ///< one per partner
     double ns_per_call = 0.0;
 };
 
-/// Times `fn` (a callable returning IntersectResult) with enough
-/// repetitions to cross `min_ms` of wall time, best of two rounds.
+/// Times `fn(k)` (a callable returning the IntersectResult of partner k)
+/// with enough repetitions to cross `min_ms` of wall time, rotating k over
+/// the kPartners partners.
 template <typename Fn>
 Measurement measure(Fn&& fn, double min_ms) {
     Measurement m;
-    m.result = fn();
-    std::size_t reps = 1;
+    for (std::size_t k = 0; k < kPartners; ++k) { m.results.push_back(fn(k)); }
+    std::size_t reps = kPartners;
     double elapsed_ms = 0.0;
     while (true) {
         katric::WallTimer timer;
         std::uint64_t sink = 0;
-        for (std::size_t r = 0; r < reps; ++r) { sink += fn().count; }
+        std::size_t k = 0;
+        for (std::size_t r = 0; r < reps; ++r) {
+            sink += fn(k).count;
+            k = k + 1 == kPartners ? 0 : k + 1;
+        }
         elapsed_ms = timer.elapsed_ms();
         // The sink defeats dead-code elimination across the loop.
         if (sink == ~std::uint64_t{0}) { std::cerr << ""; }
@@ -131,8 +147,9 @@ int main(int argc, char** argv) {
     const auto seed = cli.get_uint("seed");
 
     std::cout << "=== Intersection kernels ===\n"
-              << "time = wall ns per intersection call; ops = charged simulator "
-                 "cost\n\n";
+              << "time = wall ns per intersection call, mean over " << kPartners
+              << " distinct large partners; count, ops = the first partner's "
+                 "(ops = charged simulator cost)\n\n";
 
     Table table({"large", "ratio", "gap", "small", "count", "kernel", "ns/call", "ops",
                  "speedup vs merge"});
@@ -141,7 +158,8 @@ int main(int argc, char** argv) {
         .field("host", cpu_model())
         .field("hardware_concurrency",
                static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
-        .field("compiler", std::string(__VERSION__));
+        .field("compiler", std::string(__VERSION__))
+        .field("partners", static_cast<std::uint64_t>(kPartners));
     bool all_agree = true;
     double worst_bitmap_hub_speedup = -1.0;
 
@@ -149,18 +167,24 @@ int main(int argc, char** argv) {
     const seq::AdaptiveIntersect adaptive_kind(seq::IntersectKind::kAdaptive);
     for (const auto large_size : large_sizes) {
         for (const auto gap : gaps) {
-            // The large operand doubles as the hub row: indexed once, like a
-            // rank's preprocessing would.
-            const auto large = sorted_random(large_size, gap, seed);
+            // The large partners double as the hub rows (partner k is hub
+            // k): indexed once, like a rank's preprocessing would. Partner
+            // 0 uses `seed` itself.
+            std::vector<std::vector<VertexId>> larges;
+            std::vector<VertexId> hub_ids;
+            VertexId universe = 0;
+            for (std::size_t k = 0; k < kPartners; ++k) {
+                larges.push_back(sorted_random(large_size, gap, seed + k * 0x9e37));
+                hub_ids.push_back(k);
+                universe = std::max(universe, larges.back().back() + 1);
+            }
             seq::HubBitmapIndex hubs;
             seq::HubBitmapIndex::Config config;
             config.degree_threshold = 1;
-            config.max_hubs = 1;
-            config.universe = large.back() + 1;
-            const VertexId hub_id = 0;
-            const std::vector<VertexId> candidates{hub_id};
-            hubs.build(config, candidates, [&](VertexId) {
-                return std::span<const VertexId>(large);
+            config.max_hubs = kPartners;
+            config.universe = universe;
+            hubs.build(config, hub_ids, [&](VertexId id) {
+                return std::span<const VertexId>(larges[id]);
             });
 
             for (const auto ratio : ratios) {
@@ -179,71 +203,79 @@ int main(int argc, char** argv) {
                     Measurement m;
                 };
                 std::vector<Kernel> kernels;
-                kernels.push_back({"merge", measure([&] {
-                                       return seq::intersect_merge(small, large);
+                kernels.push_back({"merge", measure([&](std::size_t k) {
+                                       return seq::intersect_merge(small, larges[k]);
                                    }, min_ms)});
-                // The merge kind's host kernel: mark `small`, probe `large`,
-                // clear. Fixing inside the timed call is the worst case — in
-                // the counting loops one fix serves every partner of the row.
-                kernels.push_back({"merge-probe", measure([&] {
-                                       return merge_kind.fix(small).count(large);
+                // The merge kind's host kernel: mark `small`, probe the
+                // partner, clear. Fixing inside the timed call is the worst
+                // case — in the counting loops one fix serves every partner
+                // of the row.
+                kernels.push_back({"merge-probe", measure([&](std::size_t k) {
+                                       return merge_kind.fix(small).count(larges[k]);
                                    }, min_ms)});
-                kernels.push_back({"galloping", measure([&] {
-                                       return seq::intersect_galloping(small, large);
+                kernels.push_back({"galloping", measure([&](std::size_t k) {
+                                       return seq::intersect_galloping(small, larges[k]);
                                    }, min_ms)});
                 // The adaptive kind's block-merge branch as the counting loops
                 // run it: one fixed row (marked at its first partner) probed
                 // per call. Only where the dispatcher picks it: balanced pairs.
-                if (!seq::probe_search_pays_off(small.size(), large.size())) {
+                if (!seq::probe_search_pays_off(small.size(), large_size)) {
                     const auto row = adaptive_kind.fix(small);
-                    kernels.push_back({"block-merge", measure([&] {
-                                           return row.count(large);
+                    kernels.push_back({"block-merge", measure([&](std::size_t k) {
+                                           return row.count(larges[k]);
                                        }, min_ms)});
                 }
-                kernels.push_back({"bitmap", measure([&] {
-                                       return hubs.intersect_count(hub_id, small);
+                kernels.push_back({"bitmap", measure([&](std::size_t k) {
+                                       return hubs.intersect_count(hub_ids[k], small);
                                    }, min_ms)});
                 if (ratio == 1) {
                     // Equal-size case with both rows indexed: the hub∩hub
                     // word-AND + popcount kernel the dispatcher picks when two
-                    // hubs meet.
+                    // hubs meet. The small row is hub kPartners.
                     seq::HubBitmapIndex both;
-                    const VertexId other_id = 1;
-                    const std::vector<VertexId> ids{hub_id, other_id};
-                    seq::HubBitmapIndex::Config two = config;
-                    two.max_hubs = 2;
-                    two.universe = std::max(config.universe, small.back() + 1);
-                    both.build(two, ids, [&](VertexId id) {
-                        return std::span<const VertexId>(id == hub_id ? large : small);
+                    std::vector<VertexId> ids = hub_ids;
+                    const VertexId small_id = kPartners;
+                    ids.push_back(small_id);
+                    seq::HubBitmapIndex::Config all = config;
+                    all.max_hubs = kPartners + 1;
+                    all.universe = std::max(config.universe, small.back() + 1);
+                    both.build(all, ids, [&](VertexId id) {
+                        return std::span<const VertexId>(id == small_id ? small
+                                                                         : larges[id]);
                     });
                     kernels.push_back(
-                        {"bitmap-and", measure([&] {
-                             return both.intersect_hub_hub(hub_id, other_id);
+                        {"bitmap-and", measure([&](std::size_t k) {
+                             return both.intersect_hub_hub(hub_ids[k], small_id);
                          }, min_ms)});
                 }
 
                 const auto& merge = kernels.front().m;
                 for (const auto& [name, m] : kernels) {
-                    if (m.result.count != merge.result.count) {
-                        std::cerr << "FAIL: kernel " << name << " counted "
-                                  << m.result.count << " != merge oracle "
-                                  << merge.result.count << " (ratio 1:" << ratio
-                                  << ", gap " << gap << ")\n";
-                        all_agree = false;
+                    for (std::size_t k = 0; k < kPartners; ++k) {
+                        const IntersectResult& result = m.results[k];
+                        const IntersectResult& oracle = merge.results[k];
+                        if (result.count != oracle.count) {
+                            std::cerr << "FAIL: kernel " << name << " counted "
+                                      << result.count << " != merge oracle " << oracle.count
+                                      << " (ratio 1:" << ratio << ", gap " << gap
+                                      << ", partner " << k << ")\n";
+                            all_agree = false;
+                        }
+                        // The fixed rows must charge their reference kernel's ops.
+                        std::uint64_t reference_ops = result.ops;
+                        if (name == "merge-probe") { reference_ops = oracle.ops; }
+                        if (name == "block-merge") {
+                            reference_ops = seq::intersect_block_merge(small, larges[k]).ops;
+                        }
+                        if (result.ops != reference_ops) {
+                            std::cerr << "FAIL: " << name << " charged " << result.ops
+                                      << " ops != its reference kernel's " << reference_ops
+                                      << " (large " << large_size << ", ratio 1:" << ratio
+                                      << ", gap " << gap << ", partner " << k << ")\n";
+                            all_agree = false;
+                        }
                     }
-                    // The fixed rows must charge their reference kernel's ops.
-                    std::uint64_t reference_ops = m.result.ops;
-                    if (name == "merge-probe") { reference_ops = merge.result.ops; }
-                    if (name == "block-merge") {
-                        reference_ops = seq::intersect_block_merge(small, large).ops;
-                    }
-                    if (m.result.ops != reference_ops) {
-                        std::cerr << "FAIL: " << name << " charged " << m.result.ops
-                                  << " ops != its reference kernel's " << reference_ops
-                                  << " (large " << large_size << ", ratio 1:" << ratio
-                                  << ", gap " << gap << ")\n";
-                        all_agree = false;
-                    }
+                    const IntersectResult& first = m.results.front();
                     const double speedup =
                         m.ns_per_call > 0.0 ? merge.ns_per_call / m.ns_per_call : 0.0;
                     // Hub-vs-anything evidence: the probe kernel on genuinely
@@ -260,10 +292,10 @@ int main(int argc, char** argv) {
                         .cell("1:" + std::to_string(ratio))
                         .cell(static_cast<std::uint64_t>(gap))
                         .cell(static_cast<std::uint64_t>(small_size))
-                        .cell(m.result.count)
+                        .cell(first.count)
                         .cell(name)
                         .cell(m.ns_per_call, 1)
-                        .cell(m.result.ops)
+                        .cell(first.ops)
                         .cell(speedup, 2);
                     report.begin_row()
                         .field("large", static_cast<std::uint64_t>(large_size))
@@ -271,8 +303,8 @@ int main(int argc, char** argv) {
                         .field("ratio", static_cast<std::uint64_t>(ratio))
                         .field("gap", static_cast<std::uint64_t>(gap))
                         .field("kernel", name)
-                        .field("count", m.result.count)
-                        .field("ops", m.result.ops)
+                        .field("count", first.count)
+                        .field("ops", first.ops)
                         .field("ns_per_call", m.ns_per_call)
                         .field("speedup_vs_merge", speedup);
                 }

@@ -115,17 +115,23 @@ void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
         const Rank r = self.rank();
         DistGraph& view = views[r];
         std::uint64_t ops = 0;
+        // Owners push in ascending ID order and ranks own ascending ID
+        // ranges, so the payloads, concatenated by source rank, name the
+        // ghosts in ghost_ids() order: a cursor walks them, no lookup.
+        const auto& ghosts = view.ghost_ids();
+        std::size_t next = 0;
         for (Rank src = 0; src < p; ++src) {
             const auto& payload = received[r][src];
             KATRIC_ASSERT(payload.size() % 2 == 0);
             for (std::size_t i = 0; i < payload.size(); i += 2) {
-                const auto gi = view.ghost_index(payload[i]);
-                KATRIC_ASSERT_MSG(gi.has_value(),
+                KATRIC_ASSERT_MSG(next < ghosts.size() && ghosts[next] == payload[i],
                                   "degree message for unknown ghost " << payload[i]);
-                view.set_ghost_degree(*gi, payload[i + 1]);
+                view.set_ghost_degree(next++, payload[i + 1]);
                 ++ops;
             }
         }
+        KATRIC_ASSERT_MSG(next == ghosts.size(),
+                          "no degree message for ghost " << ghosts[next]);
         view.mark_ghost_degrees_ready();
         // Orientation + ghost rewiring + contraction are three linear scans
         // over the local adjacency (Section IV-D: "requires no additional

@@ -1,11 +1,51 @@
 #include "graph/distributed_graph.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 #include "util/prefix_sum.hpp"
 
 namespace katric::graph {
+
+namespace {
+
+constexpr std::uint64_t bit_of(VertexId v) noexcept { return std::uint64_t{1} << (v % 64); }
+
+/// The rank structure build_oriented resolves ghost slots with: the ghost
+/// bitmap over the vertex IDs, and beside each 64-ID word the number of
+/// ghosts below it. A ghost's slot in the sorted ghost_ids_ is then one
+/// load and one popcount. Transient: n/4 bytes, freed when the build ends.
+class GhostSlots {
+public:
+    GhostSlots(const std::vector<VertexId>& ghosts, VertexId num_vertices)
+        : words_(div_ceil(num_vertices, 64)) {
+        for (const VertexId g : ghosts) { words_[g / 64].bits |= bit_of(g); }
+        std::uint64_t before = 0;
+        for (auto& word : words_) {
+            word.before = before;
+            before += static_cast<std::uint64_t>(std::popcount(word.bits));
+        }
+    }
+
+    /// Slot of ghost `g`; g must be one of the ghosts this was built from.
+    [[nodiscard]] std::size_t slot(VertexId g) const noexcept {
+        const Word& word = words_[g / 64];
+        return word.before
+               + static_cast<std::size_t>(std::popcount(word.bits & (bit_of(g) - 1)));
+    }
+
+private:
+    struct Word {
+        std::uint64_t bits = 0;
+        std::uint64_t before = 0;
+    };
+    std::vector<Word> words_;
+};
+
+}  // namespace
 
 template <typename RowOf>
 DistGraph DistGraph::assemble(const Partition1D& partition, Rank rank, RowOf row_of) {
@@ -26,16 +66,30 @@ DistGraph DistGraph::assemble(const Partition1D& partition, Rank rank, RowOf row
         view.targets_.insert(view.targets_.end(), nbrs.begin(), nbrs.end());
     }
 
+    // Ghosts: mark every cut target in a transient bitmap over the vertex
+    // IDs (n/8 bytes), then scan its words. The set bits come out sorted
+    // and unique, in O(half-edges + n/64).
+    const VertexId n = partition.num_vertices();
+    std::vector<std::uint64_t> marks(div_ceil(n, 64), 0);
     for (VertexId target : view.targets_) {
         if (target < begin || target >= end) {
-            view.ghost_ids_.push_back(target);
+            KATRIC_ASSERT_MSG(target < n, "neighbor " << target << " is outside the "
+                                                       << n << " partitioned vertices");
+            marks[target / 64] |= bit_of(target);
             ++view.num_cut_edges_;
         }
     }
-    std::sort(view.ghost_ids_.begin(), view.ghost_ids_.end());
-    view.ghost_ids_.erase(std::unique(view.ghost_ids_.begin(), view.ghost_ids_.end()),
-                          view.ghost_ids_.end());
-    view.ghost_degrees_.assign(view.ghost_ids_.size(), 0);
+    std::size_t num_ghosts = 0;
+    for (const std::uint64_t word : marks) {
+        num_ghosts += static_cast<std::size_t>(std::popcount(word));
+    }
+    view.ghost_ids_.reserve(num_ghosts);
+    for (std::size_t w = 0; w < marks.size(); ++w) {
+        for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+            view.ghost_ids_.push_back(w * 64 + static_cast<VertexId>(std::countr_zero(bits)));
+        }
+    }
+    view.ghost_degrees_.assign(num_ghosts, 0);
     return view;
 }
 
@@ -120,85 +174,81 @@ bool DistGraph::is_interface(VertexId local_v) const {
     return false;
 }
 
-std::size_t DistGraph::num_interface_vertices() const {
-    std::size_t count = 0;
-    for (VertexId v = first_local(); v < first_local() + num_local(); ++v) {
-        if (is_interface(v)) { ++count; }
-    }
-    return count;
-}
-
-bool DistGraph::precedes(VertexId u, VertexId v) const {
-    const Degree du = degree(u);
-    const Degree dv = degree(v);
-    return du != dv ? du < dv : u < v;
-}
-
 void DistGraph::build_oriented() {
     if (oriented_built_) { return; }
     KATRIC_ASSERT_MSG(ghost_degrees_set_,
                       "build_oriented requires the ghost-degree exchange to have run");
     const VertexId begin = first_local();
-    const VertexId local_count = num_local();
+    const VertexId end = begin + num_local();
+    const std::size_t local_count = num_local();
+    const std::size_t ghost_count = ghost_ids_.size();
 
-    // A(v) for local v: {x ∈ N(v) | v ≺ x}; neighborhoods stay ID-sorted.
+    // Pass 1 resolves each half-edge (v, u) once: whether u is a ghost, its
+    // slot if so, and whether v ≺ u (degree order, ties by ID). The code
+    // array is transient. The same pass counts the three rows' degrees:
+    //   A(v)  = {u | v ≺ u}                  (out_neighbors)
+    //   A(g)  = {v | g ≺ v} per ghost g      (rewired incoming cut edges)
+    //   Ac(v) = A(v) \ V_i                   (contracted_out_neighbors)
+    constexpr std::uint32_t kOut = 1;
+    constexpr std::uint32_t kGhost = 2;
+    constexpr unsigned kSlotShift = 2;
+    KATRIC_ASSERT_MSG(ghost_count <= (std::numeric_limits<std::uint32_t>::max() >> kSlotShift),
+                      ghost_count << " ghosts exceed the slot code");
+    const GhostSlots slots(ghost_ids_, partition_.num_vertices());
+    std::vector<std::uint32_t> code(targets_.size());
     std::vector<EdgeId> out_degree(local_count, 0);
-    for (VertexId v = begin; v < begin + local_count; ++v) {
-        for (VertexId u : neighbors(v)) {
-            if (precedes(v, u)) { ++out_degree[v - begin]; }
-        }
-    }
-    out_offsets_ = katric::exclusive_prefix_sum(std::span<const EdgeId>(out_degree));
-    out_targets_.clear();
-    out_targets_.reserve(out_offsets_.back());
-    for (VertexId v = begin; v < begin + local_count; ++v) {
-        for (VertexId u : neighbors(v)) {
-            if (precedes(v, u)) { out_targets_.push_back(u); }
-        }
-    }
-
-    // A(g) for ghosts: rewire incoming cut edges (v local, g ghost, g ≺ v).
-    std::vector<EdgeId> ghost_out_degree(ghost_ids_.size(), 0);
-    for (VertexId v = begin; v < begin + local_count; ++v) {
-        for (VertexId u : neighbors(v)) {
-            if (!is_local(u) && precedes(u, v)) { ++ghost_out_degree[*ghost_index(u)]; }
-        }
-    }
-    ghost_out_offsets_ =
-        katric::exclusive_prefix_sum(std::span<const EdgeId>(ghost_out_degree));
-    ghost_out_targets_.assign(ghost_out_offsets_.back(), kInvalidVertex);
-    {
-        std::vector<EdgeId> cursor(ghost_out_offsets_.begin(), ghost_out_offsets_.end() - 1);
-        // Scanning v in increasing ID order appends each ghost's local
-        // out-neighbors in increasing ID order — lists end up ID-sorted.
-        for (VertexId v = begin; v < begin + local_count; ++v) {
-            for (VertexId u : neighbors(v)) {
-                if (!is_local(u) && precedes(u, v)) {
-                    ghost_out_targets_[cursor[*ghost_index(u)]++] = v;
-                }
-            }
-        }
-    }
-
-    // Contraction: Ac(v) = A(v) \ V_i (keep only cut edges).
-    auto out_span = [&](VertexId v) {
-        const std::size_t i = static_cast<std::size_t>(v - begin);
-        return std::span<const VertexId>{out_targets_.data() + out_offsets_[i],
-                                         out_targets_.data() + out_offsets_[i + 1]};
-    };
     std::vector<EdgeId> contracted_degree(local_count, 0);
-    for (VertexId v = begin; v < begin + local_count; ++v) {
-        for (VertexId u : out_span(v)) {
-            if (!is_local(u)) { ++contracted_degree[v - begin]; }
+    std::vector<EdgeId> ghost_out_degree(ghost_count, 0);
+    for (std::size_t i = 0; i < local_count; ++i) {
+        const VertexId v = begin + i;
+        const Degree dv = offsets_[i + 1] - offsets_[i];
+        for (EdgeId e = offsets_[i]; e < offsets_[i + 1]; ++e) {
+            const VertexId u = targets_[e];
+            const bool ghost = u < begin || u >= end;
+            std::size_t slot = 0;
+            Degree du = 0;
+            if (ghost) {
+                slot = slots.slot(u);
+                du = ghost_degrees_[slot];
+            } else {
+                const std::size_t j = static_cast<std::size_t>(u - begin);
+                du = offsets_[j + 1] - offsets_[j];
+            }
+            const bool v_first = dv != du ? dv < du : v < u;
+            if (v_first) {
+                ++out_degree[i];
+                if (ghost) { ++contracted_degree[i]; }
+            } else if (ghost) {
+                ++ghost_out_degree[slot];
+            }
+            code[e] = static_cast<std::uint32_t>(slot << kSlotShift)
+                      | (ghost ? kGhost : 0) | (v_first ? kOut : 0);
         }
     }
+
+    // Pass 2 fills the three rows. Scanning v in increasing ID order keeps
+    // every row ID-sorted, the rewired ghost rows included.
+    out_offsets_ = katric::exclusive_prefix_sum(std::span<const EdgeId>(out_degree));
     contracted_offsets_ =
         katric::exclusive_prefix_sum(std::span<const EdgeId>(contracted_degree));
-    contracted_targets_.clear();
-    contracted_targets_.reserve(contracted_offsets_.back());
-    for (VertexId v = begin; v < begin + local_count; ++v) {
-        for (VertexId u : out_span(v)) {
-            if (!is_local(u)) { contracted_targets_.push_back(u); }
+    ghost_out_offsets_ =
+        katric::exclusive_prefix_sum(std::span<const EdgeId>(ghost_out_degree));
+    out_targets_.resize(out_offsets_.back());
+    contracted_targets_.resize(contracted_offsets_.back());
+    ghost_out_targets_.resize(ghost_out_offsets_.back());
+    std::vector<EdgeId> ghost_cursor(ghost_out_offsets_.begin(), ghost_out_offsets_.end() - 1);
+    EdgeId out_next = 0;
+    EdgeId contracted_next = 0;
+    for (std::size_t i = 0; i < local_count; ++i) {
+        const VertexId v = begin + i;
+        for (EdgeId e = offsets_[i]; e < offsets_[i + 1]; ++e) {
+            const std::uint32_t c = code[e];
+            if ((c & kOut) != 0) {
+                out_targets_[out_next++] = targets_[e];
+                if ((c & kGhost) != 0) { contracted_targets_[contracted_next++] = targets_[e]; }
+            } else if ((c & kGhost) != 0) {
+                ghost_out_targets_[ghost_cursor[c >> kSlotShift]++] = v;
+            }
         }
     }
 

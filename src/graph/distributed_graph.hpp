@@ -34,6 +34,14 @@ namespace katric::graph {
 ///                        built by rewiring incoming cut edges — no extra edges)
 ///   Ac(v) for local v  = A(v) \ V_i                        (contracted_out_neighbors,
 ///                        the cut-graph adjacency used in the global phase)
+///
+/// Both builds are linear in the local half-edges. The constructors mark
+/// the cut targets in a transient n/8-byte bitmap over the vertex IDs and
+/// scan its words for the sorted, unique ghost IDs. build_oriented()
+/// re-marks the ghosts with a popcount prefix per 64 IDs beside each word
+/// (n/4 bytes, transient), resolves each half-edge's ghost slot and
+/// direction once, and fills the three rows in one more pass. The view keeps no per-half-edge array
+/// beyond its four adjacency rows: the undirected one, A(v), A(g), Ac(v).
 class DistGraph {
 public:
     /// Builds rank `rank`'s view of `global`. Only reads the neighborhoods
@@ -75,9 +83,6 @@ public:
         return ghost_ids_[ghost_index];
     }
     [[nodiscard]] std::optional<std::size_t> ghost_index(VertexId v) const noexcept;
-    [[nodiscard]] bool is_ghost(VertexId v) const noexcept {
-        return ghost_index(v).has_value();
-    }
     [[nodiscard]] const std::vector<VertexId>& ghost_ids() const noexcept {
         return ghost_ids_;
     }
@@ -92,10 +97,6 @@ public:
 
     // --- classification ---------------------------------------------------
     [[nodiscard]] bool is_interface(VertexId local_v) const;
-    [[nodiscard]] std::size_t num_interface_vertices() const;
-
-    /// Degree-based total order ≺ (requires ghost degrees for ghost operands).
-    [[nodiscard]] bool precedes(VertexId u, VertexId v) const;
 
     // --- oriented adjacency (Algorithm 3) ---------------------------------
     /// Builds A(v), A(ghost), and the contracted adjacency. Requires ghost
