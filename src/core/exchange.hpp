@@ -36,9 +36,12 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
 
 /// The local phase (superstep "local"): per rank, intersect A(v) with A(u)
 /// for every local v and every local u ∈ A(v) — and, when `expanded`, for
-/// every u ∈ A(v) and the ghost rows A(g) too. With options.threads > 1 and
-/// no sink the intersections are binned onto threads (ThreadBinner) and the
-/// phase costs the makespan. Returns the per-rank counts.
+/// every u ∈ A(v) and the ghost rows A(g) too. CETRIC, CETRIC2 and
+/// CETRIC-AMQ run it expanded; each ghost u's row comes from
+/// DistGraph::a_set through the view's O(1) ghost rank lookup. With
+/// options.threads > 1 and no sink the intersections are binned onto
+/// threads (ThreadBinner) and the phase costs the makespan. Returns the
+/// per-rank counts.
 [[nodiscard]] std::vector<std::uint64_t> run_local_phase(
     net::Simulator& sim, const std::vector<DistGraph>& views,
     const AlgorithmOptions& options, bool expanded, const TriangleSink* sink);

@@ -14,37 +14,6 @@ namespace {
 
 constexpr std::uint64_t bit_of(VertexId v) noexcept { return std::uint64_t{1} << (v % 64); }
 
-/// The rank structure build_oriented resolves ghost slots with: the ghost
-/// bitmap over the vertex IDs, and beside each 64-ID word the number of
-/// ghosts below it. A ghost's slot in the sorted ghost_ids_ is then one
-/// load and one popcount. Transient: n/4 bytes, freed when the build ends.
-class GhostSlots {
-public:
-    GhostSlots(const std::vector<VertexId>& ghosts, VertexId num_vertices)
-        : words_(div_ceil(num_vertices, 64)) {
-        for (const VertexId g : ghosts) { words_[g / 64].bits |= bit_of(g); }
-        std::uint64_t before = 0;
-        for (auto& word : words_) {
-            word.before = before;
-            before += static_cast<std::uint64_t>(std::popcount(word.bits));
-        }
-    }
-
-    /// Slot of ghost `g`; g must be one of the ghosts this was built from.
-    [[nodiscard]] std::size_t slot(VertexId g) const noexcept {
-        const Word& word = words_[g / 64];
-        return word.before
-               + static_cast<std::size_t>(std::popcount(word.bits & (bit_of(g) - 1)));
-    }
-
-private:
-    struct Word {
-        std::uint64_t bits = 0;
-        std::uint64_t before = 0;
-    };
-    std::vector<Word> words_;
-};
-
 }  // namespace
 
 template <typename RowOf>
@@ -66,26 +35,28 @@ DistGraph DistGraph::assemble(const Partition1D& partition, Rank rank, RowOf row
         view.targets_.insert(view.targets_.end(), nbrs.begin(), nbrs.end());
     }
 
-    // Ghosts: mark every cut target in a transient bitmap over the vertex
-    // IDs (n/8 bytes), then scan its words. The set bits come out sorted
-    // and unique, in O(half-edges + n/64).
+    // Ghosts: mark every cut target in the bitmap over the vertex IDs, then
+    // scan its words. The set bits come out sorted and unique, in
+    // O(half-edges + n/64), and the same scan fills each word's rank prefix.
     const VertexId n = partition.num_vertices();
-    std::vector<std::uint64_t> marks(div_ceil(n, 64), 0);
+    auto& words = view.ghost_words_;
+    words.resize(div_ceil(n, 64));
     for (VertexId target : view.targets_) {
         if (target < begin || target >= end) {
             KATRIC_ASSERT_MSG(target < n, "neighbor " << target << " is outside the "
                                                        << n << " partitioned vertices");
-            marks[target / 64] |= bit_of(target);
+            words[target / 64].bits |= bit_of(target);
             ++view.num_cut_edges_;
         }
     }
     std::size_t num_ghosts = 0;
-    for (const std::uint64_t word : marks) {
-        num_ghosts += static_cast<std::size_t>(std::popcount(word));
+    for (auto& word : words) {
+        word.before = num_ghosts;
+        num_ghosts += static_cast<std::size_t>(std::popcount(word.bits));
     }
     view.ghost_ids_.reserve(num_ghosts);
-    for (std::size_t w = 0; w < marks.size(); ++w) {
-        for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        for (std::uint64_t bits = words[w].bits; bits != 0; bits &= bits - 1) {
             view.ghost_ids_.push_back(w * 64 + static_cast<VertexId>(std::countr_zero(bits)));
         }
     }
@@ -150,9 +121,12 @@ std::span<const VertexId> DistGraph::neighbors(VertexId local_v) const {
 }
 
 std::optional<std::size_t> DistGraph::ghost_index(VertexId v) const noexcept {
-    const auto it = std::lower_bound(ghost_ids_.begin(), ghost_ids_.end(), v);
-    if (it == ghost_ids_.end() || *it != v) { return std::nullopt; }
-    return static_cast<std::size_t>(std::distance(ghost_ids_.begin(), it));
+    const VertexId w = v / 64;
+    if (w >= ghost_words_.size()) { return std::nullopt; }
+    const GhostWord& word = ghost_words_[w];
+    const std::uint64_t bit = bit_of(v);
+    if ((word.bits & bit) == 0) { return std::nullopt; }
+    return word.before + static_cast<std::size_t>(std::popcount(word.bits & (bit - 1)));
 }
 
 void DistGraph::set_ghost_degree(std::size_t index, Degree degree_value) {
@@ -194,7 +168,6 @@ void DistGraph::build_oriented() {
     constexpr unsigned kSlotShift = 2;
     KATRIC_ASSERT_MSG(ghost_count <= (std::numeric_limits<std::uint32_t>::max() >> kSlotShift),
                       ghost_count << " ghosts exceed the slot code");
-    const GhostSlots slots(ghost_ids_, partition_.num_vertices());
     std::vector<std::uint32_t> code(targets_.size());
     std::vector<EdgeId> out_degree(local_count, 0);
     std::vector<EdgeId> contracted_degree(local_count, 0);
@@ -208,7 +181,7 @@ void DistGraph::build_oriented() {
             std::size_t slot = 0;
             Degree du = 0;
             if (ghost) {
-                slot = slots.slot(u);
+                slot = *ghost_index(u);
                 du = ghost_degrees_[slot];
             } else {
                 const std::size_t j = static_cast<std::size_t>(u - begin);

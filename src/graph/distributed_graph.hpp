@@ -36,11 +36,14 @@ namespace katric::graph {
 ///                        the cut-graph adjacency used in the global phase)
 ///
 /// Both builds are linear in the local half-edges. The constructors mark
-/// the cut targets in a transient n/8-byte bitmap over the vertex IDs and
-/// scan its words for the sorted, unique ghost IDs. build_oriented()
-/// re-marks the ghosts with a popcount prefix per 64 IDs beside each word
-/// (n/4 bytes, transient), resolves each half-edge's ghost slot and
-/// direction once, and fills the three rows in one more pass. The view keeps no per-half-edge array
+/// the cut targets in a bitmap over the vertex IDs, keep the number of
+/// ghosts below each 64-ID word beside it (n/4 bytes per view), and scan
+/// its words for the sorted, unique ghost IDs. That rank structure stays
+/// on the view: ghost_index(v) is one load, a bit test and a popcount, for
+/// build_oriented() and for every ghost lookup on the query path (a_set,
+/// degree, the AMQ handler, the hub index build). build_oriented()
+/// resolves each half-edge's ghost slot and direction once and fills the
+/// three rows in one more pass. The view keeps no per-half-edge array
 /// beyond its four adjacency rows: the undirected one, A(v), A(g), Ac(v).
 class DistGraph {
 public:
@@ -82,6 +85,8 @@ public:
     [[nodiscard]] VertexId ghost_id(std::size_t ghost_index) const {
         return ghost_ids_[ghost_index];
     }
+    /// Slot of ghost v in ghost_ids(), nullopt for any other ID (local,
+    /// non-adjacent, or beyond the partitioned vertices). O(1).
     [[nodiscard]] std::optional<std::size_t> ghost_index(VertexId v) const noexcept;
     [[nodiscard]] const std::vector<VertexId>& ghost_ids() const noexcept {
         return ghost_ids_;
@@ -145,6 +150,14 @@ private:
     std::vector<VertexId> targets_;
 
     std::vector<VertexId> ghost_ids_;  // sorted
+    /// The ghost bitmap over the vertex IDs, one entry per 64 IDs, with the
+    /// number of ghosts in the entries before it: ghost_index's rank
+    /// structure.
+    struct GhostWord {
+        std::uint64_t bits = 0;
+        std::uint64_t before = 0;
+    };
+    std::vector<GhostWord> ghost_words_;
     std::vector<Degree> ghost_degrees_;
     bool ghost_degrees_set_ = false;
 

@@ -65,6 +65,47 @@ INSTANTIATE_TEST_SUITE_P(FamiliesTimesRanks, CetricPhaseTest,
                          ::testing::Combine(::testing::Range<std::size_t>(0, 7),
                                             ::testing::Values<Rank>(2, 4, 7)));
 
+TEST(CetricProperties, ExpandedLocalPhaseExactAtWordBoundaries) {
+    // The expanded local phase looks up A(u) of every ghost u through the
+    // view's ghost rank words. Ghosts on the first and last bit of a word,
+    // in the partial last word, and a hub that is a ghost on every other
+    // rank must all count exactly, under both intersection kinds.
+    std::vector<std::pair<std::string, graph::CsrGraph>> graphs;
+    graphs.emplace_back("word boundaries", katric::test::word_boundary_graph());
+    for (const VertexId hub : {VertexId{0}, VertexId{75}, VertexId{149}}) {
+        graphs.emplace_back("star, hub " + std::to_string(hub),
+                            katric::test::star_graph(150, hub));
+        graphs.emplace_back("wheel, hub " + std::to_string(hub),
+                            katric::test::star_graph(150, hub, /*rim=*/true));
+    }
+    // A filter this tight is longer than every short contracted list, so the
+    // adaptive encoding ships raw lists only and CETRIC-AMQ is exact.
+    AmqOptions raw_lists;
+    raw_lists.target_fpr = 1e-12;
+    raw_lists.adaptive = true;
+    for (const auto& [name, g] : graphs) {
+        const auto exact = seq::count_edge_iterator(g).triangles;
+        for (const Rank p : {2u, 3u, 5u}) {
+            for (const auto kind : seq::all_intersect_kinds()) {
+                SCOPED_TRACE(name + ", p = " + std::to_string(p) + ", "
+                             + seq::intersect_kind_name(kind));
+                RunSpec spec;
+                spec.num_ranks = p;
+                spec.options.intersect = kind;
+                for (const auto algorithm : {Algorithm::kCetric, Algorithm::kCetric2}) {
+                    spec.algorithm = algorithm;
+                    EXPECT_EQ(test::engine_count(g, spec).triangles, exact)
+                        << algorithm_name(algorithm);
+                }
+                spec.algorithm = Algorithm::kCetric;
+                EXPECT_DOUBLE_EQ(test::engine_approx(g, spec, raw_lists).estimated_triangles,
+                                 static_cast<double>(exact))
+                    << "CETRIC-AMQ";
+            }
+        }
+    }
+}
+
 TEST(CetricProperties, GlobalPhaseVolumeBoundedByCutStructure) {
     // CETRIC's communication volume depends only on the cut graph: on a
     // locality-rich geometric instance it must be well below DITRIC's, which

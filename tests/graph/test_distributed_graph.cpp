@@ -5,6 +5,7 @@
 #include "util/assert.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/algorithm.hpp"
@@ -327,32 +328,59 @@ TEST(DistGraph, ExchangePathWithRanksOwningNoVertices) {
     expect_both_paths_exact(g, partition);
 }
 
+/// Partitions of word_boundary_graph whose rank boundaries fall on, just
+/// before and just after the 64-ID words.
+std::vector<Partition1D> word_boundary_partitions(VertexId n) {
+    return {Partition1D({0, 10, n}), Partition1D({0, 10, 64, 128, n}),
+            Partition1D({0, 10, 63, 65, 127, 129, n - 1, n})};
+}
+
 TEST(DistGraph, GhostsAtBitmapWordBoundaries) {
-    // n = 200 is not a multiple of 64. Rank 0's ghosts sit at 63, 64, 127,
-    // 128 and n−1: the first and last bit of a word, the first bit of the
-    // next, and the last bit of the partial last word.
-    constexpr VertexId n = 200;
-    EdgeList edges;
-    const std::vector<VertexId> boundary_ids{63, 64, 127, 128, n - 1};
-    for (VertexId i = 0; i < boundary_ids.size(); ++i) {
-        edges.add(i, boundary_ids[i]);
-        edges.add(i, boundary_ids[(i + 1) % boundary_ids.size()]);
-        edges.add(i, i + 1);
-    }
-    edges.add(63, 64);
-    edges.add(127, 128);
-    edges.add(128, n - 1);
-    edges.add(62, 63);
-    edges.add(65, n - 2);
-    const CsrGraph g = build_undirected(std::move(edges), n);
-    for (const auto& boundaries :
-         {std::vector<VertexId>{0, 10, n}, std::vector<VertexId>{0, 10, 64, 128, n},
-          std::vector<VertexId>{0, 10, 63, 65, 127, 129, n - 1, n}}) {
-        const Partition1D partition(boundaries);
+    // Rank 0's ghosts sit at 63, 64, 127, 128 and n−1 (see
+    // word_boundary_graph).
+    const CsrGraph g = katric::test::word_boundary_graph();
+    const VertexId n = g.num_vertices();
+    for (const Partition1D& partition : word_boundary_partitions(n)) {
         SCOPED_TRACE(std::to_string(partition.num_ranks()) + " ranks");
         const auto views = preprocess_by_shortcut(g, partition);
         EXPECT_EQ(views[0].ghost_ids(), (std::vector<VertexId>{63, 64, 127, 128, n - 1}));
         expect_both_paths_exact(g, partition);
+    }
+}
+
+TEST(DistGraph, GhostIndexRejectsEveryNonGhost) {
+    // ghost_index reads the rank word of v / 64. Every ID that is not a
+    // ghost must come back nullopt: local IDs, remote non-neighbors (some
+    // share a word with a ghost, e.g. 62 beside 63), IDs in the partial
+    // last word past n−1, and IDs past the last word. a_set and degree of a
+    // non-local one must throw.
+    const CsrGraph g = katric::test::word_boundary_graph();
+    const VertexId n = g.num_vertices();
+    const VertexId words_end = 64 * ((n + 63) / 64);
+    std::vector<VertexId> ids{words_end, std::numeric_limits<VertexId>::max()};
+    for (VertexId v = 0; v < words_end; ++v) { ids.push_back(v); }
+    for (const Partition1D& partition : word_boundary_partitions(n)) {
+        for (const DistGraph& view : preprocess_by_shortcut(g, partition)) {
+            SCOPED_TRACE(std::to_string(partition.num_ranks()) + " ranks, rank "
+                         + std::to_string(view.rank()));
+            const auto& ghosts = view.ghost_ids();
+            std::size_t rejected_beside_a_ghost = 0;
+            for (const VertexId v : ids) {
+                const auto it = std::find(ghosts.begin(), ghosts.end(), v);
+                if (it != ghosts.end()) {
+                    EXPECT_EQ(view.ghost_index(v),
+                              static_cast<std::size_t>(it - ghosts.begin()));
+                    continue;
+                }
+                EXPECT_EQ(view.ghost_index(v), std::nullopt) << v;
+                if (view.is_local(v)) { continue; }
+                EXPECT_THROW((void)view.a_set(v), katric::assertion_error) << v;
+                EXPECT_THROW((void)view.degree(v), katric::assertion_error) << v;
+                rejected_beside_a_ghost += static_cast<std::size_t>(std::any_of(
+                    ghosts.begin(), ghosts.end(), [&](VertexId x) { return x / 64 == v / 64; }));
+            }
+            if (view.rank() == 0) { EXPECT_GT(rejected_beside_a_ghost, 0u); }
+        }
     }
 }
 
@@ -385,11 +413,7 @@ TEST(DistGraph, StarHubIsAGhostOnEveryOtherRank) {
     constexpr Rank p = 5;
     for (const VertexId hub : {VertexId{0}, n / 2, n - 1}) {
         SCOPED_TRACE("hub " + std::to_string(hub));
-        EdgeList edges;
-        for (VertexId v = 0; v < n; ++v) {
-            if (v != hub) { edges.add(hub, v); }
-        }
-        const CsrGraph g = build_undirected(std::move(edges), n);
+        const CsrGraph g = katric::test::star_graph(n, hub);
         const auto partition = Partition1D::uniform(n, p);
         expect_both_paths_exact(g, partition);
         for (const auto& view : preprocess_by_exchange(g, partition)) {

@@ -65,6 +65,48 @@ inline graph::CsrGraph petersen_graph() {
     return graph::build_undirected(std::move(e), 10);
 }
 
+/// n = 200 vertices, not a multiple of 64, so the ghost bitmap's last word
+/// is partial. Vertices 0..4 reach 63, 64, 127, 128 and n−1: the first and
+/// last bit of a word, the first bit of the next, and the last bit of the
+/// partial last word. Chords among those IDs close triangles across them.
+inline graph::CsrGraph word_boundary_graph() {
+    constexpr graph::VertexId n = 200;
+    graph::EdgeList e;
+    const std::vector<graph::VertexId> boundary_ids{63, 64, 127, 128, n - 1};
+    for (graph::VertexId i = 0; i < boundary_ids.size(); ++i) {
+        e.add(i, boundary_ids[i]);
+        e.add(i, boundary_ids[(i + 1) % boundary_ids.size()]);
+        e.add(i, i + 1);
+    }
+    e.add(63, 64);
+    e.add(127, 128);
+    e.add(128, n - 1);
+    e.add(62, 63);
+    e.add(65, n - 2);
+    return graph::build_undirected(std::move(e), n);
+}
+
+/// `hub` adjacent to every other of n vertices. The hub has the largest
+/// degree, so every leaf points at it. With `rim`, leaf v is also adjacent
+/// to the next leaf (cyclically, skipping the hub): a wheel, whose n − 1
+/// triangles all contain the hub.
+inline graph::CsrGraph star_graph(graph::VertexId n, graph::VertexId hub, bool rim = false) {
+    graph::EdgeList e;
+    std::vector<graph::VertexId> leaves;
+    for (graph::VertexId v = 0; v < n; ++v) {
+        if (v != hub) {
+            e.add(hub, v);
+            leaves.push_back(v);
+        }
+    }
+    if (rim) {
+        for (std::size_t i = 0; i < leaves.size(); ++i) {
+            e.add(leaves[i], leaves[(i + 1) % leaves.size()]);
+        }
+    }
+    return graph::build_undirected(std::move(e), n);
+}
+
 /// One small instance per generator family, for parameterized sweeps.
 struct FamilyCase {
     std::string name;
