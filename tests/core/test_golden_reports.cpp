@@ -200,17 +200,21 @@ std::vector<std::string> recompute_golden() {
 
     const auto& base = graphs.front().graph;
     const auto batches = stream::make_churn_stream(base, 256, 0.4, 7).batches_of(64);
-    for (const bool indirect : {false, true}) {
-        Config config;
-        config.algorithm = core::Algorithm::kCetric;
-        config.num_ranks = kRanks;
-        config.maintain_lcc = true;
-        config.stream_indirect = indirect;
-        const Engine engine(base, config);
-        const std::string cell =
-            std::string("rmat/stream/balanced/merge/CETRIC/")
-            + (indirect ? "stream-indirect" : "stream-direct");
-        lines.push_back(stream_line(cell, engine.stream(batches)).text());
+    for (const auto kernel :
+         {seq::IntersectKind::kMerge, seq::IntersectKind::kAdaptive}) {
+        for (const bool indirect : {false, true}) {
+            Config config;
+            config.algorithm = core::Algorithm::kCetric;
+            config.num_ranks = kRanks;
+            config.maintain_lcc = true;
+            config.stream_indirect = indirect;
+            config.options.intersect = kernel;
+            const Engine engine(base, config);
+            const std::string cell =
+                "rmat/stream/balanced/" + seq::intersect_kind_name(kernel) + "/CETRIC/"
+                + (indirect ? "stream-indirect" : "stream-direct");
+            lines.push_back(stream_line(cell, engine.stream(batches)).text());
+        }
     }
     return lines;
 }
