@@ -346,6 +346,50 @@ Sections approx(const FigureSpec& spec, const Tier& tier, const Config& base) {
     return {amq, sampling};
 }
 
+/// The streaming subsystem: a churn of n/2 events on RGG2D, in batches of
+/// each swept size. Per batch, the session's incremental count and Δ/LCC
+/// maintenance beside a full LCC recount of the materialized graph on a
+/// fresh Engine (the build included: that is what the session saves).
+Sections streaming(const FigureSpec& spec, const Tier& tier, const Config& base) {
+    const VertexId n = VertexId{1} << tier.log_n;
+    const auto g = instance("RGG2D", n, spec.seed);
+    Config config = base;
+    config.algorithm = Algorithm::kCetric;
+    config.num_ranks = static_cast<graph::Rank>(tier.ps.front());
+    config.maintain_lcc = true;
+    const auto churn = stream::make_churn_stream(g, n / 2, 0.4, 99);
+    Sections sections;
+    for (const double size : tier.sweep) {
+        const auto batch_size = static_cast<std::size_t>(size);
+        const auto label = "batch=" + std::to_string(batch_size);
+        auto& section = sections.emplace_back(Section{
+            label,
+            "RGG2D (" + describe(g) + ", p=" + std::to_string(config.num_ranks) + "), "
+                + std::to_string(n / 2) + " events, " + label,
+            {"batch", "net ins", "net del", "triangles", "count time (s)",
+             "flush time (s)", "recount time (s)", "words", "recount words",
+             "matches recount"}});
+        const Engine engine(g, config);
+        auto session = engine.open_stream();
+        for (const auto& batch : churn.batches_of(batch_size)) {
+            const auto stats = session.ingest(batch);
+            const auto current = session.materialize_global();
+            const auto full = Engine(current, config).lcc();
+            const bool matches = !full.count.oom
+                                 && full.count.triangles == stats.triangles
+                                 && full.delta == session.delta()
+                                 && full.lcc == session.lcc();
+            section.rows.push_back(
+                {{std::uint64_t{stats.batch_index}}, {std::uint64_t{stats.net_inserts}},
+                 {std::uint64_t{stats.net_deletes}}, {stats.triangles},
+                 {stats.seconds, 6}, {stats.lcc_seconds, 6}, {full.count.total_time, 6},
+                 {stats.words_sent}, {full.count.total_words_sent},
+                 {matches ? "yes" : "no"}});
+        }
+    }
+    return sections;
+}
+
 // --- claims ----------------------------------------------------------------
 
 /// The section labelled `series`, or the first one for "".
@@ -420,6 +464,19 @@ bool trend(const Sections& sections, const std::string& series,
         if (!(sign * (v(end - 1, column) - v(begin, column)) > 0)) { return false; }
     }
     return !s.rows.empty();
+}
+
+/// Whether `holds(section, row)` for every row, and there is one at least.
+template <typename Pred>
+bool every_row(const Sections& sections, Pred holds) {
+    bool checked = false;
+    for (const auto& s : sections) {
+        for (const auto& row : s.rows) {
+            if (!holds(s, row)) { return false; }
+            checked = true;
+        }
+    }
+    return checked;
 }
 
 /// Fixed memory per core, as on SuperMUC-NG: `factor` times the per-PE share
@@ -580,6 +637,28 @@ const std::vector<FigureSpec>& figure_specs() {
          .full = {.log_n = 12, .ps = {16}, .sweep = {0.2, 0.1, 0.05, 0.02, 0.01, 0.001}},
          .smoke = {.log_n = 9, .ps = {16}, .sweep = {0.1, 0.01}}, .seed = 7,
          .rows = approx},
+        {.name = "stream",
+         .title = "Streaming: incremental count and LCC maintenance vs full recount",
+         .full = {.log_n = 12, .ps = {16}, .sweep = {256}},
+         .smoke = {.log_n = 9, .ps = {4}, .sweep = {64}}, .seed = 17, .rows = streaming,
+         .claims = {{"incremental count, Delta and LCC equal a full recount after every "
+                     "batch",
+                     [](S s) {
+                         return every_row(s, [](const Section& section, const Row& row) {
+                             return render(at(section, row, "matches recount")) == "yes";
+                         });
+                     }},
+                    {"incremental sim time (count + Delta flush) < recount's in every "
+                     "batch",
+                     [](S s) {
+                         return every_row(s, [](const Section& section, const Row& row) {
+                             const auto t = [&](const char* column) {
+                                 return value(section, row, column);
+                             };
+                             return t("count time (s)") + t("flush time (s)")
+                                    < t("recount time (s)");
+                         });
+                     }}}},
     };
     return specs;
 }
