@@ -104,12 +104,6 @@ bool HubBitmapIndex::test(const Slot& slot, graph::VertexId v) const noexcept {
     return (word >> (v % kWordBits)) & 1;
 }
 
-bool HubBitmapIndex::probe(graph::VertexId hub, graph::VertexId v) const {
-    const Slot* slot = find(hub);
-    KATRIC_ASSERT_MSG(slot != nullptr, "probe against non-hub " << hub);
-    return test(*slot, v);
-}
-
 IntersectResult HubBitmapIndex::intersect_count(
     graph::VertexId hub, std::span<const graph::VertexId> probe) const {
     const Slot* slot = find(hub);

@@ -94,12 +94,6 @@ public:
         return slots_.contains(id);
     }
 
-    /// Single membership probe v ∈ row(hub) — for callers that interleave
-    /// probes with their own per-match bookkeeping (the streaming counter's
-    /// flag-annotated rows). Cost: 1 op, charged by the caller. Requires
-    /// contains_hub(hub).
-    [[nodiscard]] bool probe(graph::VertexId hub, graph::VertexId v) const;
-
     /// |row(hub) ∩ probe| via one bit probe per element of `probe`.
     /// ops = |probe|. Requires contains_hub(hub).
     [[nodiscard]] IntersectResult intersect_count(

@@ -71,6 +71,44 @@ IntersectResult block_merge_kernel(Span a, Span b, Emit emit) {
     return result;
 }
 
+/// Index of the first element of `haystack` at or past `from` that is
+/// ≥ `needle` (gallop + binary refinement), counting every comparison into
+/// `ops`.
+std::size_t gallop_lower_bound(Span haystack, std::size_t from, VertexId needle,
+                               std::uint64_t& ops) noexcept {
+    if (from >= haystack.size()) { return haystack.size(); }
+    ++ops;
+    if (haystack[from] >= needle) { return from; }
+    // Exponential probe: windows [from+step/2, from+step] double until one
+    // straddles the needle (or the end).
+    std::size_t step = 1;
+    std::size_t lo = from;
+    std::size_t hi;
+    while (true) {
+        hi = from + step;
+        if (hi >= haystack.size()) {
+            hi = haystack.size();
+            break;
+        }
+        ++ops;
+        if (haystack[hi] >= needle) { break; }
+        lo = hi;
+        step *= 2;
+    }
+    // Binary refinement inside (lo, hi): haystack[lo] < needle ≤ haystack[hi].
+    ++lo;
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        ++ops;
+        if (haystack[mid] < needle) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return lo;
+}
+
 /// First index at or past `pos` whose element is ≥ x. The four elements at
 /// the cursor are compared first (1 charged op), which settles most probes;
 /// the gallop only runs beyond them.
@@ -139,41 +177,6 @@ IntersectResult intersect_galloping(Span a, Span b) noexcept {
 
 IntersectResult intersect_galloping_collect(Span a, Span b, std::vector<VertexId>& out) {
     return gallop_kernel(a, b, Collect{out});
-}
-
-std::size_t gallop_lower_bound(Span haystack, std::size_t from, VertexId needle,
-                               std::uint64_t& ops) noexcept {
-    if (from >= haystack.size()) { return haystack.size(); }
-    ++ops;
-    if (haystack[from] >= needle) { return from; }
-    // Exponential probe: windows [from+step/2, from+step] double until one
-    // straddles the needle (or the end).
-    std::size_t step = 1;
-    std::size_t lo = from;
-    std::size_t hi;
-    while (true) {
-        hi = from + step;
-        if (hi >= haystack.size()) {
-            hi = haystack.size();
-            break;
-        }
-        ++ops;
-        if (haystack[hi] >= needle) { break; }
-        lo = hi;
-        step *= 2;
-    }
-    // Binary refinement inside (lo, hi): haystack[lo] < needle ≤ haystack[hi].
-    ++lo;
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        ++ops;
-        if (haystack[mid] < needle) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    return lo;
 }
 
 bool probe_search_pays_off(std::size_t size_a, std::size_t size_b) noexcept {

@@ -84,17 +84,8 @@ IntersectResult intersect_galloping_collect(std::span<const graph::VertexId> a,
                                             std::span<const graph::VertexId> b,
                                             std::vector<graph::VertexId>& out);
 
-/// Index of the first element of `haystack` at or past `from` that is
-/// ≥ `needle` (gallop + binary refinement), counting every comparison into
-/// `ops`. The shared primitive behind the galloping kernels; exposed so the
-/// streaming counter can gallop over flag-annotated rows.
-[[nodiscard]] std::size_t gallop_lower_bound(std::span<const graph::VertexId> haystack,
-                                             std::size_t from, graph::VertexId needle,
-                                             std::uint64_t& ops) noexcept;
-
 /// True when |small|-probe search is estimated cheaper than a linear merge
-/// of both sets — the size crossover of the adaptive dispatcher and of the
-/// streaming counter.
+/// of both sets — the size crossover of the adaptive dispatcher.
 [[nodiscard]] bool probe_search_pays_off(std::size_t size_a, std::size_t size_b) noexcept;
 
 /// Per-thread reusable collect buffer: call sites that enumerate closing

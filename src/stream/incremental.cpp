@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "core/exchange.hpp"
+#include "seq/adaptive_intersect.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -200,72 +201,30 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
                                                   graph::VertexId b,
                                                   std::span<const std::uint64_t> flagged_a) {
     const auto& view = (*views_)[self.rank()];
-    const auto row_b = view.neighbors(b);
-    std::uint64_t gained = 0;
+    // The dispatcher intersects vertex IDs, so the a-side flags are masked
+    // off into a reused per-thread row; b's local row is the fixed side,
+    // named so that an indexed hub serves the call from its bitmap.
+    thread_local std::vector<graph::VertexId> row_a;
+    row_a.clear();
+    for (const std::uint64_t word : flagged_a) { row_a.push_back(word & ~kChangedFlag); }
+    auto& common = seq::collect_scratch();
+    common.clear();
+    const seq::AdaptiveIntersect isect(options_.intersect, view.hub_index());
+    self.charge_ops(isect.fix(view.neighbors(b), b).collect(row_a, common).ops);
+
     // Triangle {a, b, wa}: k = changed edges among its three sides; {a,b}
-    // itself is changed by construction. Every kernel below reports the
-    // same matches in the same (ascending wa) order — only the charged
-    // cost differs.
-    const auto found = [&](graph::VertexId wa, bool a_side_changed) {
-        const std::uint64_t k = 1 + (a_side_changed ? 1 : 0)
+    // itself is changed by construction. The matches come out ascending, so
+    // one forward cursor finds each one's a-side flag.
+    std::uint64_t gained = 0;
+    std::size_t i = 0;
+    for (const graph::VertexId wa : common) {
+        while (row_a[i] < wa) { ++i; }
+        const std::uint64_t k = 1 + ((flagged_a[i] & kChangedFlag) != 0 ? 1 : 0)
                                 + (edge_changed(b, wa) ? 1 : 0);
         gained += 6 / k;  // k ∈ {1,2,3} ⇒ exact: 6, 3, 2
         if (sink_) {
             const auto sixths = phase_sign_ * static_cast<std::int64_t>(6 / k);
             for (const graph::VertexId x : {a, b, wa}) { sink_(self, x, sixths); }
-        }
-    };
-
-    const auto kind = options_.intersect;
-    const auto* hubs = view.hub_index();
-    if (core::uses_hub_bitmaps(kind) && hubs != nullptr && hubs->covers(b, row_b)) {
-        // Hub path: one bit probe per shipped neighbor instead of a merge
-        // over b's (large) row.
-        self.charge_ops(flagged_a.size());
-        for (const std::uint64_t word : flagged_a) {
-            const graph::VertexId wa = word & ~kChangedFlag;
-            if (hubs->probe(b, wa)) { found(wa, (word & kChangedFlag) != 0); }
-        }
-        sixths_[self.rank()] += gained;
-        return;
-    }
-    if (kind == seq::IntersectKind::kAdaptive && flagged_a.size() <= row_b.size()
-        && seq::probe_search_pays_off(flagged_a.size(), row_b.size())) {
-        // Galloping path: walk the (small) shipped row, gallop the local
-        // one. The a-side flags ride along; masking restores the IDs.
-        std::uint64_t ops = 0;
-        std::size_t pos = 0;
-        for (const std::uint64_t word : flagged_a) {
-            const graph::VertexId wa = word & ~kChangedFlag;
-            pos = seq::gallop_lower_bound(row_b, pos, wa, ops);
-            if (pos == row_b.size()) { break; }
-            ++ops;
-            if (row_b[pos] == wa) {
-                found(wa, (word & kChangedFlag) != 0);
-                ++pos;
-            }
-        }
-        self.charge_ops(ops);
-        sixths_[self.rank()] += gained;
-        return;
-    }
-    // Merge path (kMerge, or kAdaptive when neither shortcut applies): the
-    // flag bit sits above any valid vertex ID, so masking per element keeps
-    // the scan order intact.
-    self.charge_ops(flagged_a.size() + row_b.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < flagged_a.size() && j < row_b.size()) {
-        const graph::VertexId wa = flagged_a[i] & ~kChangedFlag;
-        const graph::VertexId wb = row_b[j];
-        if (wa < wb) {
-            ++i;
-        } else if (wb < wa) {
-            ++j;
-        } else {
-            found(wa, (flagged_a[i] & kChangedFlag) != 0);
-            ++i;
-            ++j;
         }
     }
     sixths_[self.rank()] += gained;

@@ -122,8 +122,9 @@ private:
     /// Posts the counting work for one changed edge owned by this rank:
     /// local intersection, ship, or pull (degree-driven).
     void post_edge_work(net::RankHandle& self, const graph::Edge& edge);
-    /// Merge-intersects a (possibly flag-annotated) neighborhood of `a`
-    /// against the local neighborhood of `b`, accumulating 6/k sixths.
+    /// Intersects a flag-annotated neighborhood of `a` with the local
+    /// neighborhood of `b` through seq::AdaptiveIntersect, charging its ops,
+    /// and accumulates 6/k sixths per common neighbor.
     void intersect_and_accumulate(net::RankHandle& self, graph::VertexId a,
                                   graph::VertexId b,
                                   std::span<const std::uint64_t> flagged_a);

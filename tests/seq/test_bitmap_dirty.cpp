@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "seq/bitmap_index.hpp"
@@ -21,6 +22,11 @@ HubBitmapIndex::Config config_with(graph::Degree threshold, std::size_t max_hubs
     config.max_hubs = max_hubs;
     config.universe = universe;
     return config;
+}
+
+/// v ∈ row(hub), asked as a one-element intersection.
+bool in_row(const HubBitmapIndex& index, VertexId hub, VertexId v) {
+    return index.intersect_count(hub, std::span<const VertexId>(&v, 1)).count == 1;
 }
 
 /// mark_dirty → full rebuild → mark_dirty: the full rebuild re-reads every
@@ -50,7 +56,7 @@ TEST(HubBitmapDirty, MarkDirtyFullRebuildMarkDirtySequence) {
     index.build(config_with(3, 4, 16), ids, provider);
     EXPECT_EQ(index.num_dirty(), 0u) << "build() owns a fresh view of every row";
     EXPECT_TRUE(index.covers(0, rows[0]));
-    EXPECT_TRUE(index.probe(0, 9));
+    EXPECT_TRUE(in_row(index, 0, 9));
 
     // Marks recorded after the rebuild update the new layout.
     rows[1].clear();
@@ -58,8 +64,8 @@ TEST(HubBitmapDirty, MarkDirtyFullRebuildMarkDirtySequence) {
     index.mark_dirty(1);
     index.rebuild_dirty(provider);
     EXPECT_TRUE(index.covers(1, rows[1]));
-    EXPECT_TRUE(index.probe(1, 12));
-    EXPECT_FALSE(index.probe(1, 2));
+    EXPECT_TRUE(in_row(index, 1, 12));
+    EXPECT_FALSE(in_row(index, 1, 2));
 
     // And a stale pre-rebuild row is structurally unreachable.
     const std::vector<VertexId> foreign{0, 2, 4, 6, 8};
@@ -95,8 +101,8 @@ TEST(HubBitmapDirty, AdmissionSeesCapacityFreedInTheSamePass) {
     EXPECT_TRUE(index.contains_hub(0))
         << "vertex 0 must be admitted into the slot vertex 1 freed this pass";
     EXPECT_TRUE(index.covers(0, rows[0]));
-    EXPECT_TRUE(index.probe(0, 10));
-    EXPECT_FALSE(index.probe(0, 0)) << "the recycled slot must start clean";
+    EXPECT_TRUE(in_row(index, 0, 10));
+    EXPECT_FALSE(in_row(index, 0, 0)) << "the recycled slot must start clean";
 }
 
 /// Duplicate marks collapse to one rebuild of the row; the dirty set is

@@ -46,7 +46,8 @@ void expect_bitmaps_match_rows(const DynamicDistGraph& view) {
         EXPECT_TRUE(hubs->covers(v, row)) << "vertex " << v;
         for (VertexId w = 0; w < n; ++w) {
             const bool in_row = std::binary_search(row.begin(), row.end(), w);
-            EXPECT_EQ(hubs->probe(v, w), in_row)
+            const std::span<const VertexId> probe(&w, 1);
+            EXPECT_EQ(hubs->intersect_count(v, probe).count == 1, in_row)
                 << "vertex " << v << ", neighbor " << w;
         }
     }

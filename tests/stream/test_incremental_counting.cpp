@@ -2,11 +2,13 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/runner.hpp"
 #include "gen/gnm.hpp"
 #include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
+#include "seq/adaptive_intersect.hpp"
 #include "seq/edge_iterator.hpp"
 #include "stream/stream_runner.hpp"
 #include "support/engine_query.hpp"
@@ -230,32 +232,63 @@ TEST(IncrementalCounting, DeletingEveryEdgeReachesZero) {
 }
 
 TEST(IncrementalCounting, MultiChangedEdgeTrianglesAreCorrectedExactly) {
-    // A fresh triangle arriving whole in one batch: all three edges inserted
-    // together, so every intersection sees k ∈ {2,3} — the multiplicity
-    // correction path, not the common k=1 path.
-    const auto base = graph::build_undirected(graph::EdgeList{}, 9);
-    Config config;
-    config.num_ranks = 3;
-    config.partition = core::PartitionStrategy::kUniformVertices;  // edgeless input
-    auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network);
-    IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 0);
+    // Whole subgraphs arriving and leaving in one batch: every intersection
+    // through them sees k ∈ {2,3} — the multiplicity correction path, not
+    // the common k=1 path. Both kernels run; on adaptive every non-empty
+    // row is a hub. With an inline pool every rank runs on this thread, so
+    // no batch may leave a mark bit set on it.
+    for (const auto kind : seq::all_intersect_kinds()) {
+        SCOPED_TRACE(seq::intersect_kind_name(kind));
+        const auto base = graph::build_undirected(graph::EdgeList{}, 9);
+        Config config;
+        config.num_ranks = 3;
+        config.partition = core::PartitionStrategy::kUniformVertices;  // edgeless input
+        config.options.intersect = kind;
+        if (core::uses_hub_bitmaps(kind)) { config.options.hub_threshold = 1; }
+        auto views = test::dynamic_views(base, config);
+        net::RankPool inline_pool(0);
+        net::Simulator sim(config.num_ranks, config.network, inline_pool);
+        IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 0);
+        double t = 0.0;
+        const auto apply = [&](const std::vector<graph::Edge>& edges, EventKind event_kind) {
+            EdgeBatch batch;
+            for (const auto& e : edges) {
+                batch.events.push_back({t, e.u, e.v, event_kind});
+                t += 0.1;
+            }
+            const auto stats = counter.apply_batch(batch);
+            EXPECT_EQ(counter.triangles(),
+                      seq::count_edge_iterator(materialize_global(views)).triangles);
+            EXPECT_EQ(seq::merge_marks_set_on_this_thread(), 0u);
+            return stats.delta;
+        };
 
-    EdgeBatch whole_triangle;
-    whole_triangle.events.push_back({0.0, 0, 4, EventKind::kInsert});
-    whole_triangle.events.push_back({0.1, 4, 8, EventKind::kInsert});
-    whole_triangle.events.push_back({0.2, 0, 8, EventKind::kInsert});
-    const auto stats = counter.apply_batch(whole_triangle);
-    EXPECT_EQ(stats.delta, 1);
-    EXPECT_EQ(counter.triangles(), 1u);
+        // A triangle arriving whole, beside edges that close nothing yet:
+        // the spokes {0,1} and {4,5} stay, so later shipped rows carry
+        // unchanged words that match nothing.
+        const std::vector<graph::Edge> triangle{{0, 4}, {4, 8}, {0, 8}};
+        std::vector<graph::Edge> first = triangle;
+        first.insert(first.end(), {{0, 1}, {4, 5}, {2, 6}});
+        EXPECT_EQ(apply(first, EventKind::kInsert), 1);
+        // And the same triangle leaving whole.
+        EXPECT_EQ(apply(triangle, EventKind::kDelete), -1);
+        EXPECT_EQ(counter.triangles(), 0u);
 
-    // And the same triangle leaving whole.
-    EdgeBatch teardown;
-    teardown.events.push_back({1.0, 0, 4, EventKind::kDelete});
-    teardown.events.push_back({1.1, 4, 8, EventKind::kDelete});
-    teardown.events.push_back({1.2, 0, 8, EventKind::kDelete});
-    EXPECT_EQ(counter.apply_batch(teardown).delta, -1);
-    EXPECT_EQ(counter.triangles(), 0u);
+        // A K5 arriving whole around the unchanged edge {2,6}: the three
+        // triangles through it have k = 2, the other seven k = 3, so the
+        // shipped rows mix flagged and unflagged words.
+        std::vector<graph::Edge> k5;
+        const graph::VertexId clique[] = {0, 2, 4, 6, 8};
+        for (std::size_t i = 0; i < 5; ++i) {
+            for (std::size_t j = i + 1; j < 5; ++j) {
+                k5.push_back({clique[i], clique[j]});
+            }
+        }
+        EXPECT_EQ(apply(k5, EventKind::kInsert), 10);
+        // And the K5 leaving whole, {2,6} included.
+        EXPECT_EQ(apply(k5, EventKind::kDelete), -10);
+        EXPECT_EQ(counter.triangles(), 0u);
+    }
 }
 
 }  // namespace
