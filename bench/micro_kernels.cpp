@@ -7,8 +7,8 @@
 // Doubles as a correctness gate — every kernel must report the merge
 // oracle's count, merge-probe also its ops and block-merge
 // intersect_block_merge's ops, on every configuration and every partner or
-// the harness exits non-zero — and emits the same --json artifact format
-// as the stream benches (snapshot schema: bench/BENCH_kernels.json).
+// the harness exits non-zero — and emits its rows as a --json artifact
+// (snapshot schema: bench/BENCH_kernels.json).
 //
 // Each configuration intersects one small row with a pool of distinct
 // large partners of the same size and density, and a timed call rotates

@@ -250,7 +250,8 @@ TEST(IncrementalCounting, MultiChangedEdgeTrianglesAreCorrectedExactly) {
         net::Simulator sim(config.num_ranks, config.network, inline_pool);
         IncrementalCounter counter(sim, views, config.options, config.stream_indirect, 0);
         double t = 0.0;
-        const auto apply = [&](const std::vector<graph::Edge>& edges, EventKind event_kind) {
+        const auto apply = [&](const std::vector<graph::Edge>& edges,
+                               EventKind event_kind) {
             EdgeBatch batch;
             for (const auto& e : edges) {
                 batch.events.push_back({t, e.u, e.v, event_kind});
