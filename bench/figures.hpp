@@ -34,7 +34,8 @@ struct Tier {
     std::uint64_t log_n = 0;               ///< log2 vertices (per PE when weak)
     std::vector<std::uint64_t> ps{};       ///< PE counts; fig8: core budgets
     std::vector<std::uint64_t> threads{};  ///< threads per rank
-    std::vector<double> sweep{};           ///< δ, compression off/on, or target FPR
+    std::vector<double> sweep{};           ///< δ, compression off/on, target FPR
+                                           ///< or stream batch size
 };
 
 /// One Engine of a sweep: `p` ranks of `threads` threads, swept value `x`.
