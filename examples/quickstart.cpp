@@ -10,7 +10,7 @@ int main() {
     using namespace katric;
 
     // 1. Build an input graph. Any CsrGraph works: generated (gen::*),
-    //    loaded from disk (graph::read_edge_list_text / read_binary), or
+    //    loaded from disk (graph::read_edge_list_text / read_metis), or
     //    assembled from an EdgeList.
     const graph::VertexId n = 1 << 14;
     const auto graph = gen::generate_rgg2d_local(

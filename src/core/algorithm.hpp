@@ -51,8 +51,8 @@ enum class RunError : std::uint8_t {
     kSinkUnsupported,
     /// The input data failed validation before any work ran — an edge
     /// endpoint outside the declared vertex universe, a stream batch whose
-    /// events are not time-ordered, or a similarly malformed payload. The
-    /// rejected operation mutated nothing.
+    /// event times are non-finite or out of order, or a similarly malformed
+    /// payload. The rejected operation mutated nothing.
     kInvalidInput,
 };
 

@@ -140,11 +140,16 @@ class CancelToken {
 public:
     CancelToken() = default;
 
-    /// Arms the token to expire `seconds` of host wall clock from now.
+    /// Arms the token to expire `seconds` of host wall clock from now. A
+    /// deadline the clock cannot reach (+inf, or a century away) never
+    /// passes: the token stays unarmed instead of wrapping into the past.
     void set_deadline_in(double seconds) {
-        deadline_ = std::chrono::steady_clock::now()
-                    + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(seconds));
+        using Clock = std::chrono::steady_clock;
+        const auto now = Clock::now();
+        const std::chrono::duration<double> range = Clock::time_point::max() - now;
+        if (!(seconds < range.count() / 2)) { return; }
+        deadline_ = now + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
         armed_ = true;
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/algorithm.hpp"
@@ -38,33 +39,51 @@ CsrGraph build_validated(const EdgeList& edges, VertexId n) {
     return CsrGraph(std::move(offsets), std::move(targets), /*oriented=*/false);
 }
 
+/// The vertex universe of normalized `edges`: `num_vertices`, or the largest
+/// endpoint + 1 when that is 0. Empty, with `detail` naming the endpoint,
+/// when an endpoint lies outside it; kInvalidVertex lies outside every one.
+std::optional<VertexId> resolve_universe(const EdgeList& edges, VertexId num_vertices,
+                                         std::string& detail) {
+    const auto inferred = edges.max_vertex_plus_one();
+    if (!inferred.has_value()) {
+        detail = "edge endpoint " + std::to_string(kInvalidVertex)
+                 + " is not a vertex ID (IDs lie below 2^64 - 1)";
+        return std::nullopt;
+    }
+    const VertexId n = num_vertices == 0 ? *inferred : num_vertices;
+    if (*inferred > n) {
+        std::ostringstream out;
+        out << "edge endpoint " << *inferred - 1
+            << " outside the declared vertex universe [0, " << n << ")";
+        detail = out.str();
+        return std::nullopt;
+    }
+    return n;
+}
+
 }  // namespace
 
 CsrGraph build_undirected(EdgeList edges, VertexId num_vertices) {
     edges.normalize();
-    const VertexId inferred = edges.max_vertex_plus_one();
-    const VertexId n = num_vertices == 0 ? inferred : num_vertices;
-    KATRIC_ASSERT_MSG(inferred <= n, "edge endpoint " << inferred - 1
-                                                      << " exceeds num_vertices " << n);
-    return build_validated(edges, n);
+    std::string detail;
+    const auto n = resolve_universe(edges, num_vertices, detail);
+    KATRIC_ASSERT_MSG(n.has_value(), detail);
+    return build_validated(edges, *n);
 }
 
 std::optional<CsrGraph> try_build_undirected(EdgeList edges, VertexId num_vertices,
                                              Error* error) {
     edges.normalize();
-    const VertexId inferred = edges.max_vertex_plus_one();
-    const VertexId n = num_vertices == 0 ? inferred : num_vertices;
-    if (inferred > n) {
+    std::string detail;
+    const auto n = resolve_universe(edges, num_vertices, detail);
+    if (!n.has_value()) {
         if (error != nullptr) {
-            std::ostringstream detail;
-            detail << "edge endpoint " << inferred - 1
-                   << " outside the declared vertex universe [0, " << n << ")";
-            *error = make_error(core::RunError::kInvalidInput, detail.str());
+            *error = make_error(core::RunError::kInvalidInput, detail);
         }
         return std::nullopt;
     }
     if (error != nullptr) { *error = Error{}; }
-    return build_validated(edges, n);
+    return build_validated(edges, *n);
 }
 
 EdgeList to_edge_list(const CsrGraph& graph) {

@@ -15,9 +15,10 @@ void EdgeList::normalize() {
     edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 }
 
-VertexId EdgeList::max_vertex_plus_one() const noexcept {
+std::optional<VertexId> EdgeList::max_vertex_plus_one() const noexcept {
     VertexId max_plus_one = 0;
     for (const auto& e : edges_) {
+        if (e.u == kInvalidVertex || e.v == kInvalidVertex) { return std::nullopt; }
         max_plus_one = std::max({max_plus_one, e.u + 1, e.v + 1});
     }
     return max_plus_one;

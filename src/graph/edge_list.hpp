@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -28,7 +29,9 @@ public:
 
     /// Largest endpoint + 1, or 0 when empty. The number of vertices n must
     /// be at least this; isolated trailing vertices may push n higher.
-    [[nodiscard]] VertexId max_vertex_plus_one() const noexcept;
+    /// Empty when an endpoint is kInvalidVertex: its + 1 would wrap to 0, and
+    /// no vertex universe holds it.
+    [[nodiscard]] std::optional<VertexId> max_vertex_plus_one() const noexcept;
 
 private:
     std::vector<Edge> edges_;

@@ -1,30 +1,50 @@
 #include "graph/io.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "graph/builder.hpp"
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 
 namespace katric::graph {
 
 namespace {
-constexpr std::array<char, 4> kMagic{'K', 'T', 'R', 'B'};
+
+/// A vertex-ID token: plain decimal digits naming an ID below kInvalidVertex
+/// (parse_u64 rejects signs, trailing characters and values past 2^64 − 1).
+bool parse_vertex(const std::string& token, VertexId& out) {
+    std::uint64_t value = 0;
+    if (!parse_u64(token, value) || value >= kInvalidVertex) { return false; }
+    out = value;
+    return true;
 }
+
+}  // namespace
 
 EdgeList read_edge_list_text(const std::string& path) {
     std::ifstream in(path);
     KATRIC_ASSERT_MSG(in.good(), "cannot open " << path);
     EdgeList edges;
     std::string line;
-    while (std::getline(in, line)) {
+    for (std::uint64_t line_number = 1; std::getline(in, line); ++line_number) {
         if (line.empty() || line[0] == '#' || line[0] == '%') { continue; }
         std::istringstream row(line);
+        std::string first;
+        std::string second;
+        if (!(row >> first)) { continue; }  // whitespace only
         VertexId u = 0;
         VertexId v = 0;
-        if (row >> u >> v) { edges.add(u, v); }
+        // Columns after the first two (KONECT weights, timestamps) are ignored.
+        KATRIC_ASSERT_MSG(static_cast<bool>(row >> second) && parse_vertex(first, u)
+                              && parse_vertex(second, v),
+                          path << ":" << line_number << ": malformed edge line '" << line
+                               << "' (expected two vertex IDs below 2^64 - 1)");
+        edges.add(u, v);
     }
     return edges;
 }
@@ -34,29 +54,6 @@ void write_edge_list_text(const EdgeList& edges, const std::string& path) {
     KATRIC_ASSERT_MSG(out.good(), "cannot open " << path << " for writing");
     out << "# katric edge list, " << edges.size() << " edges\n";
     for (const auto& e : edges.edges()) { out << e.u << ' ' << e.v << '\n'; }
-}
-
-CsrGraph read_binary(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    KATRIC_ASSERT_MSG(in.good(), "cannot open " << path);
-    std::array<char, 4> magic{};
-    in.read(magic.data(), magic.size());
-    KATRIC_ASSERT_MSG(magic == kMagic, path << " is not a katric binary graph");
-    std::uint64_t n = 0;
-    std::uint64_t m = 0;
-    in.read(reinterpret_cast<char*>(&n), sizeof(n));
-    in.read(reinterpret_cast<char*>(&m), sizeof(m));
-    EdgeList edges;
-    edges.reserve(m);
-    for (std::uint64_t i = 0; i < m; ++i) {
-        std::uint64_t u = 0;
-        std::uint64_t v = 0;
-        in.read(reinterpret_cast<char*>(&u), sizeof(u));
-        in.read(reinterpret_cast<char*>(&v), sizeof(v));
-        edges.add(u, v);
-    }
-    KATRIC_ASSERT_MSG(in.good(), "truncated binary graph " << path);
-    return build_undirected(std::move(edges), n);
 }
 
 CsrGraph read_metis(const std::string& path) {
@@ -73,27 +70,37 @@ CsrGraph read_metis(const std::string& path) {
     };
     KATRIC_ASSERT_MSG(next_data_line() && !line.empty(), "empty METIS file " << path);
     std::istringstream header(line);
+    std::string n_token;
+    std::string m_token;
     std::uint64_t n = 0;
     std::uint64_t m = 0;
-    KATRIC_ASSERT_MSG(static_cast<bool>(header >> n >> m),
+    KATRIC_ASSERT_MSG(static_cast<bool>(header >> n_token >> m_token)
+                          && parse_u64(n_token, n) && parse_u64(m_token, m),
                       "malformed METIS header in " << path);
+    // The header's m is a claim, not a size: every edge is listed twice, at
+    // two bytes or more each, so the file's size bounds what it can hold.
+    std::error_code size_error;
+    const std::uint64_t file_bytes = std::filesystem::file_size(path, size_error);
     EdgeList edges;
-    edges.reserve(m);
+    edges.reserve(std::min<std::uint64_t>(m, size_error ? 0 : file_bytes / 4));
     for (VertexId v = 0; v < n; ++v) {
-        KATRIC_ASSERT_MSG(next_data_line(), "METIS file " << path << " truncated at vertex "
-                                                          << v);
+        KATRIC_ASSERT_MSG(next_data_line(),
+                          "METIS file " << path << " truncated at vertex " << v);
         std::istringstream row(line);
-        std::uint64_t neighbor_1indexed = 0;
-        while (row >> neighbor_1indexed) {
-            KATRIC_ASSERT_MSG(neighbor_1indexed >= 1 && neighbor_1indexed <= n,
-                              "METIS neighbor " << neighbor_1indexed << " out of range");
+        for (std::string token; row >> token;) {
+            std::uint64_t neighbor_1indexed = 0;
+            KATRIC_ASSERT_MSG(parse_u64(token, neighbor_1indexed)
+                                  && neighbor_1indexed >= 1 && neighbor_1indexed <= n,
+                              "METIS neighbor '" << token << "' of vertex " << v + 1
+                                                 << " out of range in " << path);
             const VertexId u = neighbor_1indexed - 1;
             if (v < u) { edges.add(v, u); }  // each undirected edge listed twice
         }
     }
     const CsrGraph graph = build_undirected(std::move(edges), n);
-    KATRIC_ASSERT_MSG(graph.num_edges() == m, "METIS header claims " << m << " edges, found "
-                                                                     << graph.num_edges());
+    KATRIC_ASSERT_MSG(graph.num_edges() == m, "METIS header claims "
+                                                  << m << " edges, found "
+                                                  << graph.num_edges());
     return graph;
 }
 
@@ -110,21 +117,6 @@ void write_metis(const CsrGraph& graph, const std::string& path) {
             first = false;
         }
         out << '\n';
-    }
-}
-
-void write_binary(const CsrGraph& graph, const std::string& path) {
-    std::ofstream out(path, std::ios::binary);
-    KATRIC_ASSERT_MSG(out.good(), "cannot open " << path << " for writing");
-    out.write(kMagic.data(), kMagic.size());
-    const std::uint64_t n = graph.num_vertices();
-    const EdgeList edges = to_edge_list(graph);
-    const std::uint64_t m = edges.size();
-    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    out.write(reinterpret_cast<const char*>(&m), sizeof(m));
-    for (const auto& e : edges.edges()) {
-        out.write(reinterpret_cast<const char*>(&e.u), sizeof(e.u));
-        out.write(reinterpret_cast<const char*>(&e.v), sizeof(e.v));
     }
 }
 

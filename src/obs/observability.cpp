@@ -74,15 +74,6 @@ void Observability::observe_query(const std::string& kind, const net::Simulator&
     }
 }
 
-void Observability::observe_span(const std::string& kind, const std::string& label,
-                                 double sim_seconds, double wall_seconds) {
-    const util::MutexLock record_lock(record_mutex_);
-    if (tracing_enabled()) { tracer_.record_span(label, kind, sim_seconds); }
-    if (!metrics_enabled()) { return; }
-    registry_.count("query." + kind);
-    registry_.observe_latency("query." + kind + ".latency_seconds", wall_seconds);
-}
-
 std::string Observability::summary() const {
     std::ostringstream out;
     out << registry_.to_string();

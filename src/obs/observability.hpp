@@ -67,11 +67,6 @@ public:
     void observe_query(const std::string& kind, const net::Simulator& sim,
                        double wall_seconds, const KernelStats* kernel_stats = nullptr);
 
-    /// Host-side span + latency sample with no simulator behind it (stream
-    /// ingest batches). `sim_seconds` is the simulated span length.
-    void observe_span(const std::string& kind, const std::string& label,
-                      double sim_seconds, double wall_seconds);
-
     /// Registry snapshot plus the kernel dispatch mix, human-readable.
     [[nodiscard]] std::string summary() const;
 
@@ -86,8 +81,8 @@ private:
     /// while other engines may be mid-query on the same --trace-out path.
     std::atomic<bool> metrics_{false};
     std::string trace_path_;
-    /// Serializes observe_query/observe_span so the trace label numbering
-    /// ("count#3") and the kernel-stats merge stay atomic per query.
+    /// Serializes observe_query so the trace label numbering ("count#3") and
+    /// the kernel-stats merge stay atomic per query.
     mutable util::Mutex record_mutex_;
     MetricsRegistry registry_;
     KernelStats kernel_stats_ KATRIC_GUARDED_BY(record_mutex_);

@@ -146,18 +146,6 @@ void Tracer::record_host(const std::string& label,
     host_cursor_us_ = at;
 }
 
-void Tracer::record_span(const std::string& label, const std::string& cat,
-                         double seconds) {
-    const util::MutexLock lock(mutex_);
-    const double us = seconds * kSecondsToUs;
-    if (us > 0.0) {
-        spans_.push_back(
-            TraceSpan{label, cat, kSimulatedPid, 0, cursor_us_, cursor_us_ + us, {}});
-    }
-    cursor_us_ += us;
-    ++queries_;
-}
-
 std::string Tracer::to_json() const {
     const util::MutexLock lock(mutex_);
     std::vector<Event> events;

@@ -56,7 +56,7 @@ struct TraceSpan {
 /// of them fanned out. Host time is measured, so two runs' host lanes
 /// differ.
 ///
-/// Thread safety: record_query / record_span / to_json / write serialize on
+/// Thread safety: record_query / to_json / write serialize on
 /// an internal mutex, so concurrent serve workers (and a StreamSession on
 /// another thread) can append to one shared timeline. Appended queries are
 /// placed at the cursor in arrival order. spans() is NOT synchronized — call
@@ -70,11 +70,6 @@ public:
     /// skipped — they carry no information and would render as degenerate
     /// slices.
     void record_query(const std::string& label, const net::Simulator& sim);
-
-    /// Appends a single pre-built span at the current cursor (used for
-    /// host-side work that has no simulator, e.g. stream ingest batches).
-    /// `seconds` advances the cursor.
-    void record_span(const std::string& label, const std::string& cat, double seconds);
 
     /// Quiescence-only accessor (see class comment): reads the span list
     /// without the mutex, so the caller must guarantee no recorder is

@@ -1,6 +1,7 @@
 #include "stream/incremental.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -41,14 +42,21 @@ constexpr std::uint64_t kChangedFlag = std::uint64_t{1} << 63;
 }
 
 /// First validation violation in a batch, or nullopt when well-formed:
-/// events time-ordered (folding is last-write-wins) and every endpoint
-/// inside the partition's vertex universe. Self-loops are NOT violations —
-/// the streaming model treats them as no-op requests.
+/// event times finite and ordered (folding is last-write-wins; NaN compares
+/// false against everything, so it would slip past the order check) and
+/// every endpoint inside the partition's vertex universe. Self-loops are NOT
+/// violations — the streaming model treats them as no-op requests.
 [[nodiscard]] std::optional<std::string> batch_violation(const EdgeBatch& batch,
                                                          std::uint64_t num_vertices) {
     double previous_time = -std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < batch.events.size(); ++i) {
         const auto& event = batch.events[i];
+        if (!std::isfinite(event.time)) {
+            std::ostringstream out;
+            out << "batch event " << i << " has non-finite time " << event.time
+                << "; batch events must carry finite times";
+            return out.str();
+        }
         if (event.time < previous_time) {
             std::ostringstream out;
             out << "batch event " << i << " at t=" << event.time

@@ -33,10 +33,10 @@ struct BatchStats {
     std::uint64_t messages_sent = 0;  ///< total over PEs, this batch only
     std::uint64_t words_sent = 0;     ///< total over PEs, this batch only
     /// kNone on success. core::RunError::kInvalidInput when the batch failed
-    /// validation (an event's vertex outside the partition's universe, or
-    /// events out of time order): the batch was rejected atomically — no
-    /// adjacency changed, no superstep ran, every stat above is zero and the
-    /// triangle count is the pre-batch value.
+    /// validation (an event's vertex outside the partition's universe, a
+    /// non-finite event time, or events out of time order): the batch was
+    /// rejected atomically — no adjacency changed, no superstep ran, every
+    /// stat above is zero and the triangle count is the pre-batch value.
     Error error;
 };
 
@@ -89,11 +89,12 @@ public:
 
     /// Ingests one batch; returns its stats. The batch is validated before
     /// anything mutates: an event referencing a vertex outside the
-    /// partition's universe, or events out of time order, reject the whole
-    /// batch with a typed BatchStats::error (RunError::kInvalidInput) and
-    /// change nothing. No-op events (self-loops, re-inserts, deletes of
-    /// absent edges, insert/delete pairs cancelling within the batch) are
-    /// valid and folded away — the streaming model's best-effort contract.
+    /// partition's universe, a non-finite event time, or events out of time
+    /// order, reject the whole batch with a typed BatchStats::error
+    /// (RunError::kInvalidInput) and change nothing. No-op events
+    /// (self-loops, re-inserts, deletes of absent edges, insert/delete pairs
+    /// cancelling within the batch) are valid and folded away — the
+    /// streaming model's best-effort contract.
     BatchStats apply_batch(const EdgeBatch& batch);
 
     [[nodiscard]] std::uint64_t triangles() const noexcept { return triangles_; }

@@ -74,9 +74,9 @@ std::size_t json_rows(const JsonWriter& json) {
 
 TEST(GoldenFigures, SmokeRowsMatchTheCheckedInGolden) {
     const auto actual = golden_lines();
-    test::write_golden(KATRIC_GOLDEN_OUT, actual);
-
     const auto golden = test::read_golden(KATRIC_GOLDEN_FILE);
+    test::write_golden(KATRIC_GOLDEN_OUT, actual, golden);
+
     ASSERT_FALSE(golden.empty()) << "missing golden " << KATRIC_GOLDEN_FILE
                                  << "; recomputed file written to " << KATRIC_GOLDEN_OUT;
     const auto diff = test::golden_mismatch(golden, actual);

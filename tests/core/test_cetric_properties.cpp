@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/runner.hpp"
 #include "graph/distributed_graph.hpp"
 #include "seq/edge_iterator.hpp"
 #include "support/engine_query.hpp"
+#include "support/oracle.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::core {
 namespace {
 
 /// Classifies every triangle of g under a partition into types 1/2/3
-/// (Section IV-C, Fig. 4a).
+/// (Section IV-C, Fig. 4a): a type-k triangle's vertices lie on k ranks.
 struct TypeCounts {
     std::uint64_t type1 = 0;
     std::uint64_t type2 = 0;
@@ -19,23 +22,13 @@ struct TypeCounts {
 
 TypeCounts classify(const graph::CsrGraph& g, const graph::Partition1D& partition) {
     TypeCounts counts;
-    for (VertexId u = 0; u < g.num_vertices(); ++u) {
-        for (VertexId v : g.neighbors(u)) {
-            if (v <= u) { continue; }
-            for (VertexId w : g.neighbors(v)) {
-                if (w <= v || !g.has_edge(u, w)) { continue; }
-                const Rank ru = partition.rank_of(u);
-                const Rank rv = partition.rank_of(v);
-                const Rank rw = partition.rank_of(w);
-                if (ru == rv && rv == rw) {
-                    ++counts.type1;
-                } else if (ru != rv && rv != rw && ru != rw) {
-                    ++counts.type3;
-                } else {
-                    ++counts.type2;
-                }
-            }
-        }
+    for (const auto& [u, v, w] : test::brute_force_triangles(g)) {
+        const std::set<Rank> ranks{partition.rank_of(u), partition.rank_of(v),
+                                   partition.rank_of(w)};
+        auto& type = ranks.size() == 1   ? counts.type1
+                     : ranks.size() == 2 ? counts.type2
+                                         : counts.type3;
+        ++type;
     }
     return counts;
 }

@@ -21,14 +21,6 @@ TEST(Config, DefaultsMatchLegacyRunSpecDefaults) {
     EXPECT_TRUE(config.options == legacy.options);
 }
 
-TEST(Config, RoundTripIdentityAcrossAllPresets) {
-    for (const auto& name : Config::preset_names()) {
-        const Config config = Config::preset(name);
-        const Config back = Config::from_flags(config.to_flags());
-        EXPECT_EQ(back, config) << "preset '" << name << "' did not round-trip";
-    }
-}
-
 /// A config with EVERY field off its default — if any flag is missing from
 /// register_cli / to_flags / from_args, this round-trip breaks.
 Config fully_customized() {
@@ -253,16 +245,6 @@ TEST(Config, TryFromFlagsRejectsWrappedOrTruncatedNumbers) {
     EXPECT_EQ(edge.config->num_ranks, 4294967295u);
     EXPECT_EQ(edge.config->options.threads, 2147483647);
     EXPECT_EQ(edge.config->max_retries, 4294967295u);
-}
-
-TEST(Config, RoundTripSurvivesTypedValidation) {
-    // parse(to_flags(c)) == c must keep holding through try_from_flags (no
-    // preset emits a duplicate or unknown flag).
-    for (const auto& name : Config::preset_names()) {
-        const auto parse = Config::try_from_flags(Config::preset(name).to_flags());
-        ASSERT_TRUE(parse.ok()) << name << ": " << parse.message();
-        EXPECT_EQ(*parse.config, Config::preset(name)) << name;
-    }
 }
 
 TEST(Config, PresetNamesAllConstruct) {

@@ -4,62 +4,17 @@
 
 #include "util/assert.hpp"
 
-#include <numeric>
 #include <string>
 
 #include "gen/rmat.hpp"
-#include "graph/distributed_graph.hpp"
 #include "net/rank_pool.hpp"
-#include "seq/edge_iterator.hpp"
-#include "seq/lcc.hpp"
 #include "support/engine_query.hpp"
+#include "support/oneshot.hpp"
+#include "support/oracle.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::core {
 namespace {
-
-class DistLccTest
-    : public ::testing::TestWithParam<std::tuple<Algorithm, std::size_t, Rank>> {};
-
-TEST_P(DistLccTest, DeltaAndLccMatchSequential) {
-    const auto [algorithm, family_index, p] = GetParam();
-    static const auto cases = katric::test::family_cases();
-    const auto& g = cases[family_index].graph;
-
-    RunSpec spec;
-    spec.algorithm = algorithm;
-    spec.num_ranks = p;
-    const auto result = test::engine_lcc(g, spec);
-
-    const auto expected_delta = seq::per_vertex_triangles(g);
-    ASSERT_EQ(result.delta.size(), expected_delta.size());
-    EXPECT_EQ(result.delta, expected_delta);
-
-    const auto expected_lcc = seq::lcc_from_triangle_counts(g, expected_delta);
-    ASSERT_EQ(result.lcc.size(), expected_lcc.size());
-    for (std::size_t v = 0; v < expected_lcc.size(); ++v) {
-        EXPECT_DOUBLE_EQ(result.lcc[v], expected_lcc[v]) << "vertex " << v;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SinkCapableAlgorithms, DistLccTest,
-    ::testing::Combine(::testing::Values(Algorithm::kDitric, Algorithm::kDitric2,
-                                         Algorithm::kCetric, Algorithm::kCetric2),
-                       ::testing::Values<std::size_t>(0, 1, 3, 5),
-                       ::testing::Values<Rank>(1, 4, 7)));
-
-TEST(DistLcc, DeltaSumsToThreeTimesTriangles) {
-    const auto g = gen::generate_rhg(700, 9.0, 2.8, 12);
-    RunSpec spec;
-    spec.algorithm = Algorithm::kCetric;
-    spec.num_ranks = 5;
-    const auto result = test::engine_lcc(g, spec);
-    const auto total =
-        std::accumulate(result.delta.begin(), result.delta.end(), std::uint64_t{0});
-    EXPECT_EQ(total, 3 * result.count.triangles);
-    EXPECT_EQ(result.count.triangles, seq::count_edge_iterator(g).triangles);
-}
 
 TEST(DistLcc, PostprocessingIsAccounted) {
     const auto g = gen::generate_rgg2d(512, gen::rgg2d_radius_for_degree(512, 10.0), 4);
@@ -78,24 +33,15 @@ TEST(DistLcc, HelperThreadsMatchOracle) {
     net::RankPool inline_pool(0);
     net::RankPool helpers(3);
     const auto g = gen::generate_rmat(9, 4096, 5);
-    const auto oracle = seq::compute_lcc_oracle(g);
     for (const auto algorithm : {Algorithm::kDitric, Algorithm::kCetric}) {
         RunSpec spec;
         spec.algorithm = algorithm;
         spec.num_ranks = 8;
-        const auto run = [&](net::RankPool& pool) {
-            auto views = graph::distribute(g, make_partition(g, spec));
-            net::Simulator sim(spec.num_ranks, spec.network, pool);
-            return compute_distributed_lcc(sim, views, g, spec);
-        };
-        const auto reference = run(inline_pool);
-        const auto result = run(helpers);
+        const auto reference = test::oneshot_lcc(g, spec, inline_pool);
+        const auto result = test::oneshot_lcc(g, spec, helpers);
         const std::string what = algorithm_name(algorithm);
-        EXPECT_EQ(result.delta, oracle.delta) << what;
-        ASSERT_EQ(result.lcc.size(), oracle.lcc.size()) << what;
-        for (std::size_t v = 0; v < oracle.lcc.size(); ++v) {
-            EXPECT_DOUBLE_EQ(result.lcc[v], oracle.lcc[v]) << what << ", vertex " << v;
-        }
+        SCOPED_TRACE(what);
+        test::expect_lcc_matches(g, result.delta, result.lcc);
         EXPECT_EQ(result.count.total_time, reference.count.total_time) << what;
         EXPECT_EQ(result.count.total_words_sent, reference.count.total_words_sent)
             << what;

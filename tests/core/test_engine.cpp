@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "engine.hpp"
+#include "gen/gnm.hpp"
 #include "gen/rgg2d.hpp"
+#include "gen/rhg.hpp"
 #include "gen/rmat.hpp"
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
@@ -323,29 +325,6 @@ TEST(EngineEquivalence, StreamPromotionMatchesOneShotStreaming) {
     }
 }
 
-TEST(Engine, StreamSessionIngestsIncrementallyAndMaterializes) {
-    const auto base = test::complete_graph(16);
-    const auto churn = stream::make_churn_stream(base, 128, 0.5, 5);
-    const auto batches = churn.batches_of(32);
-    Config config;
-    config.num_ranks = 3;
-    config.algorithm = Algorithm::kCetric;
-    const Engine engine(base, config);
-    auto session = engine.open_stream();
-    EXPECT_EQ(session.triangles(), session.initial().triangles);
-    for (const auto& batch : batches) {
-        const auto& stats = session.ingest(batch);
-        // The materialized graph's sequential count must track the session.
-        const auto current = session.materialize_global();
-        EXPECT_EQ(seq::count_edge_iterator(current).triangles, stats.triangles);
-    }
-    EXPECT_EQ(session.batches().size(), batches.size());
-    const auto report = session.report();
-    EXPECT_EQ(report.query, Query::kStream);
-    EXPECT_EQ(report.batches.size(), batches.size());
-    EXPECT_EQ(report.count.triangles, session.triangles());
-}
-
 // --- typed failures ---------------------------------------------------------
 
 TEST(Engine, SinkUnsupportedIsTypedErrorNotACrash) {
@@ -458,17 +437,68 @@ TEST(Engine, ReportCarriesOpsTelemetryAndJson) {
     EXPECT_NE(json.find("\"total_compute_ops\""), std::string::npos);
 }
 
-TEST(Engine, FamilySweepMatchesSequentialReference) {
-    for (const auto& c : test::family_cases()) {
-        Config config;
-        config.algorithm = Algorithm::kCetric2;
-        config.num_ranks = 5;
-        const Engine engine(c.graph, config);
-        const auto report = engine.count();
-        EXPECT_EQ(report.count.triangles, seq::count_edge_iterator(c.graph).triangles)
-            << c.name;
+TEST(DistributedCorrectness, AdaptiveMatchesMergeBitIdenticallyAcrossAlgorithms) {
+    // The acceptance property of the kernel subsystem: --intersect=adaptive
+    // must be invisible in every counting result, per phase, for every
+    // algorithm that builds hub bitmaps (preprocessing family) and the
+    // baselines that never do.
+    const auto g = gen::generate_rmat(9, 4096, 31);  // skewed: real hubs
+    for (const Algorithm algorithm : core::all_algorithms()) {
+        core::RunSpec merge_spec;
+        merge_spec.algorithm = algorithm;
+        merge_spec.num_ranks = 7;
+        merge_spec.options.intersect = seq::IntersectKind::kMerge;
+        core::RunSpec adaptive_spec = merge_spec;
+        adaptive_spec.options.intersect = seq::IntersectKind::kAdaptive;
+        adaptive_spec.options.hub_threshold = 4;
+        const auto expected = test::engine_count(g, merge_spec);
+        const auto actual = test::engine_count(g, adaptive_spec);
+        ASSERT_FALSE(expected.oom);
+        ASSERT_FALSE(actual.oom);
+        EXPECT_EQ(actual.triangles, expected.triangles) << algorithm_name(algorithm);
+        EXPECT_EQ(actual.local_phase_triangles, expected.local_phase_triangles)
+            << algorithm_name(algorithm);
+        EXPECT_EQ(actual.global_phase_triangles, expected.global_phase_triangles)
+            << algorithm_name(algorithm);
     }
 }
+
+class TerminationDetectionTest : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(TerminationDetectionTest, VerdictCoincidesWithExactCount) {
+    const auto g = gen::generate_rhg(800, 10.0, 2.8, 21);
+    const auto expected = seq::count_edge_iterator(g).triangles;
+    core::RunSpec spec;
+    spec.algorithm = GetParam();
+    spec.num_ranks = 8;
+    spec.options.detect_termination = true;
+    const auto result = test::engine_count(g, spec);
+    ASSERT_FALSE(result.oom);
+    EXPECT_EQ(result.triangles, expected);
+}
+
+TEST_P(TerminationDetectionTest, ProtocolCostsExtraMessagesOnly) {
+    const auto g = gen::generate_gnm(600, 4800, 23);
+    core::RunSpec spec;
+    spec.algorithm = GetParam();
+    spec.num_ranks = 8;
+    const auto omniscient = test::engine_count(g, spec);
+    spec.options.detect_termination = true;
+    const auto detected = test::engine_count(g, spec);
+    EXPECT_EQ(detected.triangles, omniscient.triangles);
+    // Control traffic (reports + verdicts) adds messages and time, never
+    // removes any.
+    EXPECT_GT(detected.total_messages_sent, omniscient.total_messages_sent);
+    EXPECT_GE(detected.total_time, omniscient.total_time);
+}
+
+INSTANTIATE_TEST_SUITE_P(EdgeIteratorFamily, TerminationDetectionTest,
+                         ::testing::Values(Algorithm::kDitric, Algorithm::kDitric2,
+                                           Algorithm::kEdgeIteratorUnbuffered));
+// The contracted exchange runs the same detector: a missing verdict would
+// fail the run's termination assertion.
+INSTANTIATE_TEST_SUITE_P(ContractedExchange, TerminationDetectionTest,
+                         ::testing::Values(Algorithm::kCetric, Algorithm::kCetric2));
 
 }  // namespace
 }  // namespace katric

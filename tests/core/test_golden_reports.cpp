@@ -223,9 +223,9 @@ std::vector<std::string> read_golden() { return test::read_golden(KATRIC_GOLDEN_
 
 TEST(GoldenReports, SimulatedCostsMatchTheCheckedInGolden) {
     const auto actual = recompute_golden();
-    test::write_golden(KATRIC_GOLDEN_OUT, actual);
-
     const auto golden = read_golden();
+    test::write_golden(KATRIC_GOLDEN_OUT, actual, golden);
+
     ASSERT_FALSE(golden.empty()) << "missing golden " << KATRIC_GOLDEN_FILE
                                  << "; recomputed file written to " << KATRIC_GOLDEN_OUT;
     const auto diff = golden_mismatch(golden, actual);

@@ -41,25 +41,6 @@ TEST(ThreadBinner, PartialChunkCounted) {
     EXPECT_EQ(binner.makespan_ops(), 30u);
 }
 
-class HybridThreadsTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(HybridThreadsTest, CountsStayExact) {
-    const int threads = GetParam();
-    const auto g = gen::generate_rhg(1024, 10.0, 2.8, 15);
-    const auto expected = seq::count_edge_iterator(g).triangles;
-    for (const Algorithm algorithm :
-         {Algorithm::kDitric, Algorithm::kDitric2, Algorithm::kCetric}) {
-        SCOPED_TRACE(algorithm_name(algorithm));
-        RunSpec spec;
-        spec.algorithm = algorithm;
-        spec.num_ranks = 4;
-        spec.options.threads = threads;
-        EXPECT_EQ(test::engine_count(g, spec).triangles, expected);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, HybridThreadsTest, ::testing::Values(1, 2, 6, 12));
-
 // On a single PE every intersection runs in the local phase, so the binned
 // local phase is the shared-memory parallel counter.
 Report single_pe_count(const graph::CsrGraph& g, int threads) {

@@ -50,6 +50,17 @@ TEST(ServeDeadline, ExpiredQueuedRequestsAreShedWithoutRunning) {
     EXPECT_EQ(stats.rejected, 0u);    // shedding is not a rejection
 }
 
+TEST(ServeDeadline, UnreachableDeadlinesNeverFire) {
+    // In clock ticks, +inf or a deadline past the clock's range would wrap
+    // into the past and cancel every query at its first superstep.
+    const auto g = test::complete_graph(12);
+    const Engine engine(g, Config::from_flags({"--ranks=4", "--deadline=inf"}));
+    EXPECT_TRUE(engine.count().ok());
+    QueryOptions query;
+    query.deadline_seconds = 1e300;
+    EXPECT_EQ(engine.count(query).count.triangles, 220u);
+}
+
 TEST(ServeDeadline, HealthyRequestsStillCompleteAroundShedOnes) {
     const auto g = test::complete_graph(12);
     auto engine = make_engine(g);

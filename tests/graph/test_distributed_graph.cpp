@@ -13,6 +13,7 @@
 #include "graph/orientation.hpp"
 #include "net/simulator.hpp"
 #include "seq/edge_iterator.hpp"
+#include "support/oracle.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::graph {
@@ -276,17 +277,11 @@ TEST_P(DistGraphTest, ContractionLemma) {
     const std::uint64_t cut_triangles = seq::count_brute_force(cut_graph);
 
     std::uint64_t type3 = 0;
-    for (VertexId u = 0; u < global_->num_vertices(); ++u) {
-        for (VertexId v : global_->neighbors(u)) {
-            if (v <= u) { continue; }
-            for (VertexId w : global_->neighbors(v)) {
-                if (w <= v || !global_->has_edge(u, w)) { continue; }
-                const Rank ru = partition_.rank_of(u);
-                const Rank rv = partition_.rank_of(v);
-                const Rank rw = partition_.rank_of(w);
-                if (ru != rv && rv != rw && ru != rw) { ++type3; }
-            }
-        }
+    for (const auto& [u, v, w] : test::brute_force_triangles(*global_)) {
+        const Rank ru = partition_.rank_of(u);
+        const Rank rv = partition_.rank_of(v);
+        const Rank rw = partition_.rank_of(w);
+        if (ru != rv && rv != rw && ru != rw) { ++type3; }
     }
     EXPECT_EQ(cut_triangles, type3);
 }

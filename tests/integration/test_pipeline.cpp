@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/dist_lcc.hpp"
 #include "core/runner.hpp"
 #include "gen/proxies.hpp"
@@ -10,6 +8,7 @@
 #include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
 #include "support/engine_query.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric {
@@ -38,19 +37,17 @@ TEST(Pipeline, GenerateDistributeCountValidateEveryProxy) {
 }
 
 TEST(Pipeline, FileRoundTripThenDistributedCount) {
-    const auto dir = std::filesystem::temp_directory_path() / "katric_pipeline";
-    std::filesystem::create_directories(dir);
+    const test::ScratchDir dir;
     const auto g = gen::build_proxy("europe");
-    const auto path = (dir / "europe.ktrb").string();
-    graph::write_binary(g, path);
-    const auto loaded = graph::read_binary(path);
+    const auto path = dir.file("europe.metis");
+    graph::write_metis(g, path);
+    const auto loaded = graph::read_metis(path);
 
     RunSpec spec;
     spec.algorithm = Algorithm::kCetric;
     spec.num_ranks = 12;
     EXPECT_EQ(test::engine_count(loaded, spec).triangles,
               seq::count_edge_iterator(g).triangles);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Pipeline, ScalingSweepKeepsCountInvariant) {

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/simulator.hpp"
 #include "obs/kernel_stats.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/observability.hpp"
@@ -63,15 +65,34 @@ TEST(ObsConcurrency, RegistryLosesNoSamplesUnderContention) {
     EXPECT_EQ(registry.summary("latency")->count(), total);
 }
 
+/// Runs one superstep with traffic on `sim`: the finished query every
+/// recorder below appends, reading the machine concurrently through const.
+void run_query(net::Simulator& sim) {
+    sim.run_phase(
+        "local",
+        [](net::RankHandle& rank) {
+            rank.charge_ops(100);
+            rank.send((rank.rank() + 1) % rank.size(), {1, 2, 3});
+        },
+        [](net::RankHandle&, net::Rank, int, std::span<const std::uint64_t>) {});
+}
+
 TEST(ObsConcurrency, TracerAppendsAllSpansFromConcurrentRecorders) {
+    net::Simulator sim(2, net::NetworkConfig{});
+    run_query(sim);
+    Tracer single;
+    single.record_query("count#0", sim);
+    const std::size_t spans_per_query = single.spans().size();
+    ASSERT_GT(spans_per_query, 0u);
+
     Tracer tracer;
     std::vector<std::thread> recorders;
     recorders.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        recorders.emplace_back([&tracer, t] {
+        recorders.emplace_back([&tracer, &sim, t] {
             for (int i = 0; i < kOpsPerThread; ++i) {
-                tracer.record_span("batch#" + std::to_string(t) + "." + std::to_string(i),
-                                   "stream", 1e-4);
+                const auto label = "count#" + std::to_string(t) + "." + std::to_string(i);
+                tracer.record_query(label, sim);
             }
         });
     }
@@ -83,28 +104,33 @@ TEST(ObsConcurrency, TracerAppendsAllSpansFromConcurrentRecorders) {
     for (auto& thread : recorders) { thread.join(); }
     reader.join();
 
-    // Quiescent now: every span landed, exactly once.
-    EXPECT_EQ(tracer.spans().size(),
-              static_cast<std::size_t>(kThreads) * kOpsPerThread);
+    // Quiescent now: every query's spans landed, exactly once.
+    const auto queries = static_cast<std::size_t>(kThreads) * kOpsPerThread;
+    EXPECT_EQ(tracer.num_queries(), queries);
+    EXPECT_EQ(tracer.spans().size(), queries * spans_per_query);
     const auto json = tracer.to_json();
-    EXPECT_NE(json.find("batch#0.0"), std::string::npos);
+    EXPECT_NE(json.find("count#0.0"), std::string::npos);
 }
 
 TEST(ObsConcurrency, ObservabilityMergesEveryQuerysKernelStats) {
     // The serve-worker finish path: each "query" records into a private
-    // KernelStats, then observe_span + a merge under the record mutex —
+    // KernelStats, then observe_query merges it under the record mutex —
     // modelled here exactly as Engine::finalize drives it.
     const auto obs = Observability::acquire(/*metrics=*/true, /*trace_path=*/"");
     ASSERT_NE(obs, nullptr);
     ASSERT_TRUE(obs->metrics_enabled());
+    net::Simulator sim(2, net::NetworkConfig{});
+    run_query(sim);
+    KernelStats per_query;
+    per_query.record(KernelChoice::kMerge, 4);
+    per_query.record(KernelChoice::kGalloping, 64);
 
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&obs, t] {
+        workers.emplace_back([&obs, &sim, &per_query] {
             for (int i = 0; i < kOpsPerThread; ++i) {
-                obs->observe_span("count", "count#" + std::to_string(t), 1e-3,
-                                  1e-5 * (i + 1));
+                obs->observe_query("count", sim, 1e-5 * (i + 1), &per_query);
             }
         });
     }
@@ -116,6 +142,8 @@ TEST(ObsConcurrency, ObservabilityMergesEveryQuerysKernelStats) {
     ASSERT_NE(latency, nullptr);
     EXPECT_EQ(latency->count(), total);
     EXPECT_GT(latency->percentile(0.99), 0.0);
+    EXPECT_EQ(obs->kernel_stats().total(), 2 * total);
+    EXPECT_EQ(obs->kernel_stats().total(KernelChoice::kGalloping), total);
 }
 
 }  // namespace

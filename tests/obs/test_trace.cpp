@@ -34,20 +34,6 @@ void run_phases(net::Simulator& sim) {
     sim.run_phase("global", chatter, swallow);
 }
 
-TEST(Tracer, HostSpansProduceValidBalancedTrace) {
-    obs::Tracer tracer;
-    tracer.record_span("ingest#0", "stream", 0.5);
-    tracer.record_span("ingest#1", "stream", 0.25);
-    ASSERT_EQ(tracer.spans().size(), 2u);
-    // Appended end-to-end on the running cursor.
-    EXPECT_GE(tracer.spans()[1].begin_us, tracer.spans()[0].end_us);
-
-    const auto check = test::check_trace_json(tracer.to_json());
-    EXPECT_TRUE(check.ok) << check.error;
-    EXPECT_EQ(check.num_spans, 2u);
-    EXPECT_EQ(check.num_events, 4u);  // metadata events are not counted
-}
-
 TEST(Tracer, RecordQueryEmitsHierarchyAndRankLanes) {
     net::Simulator sim(2, test_network());
     sim.record_phase_details(true);

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/dist_lcc.hpp"
 #include "gen/rmat.hpp"
 #include "seq/edge_iterator.hpp"
 #include "stream/stream_runner.hpp"
@@ -71,52 +70,6 @@ TEST(HubBitmapStreaming, DirtyInvalidationKeepsBitmapsExact) {
         EXPECT_EQ(counter.triangles(),
                   seq::count_edge_iterator(materialize_global(views)).triangles);
         for (const auto& view : views) { expect_bitmaps_match_rows(view); }
-    }
-}
-
-TEST(HubBitmapStreaming, CountsMatchRecountWithBitmapsForcedOn) {
-    const auto base = gen::generate_rmat(8, 1536, 9);
-    for (const Rank p : {1u, 4u, 7u}) {
-        const auto config = bitmap_config(p);
-        const auto stream = make_churn_stream(base, 240, 0.45, 1234);
-
-        auto views = test::dynamic_views(base, config);
-        net::Simulator sim(config.num_ranks, config.network);
-        const auto initial = test::engine_count(base, config.run_spec());
-        ASSERT_FALSE(initial.oom);
-        IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
-                                   initial.triangles);
-        for (const auto& batch : stream.batches_of(30)) {
-            const auto stats = counter.apply_batch(batch);
-            const auto recount =
-                test::engine_count(materialize_global(views), config.run_spec());
-            ASSERT_FALSE(recount.oom);
-            ASSERT_EQ(counter.triangles(), recount.triangles)
-                << "p=" << p << ", batch " << stats.batch_index;
-        }
-    }
-}
-
-TEST(HubBitmapStreaming, LccStaysExactUnderBitmapKernels) {
-    const auto base = gen::generate_rmat(7, 768, 5);
-    const auto config = bitmap_config(5);
-    auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network);
-    const auto initial = test::engine_lcc(base, config.run_spec());
-    ASSERT_FALSE(initial.count.oom);
-    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
-                               initial.count.triangles);
-    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
-    lcc.attach(counter);
-
-    const auto stream = make_churn_stream(base, 180, 0.5, 77);
-    for (const auto& batch : stream.batches_of(30)) {
-        counter.apply_batch(batch);
-        lcc.finish_batch();
-        const auto current = materialize_global(views);
-        const auto full = test::engine_lcc(current, config.run_spec());
-        ASSERT_FALSE(full.count.oom);
-        ASSERT_EQ(lcc.delta(), full.delta);
     }
 }
 

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/runner.hpp"
 #include "gen/gnm.hpp"
-#include "gen/rgg2d.hpp"
-#include "gen/rmat.hpp"
 #include "seq/adaptive_intersect.hpp"
 #include "seq/edge_iterator.hpp"
 #include "stream/stream_runner.hpp"
@@ -17,79 +13,6 @@
 
 namespace katric::stream {
 namespace {
-
-graph::CsrGraph make_base(const std::string& family) {
-    if (family == "gnm") { return gen::generate_gnm(300, 1800, 42); }
-    if (family == "rmat") { return gen::generate_rmat(8, 1536, 9); }
-    if (family == "rgg2d") {
-        return gen::generate_rgg2d(300, gen::rgg2d_radius_for_degree(300, 10.0), 7);
-    }
-    KATRIC_THROW("unknown family " << family);
-}
-
-/// The subsystem's core property: after every batch of a randomized
-/// insert/delete stream, the incrementally maintained count equals a fresh
-/// static recount of the materialized graph — on the paper's merge kernel
-/// and on the adaptive kernel (hub bitmaps + dirty invalidation live).
-using PropertyParam = std::tuple<std::string /*family*/, core::PartitionStrategy, Rank,
-                                 seq::IntersectKind>;
-
-class IncrementalMatchesRecountTest : public ::testing::TestWithParam<PropertyParam> {};
-
-TEST_P(IncrementalMatchesRecountTest, EveryBatchAgreesWithStaticCount) {
-    const auto [family, partition, p, kind] = GetParam();
-    const auto base = make_base(family);
-
-    Config config;
-    config.algorithm = core::Algorithm::kCetric;
-    config.num_ranks = p;
-    config.partition = partition;
-    config.options.intersect = kind;
-    // A tiny threshold turns most rows into hubs, so the bitmap path (and
-    // its per-batch dirty invalidation) is exercised on every intersection,
-    // not just on the degree tail.
-    if (core::uses_hub_bitmaps(kind)) { config.options.hub_threshold = 2; }
-
-    const auto stream = make_churn_stream(base, 240, 0.45, 1234);
-    const auto batches = stream.batches_of(30);
-
-    auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network);
-    const auto initial = test::engine_count(base, config.run_spec());
-    ASSERT_FALSE(initial.oom);
-    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
-                               initial.triangles);
-
-    for (const auto& batch : batches) {
-        const auto stats = counter.apply_batch(batch);
-        const auto current = materialize_global(views);
-        // Fresh static recount through the full distributed pipeline.
-        const auto recount = test::engine_count(current, config.run_spec());
-        ASSERT_FALSE(recount.oom);
-        ASSERT_EQ(counter.triangles(), recount.triangles)
-            << "batch " << stats.batch_index << " (" << stats.net_inserts << " ins, "
-            << stats.net_deletes << " del)";
-        EXPECT_EQ(stats.triangles, counter.triangles());
-    }
-}
-
-std::string property_name(const ::testing::TestParamInfo<PropertyParam>& info) {
-    const auto [family, partition, p, kind] = info.param;
-    const std::string strategy =
-        partition == core::PartitionStrategy::kUniformVertices ? "uniform" : "balanced";
-    return family + "_" + strategy + "_p" + std::to_string(p) + "_"
-           + seq::intersect_kind_name(kind);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GeneratorsPartitionsRanks, IncrementalMatchesRecountTest,
-    ::testing::Combine(::testing::Values("gnm", "rmat", "rgg2d"),
-                       ::testing::Values(core::PartitionStrategy::kUniformVertices,
-                                         core::PartitionStrategy::kBalancedEdges),
-                       ::testing::Values<Rank>(1, 4, 7),
-                       ::testing::Values(seq::IntersectKind::kMerge,
-                                         seq::IntersectKind::kAdaptive)),
-    property_name);
 
 /// End-to-end runner checks: final count, per-batch bookkeeping, observer.
 TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
@@ -126,45 +49,6 @@ TEST(CountTrianglesStreaming, RunnerMatchesFinalRecountAndReportsBatches) {
     }
     EXPECT_EQ(static_cast<std::uint64_t>(running), result.count.triangles);
     EXPECT_GT(result.stream_seconds, 0.0);
-}
-
-TEST(IncrementalCounting, IndirectRoutingStaysExact) {
-    const auto base = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 9.0), 21);
-    Config config;
-    config.algorithm = core::Algorithm::kCetric;
-    config.num_ranks = 9;  // 3×3 grid
-    config.stream_indirect = true;
-    const auto stream = make_churn_stream(base, 200, 0.45, 77);
-    const auto batches = stream.batches_of(25);
-
-    auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network);
-    const auto initial = test::engine_count(base, config.run_spec());
-    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
-                               initial.triangles);
-    for (const auto& batch : batches) {
-        counter.apply_batch(batch);
-        EXPECT_EQ(counter.triangles(),
-                  seq::count_edge_iterator(materialize_global(views)).triangles);
-    }
-}
-
-TEST(IncrementalCounting, PathologicalThresholdForcesManyFlushesButStaysExact) {
-    const auto base = gen::generate_gnm(200, 1200, 13);
-    Config config;
-    config.algorithm = core::Algorithm::kCetric;
-    config.num_ranks = 8;
-    config.options.buffer_threshold_words = 8;  // pathological δ
-    const auto stream = make_churn_stream(base, 150, 0.5, 31);
-    const auto result = test::engine_stream(base, stream.batches_of(25), config);
-
-    auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network);
-    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
-                               result.initial.triangles);
-    for (const auto& batch : stream.batches_of(25)) { counter.apply_batch(batch); }
-    EXPECT_EQ(result.count.triangles,
-              seq::count_edge_iterator(materialize_global(views)).triangles);
 }
 
 TEST(IncrementalCounting, NoOpEventsFoldAway) {

@@ -1,138 +1,53 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "core/dist_lcc.hpp"
 #include "gen/gnm.hpp"
-#include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
 #include "net/rank_pool.hpp"
 #include "graph/builder.hpp"
+#include "seq/edge_iterator.hpp"
 #include "seq/lcc.hpp"
 #include "stream/stream_runner.hpp"
 #include "support/engine_query.hpp"
+#include "support/oracle.hpp"
 #include "support/test_graphs.hpp"
-#include "util/assert.hpp"
 
 namespace katric::stream {
 namespace {
 
-graph::CsrGraph make_base(const std::string& family) {
-    if (family == "gnm") { return gen::generate_gnm(300, 1800, 42); }
-    if (family == "rmat") { return gen::generate_rmat(8, 1536, 9); }
-    if (family == "rgg2d") {
-        return gen::generate_rgg2d(300, gen::rgg2d_radius_for_degree(300, 10.0), 7);
-    }
-    KATRIC_THROW("unknown family " << family);
-}
-
-/// Drives an IncrementalCounter with an attached IncrementalLcc over
-/// `batches` and checks Δ and LCC against the full distributed recompute
-/// (and the sequential oracle) after every batch.
-void expect_lcc_tracks_recompute(const graph::CsrGraph& base,
-                                 const std::vector<EdgeBatch>& batches,
-                                 const Config& config,
-                                 net::RankPool& pool = net::RankPool::shared()) {
-    auto views = test::dynamic_views(base, config);
-    net::Simulator sim(config.num_ranks, config.network, pool);
-    const auto initial = test::engine_lcc(base, config.run_spec());
-    ASSERT_FALSE(initial.count.oom);
-    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
-                               initial.count.triangles);
-    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
-    lcc.attach(counter);
-
-    for (const auto& batch : batches) {
-        const auto stats = counter.apply_batch(batch);
-        const double flush_seconds = lcc.finish_batch();
-        EXPECT_GE(flush_seconds, 0.0);
-
-        const auto current = materialize_global(views);
-        const auto full = test::engine_lcc(current, config.run_spec());
-        ASSERT_FALSE(full.count.oom);
-        ASSERT_EQ(counter.triangles(), full.count.triangles)
-            << "batch " << stats.batch_index;
-        const auto streamed_delta = lcc.delta();
-        const auto streamed_lcc = lcc.lcc();
-        ASSERT_EQ(streamed_delta, full.delta) << "batch " << stats.batch_index;
-        ASSERT_EQ(streamed_lcc.size(), full.lcc.size());
-        for (VertexId v = 0; v < streamed_lcc.size(); ++v) {
-            ASSERT_DOUBLE_EQ(streamed_lcc[v], full.lcc[v])
-                << "batch " << stats.batch_index << ", vertex " << v;
-        }
-        // And against the single-machine oracle, closing the loop between
-        // the distributed and sequential definitions.
-        const auto oracle = seq::compute_lcc_oracle(current);
-        ASSERT_EQ(streamed_delta, oracle.delta) << "batch " << stats.batch_index;
-        for (VertexId v = 0; v < streamed_lcc.size(); ++v) {
-            ASSERT_DOUBLE_EQ(streamed_lcc[v], oracle.lcc[v])
-                << "batch " << stats.batch_index << ", vertex " << v;
-        }
-        // Spot-check the owner-side single-vertex accessors.
-        for (const VertexId v : {VertexId{0}, current.num_vertices() / 2,
-                                 current.num_vertices() - 1}) {
-            EXPECT_EQ(lcc.delta_of(v), full.delta[v]);
-            EXPECT_DOUBLE_EQ(lcc.lcc_of(v), full.lcc[v]);
-        }
-    }
-}
-
-/// The tentpole property: after every batch of a randomized insert/delete
-/// stream, the incrementally maintained per-vertex Δ and LCC vectors equal
-/// a full compute_distributed_lcc of the materialized graph — under the
-/// merge kernel and under adaptive dispatch (hub bitmaps + collect paths).
-using PropertyParam = std::tuple<std::string /*family*/, core::PartitionStrategy, Rank,
-                                 seq::IntersectKind>;
-
-class StreamingLccMatchesFullTest : public ::testing::TestWithParam<PropertyParam> {};
-
-TEST_P(StreamingLccMatchesFullTest, EveryBatchAgreesWithDistributedLcc) {
-    const auto [family, partition, p, kind] = GetParam();
-    const auto base = make_base(family);
-
-    Config config;
-    config.algorithm = core::Algorithm::kCetric;
-    config.num_ranks = p;
-    config.partition = partition;
-    config.options.intersect = kind;
-    if (core::uses_hub_bitmaps(kind)) { config.options.hub_threshold = 2; }
-
-    const auto stream = make_churn_stream(base, 240, 0.45, 4321);
-    expect_lcc_tracks_recompute(base, stream.batches_of(30), config);
-}
-
-std::string property_name(const ::testing::TestParamInfo<PropertyParam>& info) {
-    const auto [family, partition, p, kind] = info.param;
-    const std::string strategy =
-        partition == core::PartitionStrategy::kUniformVertices ? "uniform" : "balanced";
-    return family + "_" + strategy + "_p" + std::to_string(p) + "_"
-           + seq::intersect_kind_name(kind);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    GeneratorsPartitionsRanks, StreamingLccMatchesFullTest,
-    ::testing::Combine(::testing::Values("gnm", "rmat", "rgg2d"),
-                       ::testing::Values(core::PartitionStrategy::kUniformVertices,
-                                         core::PartitionStrategy::kBalancedEdges),
-                       ::testing::Values<Rank>(1, 4, 7),
-                       ::testing::Values(seq::IntersectKind::kMerge,
-                                         seq::IntersectKind::kAdaptive)),
-    property_name);
-
 /// The apply superstep mutates each rank's view and credits Δ from a
 /// parallel start round: with helper threads every batch still matches the
-/// full recompute and the oracle.
+/// sequential oracle, in the vectors and in the owner-side accessors.
 TEST(StreamingLccMatchesFull, HelperThreadsKeepEveryBatchExact) {
     net::RankPool helpers(3);
-    const auto base = make_base("rmat");
+    const auto base = gen::generate_rmat(8, 1536, 9);
     Config config;
     config.algorithm = core::Algorithm::kCetric;
     config.num_ranks = 7;
     config.options.intersect = seq::IntersectKind::kAdaptive;
     config.options.hub_threshold = 2;
-    const auto stream = make_churn_stream(base, 240, 0.45, 4321);
-    expect_lcc_tracks_recompute(base, stream.batches_of(30), config, helpers);
+    auto views = test::dynamic_views(base, config);
+    net::Simulator sim(config.num_ranks, config.network, helpers);
+    const auto initial = test::engine_lcc(base, config.run_spec());
+    IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
+                               initial.count.triangles);
+    IncrementalLcc lcc(sim, views, config.options, config.stream_indirect, initial.delta);
+    lcc.attach(counter);
+    for (const auto& batch : make_churn_stream(base, 240, 0.45, 4321).batches_of(30)) {
+        SCOPED_TRACE("batch " + std::to_string(counter.apply_batch(batch).batch_index));
+        EXPECT_GE(lcc.finish_batch(), 0.0);
+        const auto current = materialize_global(views);
+        EXPECT_EQ(counter.triangles(), seq::count_edge_iterator(current).triangles);
+        test::expect_lcc_matches(current, lcc.delta(), lcc.lcc());
+        const auto oracle = seq::compute_lcc_oracle(current);
+        for (const VertexId v : {VertexId{0}, current.num_vertices() / 2,
+                                 current.num_vertices() - 1}) {
+            EXPECT_EQ(lcc.delta_of(v), oracle.delta[v]);
+            EXPECT_DOUBLE_EQ(lcc.lcc_of(v), oracle.lcc[v]);
+        }
+    }
 }
 
 TEST(StreamingLccEdgeCases, IsolatedAndDegreeOneVerticesReportZero) {
@@ -292,12 +207,7 @@ TEST(CountTrianglesStreamingLcc, RunnerMaintainsLccAndReportsFlushTimes) {
     IncrementalCounter counter(sim, views, config.options, config.stream_indirect,
                                result.initial.triangles);
     for (const auto& batch : batches) { counter.apply_batch(batch); }
-    const auto oracle = seq::compute_lcc_oracle(materialize_global(views));
-    EXPECT_EQ(result.delta, oracle.delta);
-    ASSERT_EQ(result.lcc.size(), oracle.lcc.size());
-    for (VertexId v = 0; v < result.lcc.size(); ++v) {
-        EXPECT_DOUBLE_EQ(result.lcc[v], oracle.lcc[v]) << "vertex " << v;
-    }
+    test::expect_lcc_matches(materialize_global(views), result.delta, result.lcc);
 }
 
 TEST(CountTrianglesStreamingLcc, WithoutMaintenanceVectorsStayEmpty) {
@@ -310,16 +220,6 @@ TEST(CountTrianglesStreamingLcc, WithoutMaintenanceVectorsStayEmpty) {
     EXPECT_TRUE(result.delta.empty());
     EXPECT_TRUE(result.lcc.empty());
     for (const auto& stats : result.batches) { EXPECT_EQ(stats.lcc_seconds, 0.0); }
-}
-
-TEST(StreamingLccEdgeCases, IndirectRoutingFlushStaysExact) {
-    const auto base = gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 9.0), 21);
-    Config config;
-    config.algorithm = core::Algorithm::kCetric;
-    config.num_ranks = 9;  // 3×3 grid
-    config.stream_indirect = true;
-    const auto stream = make_churn_stream(base, 120, 0.45, 77);
-    expect_lcc_tracks_recompute(base, stream.batches_of(30), config);
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
 // Input validation at the trust boundaries: malformed stream batches and
-// out-of-universe edge lists are rejected with typed errors
-// (core::RunError::kInvalidInput) instead of tripping internal assertions —
-// and rejection is atomic: nothing was mutated, and the session keeps
-// serving well-formed input afterwards.
+// out-of-universe edge lists (ID 2^64 − 1 included) are rejected with typed
+// errors (core::RunError::kInvalidInput) instead of tripping internal
+// assertions — and rejection is atomic: nothing was mutated, and the
+// session keeps serving well-formed input afterwards.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
+#include <string>
 
 #include "engine.hpp"
 #include "graph/builder.hpp"
 #include "stream/edge_stream.hpp"
 #include "support/test_graphs.hpp"
+#include "util/assert.hpp"
 
 namespace katric::stream {
 namespace {
@@ -77,6 +80,25 @@ TEST(StreamInputValidation, UnorderedEventsAreRejected) {
     EXPECT_EQ(session.triangles(), before);
 }
 
+TEST(StreamInputValidation, NonFiniteTimesAreRejectedAtomically) {
+    // NaN compares false against every time: an order check alone lets it
+    // through to the fold.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(bad);
+        SessionFixture fx;
+        const auto stats = fx.session.ingest(insert_batch({
+            {0.0, 0, 1, EventKind::kDelete},
+            {bad, 1, 2, EventKind::kDelete},
+        }));
+        EXPECT_EQ(stats.error, core::RunError::kInvalidInput);
+        EXPECT_NE(stats.error.message.find("non-finite"), std::string::npos);
+        EXPECT_EQ(stats.net_deletes + stats.messages_sent, 0u);
+        EXPECT_EQ(fx.session.triangles(), 220u);
+    }
+}
+
 TEST(StreamInputValidation, SessionRecoversAfterARejectedBatch) {
     SessionFixture fx;
     auto& session = fx.session;
@@ -126,6 +148,19 @@ TEST(BuilderInputValidation, TryBuildRejectsEndpointsOutsideTheUniverse) {
     EXPECT_EQ(built, std::nullopt);
     EXPECT_EQ(error, core::RunError::kInvalidInput);
     EXPECT_NE(error.message.find("7"), std::string::npos);
+}
+
+TEST(BuilderInputValidation, VertexIdTwoToThe64MinusOneIsRejectedNotWrapped) {
+    // Its + 1 wraps to 0, which would make the inferred universe empty.
+    graph::EdgeList edges;
+    edges.add(0, graph::kInvalidVertex);
+    for (const graph::VertexId n : {graph::VertexId{0}, graph::VertexId{4}}) {
+        Error error;
+        EXPECT_EQ(graph::try_build_undirected(edges, n, &error), std::nullopt);
+        EXPECT_EQ(error, core::RunError::kInvalidInput);
+        EXPECT_NE(error.message.find("18446744073709551615"), std::string::npos);
+        EXPECT_THROW((void)graph::build_undirected(edges, n), assertion_error);
+    }
 }
 
 TEST(BuilderInputValidation, TryBuildAcceptsValidInputAndClearsTheError) {

@@ -29,11 +29,6 @@ inline core::LccResult engine_lcc(const graph::CsrGraph& g, const core::RunSpec&
     return result;
 }
 
-inline Report engine_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec) {
-    const Engine engine(g, Config::from_run_spec(spec));
-    return engine.enumerate();
-}
-
 inline core::AmqResult engine_approx(const graph::CsrGraph& g,
                                      const core::RunSpec& spec,
                                      const core::AmqOptions& amq) {

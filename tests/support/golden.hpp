@@ -140,9 +140,18 @@ inline std::vector<std::string> read_golden(const std::string& path) {
     return golden;
 }
 
-inline void write_golden(const std::string& path, const std::vector<std::string>& lines) {
+/// Writes the recomputed `lines`, except that a line matching its golden
+/// counterpart within tolerance is written as the golden's own text: a `cp`
+/// of the file over the golden then changes only the lines that differ, not
+/// the last digits of doubles the compiler's optimization level moved.
+inline void write_golden(const std::string& path, const std::vector<std::string>& lines,
+                         const std::vector<std::string>& golden) {
     std::ofstream out(path);
-    for (const auto& line : lines) { out << line << '\n'; }
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const bool matches =
+            i < golden.size() && first_golden_difference(golden[i], lines[i]).empty();
+        out << (matches ? golden[i] : lines[i]) << '\n';
+    }
 }
 
 }  // namespace katric::test

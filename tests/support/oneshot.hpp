@@ -12,6 +12,7 @@
 #include "error.hpp"
 #include "graph/distributed_graph.hpp"
 #include "net/metrics.hpp"
+#include "net/rank_pool.hpp"
 #include "net/simulator.hpp"
 #include "report.hpp"
 
@@ -21,13 +22,14 @@ namespace detail {
 
 using Views = std::vector<graph::DistGraph>;
 
-/// Runs `run(report, sim, views)` on fresh views of `g` and a fresh machine,
-/// then fills the fields Engine::finalize derives from the machine.
+/// Runs `run(report, sim, views)` on fresh views of `g` and a fresh machine
+/// whose rounds run on `pool`, then fills the fields Engine::finalize derives
+/// from the machine.
 template <typename Run>
 Report oneshot(Query kind, const graph::CsrGraph& g, const core::RunSpec& spec,
-               const Run& run) {
+               const Run& run, net::RankPool& pool = net::RankPool::shared()) {
     Views views = graph::distribute(g, core::make_partition(g, spec));
-    net::Simulator sim(spec.num_ranks, spec.network);
+    net::Simulator sim(spec.num_ranks, spec.network, pool);
     Report report;
     report.query = kind;
     report.algorithm = spec.algorithm;
@@ -60,7 +62,8 @@ inline Report oneshot_count(const graph::CsrGraph& g, const core::RunSpec& spec,
         });
 }
 
-inline Report oneshot_lcc(const graph::CsrGraph& g, const core::RunSpec& spec) {
+inline Report oneshot_lcc(const graph::CsrGraph& g, const core::RunSpec& spec,
+                          net::RankPool& pool = net::RankPool::shared()) {
     return detail::oneshot(
         Query::kLcc, g, spec,
         [&](Report& report, net::Simulator& sim, detail::Views& views) {
@@ -69,10 +72,12 @@ inline Report oneshot_lcc(const graph::CsrGraph& g, const core::RunSpec& spec) {
             report.delta = std::move(result.delta);
             report.lcc = std::move(result.lcc);
             report.postprocess_time = result.postprocess_time;
-        });
+        },
+        pool);
 }
 
-inline Report oneshot_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec) {
+inline Report oneshot_enumerate(const graph::CsrGraph& g, const core::RunSpec& spec,
+                                net::RankPool& pool = net::RankPool::shared()) {
     return detail::oneshot(
         Query::kEnumerate, g, spec,
         [&](Report& report, net::Simulator& sim, detail::Views& views) {
@@ -91,7 +96,8 @@ inline Report oneshot_enumerate(const graph::CsrGraph& g, const core::RunSpec& s
                 report.triangles.insert(report.triangles.end(), part.begin(), part.end());
             }
             std::sort(report.triangles.begin(), report.triangles.end());
-        });
+        },
+        pool);
 }
 
 /// The AMQ pipeline is CETRIC-AMQ whatever spec.algorithm says.
