@@ -81,17 +81,16 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
         const std::uint64_t inserted = record[2];
         const std::uint64_t num_bits = record[3];
         const auto num_hashes = static_cast<std::uint32_t>(record[4]);
-        const auto filter = amq::BloomFilter::from_words(
-            record.subspan(kBloomHeaderWords), num_bits, num_hashes,
-            amq.seed ^ katric::hash64(v), inserted);
+        // Probed in place: the view checks the word count before any probe.
+        const amq::BloomView filter(record.subspan(kBloomHeaderWords), num_bits,
+                                    num_hashes, amq.seed ^ katric::hash64(v), inserted);
         const double f = filter.expected_fpr();
         for (const VertexId u : view.ghost_out_neighbors(*gi)) {
             const auto a_u = view.contracted_out_neighbors(u);
-            std::uint64_t positives = 0;
-            for (const VertexId w : a_u) {
-                self.charge_ops(num_hashes);
-                if (filter.contains(w)) { ++positives; }
-            }
+            // One charge per probed key, in key order: the simulated clock
+            // is a sum of doubles, so one batched charge would round apart.
+            for (std::size_t i = 0; i < a_u.size(); ++i) { self.charge_ops(num_hashes); }
+            const std::uint64_t positives = filter.count(a_u);
             const auto q = static_cast<double>(a_u.size());
             if (amq.truthful && f < 1.0) {
                 estimates[r] += (static_cast<double>(positives) - q * f) / (1.0 - f);

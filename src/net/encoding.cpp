@@ -1,5 +1,7 @@
 #include "net/encoding.hpp"
 
+#include <bit>
+
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 
@@ -142,39 +144,86 @@ bool try_decode_sorted(std::span<const std::uint64_t> words, std::size_t count,
     return true;
 }
 
+namespace {
+
+// xxh64's primes.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+
+/// xxh64's round: a bijection in `word` for a fixed `acc`, and in `acc` for
+/// a fixed `word`.
+constexpr std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) noexcept {
+    return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+/// Folds one value into the running hash: a bijection in `h` for a fixed
+/// `value`, and in `value` for a fixed `h`.
+constexpr std::uint64_t absorb(std::uint64_t h, std::uint64_t value) noexcept {
+    return std::rotl(h ^ lane_round(0, value), 27) * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
 std::uint64_t frame_checksum(std::uint64_t frame_id, std::uint32_t src,
                              std::uint32_t dest, int tag,
                              std::span<const std::uint64_t> payload) {
     std::uint64_t h = hash64_seeded(frame_id, 0x6672616d65ULL /* "frame" */);
-    h = hash_combine(h, src);
-    h = hash_combine(h, dest);
-    h = hash_combine(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
-    h = hash_combine(h, payload.size());
-    for (const std::uint64_t word : payload) { h = hash_combine(h, word); }
-    return h;
+    const std::size_t stripes = payload.size() / 4;
+    if (stripes > 0) {
+        // The lanes start from constants, not from the frame id, so a
+        // changed word moves exactly one lane and every fold below stays a
+        // bijection in it.
+        std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+        const std::uint64_t* word = payload.data();
+        for (std::size_t s = 0; s < stripes; ++s, word += 4) {
+            lane[0] = lane_round(lane[0], word[0]);
+            lane[1] = lane_round(lane[1], word[1]);
+            lane[2] = lane_round(lane[2], word[2]);
+            lane[3] = lane_round(lane[3], word[3]);
+        }
+        for (const std::uint64_t acc : lane) { h = absorb(h, acc); }
+    }
+    for (const std::uint64_t word : payload.subspan(stripes * 4)) { h = absorb(h, word); }
+    h = absorb(h, src);
+    h = absorb(h, dest);
+    h = absorb(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
+    h = absorb(h, payload.size());
+    return hash64(h);
+}
+
+FrameHeader frame_header(std::uint64_t frame_id, std::uint32_t src, std::uint32_t dest,
+                         int tag, std::span<const std::uint64_t> payload) {
+    return {frame_id, payload.size(), frame_checksum(frame_id, src, dest, tag, payload)};
 }
 
 WordVec frame_payload(std::uint64_t frame_id, std::uint32_t src, std::uint32_t dest,
                       int tag, std::span<const std::uint64_t> payload) {
+    const FrameHeader header = frame_header(frame_id, src, dest, tag, payload);
     WordVec framed;
     framed.reserve(kFrameHeaderWords + payload.size());
-    framed.push_back(frame_id);
-    framed.push_back(payload.size());
-    framed.push_back(frame_checksum(frame_id, src, dest, tag, payload));
+    framed.insert(framed.end(), header.begin(), header.end());
     framed.insert(framed.end(), payload.begin(), payload.end());
     return framed;
 }
 
 FrameView verify_frame(std::span<const std::uint64_t> words, std::uint32_t src,
                        std::uint32_t dest, int tag) {
+    if (words.size() < kFrameHeaderWords) { return FrameView{}; }  // kTruncated
+    return verify_frame(words.first<kFrameHeaderWords>(),
+                        words.subspan(kFrameHeaderWords), src, dest, tag);
+}
+
+FrameView verify_frame(std::span<const std::uint64_t, kFrameHeaderWords> header,
+                       std::span<const std::uint64_t> payload, std::uint32_t src,
+                       std::uint32_t dest, int tag) {
     FrameView view;
-    if (words.size() < kFrameHeaderWords) { return view; }  // kTruncated
-    const std::uint64_t frame_id = words[0];
-    const std::uint64_t declared = words[1];
+    const std::uint64_t frame_id = header[0];
+    const std::uint64_t declared = header[1];
     view.frame_id = frame_id;
-    if (words.size() - kFrameHeaderWords < declared) { return view; }  // kTruncated
-    const auto payload = words.subspan(kFrameHeaderWords, declared);
-    if (frame_checksum(frame_id, src, dest, tag, payload) != words[2]) {
+    if (payload.size() < declared) { return view; }  // kTruncated
+    payload = payload.first(declared);
+    if (frame_checksum(frame_id, src, dest, tag, payload) != header[2]) {
         view.status = FrameStatus::kCorrupt;
         return view;
     }

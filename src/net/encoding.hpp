@@ -1,12 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "net/simulator.hpp"
-
 namespace katric::net {
+
+using WordVec = std::vector<std::uint64_t>;
 
 /// Delta–varint compression for sorted vertex-ID lists — the classic
 /// volume-reduction technique for neighborhood exchange. Sorted IDs have
@@ -42,22 +43,38 @@ void decode_sorted(std::span<const std::uint64_t> words, std::size_t count,
 /// Physical frame format of the hardened message layer (src/fault/). When a
 /// run is hardened, every cross-rank payload send travels as
 ///
-///   [frame_id, payload_words, checksum, payload...]
+///   [frame_id, payload_words, checksum] + payload
 ///
-/// where checksum covers (frame_id, src, dest, tag, payload length, payload
-/// words) via the library's hash64 chain — an xxhash-style integrity check,
-/// not a cryptographic MAC. Truncation is caught by the length word,
-/// corruption (including a flip inside the header itself) by the checksum;
-/// duplicated frames are recognized by frame_id at the receiver.
+/// The simulator keeps the 3-word header beside the sender's own payload
+/// buffer and verifies the two in place; the contiguous layout
+/// [frame_id, payload_words, checksum, payload...] (frame_payload) is built
+/// only where a fault needs bytes of its own: a duplicate, a truncation or a
+/// bit flip, whose offsets count from the header's first word.
+///
+/// The checksum is an integrity check, not a cryptographic MAC: four
+/// xxh64-style lanes over the payload's 4-word stripes, folded into the
+/// seeded frame id, then the tail words, src, dest, tag and payload length
+/// absorbed one by one, and a final avalanche. Every step is a bijection in
+/// the word it absorbs, so replacing any single word of the frame id,
+/// payload or channel always changes the checksum. Truncation is caught by
+/// the length word, corruption (including a flip inside the header itself)
+/// by the checksum; duplicated frames are recognized by frame_id at the
+/// receiver.
 
 inline constexpr std::size_t kFrameHeaderWords = 3;
+using FrameHeader = std::array<std::uint64_t, kFrameHeaderWords>;
 
 /// Integrity checksum over the frame's identity and content.
 [[nodiscard]] std::uint64_t frame_checksum(std::uint64_t frame_id, std::uint32_t src,
                                            std::uint32_t dest, int tag,
                                            std::span<const std::uint64_t> payload);
 
-/// Builds the framed buffer: header + copy of `payload`.
+/// The header [frame_id, payload length, checksum] of `payload`'s frame.
+[[nodiscard]] FrameHeader frame_header(std::uint64_t frame_id, std::uint32_t src,
+                                       std::uint32_t dest, int tag,
+                                       std::span<const std::uint64_t> payload);
+
+/// Builds the contiguous framed buffer: header + copy of `payload`.
 [[nodiscard]] WordVec frame_payload(std::uint64_t frame_id, std::uint32_t src,
                                     std::uint32_t dest, int tag,
                                     std::span<const std::uint64_t> payload);
@@ -76,10 +93,18 @@ struct FrameView {
     std::span<const std::uint64_t> payload;
 };
 
-/// Verifies a received framed buffer against the channel identity the
-/// receiver knows out of band. Never reads out of bounds on any input.
+/// Verifies a received contiguous framed buffer against the channel
+/// identity the receiver knows out of band. Never reads out of bounds on
+/// any input.
 [[nodiscard]] FrameView verify_frame(std::span<const std::uint64_t> words,
                                      std::uint32_t src, std::uint32_t dest, int tag);
+
+/// Verifies a frame whose header and payload lie apart, in place: the
+/// payload is the first header[1] words of `payload` (kTruncated when it
+/// holds fewer).
+[[nodiscard]] FrameView verify_frame(
+    std::span<const std::uint64_t, kFrameHeaderWords> header,
+    std::span<const std::uint64_t> payload, std::uint32_t src, std::uint32_t dest, int tag);
 
 /// ZigZag mapping for the signed per-vertex delta records of the streaming
 /// LCC flush: the sign moves into the LSB, so small-magnitude deltas of

@@ -56,11 +56,6 @@ void RankHandle::send_sized(Rank dest, std::uint64_t words, int tag) {
     sim_->post(rank_, dest, tag, words, WordVec{}, /*sized=*/true);
 }
 
-void RankHandle::charge_ops(std::uint64_t ops) {
-    sim_->lanes_[rank_].clock += static_cast<double>(ops) * sim_->config_.compute_op;
-    sim_->metrics_[rank_].compute_ops += ops;
-}
-
 void RankHandle::charge_seconds(double seconds, std::uint64_t ops) {
     KATRIC_ASSERT(seconds >= 0.0);
     sim_->lanes_[rank_].clock += seconds;
@@ -108,10 +103,11 @@ void Simulator::post(Rank src, Rank dest, int tag, std::uint64_t words, WordVec 
         metrics_[src].messages_sent += 1;
         metrics_[src].words_sent += wire;
     }
-    // Staged payloads wait for the whole round before delivery frees them:
-    // drop the growth slack of push_back-built buffers so the round holds
-    // only the words it sends. (A framed send is copied at the drain.)
-    if (!framed) { payload.shrink_to_fit(); }
+    // Staged payloads wait for the whole round before delivery frees them,
+    // and a framed one is retained until its verified delivery: drop the
+    // growth slack of push_back-built buffers so the round holds only the
+    // words it sends.
+    payload.shrink_to_fit();
     lane.outbox.push_back(
         Outgoing{dest, tag, framed, words, lane.clock, std::move(payload)});
 }
@@ -134,9 +130,9 @@ void Simulator::drain(Rank src) {
 void Simulator::send_framed(Rank src, Outgoing& out) {
     FaultState& st = *fault_;
     const std::uint64_t id = ++st.next_frame_id;
-    WordVec framed = frame_payload(id, src, out.dest, out.tag,
-                                   std::span<const std::uint64_t>(out.payload));
-    st.in_flight.emplace(id, InFlightFrame{src, out.dest, out.tag, std::move(framed), 1});
+    const FrameHeader header = frame_header(id, src, out.dest, out.tag, out.payload);
+    st.in_flight.emplace(
+        id, InFlightFrame{src, out.dest, out.tag, header, std::move(out.payload), 1});
     if (st.opts.stats != nullptr) { ++st.opts.stats->frames_sent; }
     inject(id, out.arrival);
 }
@@ -144,8 +140,13 @@ void Simulator::send_framed(Rank src, Outgoing& out) {
 void Simulator::inject(std::uint64_t frame_id, double arrival) {
     FaultState& st = *fault_;
     const InFlightFrame& f = st.in_flight.at(frame_id);
-    const auto words = static_cast<std::uint64_t>(f.framed.size());
-    std::optional<WordVec> mutated;  // a fault's own copy of the bytes
+    const std::uint64_t words = f.words();
+    // A fault's own bytes: the contiguous frame, as the wire would carry it.
+    const auto contiguous = [&] {
+        return frame_payload(frame_id, static_cast<std::uint32_t>(f.src),
+                             static_cast<std::uint32_t>(f.dest), f.tag, f.payload);
+    };
+    std::optional<WordVec> mutated;
     bool duplicate = false;
     if (st.opts.injector != nullptr) {
         fault::FaultStats* stats = st.opts.stats;
@@ -172,16 +173,15 @@ void Simulator::inject(std::uint64_t frame_id, double arrival) {
                     break;
                 case fault::FaultKind::kTruncate: {
                     if (stats != nullptr) { ++stats->injected_truncate; }
-                    const auto cut = std::min<std::size_t>(
-                        static_cast<std::size_t>(d->detail), f.framed.size());
-                    mutated.emplace(f.framed.begin(),
-                                    f.framed.end() - static_cast<std::ptrdiff_t>(cut));
+                    const auto cut = std::min<std::uint64_t>(d->detail, words);
+                    mutated.emplace(contiguous());
+                    mutated->resize(static_cast<std::size_t>(words - cut));
                     break;
                 }
                 case fault::FaultKind::kBitFlip: {
                     if (stats != nullptr) { ++stats->injected_bitflip; }
                     const std::uint64_t bit = d->detail % (words * 64);
-                    mutated.emplace(f.framed);
+                    mutated.emplace(contiguous());
                     (*mutated)[bit / 64] ^= 1ULL << (bit % 64);
                     break;
                 }
@@ -203,8 +203,8 @@ void Simulator::inject(std::uint64_t frame_id, double arrival) {
     events_.push(Event{arrival, next_seq_++, f.src, f.dest, f.tag, words, WordVec{},
                        frame_id, /*retained=*/true});
     if (duplicate) {
-        events_.push(
-            Event{arrival, next_seq_++, f.src, f.dest, f.tag, words, f.framed, frame_id});
+        events_.push(Event{arrival, next_seq_++, f.src, f.dest, f.tag, words, contiguous(),
+                           frame_id});
     }
 }
 
@@ -216,8 +216,8 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
     // attempts counts sends so far; the retry budget caps retransmissions.
     if (f.attempts > st.opts.max_retries) {
         std::ostringstream out;
-        out << "frame " << frame_id << " (" << f.src << "→" << f.dest << ", "
-            << f.framed.size() << " words) unrecovered after " << f.attempts
+        out << "frame " << frame_id << " (" << f.src << "→" << f.dest << ", " << f.words()
+            << " words) unrecovered after " << f.attempts
             << " attempt(s); retry budget " << st.opts.max_retries << " exhausted";
         throw FaultError(exhausted_as, out.str());
     }
@@ -229,7 +229,7 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
     const auto shift = std::min<std::uint32_t>(f.attempts, 16);
     Lane& lane = lanes_[f.src];
     lane.clock += config_.alpha * static_cast<double>(1ULL << shift);
-    const auto words = static_cast<std::uint64_t>(f.framed.size());
+    const std::uint64_t words = f.words();
     lane.clock += config_.alpha + config_.beta * static_cast<double>(words);
     metrics_[f.src].messages_sent += 1;
     metrics_[f.src].words_sent += words;
@@ -239,15 +239,18 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
 std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(Event& event) {
     FaultState& st = *fault_;
     const auto frame = st.in_flight.find(event.frame);
-    std::span<const std::uint64_t> wire(event.payload);
+    const auto src = static_cast<std::uint32_t>(event.src);
+    const auto dest = static_cast<std::uint32_t>(event.dest);
+    FrameView view;
     if (event.retained) {
+        // Header and payload verify in place, where the sender left them.
         KATRIC_ASSERT_MSG(frame != st.in_flight.end(),
                           "retained frame " << event.frame << " retired before delivery");
-        wire = frame->second.framed;
+        view = verify_frame(frame->second.header, frame->second.payload, src, dest,
+                            event.tag);
+    } else {
+        view = verify_frame(event.payload, src, dest, event.tag);
     }
-    const FrameView view =
-        verify_frame(wire, static_cast<std::uint32_t>(event.src),
-                     static_cast<std::uint32_t>(event.dest), event.tag);
     if (view.status != FrameStatus::kOk) {
         // Detected truncation/corruption: request a fresh copy immediately.
         // The lookup keys on the event's frame id — the network's own record
@@ -263,7 +266,7 @@ std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(Event&
         return std::nullopt;
     }
     // Moving the vector keeps its heap buffer, so `view` stays valid.
-    if (event.retained) { event.payload = std::move(frame->second.framed); }
+    if (event.retained) { event.payload = std::move(frame->second.payload); }
     st.in_flight.erase(frame);
     return view.payload;
 }

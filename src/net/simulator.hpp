@@ -16,6 +16,7 @@
 #include "error.hpp"
 #include "fault/injector.hpp"
 #include "graph/types.hpp"
+#include "net/encoding.hpp"
 #include "net/metrics.hpp"
 #include "net/network_config.hpp"
 #include "net/rank_pool.hpp"
@@ -112,7 +113,8 @@ public:
     /// exchange without its data.
     void send_sized(Rank dest, std::uint64_t words, int tag = 0);
 
-    /// Advances this PE's clock by ops elementary operations.
+    /// Advances this PE's clock by ops elementary operations. Inline (below
+    /// Simulator): kernels call it once per probe or intersection.
     void charge_ops(std::uint64_t ops);
     /// Advances this PE's clock by an explicit amount of seconds. `ops` is
     /// the elementary work those seconds stand for (e.g. intersections split
@@ -249,9 +251,9 @@ private:
         /// is — corruption mutates the payload buffer, never this.
         std::uint64_t frame = 0;
         /// Clean hardened delivery: the bytes are the in-flight frame's
-        /// retained buffer, looked up by `frame`; `payload` stays empty.
-        /// Only a fault that needs its own bytes (duplicate, truncate,
-        /// bit flip) materializes a copy.
+        /// header and the sender's own payload buffer, looked up by
+        /// `frame`; `payload` stays empty. Only a fault that needs its own
+        /// bytes (duplicate, truncate, bit flip) builds a contiguous frame.
         bool retained = false;
     };
     struct EventLater {
@@ -355,14 +357,21 @@ private:
     /// it with run_window.
     void deliver_fanned_out(const MessageHandler& on_message, double horizon);
 
-    /// Retained copy of a hardened in-flight frame, kept until its verified
-    /// delivery so loss and corruption can be repaired by retransmission.
+    /// A hardened in-flight frame, retained until its verified delivery so
+    /// loss and corruption can be repaired by retransmission: the frame
+    /// header beside the sender's payload, which was moved in, not copied.
     struct InFlightFrame {
         Rank src;
         Rank dest;
         int tag;
-        WordVec framed;          ///< pristine framed buffer (header + payload)
+        FrameHeader header;      ///< [frame id, payload length, checksum]
+        WordVec payload;         ///< the sender's pristine payload
         std::uint32_t attempts;  ///< delivery attempts so far (1 = first send)
+
+        /// Length of the frame on the wire, header included.
+        [[nodiscard]] std::uint64_t words() const noexcept {
+            return kFrameHeaderWords + payload.size();
+        }
     };
 
     /// All hardened-path state, allocated only when harden() is called so
@@ -381,8 +390,9 @@ private:
     /// Frames a drained send, retains it for retransmission and injects it.
     void send_framed(Rank src, Outgoing& out);
     /// Pushes an already charged frame's event(s) through the injector: 0
-    /// (drop), 1, or 2 (duplicate) events, possibly with a mutated copy of
-    /// the buffer (truncate/bitflip) or a perturbed arrival (reorder/delay).
+    /// (drop), 1, or 2 (duplicate) events, possibly with a mutated
+    /// contiguous frame (truncate/bitflip) or a perturbed arrival
+    /// (reorder/delay).
     /// Used by both the first send and retransmissions.
     void inject(std::uint64_t frame_id, double arrival);
     /// Re-sends a frame after detected loss/corruption, charging the sender
@@ -392,8 +402,8 @@ private:
     /// Verified-delivery bookkeeping for one hardened event. Returns the
     /// payload span to hand the handler, or nullopt when the event must be
     /// suppressed (duplicate) — retransmission on corruption happens inside.
-    /// A verified retained event takes over the frame's buffer, so the span
-    /// outlives the frame's retirement.
+    /// A verified retained event takes over the sender's payload buffer, so
+    /// the span outlives the frame's retirement.
     std::optional<std::span<const std::uint64_t>> receive_hardened(Event& event);
 
     NetworkConfig config_;
@@ -411,5 +421,10 @@ private:
     bool record_phase_details_ = false;
     std::unique_ptr<FaultState> fault_;
 };
+
+inline void RankHandle::charge_ops(std::uint64_t ops) {
+    sim_->lanes_[rank_].clock += static_cast<double>(ops) * sim_->config_.compute_op;
+    sim_->metrics_[rank_].compute_ops += ops;
+}
 
 }  // namespace katric::net

@@ -24,9 +24,9 @@ constexpr std::uint64_t next_power_of_two(std::uint64_t x) noexcept {
     return x <= 1 ? 1 : std::uint64_t{1} << ceil_log2(x);
 }
 
-/// Integer ceiling division.
+/// Integer ceiling division, exact for every a (no a + b − 1 to wrap).
 constexpr std::uint64_t div_ceil(std::uint64_t a, std::uint64_t b) noexcept {
-    return (a + b - 1) / b;
+    return a / b + static_cast<std::uint64_t>(a % b != 0);
 }
 
 /// Integer square root (floor).

@@ -152,5 +152,43 @@ TEST(FaultMatrix, IdenticalSpecsReproduceIdenticalOutcomes) {
     }
 }
 
+TEST(FaultMatrix, PinnedSchedulesReplay) {
+    // The fault schedule depends on frame ids and attempts only, never on
+    // how a frame is stored or on its checksum's value: these counters were
+    // recorded with contiguous retained frames and the serial hash_combine
+    // checksum.
+    const std::string spec =
+        "seed=99;drop=0.05;dup=0.05;reorder=0.2;bitflip=0.05;truncate=0.05";
+    const auto& graph = matrix_graph();
+    Config config;
+    config.num_ranks = 7;
+    config.partition = core::PartitionStrategy::kBalancedEdges;
+    config.fault_spec = spec;
+    config.max_retries = 8;
+    Engine engine(graph, config);
+    std::vector<std::uint64_t> counters;
+    for (const auto algorithm : kAlgorithms) {
+        const auto report = engine.count(algorithm);
+        ASSERT_TRUE(report.error.ok());
+        const fault::FaultStats& f = report.faults;
+        counters.insert(counters.end(),
+                        {f.frames_sent, f.injected_total(), f.injected_truncate,
+                         f.injected_bitflip, f.corrupt_detected, f.duplicates_suppressed,
+                         f.retransmits});
+    }
+    // Per algorithm: frames sent, faults injected, truncations, bit flips,
+    // corruptions detected, duplicates suppressed, retransmits.
+    const std::vector<std::uint64_t> pinned = {
+        247, 105, 13, 14, 27, 16, 36,  //
+        54, 16, 1, 1, 2, 4, 3,         //
+        44, 13, 1, 1, 2, 3, 3,         //
+        54, 16, 1, 1, 2, 4, 3,         //
+        44, 13, 1, 1, 2, 3, 3,         //
+        33, 10, 0, 1, 1, 2, 2,         //
+        53, 16, 1, 1, 2, 4, 3,         //
+    };
+    EXPECT_EQ(counters, pinned);
+}
+
 }  // namespace
 }  // namespace katric

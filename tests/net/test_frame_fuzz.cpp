@@ -4,8 +4,9 @@
 //   of bounds and must return false (not garbage, not a crash) on any
 //   truncation, while agreeing with decode_sorted on every clean buffer.
 //   verify_frame — a frame must verify kOk only when untouched: every
-//   truncation length and every single-bit flip is detected, and channel
-//   identity (src/dest/tag) is part of the integrity check.
+//   truncation length, every single-bit flip and every single-word
+//   replacement is detected, and channel identity (src/dest/tag) is part of
+//   the integrity check.
 
 #include "net/encoding.hpp"
 
@@ -194,6 +195,69 @@ TEST(VerifyFrame, EverySingleBitFlipIsDetected) {
             EXPECT_NE(view.status, FrameStatus::kOk) << word << ":" << bit;
         }
     }
+}
+
+TEST(VerifyFrame, EverySingleWordReplacementIsDetected) {
+    // Each checksum step is a bijection in the word it absorbs, so no
+    // replacement of one header or payload word, near its old value or
+    // random, can verify — contiguous or with the header kept apart.
+    constexpr std::uint32_t kSrc = 1;
+    constexpr std::uint32_t kDest = 6;
+    constexpr int kTag = 4;
+    Xoshiro256 rng(909);
+    for (const std::size_t length : {0, 1, 3, 4, 5, 7, 8, 9, 12, 17, 64, 67}) {
+        WordVec payload(length);
+        for (auto& word : payload) { word = rng.next_bounded(4) == 0 ? 0 : rng(); }
+        const WordVec framed = frame_payload(rng(), kSrc, kDest, kTag, payload);
+        for (std::size_t index = 0; index < framed.size(); ++index) {
+            for (int trial = 0; trial < 24; ++trial) {
+                const std::uint64_t delta = 1 + rng.next_bounded(4);
+                std::uint64_t value = rng();
+                if (trial % 3 == 1) { value = framed[index] + delta; }
+                if (trial % 3 == 2) { value = framed[index] - delta; }
+                if (value == framed[index]) { continue; }
+                WordVec mutated = framed;
+                mutated[index] = value;
+                const auto contiguous = verify_frame(mutated, kSrc, kDest, kTag).status;
+                EXPECT_TRUE(contiguous == FrameStatus::kCorrupt
+                            || contiguous == FrameStatus::kTruncated)
+                    << "length " << length << " word " << index << " := " << value;
+                FrameHeader header;
+                std::copy_n(mutated.begin(), kFrameHeaderWords, header.begin());
+                const auto apart =
+                    verify_frame(header, std::span(mutated).subspan(kFrameHeaderWords),
+                                 kSrc, kDest, kTag)
+                        .status;
+                EXPECT_EQ(apart, contiguous) << "length " << length << " word " << index;
+            }
+        }
+    }
+}
+
+TEST(VerifyFrame, ContiguousFrameIsTheHeaderBesideThePayload) {
+    // The simulator retains a frame as its header beside the sender's
+    // payload and builds the contiguous buffer only for a fault; both must
+    // be the same frame word for word, so a truncation or bit-flip offset
+    // lands on the same word either way.
+    FramedFixture fx;
+    const FrameHeader header = frame_header(42, fx.kSrc, fx.kDest, fx.kTag, fx.payload);
+    ASSERT_EQ(fx.framed.size(), kFrameHeaderWords + fx.payload.size());
+    EXPECT_TRUE(std::equal(header.begin(), header.end(), fx.framed.begin()));
+    EXPECT_TRUE(std::equal(fx.payload.begin(), fx.payload.end(),
+                           fx.framed.begin() + kFrameHeaderWords));
+    EXPECT_EQ(header[2], frame_checksum(42, fx.kSrc, fx.kDest, fx.kTag, fx.payload));
+    const auto view = verify_frame(header, fx.payload, fx.kSrc, fx.kDest, fx.kTag);
+    EXPECT_EQ(view.status, FrameStatus::kOk);
+    EXPECT_EQ(view.frame_id, 42u);
+    // In place: the payload view aliases the sender's buffer.
+    EXPECT_EQ(view.payload.data(), fx.payload.data());
+    EXPECT_EQ(view.payload.size(), fx.payload.size());
+    // A header that claims more words than the payload holds is a
+    // truncation, never an out-of-bounds read.
+    FrameHeader longer = header;
+    ++longer[1];
+    EXPECT_EQ(verify_frame(longer, fx.payload, fx.kSrc, fx.kDest, fx.kTag).status,
+              FrameStatus::kTruncated);
 }
 
 TEST(VerifyFrame, ChannelIdentityIsPartOfTheChecksum) {

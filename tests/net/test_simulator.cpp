@@ -628,6 +628,55 @@ TEST(ParallelDeliveryWindow, InjectedFaultsDeliverOneEventAtATime) {
     }
 }
 
+/// FNV-1a over the integer record of a run: every rank's metrics, the
+/// number of events scheduled and every fault counter. Received words count
+/// the frames as delivered, so a truncated frame's length shows here.
+std::uint64_t replay_digest(const Trail& trail) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h = (h ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+        }
+    };
+    for (const RankMetrics& m : trail.metrics) {
+        for (const std::uint64_t word :
+             {m.messages_sent, m.messages_received, m.words_sent, m.words_received,
+              m.compute_ops, m.peak_buffered_words}) {
+            mix(word);
+        }
+    }
+    mix(trail.events);
+    const fault::FaultStats& f = trail.faults;
+    for (const std::uint64_t word :
+         {f.injected_drop, f.injected_duplicate, f.injected_reorder, f.injected_delay,
+          f.injected_truncate, f.injected_bitflip, f.injected_stall, f.frames_sent,
+          f.corrupt_detected, f.duplicates_suppressed, f.retransmits}) {
+        mix(word);
+    }
+    return h;
+}
+
+TEST(HardenedReplay, FrameIdsInjectorDecisionsAndRetransmitsArePinned) {
+    // Which frames the injector hits, and how, depends only on frame ids and
+    // attempts; truncation and bit-flip offsets count over the contiguous
+    // frame. None depends on where the simulator keeps a frame's header or
+    // on the checksum's value. These digests were recorded with contiguous
+    // retained frames and the serial hash_combine checksum.
+    RankPool inline_pool(0);
+    const fault::FaultInjector every_fault(fault::FaultPlan::parse(
+        "seed=11;drop=0.05;dup=0.05;reorder=0.1;bitflip=0.05;truncate=0.05"));
+    const Trail all_to_all = all_to_all_trail(inline_pool, &every_fault);
+    EXPECT_GT(all_to_all.faults.injected_truncate, 0u);
+    EXPECT_EQ(replay_digest(all_to_all), 9685887027905704885ULL);
+
+    const fault::FaultInjector large(
+        fault::FaultPlan::parse("seed=5;dup=0.3;bitflip=0.3"));
+    EXPECT_EQ(replay_digest(injected_run(inline_pool, large).trail),
+              16130293269015396093ULL);
+    EXPECT_EQ(replay_digest(queue_run(inline_pool, /*harden=*/true).trail),
+              1877798731961698958ULL);
+}
+
 /// Ranks 1 to 3 each send one 40 Ki-word message to rank 0 at the same
 /// simulated time: one window of 120 Ki words, all for one rank.
 WindowedRun one_rank_run(RankPool& pool) {

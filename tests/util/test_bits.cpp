@@ -45,6 +45,13 @@ TEST(Bits, DivCeil) {
     EXPECT_EQ(div_ceil(10, 3), 4u);
     EXPECT_EQ(div_ceil(9, 3), 3u);
     EXPECT_EQ(div_ceil(1, 64), 1u);
+    EXPECT_EQ(div_ceil(0, 64), 0u);
+    // Near 2^64, a + b − 1 would wrap to a small number.
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    EXPECT_EQ(div_ceil(kMax, 64), std::uint64_t{1} << 58);
+    EXPECT_EQ(div_ceil(kMax - 63, 64), (std::uint64_t{1} << 58) - 1);
+    EXPECT_EQ(div_ceil(kMax, kMax), 1u);
+    EXPECT_EQ(div_ceil(kMax, 2), std::uint64_t{1} << 63);
 }
 
 TEST(Bits, IsqrtExhaustiveSmallAndSpot) {
