@@ -30,10 +30,12 @@ int main() {
               << " edge slots, " << piped.exchanged_words
               << " words redistributed in " << piped.input_time << " s (simulated)\n";
 
-    // 2. Count on the piped views.
+    // 2. Preprocess the piped views once (ghost degrees, orientation,
+    //    contraction — charged on the same machine), then count on them.
     core::RunSpec spec;
     spec.algorithm = core::Algorithm::kCetric2;
     spec.num_ranks = p;
+    core::run_preprocessing(sim, piped.views, spec.options);
     const auto count = core::dispatch_algorithm(sim, piped.views, spec);
     std::cout << "triangles: " << count.triangles << " (type 1+2: "
               << count.local_phase_triangles << ", type 3: "

@@ -200,45 +200,19 @@ std::optional<AlgorithmOptions> preprocess_options(Algorithm algorithm,
     }
 }
 
-Preprocess hoist_preprocess_build(net::Simulator& sim, std::vector<DistGraph>& views,
-                                  Algorithm algorithm, const AlgorithmOptions& options,
-                                  const Preprocess& preprocess) {
-    if (preprocess.mode != Preprocess::Mode::kBuild) { return preprocess; }
-    const auto prep = preprocess_options(algorithm, options);
-    if (!prep.has_value()) { return preprocess; }
-    run_preprocessing(sim, views, *prep, preprocess.record);
-    // The build already ran (and was charged); the algorithm body must only
-    // consume the now-prebuilt views.
-    Preprocess done;
-    done.mode = Preprocess::Mode::kSkip;
-    return done;
-}
-
 void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& views,
                          const AlgorithmOptions& options, const Preprocess& preprocess) {
-    switch (preprocess.mode) {
-        case Preprocess::Mode::kBuild:
-            KATRIC_THROW("apply_preprocessing cannot build on const views — hoist the "
-                         "build with hoist_preprocess_build before entering the "
-                         "algorithm body");
-        case Preprocess::Mode::kCharge:
-        case Preprocess::Mode::kSkip:
-            for (const auto& view : views) {
-                KATRIC_ASSERT_MSG(view.ghost_degrees_ready() && view.oriented_built(),
-                                  "preprocessing replay/skip requires prebuilt views");
-                KATRIC_ASSERT_MSG(!uses_hub_bitmaps(options.intersect)
-                                      || view.hub_index() != nullptr,
-                                  "replay/skip with bitmap kernels requires a prebuilt "
-                                  "hub index");
-            }
-            if (preprocess.mode == Preprocess::Mode::kCharge) {
-                KATRIC_ASSERT(preprocess.costs != nullptr);
-                charge_preprocessing(sim, *preprocess.costs,
-                                     uses_hub_bitmaps(options.intersect));
-            }
-            return;
+    for (const auto& view : views) {
+        KATRIC_ASSERT_MSG(view.ghost_degrees_ready() && view.oriented_built(),
+                          "preprocessing replay/skip requires prebuilt views");
+        KATRIC_ASSERT_MSG(
+            !uses_hub_bitmaps(options.intersect) || view.hub_index() != nullptr,
+            "replay/skip with bitmap kernels requires a prebuilt hub index");
     }
-    KATRIC_THROW("unknown preprocessing mode");
+    if (preprocess.mode == Preprocess::Mode::kCharge) {
+        KATRIC_ASSERT(preprocess.costs != nullptr);
+        charge_preprocessing(sim, *preprocess.costs, uses_hub_bitmaps(options.intersect));
+    }
 }
 
 std::uint64_t auto_threshold(std::uint64_t local_half_edges,

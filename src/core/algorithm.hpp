@@ -182,19 +182,17 @@ struct PreprocessCosts {
     std::vector<std::uint64_t> hub_build_ops;  ///< per rank: hub bitmap build (0 when absent)
 };
 
-/// How a counting run treats the preprocessing front half. The default
-/// (kBuild) is the one-shot behaviour: build the distributed state on the
-/// simulator and charge it. A katric::Engine, whose views its constructor
-/// already preprocessed, passes kCharge (replay the recorded costs — metric
-/// fidelity without the host-side work) or kSkip (charge nothing; op/time
-/// telemetry omits the front half while the counts stay exact).
+/// How a counting run charges the preprocessing front half. Views are
+/// preprocessed once, by run_preprocessing, before any counting run; a run
+/// only charges. kSkip (the default) charges nothing: op/time telemetry
+/// omits the front half while the counts stay exact. kCharge replays the
+/// recorded ledger, which gives the one-shot metrics without the host-side
+/// work.
 struct Preprocess {
-    enum class Mode { kBuild, kCharge, kSkip };
-    Mode mode = Mode::kBuild;
+    enum class Mode { kCharge, kSkip };
+    Mode mode = Mode::kSkip;
     /// kCharge: the ledger to replay (must be recorded).
     const PreprocessCosts* costs = nullptr;
-    /// kBuild: optional out-ledger filled while building.
-    PreprocessCosts* record = nullptr;
 };
 
 /// Runs the preprocessing of Section IV-D on the simulator: the dense
@@ -218,32 +216,18 @@ void run_preprocessing(net::Simulator& sim, std::vector<DistGraph>& views,
 void charge_preprocessing(net::Simulator& sim, const PreprocessCosts& costs,
                           bool include_hub_build);
 
-/// The preprocessing option set an algorithm's build pass uses: nullopt for
-/// TriC-style (no preprocessing at all), a copy with kMerge kernels for the
-/// HavoqGT-style baseline (orients, but never intersects rows — no hub
-/// bitmaps), the caller's options otherwise.
+/// The preprocessing option set an algorithm runs with — the one place
+/// that says which algorithms preprocess: nullopt for TriC-style (no
+/// preprocessing at all), a copy with kMerge kernels for the HavoqGT-style
+/// baseline (orients, but never intersects rows — no hub bitmaps), the
+/// caller's options otherwise.
 [[nodiscard]] std::optional<AlgorithmOptions> preprocess_options(
     Algorithm algorithm, const AlgorithmOptions& options);
 
-/// Runs a kBuild preprocessing pass up front (with the algorithm's effective
-/// preprocess_options) and returns the policy the algorithm body should run
-/// with — kSkip after a build, the input policy unchanged otherwise (incl.
-/// for TriC-style, whose body ignores it). This is the only view-mutating
-/// step of a counting run; hoisting it keeps the algorithm bodies on const
-/// views, which is what makes concurrent queries over an Engine's shared
-/// views provably read-only.
-[[nodiscard]] Preprocess hoist_preprocess_build(net::Simulator& sim,
-                                                std::vector<DistGraph>& views,
-                                                Algorithm algorithm,
-                                                const AlgorithmOptions& options,
-                                                const Preprocess& preprocess);
-
-/// Policy dispatch used by every algorithm body that owns a preprocessing
-/// phase: replay the recorded charges (kCharge) or skip (kSkip) — both
-/// require views that are already preprocessed (oriented, ghost degrees
-/// ready, hub index present when the kernels want one). kBuild must be
-/// hoisted with hoist_preprocess_build before the body runs; passing it
-/// here throws.
+/// Charges the preprocessing front half of a run over preprocessed views
+/// (oriented, ghost degrees ready, hub index present when the kernels want
+/// one): replays the recorded ledger (kCharge) or charges nothing (kSkip).
+/// Raw views fail this assertion before any superstep runs.
 void apply_preprocessing(net::Simulator& sim, const std::vector<DistGraph>& views,
                          const AlgorithmOptions& options, const Preprocess& preprocess);
 

@@ -24,15 +24,6 @@ constexpr std::size_t kBloomHeaderWords = 5;
 
 }  // namespace
 
-AmqResult count_triangles_cetric_amq(net::Simulator& sim, std::vector<DistGraph>& views,
-                                     const RunSpec& spec, const AmqOptions& amq,
-                                     const Preprocess& preprocess) {
-    // Hoist the one view-mutating step (kBuild), then run the const body.
-    const Preprocess effective = hoist_preprocess_build(sim, views, Algorithm::kCetric,
-                                                        spec.options, preprocess);
-    return count_triangles_cetric_amq(sim, std::as_const(views), spec, amq, effective);
-}
-
 AmqResult count_triangles_cetric_amq(net::Simulator& sim,
                                      const std::vector<DistGraph>& views,
                                      const RunSpec& spec, const AmqOptions& amq,

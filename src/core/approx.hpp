@@ -37,17 +37,11 @@ struct AmqResult {
     CountResult metrics;  ///< timings and communication of the approximate run
 };
 
-/// Runs over pre-built per-rank views. `preprocess` selects build vs.
-/// charge/skip of the front half. The const overload is katric::Engine's
-/// concurrent-safe surface (kCharge/kSkip only, like dispatch_algorithm's);
-/// the non-const overload hoists a kBuild pass — the one-shot path.
+/// Runs over per-rank views that run_preprocessing already preprocessed
+/// with spec.options; the run only charges the front half as `preprocess`
+/// says.
 [[nodiscard]] AmqResult count_triangles_cetric_amq(net::Simulator& sim,
                                                    const std::vector<DistGraph>& views,
-                                                   const RunSpec& spec,
-                                                   const AmqOptions& amq,
-                                                   const Preprocess& preprocess = {});
-[[nodiscard]] AmqResult count_triangles_cetric_amq(net::Simulator& sim,
-                                                   std::vector<DistGraph>& views,
                                                    const RunSpec& spec,
                                                    const AmqOptions& amq,
                                                    const Preprocess& preprocess = {});

@@ -65,21 +65,6 @@ std::vector<std::int64_t> LccDeltaState::assemble() const {
     return global;
 }
 
-LccResult compute_distributed_lcc(net::Simulator& sim, std::vector<DistGraph>& views,
-                                  const graph::CsrGraph& global, const RunSpec& spec,
-                                  const Preprocess& preprocess) {
-    // The sink-support check must precede the build hoist so a rejected run
-    // charges nothing (the const body re-checks via dispatch_algorithm).
-    if (!algorithm_supports_sink(spec.algorithm)) {
-        LccResult result;
-        result.count.error = RunError::kSinkUnsupported;
-        return result;
-    }
-    const Preprocess effective = hoist_preprocess_build(sim, views, spec.algorithm,
-                                                        spec.options, preprocess);
-    return compute_distributed_lcc(sim, std::as_const(views), global, spec, effective);
-}
-
 LccResult compute_distributed_lcc(net::Simulator& sim,
                                   const std::vector<DistGraph>& views,
                                   const graph::CsrGraph& global, const RunSpec& spec,

@@ -73,21 +73,14 @@ struct LccResult {
     double postprocess_time = 0.0;     ///< simulated time of the Δ aggregation
 };
 
-/// Runs over pre-built per-rank views: the views must stem from `global`
-/// under spec's partition/rank count. spec.algorithm must support a
-/// triangle sink (the edge-iterator family or CETRIC/CETRIC2); otherwise
-/// the returned result carries count.error == RunError::kSinkUnsupported.
-/// `preprocess` selects build vs. charge/skip of the counting run's
-/// preprocessing front half. The const overload is katric::Engine's
-/// concurrent-safe surface (kCharge/kSkip only, like dispatch_algorithm's);
-/// the non-const overload hoists a kBuild pass — the one-shot path.
+/// Runs over per-rank views that run_preprocessing already preprocessed: the
+/// views must stem from `global` under spec's partition/rank count, and the
+/// run only charges the front half as `preprocess` says. spec.algorithm must
+/// support a triangle sink (the edge-iterator family or CETRIC/CETRIC2);
+/// otherwise the returned result carries count.error ==
+/// RunError::kSinkUnsupported and nothing is charged.
 [[nodiscard]] LccResult compute_distributed_lcc(net::Simulator& sim,
                                                 const std::vector<DistGraph>& views,
-                                                const graph::CsrGraph& global,
-                                                const RunSpec& spec,
-                                                const Preprocess& preprocess = {});
-[[nodiscard]] LccResult compute_distributed_lcc(net::Simulator& sim,
-                                                std::vector<DistGraph>& views,
                                                 const graph::CsrGraph& global,
                                                 const RunSpec& spec,
                                                 const Preprocess& preprocess = {});

@@ -169,12 +169,11 @@ void reduce_counts(net::Simulator& sim, const std::vector<std::uint64_t>& local_
 
 CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& views,
                          const AlgorithmOptions& options, Algorithm algorithm,
-                         const TriangleSink* sink, const Preprocess& preprocess) {
+                         const TriangleSink* sink) {
     const ExchangeMode mode = exchange_mode(algorithm);
     const Rank p = sim.num_ranks();
     KATRIC_ASSERT(views.size() == p);
 
-    apply_preprocessing(sim, views, options, preprocess);
     const auto local_counts = run_local_phase(sim, views, options, mode.contract, sink);
     if (mode.contract) { charge_contraction(sim, views); }
 

@@ -24,13 +24,13 @@ namespace katric::core {
 ///   * reduce — binomial-tree sum of the per-PE counts.
 ///
 /// algorithm ∈ {EdgeIterator-unbuffered, DITRIC, DITRIC2, CETRIC, CETRIC2};
-/// the baselines throw. `preprocess` must be kCharge or kSkip over
-/// preprocessed views (core::apply_preprocessing). With
-/// options.detect_termination the global phase ends on a Mattern
-/// four-counter verdict instead of the simulator's omniscient quiescence.
+/// the baselines throw. The caller charges the preprocessing front half
+/// (core::apply_preprocessing) first. With options.detect_termination the
+/// global phase ends on a Mattern four-counter verdict instead of the
+/// simulator's omniscient quiescence.
 CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& views,
                          const AlgorithmOptions& options, Algorithm algorithm,
-                         const TriangleSink* sink, const Preprocess& preprocess);
+                         const TriangleSink* sink);
 
 // --- building blocks shared with CETRIC-AMQ, the baselines and streaming ---
 

@@ -22,18 +22,10 @@ bool probe_edge(net::RankHandle& self, const DistGraph& view, VertexId u, Vertex
 }  // namespace
 
 CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>& views,
-                              const AlgorithmOptions& options,
-                              const Preprocess& preprocess) {
+                              const AlgorithmOptions& options) {
     const Rank p = sim.num_ranks();
     KATRIC_ASSERT(views.size() == p);
     CountResult result;
-
-    // The wedge-query baseline never set-intersects, so a hub bitmap index
-    // would be charged dead work; preprocess as if on the merge kernel (a
-    // ledger replay likewise excludes the hub-build ops).
-    AlgorithmOptions prep_options = options;
-    prep_options.intersect = seq::IntersectKind::kMerge;
-    apply_preprocessing(sim, views, prep_options, preprocess);
 
     std::vector<std::uint64_t> counts(p, 0);
     // HavoqGT aggregates messages at compute-node level before rerouting

@@ -12,9 +12,9 @@ namespace katric::core {
 /// node-level aggregation + rerouting). The communication volume is
 /// proportional to the number of *wedges* rather than the number of cut
 /// neighborhoods — the structural reason this approach loses by an order of
-/// magnitude on wedge-heavy inputs (Fig. 5/6).
+/// magnitude on wedge-heavy inputs (Fig. 5/6). The caller charges the
+/// preprocessing front half (core::apply_preprocessing) first.
 CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>& views,
-                              const AlgorithmOptions& options,
-                              const Preprocess& preprocess = {});
+                              const AlgorithmOptions& options);
 
 }  // namespace katric::core

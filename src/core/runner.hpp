@@ -25,26 +25,15 @@ struct RunSpec {
 [[nodiscard]] graph::Partition1D make_partition(const graph::CsrGraph& global,
                                                 const RunSpec& spec);
 
-/// Dispatches on spec.algorithm over pre-built per-rank views. The sink is
-/// supported by the paper's algorithms (edge-iterator family and CETRIC);
+/// Dispatches on spec.algorithm over per-rank views that run_preprocessing
+/// already preprocessed; the run only charges the front half as `preprocess`
+/// says (the TriC-style baseline never preprocesses and ignores it). The sink
+/// is supported by the paper's algorithms (edge-iterator family and CETRIC);
 /// passing one with a baseline algorithm returns a CountResult whose
 /// error == RunError::kSinkUnsupported without running anything — the check
-/// precedes every build or charge. `preprocess` selects build vs.
-/// charge/skip of the preprocessing front half for the algorithms that own
-/// one (the TriC-style baseline never preprocesses and ignores it).
-///
-/// The const overload is katric::Engine's surface: it never mutates the
-/// views (preprocess.mode must be kCharge or kSkip — or the algorithm
-/// TriC-style, which ignores it), so any number of queries may run it
-/// concurrently over one preprocessed view set, each on its own Simulator.
-/// The non-const overload additionally accepts kBuild: it hoists the one
-/// view-mutating step (core::hoist_preprocess_build) and then runs the same
-/// const body — the one-shot path (fresh views, preprocessing built and
-/// charged in-run) every Engine report is tested against.
+/// precedes every charge. The views are never mutated, so any number of
+/// queries may run concurrently over one view set, each on its own Simulator.
 CountResult dispatch_algorithm(net::Simulator& sim, const std::vector<DistGraph>& views,
-                               const RunSpec& spec, const TriangleSink* sink = nullptr,
-                               const Preprocess& preprocess = {});
-CountResult dispatch_algorithm(net::Simulator& sim, std::vector<DistGraph>& views,
                                const RunSpec& spec, const TriangleSink* sink = nullptr,
                                const Preprocess& preprocess = {});
 

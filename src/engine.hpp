@@ -223,8 +223,9 @@ private:
 ///
 /// Each query runs on a *fresh* simulated machine over the shared views and
 /// replays the recorded ledger into it, so its report is bit-identical to a
-/// one-shot run that builds preprocessing in-run (the paper's timing
-/// convention: loading excluded, preprocessing included). The one opt-out:
+/// one-shot run that preprocesses fresh views on its own machine before
+/// counting (the paper's timing convention: loading excluded,
+/// preprocessing included). The one opt-out:
 /// Config::reuse_preprocessing without Config::charge_reused_preprocessing
 /// skips the replay — counts and payloads stay exact, but op/time telemetry
 /// omits the preprocessing and Report::reused_preprocessing says so.

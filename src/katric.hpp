@@ -25,9 +25,10 @@
 ///               metrics registry with query-latency p50/p99 and kernel
 ///               dispatch mix (--metrics)                     (obs/)
 ///
-/// The layer below the facade stays public: graph::distribute plus
+/// The layer below the facade stays public: graph::distribute, then
+/// core::run_preprocessing once per view set, then
 /// core::dispatch_algorithm / compute_distributed_lcc /
-/// count_triangles_cetric_amq over caller-owned views;
+/// count_triangles_cetric_amq over those views, which only charge;
 /// gen::* / graph::read_* — inputs; net::NetworkConfig — machine model.
 
 #include "amq/bloom.hpp"

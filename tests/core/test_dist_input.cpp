@@ -9,6 +9,7 @@
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "seq/edge_iterator.hpp"
+#include "support/oneshot.hpp"
 #include "util/bits.hpp"
 
 namespace katric::core {
@@ -85,6 +86,7 @@ TEST_P(DistInputTest, EndToEndCountWithoutGlobalGraph) {
     RunSpec run;
     run.algorithm = Algorithm::kCetric;
     run.num_ranks = p;
+    test::preprocess_in_run(sim, piped.views, run.algorithm, run.options);
     EXPECT_EQ(dispatch_algorithm(sim, piped.views, run).triangles, expected);
 }
 

@@ -1,7 +1,7 @@
 // katric::Engine: the session facade. The load-bearing property is
 // reuse-equivalence — every query against one built Engine must be
 // bit-identical to a one-shot run of the core layer (fresh views, fresh
-// machine, preprocessing built inside the run), across every algorithm, both
+// machine, views preprocessed on it before the run), across every algorithm, both
 // partition strategies, both kernel families, every test graph family,
 // interleaved and concurrently served query kinds, hardened queries, and
 // every setting of the preprocessing-charge rule. Plus the typed
@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/approx.hpp"
+#include "core/dist_lcc.hpp"
 #include "engine.hpp"
 #include "gen/gnm.hpp"
 #include "gen/rgg2d.hpp"
@@ -27,6 +29,7 @@
 #include "support/expect_count.hpp"
 #include "support/oneshot.hpp"
 #include "support/test_graphs.hpp"
+#include "util/assert.hpp"
 
 namespace katric {
 namespace {
@@ -369,6 +372,49 @@ TEST(Engine, DispatchAlgorithmReturnsTypedErrorDirectly) {
     const auto ok = core::dispatch_algorithm(sim, views, spec, nullptr);
     EXPECT_EQ(ok.error, core::RunError::kNone);
     EXPECT_EQ(ok.triangles, 1u);
+}
+
+/// Every entry point runs on views that core::run_preprocessing built: raw
+/// views fail loudly before any superstep instead of yielding a wrong count.
+/// TriC-style never preprocesses, so it counts raw views exactly.
+TEST(Engine, RawViewsFailLoudlyBeforeAnySuperstep) {
+    const auto g = gen::generate_rmat(7, 512, 4);
+    const auto expected = seq::count_edge_iterator(g).triangles;
+    const auto expect_untouched = [](const net::Simulator& sim, const std::string& what) {
+        EXPECT_TRUE(sim.phases().empty()) << what;
+        EXPECT_EQ(sim.time(), 0.0) << what;
+    };
+    for (const auto algorithm : core::all_algorithms()) {
+        const std::string what = core::algorithm_name(algorithm);
+        core::RunSpec spec;
+        spec.algorithm = algorithm;
+        spec.num_ranks = 3;
+        const auto views = graph::distribute(g, core::make_partition(g, spec));
+        net::Simulator sim(spec.num_ranks, spec.network);
+        if (algorithm == Algorithm::kTricStyle) {
+            EXPECT_EQ(core::dispatch_algorithm(sim, views, spec).triangles, expected);
+            continue;
+        }
+        EXPECT_THROW((void)core::dispatch_algorithm(sim, views, spec), assertion_error)
+            << what;
+        expect_untouched(sim, what);
+        if (core::algorithm_supports_sink(algorithm)) {
+            net::Simulator lcc_sim(spec.num_ranks, spec.network);
+            EXPECT_THROW((void)core::compute_distributed_lcc(lcc_sim, views, g, spec),
+                         assertion_error)
+                << what;
+            expect_untouched(lcc_sim, what + " lcc");
+        }
+    }
+    core::RunSpec spec;
+    spec.algorithm = Algorithm::kCetric;
+    spec.num_ranks = 3;
+    const auto views = graph::distribute(g, core::make_partition(g, spec));
+    net::Simulator sim(spec.num_ranks, spec.network);
+    EXPECT_THROW(
+        (void)core::count_triangles_cetric_amq(sim, views, spec, core::AmqOptions{}),
+        assertion_error);
+    expect_untouched(sim, "CETRIC-AMQ");
 }
 
 /// Every query kind — and a query served through a ServeSession — reports a

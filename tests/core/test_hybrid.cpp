@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "core/runner.hpp"
 #include "seq/edge_iterator.hpp"
 #include "support/engine_query.hpp"
@@ -39,6 +43,69 @@ TEST(ThreadBinner, PartialChunkCounted) {
     binner.add_task(10);
     binner.add_task(20);
     EXPECT_EQ(binner.makespan_ops(), 30u);
+}
+
+/// Makespan of the eager binner: all max(threads, 1) bins allocated up
+/// front, each chunk to the first least-loaded bin.
+std::uint64_t eager_makespan(int threads, std::uint64_t chunk_tasks,
+                             const std::vector<std::uint64_t>& tasks) {
+    std::vector<std::uint64_t> bins(static_cast<std::size_t>(std::max(threads, 1)), 0);
+    std::uint64_t chunk_ops = 0;
+    std::uint64_t fill = 0;
+    for (const auto ops : tasks) {
+        chunk_ops += ops;
+        if (++fill == chunk_tasks) {
+            *std::min_element(bins.begin(), bins.end()) += chunk_ops;
+            chunk_ops = 0;
+            fill = 0;
+        }
+    }
+    std::uint64_t makespan = *std::max_element(bins.begin(), bins.end());
+    if (fill > 0) {
+        makespan =
+            std::max(makespan, *std::min_element(bins.begin(), bins.end()) + chunk_ops);
+    }
+    return makespan;
+}
+
+TEST(ThreadBinner, LazyBinsMatchAnEagerReference) {
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+    for (const int threads : {0, 1, 2, 3, 5, 7, 16, 64}) {
+        for (const std::uint64_t chunk : {1u, 4u, 64u}) {
+            ThreadBinner binner(threads, chunk);
+            std::vector<std::uint64_t> tasks;
+            for (int i = 0; i < 400; ++i) {
+                state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+                // Every fifth task is free: zero-op chunks tie at load 0.
+                const std::uint64_t ops = i % 5 == 0 ? 0 : (state >> 33) % 50;
+                tasks.push_back(ops);
+                binner.add_task(ops);
+                ASSERT_EQ(binner.makespan_ops(), eager_makespan(threads, chunk, tasks))
+                    << "threads=" << threads << " chunk=" << chunk << " task " << i;
+            }
+        }
+    }
+}
+
+TEST(ThreadBinner, HugeThreadCountOpensOnlyTheBinsItFills) {
+    // More threads than chunks: every chunk opens its own bin, so the
+    // makespan is the heaviest chunk — including the trailing partial one.
+    constexpr int kThreads = std::numeric_limits<int>::max();
+    constexpr std::uint64_t kChunk = 64;
+    ThreadBinner binner(kThreads, kChunk);
+    EXPECT_EQ(binner.threads(), kThreads);
+    std::uint64_t heaviest = 0;
+    std::uint64_t chunk_ops = 0;
+    for (std::uint64_t i = 0; i < 4000; ++i) {  // 62 full chunks + 32 tasks
+        const std::uint64_t ops = (i * 37) % 101;
+        binner.add_task(ops);
+        chunk_ops += ops;
+        if ((i + 1) % kChunk == 0 || i + 1 == 4000) {
+            heaviest = std::max(heaviest, chunk_ops);
+            chunk_ops = 0;
+        }
+    }
+    EXPECT_EQ(binner.makespan_ops(), heaviest);
 }
 
 // On a single PE every intersection runs in the local phase, so the binned

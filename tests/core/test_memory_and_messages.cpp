@@ -11,6 +11,7 @@
 #include "gen/rmat.hpp"
 #include "seq/edge_iterator.hpp"
 #include "support/engine_query.hpp"
+#include "support/oneshot.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::core {
@@ -139,6 +140,7 @@ TEST(Messages, MetricsConservation) {
         const auto partition = make_partition(g, spec);
         auto views = graph::distribute(g, partition);
         net::Simulator sim(spec.num_ranks, spec.network);
+        test::preprocess_in_run(sim, views, spec.algorithm, spec.options);
         (void)dispatch_algorithm(sim, views, spec);
         std::uint64_t sent_messages = 0;
         std::uint64_t recv_messages = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <ostream>
 #include <set>
@@ -46,33 +47,40 @@ constexpr PartitionStrategy kPartitions[] = {PartitionStrategy::kBalancedEdges,
 constexpr IntersectKind kKernels[] = {IntersectKind::kMerge, IntersectKind::kAdaptive};
 constexpr graph::Rank kRanks[] = {1, 2, 7, 16};
 
-/// Every graph a cell names, built once per process.
+/// The graph a cell names, built on first use and kept for the process:
+/// ctest runs each cell in its own process, which then builds one graph.
 const graph::CsrGraph& graph_named(const std::string& name) {
-    static const auto graphs = [] {
-        std::map<std::string, graph::CsrGraph> all;
-        for (auto cases : {test::family_cases(), test::adversarial_cases()}) {
-            for (auto& c : cases) { all.emplace(c.name, std::move(c.graph)); }
+    static const auto builders = [] {
+        std::map<std::string, std::function<graph::CsrGraph()>> all;
+        for (auto cases : {test::family_builders(), test::adversarial_builders()}) {
+            for (auto& c : cases) { all.emplace(c.name, std::move(c.build)); }
         }
         // The instances of the suites the harness replaced.
         const auto rgg2d = [](graph::VertexId n, double degree, std::uint64_t seed) {
-            return gen::generate_rgg2d(n, gen::rgg2d_radius_for_degree(n, degree), seed);
+            return [=] {
+                return gen::generate_rgg2d(n, gen::rgg2d_radius_for_degree(n, degree),
+                                           seed);
+            };
         };
         all.emplace("rgg2d_300", rgg2d(300, 10.0, 123));
         all.emplace("rgg2d_256", rgg2d(256, 9.0, 21));
-        all.emplace("k6", test::complete_graph(6));
-        all.emplace("k10", test::complete_graph(10));
-        all.emplace("k16", test::complete_graph(16));
-        all.emplace("rmat_128", gen::generate_rmat(7, 768, 5));
-        all.emplace("rmat_256", gen::generate_rmat(8, 1536, 9));
-        all.emplace("rmat_512", gen::generate_rmat(9, 4096, 9));
-        all.emplace("rhg_512", gen::generate_rhg(512, 8.0, 2.8, 3));
-        all.emplace("rhg_700", gen::generate_rhg(700, 9.0, 2.8, 12));
-        all.emplace("rhg_1024", gen::generate_rhg(1024, 10.0, 2.8, 15));
-        all.emplace("gnm_200", gen::generate_gnm(200, 1200, 13));
-        all.emplace("gnm_400", gen::generate_gnm(400, 3200, 5));
+        all.emplace("k6", [] { return test::complete_graph(6); });
+        all.emplace("k10", [] { return test::complete_graph(10); });
+        all.emplace("k16", [] { return test::complete_graph(16); });
+        all.emplace("rmat_128", [] { return gen::generate_rmat(7, 768, 5); });
+        all.emplace("rmat_256", [] { return gen::generate_rmat(8, 1536, 9); });
+        all.emplace("rmat_512", [] { return gen::generate_rmat(9, 4096, 9); });
+        all.emplace("rhg_512", [] { return gen::generate_rhg(512, 8.0, 2.8, 3); });
+        all.emplace("rhg_700", [] { return gen::generate_rhg(700, 9.0, 2.8, 12); });
+        all.emplace("rhg_1024", [] { return gen::generate_rhg(1024, 10.0, 2.8, 15); });
+        all.emplace("gnm_200", [] { return gen::generate_gnm(200, 1200, 13); });
+        all.emplace("gnm_400", [] { return gen::generate_gnm(400, 3200, 5); });
         return all;
     }();
-    return graphs.at(name);
+    static std::map<std::string, graph::CsrGraph> built;
+    auto it = built.find(name);
+    if (it == built.end()) { it = built.emplace(name, builders.at(name)()).first; }
+    return it->second;
 }
 
 Config cell_config(const Cell& cell) {
@@ -99,7 +107,7 @@ Cell axis_cell(const std::string& graph, std::size_t partition, std::size_t kern
 
 std::vector<Cell> full_product_cells() {
     std::vector<std::string> graphs{"complete"};  // K24, from the family cases
-    for (const auto& c : test::adversarial_cases()) { graphs.push_back(c.name); }
+    for (const auto& c : test::adversarial_builders()) { graphs.push_back(c.name); }
     std::vector<Cell> cells;
     for (const auto& graph : graphs) {
         for (std::size_t axes = 0; axes < 8; ++axes) {
@@ -135,7 +143,7 @@ std::vector<Cell> carried_cells() {
     constexpr auto kAdaptive = IntersectKind::kAdaptive;
     constexpr auto kUniform = PartitionStrategy::kUniformVertices;
     std::vector<Cell> cells;
-    for (const auto& c : test::family_cases()) {
+    for (const auto& c : test::family_builders()) {
         for (const graph::Rank p : {3, 4, 5, 8, 9}) {
             cells.push_back({.graph = c.name, .p = p});
         }

@@ -17,6 +17,7 @@
 #include "stream/incremental_lcc.hpp"
 #include "support/engine_query.hpp"
 #include "support/expect_count.hpp"
+#include "support/oneshot.hpp"
 
 namespace katric::core {
 namespace {
@@ -56,6 +57,7 @@ CountOutcome run_count(net::RankPool& pool, const RunSpec& spec) {
     auto views = graph::distribute(instance(), make_partition(instance(), spec));
     net::Simulator sim(spec.num_ranks, spec.network, pool);
     CountOutcome outcome;
+    test::preprocess_in_run(sim, views, spec.algorithm, spec.options);
     outcome.count = dispatch_algorithm(sim, views, spec);
     outcome.fanned = fanned_windows(sim);
     return outcome;
@@ -94,6 +96,7 @@ TEST(ParallelDelivery, LccAndAmqMatchInlineRun) {
     const auto lcc = [&](net::RankPool& pool) {
         auto views = graph::distribute(instance(), make_partition(instance(), spec));
         net::Simulator sim(spec.num_ranks, spec.network, pool);
+        test::preprocess_in_run(sim, views, spec.algorithm, spec.options);
         auto result = compute_distributed_lcc(sim, views, instance(), spec);
         return std::pair{std::move(result), fanned_windows(sim)};
     };
@@ -107,6 +110,7 @@ TEST(ParallelDelivery, LccAndAmqMatchInlineRun) {
     const auto amq = [&](net::RankPool& pool) {
         auto views = graph::distribute(instance(), make_partition(instance(), spec));
         net::Simulator sim(spec.num_ranks, spec.network, pool);
+        test::preprocess_in_run(sim, views, spec.algorithm, spec.options);
         auto result = count_triangles_cetric_amq(sim, views, spec, AmqOptions{});
         return std::pair{std::move(result), fanned_windows(sim)};
     };
@@ -144,6 +148,7 @@ TEST(ParallelDelivery, MergeKernelCellsMatchInlineRun) {
     const auto lcc = [&](net::RankPool& pool) {
         auto views = graph::distribute(instance(), make_partition(instance(), cetric2));
         net::Simulator sim(cetric2.num_ranks, cetric2.network, pool);
+        test::preprocess_in_run(sim, views, cetric2.algorithm, cetric2.options);
         auto result = compute_distributed_lcc(sim, views, instance(), cetric2);
         return std::pair{std::move(result), fanned_windows(sim)};
     };
@@ -166,6 +171,7 @@ TEST(ParallelDelivery, MergeKernelCellsMatchInlineRun) {
         auto views = graph::distribute(instance(), make_partition(instance(), ditric));
         net::Simulator sim(ditric.num_ranks, ditric.network, pool);
         CountOutcome outcome;
+        test::preprocess_in_run(sim, views, ditric.algorithm, ditric.options);
         outcome.count = dispatch_algorithm(sim, views, ditric, &sink);
         outcome.fanned = fanned_windows(sim);
         return std::pair{std::move(outcome), std::move(found)};

@@ -4,6 +4,7 @@
 
 #include "core/runner.hpp"
 #include "seq/edge_iterator.hpp"
+#include "support/oneshot.hpp"
 #include "support/test_graphs.hpp"
 
 namespace katric::graph {
@@ -62,6 +63,7 @@ TEST(LoadBalance, CountsUnaffectedByPartitionChoice) {
         core::RunSpec spec;
         spec.algorithm = core::Algorithm::kCetric;
         spec.num_ranks = 8;
+        test::preprocess_in_run(sim, views, spec.algorithm, spec.options);
         EXPECT_EQ(core::dispatch_algorithm(sim, views, spec).triangles, expected);
     }
 }

@@ -47,17 +47,33 @@ Report oneshot(Query kind, const graph::CsrGraph& g, const core::RunSpec& spec,
 
 }  // namespace detail
 
+/// Preprocesses fresh views on the query's own machine, as a one-shot run
+/// does before counting: core::run_preprocessing with the algorithm's
+/// core::preprocess_options, charged to `sim`. Builds nothing for TriC-style,
+/// which never preprocesses, nor when `with_sink` names an algorithm that
+/// cannot drive a sink — the entry point rejects that run before it charges
+/// anything, so the rejected reference stays uncharged too.
+inline void preprocess_in_run(net::Simulator& sim, std::vector<graph::DistGraph>& views,
+                              core::Algorithm algorithm,
+                              const core::AlgorithmOptions& options,
+                              bool with_sink = false) {
+    if (with_sink && !core::algorithm_supports_sink(algorithm)) { return; }
+    if (const auto prep = core::preprocess_options(algorithm, options)) {
+        core::run_preprocessing(sim, views, *prep);
+    }
+}
+
 /// The one-shot reference every Engine report is compared against, built
 /// from the core layer alone — no katric::Engine anywhere: fresh
-/// graph::distribute views, a fresh net::Simulator, and the non-const core
-/// entry points, which build and charge preprocessing inside the run
-/// (core::Preprocess::Mode::kBuild). Each returns the Report an Engine query
-/// of the same kind fills, so one helper compares every field.
+/// graph::distribute views, a fresh net::Simulator, preprocess_in_run, then
+/// the entry point on the now-preprocessed views. Each returns the Report an
+/// Engine query of the same kind fills, so one helper compares every field.
 inline Report oneshot_count(const graph::CsrGraph& g, const core::RunSpec& spec,
                             const core::TriangleSink* sink = nullptr) {
     return detail::oneshot(
         Query::kCount, g, spec,
         [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            preprocess_in_run(sim, views, spec.algorithm, spec.options, sink != nullptr);
             report.count = core::dispatch_algorithm(sim, views, spec, sink);
         });
 }
@@ -67,6 +83,8 @@ inline Report oneshot_lcc(const graph::CsrGraph& g, const core::RunSpec& spec,
     return detail::oneshot(
         Query::kLcc, g, spec,
         [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            preprocess_in_run(sim, views, spec.algorithm, spec.options,
+                              /*with_sink=*/true);
             auto result = core::compute_distributed_lcc(sim, views, g, spec);
             report.count = std::move(result.count);
             report.delta = std::move(result.delta);
@@ -91,6 +109,8 @@ inline Report oneshot_enumerate(const graph::CsrGraph& g, const core::RunSpec& s
                 found[finder].push_back(core::Triangle{t[0], t[1], t[2]});
                 ++report.found_per_rank[finder];
             };
+            preprocess_in_run(sim, views, spec.algorithm, spec.options,
+                              /*with_sink=*/true);
             report.count = core::dispatch_algorithm(sim, views, spec, &sink);
             for (const auto& part : found) {
                 report.triangles.insert(report.triangles.end(), part.begin(), part.end());
@@ -107,6 +127,7 @@ inline Report oneshot_approx(const graph::CsrGraph& g, core::RunSpec spec,
     return detail::oneshot(
         Query::kApprox, g, spec,
         [&](Report& report, net::Simulator& sim, detail::Views& views) {
+            preprocess_in_run(sim, views, spec.algorithm, spec.options);
             auto result = core::count_triangles_cetric_amq(sim, views, spec, amq);
             report.count = std::move(result.metrics);
             report.estimated_triangles = result.estimated_triangles;

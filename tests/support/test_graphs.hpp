@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,52 +115,85 @@ struct FamilyCase {
     graph::CsrGraph graph;
 };
 
-inline std::vector<FamilyCase> family_cases() {
+/// A case's name and how to build it, so a sweep that needs only the names
+/// (a cell list, a test-name generator) builds no graph.
+struct CaseBuilder {
+    std::string name;
+    std::function<graph::CsrGraph()> build;
+};
+
+inline std::vector<FamilyCase> build_cases(const std::vector<CaseBuilder>& builders) {
     std::vector<FamilyCase> cases;
-    cases.push_back({"gnm", gen::generate_gnm(256, 1024, 42)});
-    cases.push_back({"rgg2d", gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 7)});
-    cases.push_back({"rhg", gen::generate_rhg(256, 8.0, 2.8, 9)});
-    cases.push_back({"rmat", gen::generate_rmat(8, 1024, 11)});
-    cases.push_back({"grid", gen::generate_grid_road(16, 16, 0.9, 0.2, 13)});
-    cases.push_back({"complete", complete_graph(24)});
-    cases.push_back({"petersen", petersen_graph()});
+    for (const auto& b : builders) { cases.push_back({b.name, b.build()}); }
     return cases;
 }
 
+inline std::vector<CaseBuilder> family_builders() {
+    return {
+        {"gnm", [] { return gen::generate_gnm(256, 1024, 42); }},
+        {"rgg2d",
+         [] {
+             return gen::generate_rgg2d(256, gen::rgg2d_radius_for_degree(256, 8.0), 7);
+         }},
+        {"rhg", [] { return gen::generate_rhg(256, 8.0, 2.8, 9); }},
+        {"rmat", [] { return gen::generate_rmat(8, 1024, 11); }},
+        {"grid", [] { return gen::generate_grid_road(16, 16, 0.9, 0.2, 13); }},
+        {"complete", [] { return complete_graph(24); }},
+        {"petersen", [] { return petersen_graph(); }},
+    };
+}
+
+inline std::vector<FamilyCase> family_cases() { return build_cases(family_builders()); }
 
 /// The oracle harness's adversarial corpus: no vertices, no edges, one edge,
 /// every triangle on one hub (on the first, a middle or the last rank), all
 /// wedges open, duplicate edges and self-loops in the input, IDs on 64-bit
 /// word boundaries, a heavily skewed R-MAT. At 16 ranks most leave ranks
 /// that own no vertex.
-inline std::vector<FamilyCase> adversarial_cases() {
-    std::vector<FamilyCase> cases;
-    cases.push_back({"empty", graph::build_undirected(graph::EdgeList{}, 0)});
-    cases.push_back({"edgeless", graph::build_undirected(graph::EdgeList{}, 50)});
-    cases.push_back({"single_edge", path_graph(2)});
+inline std::vector<CaseBuilder> adversarial_builders() {
+    std::vector<CaseBuilder> cases;
+    cases.push_back(
+        {"empty", [] { return graph::build_undirected(graph::EdgeList{}, 0); }});
+    cases.push_back(
+        {"edgeless", [] { return graph::build_undirected(graph::EdgeList{}, 50); }});
+    cases.push_back({"single_edge", [] { return path_graph(2); }});
     constexpr graph::VertexId kStarN = 33;
     for (const auto& [where, hub] : {std::pair{"first", graph::VertexId{0}},
                                      std::pair{"mid", kStarN / 2},
                                      std::pair{"last", kStarN - 1}}) {
-        cases.push_back({std::string("star_hub_") + where, star_graph(kStarN, hub)});
-        cases.push_back(
-            {std::string("wheel_hub_") + where, star_graph(kStarN, hub, /*rim=*/true)});
+        cases.push_back({std::string("star_hub_") + where,
+                         [hub = hub] { return star_graph(kStarN, hub); }});
+        cases.push_back({std::string("wheel_hub_") + where,
+                         [hub = hub] { return star_graph(kStarN, hub, /*rim=*/true); }});
     }
-    graph::EdgeList bipartite;
-    for (graph::VertexId u = 0; u < 6; ++u) {
-        for (graph::VertexId v = 6; v < 15; ++v) { bipartite.add(u, v); }
-    }
-    cases.push_back({"bipartite_6x9", graph::build_undirected(std::move(bipartite))});
+    cases.push_back({"bipartite_6x9", [] {
+                         graph::EdgeList bipartite;
+                         for (graph::VertexId u = 0; u < 6; ++u) {
+                             for (graph::VertexId v = 6; v < 15; ++v) {
+                                 bipartite.add(u, v);
+                             }
+                         }
+                         return graph::build_undirected(std::move(bipartite));
+                     }});
     // A triangle and a pendant edge, each edge in both directions, one twice,
     // and self-loops, one twice: the builder folds it to 4 edges.
-    graph::EdgeList messy({{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {0, 2}, {2, 3}, {3, 2},
-                           {0, 1}, {0, 0}, {3, 3}, {3, 3}});
-    cases.push_back(
-        {"duplicates_and_self_loops", graph::build_undirected(std::move(messy))});
-    cases.push_back({"word_boundary", word_boundary_graph()});
-    const gen::RmatParams skewed{0.75, 0.1, 0.1, 0.05};  // Graph500: 0.57/0.19/0.19
-    cases.push_back({"rmat_high_skew", gen::generate_rmat(8, 2048, 17, skewed)});
+    cases.push_back({"duplicates_and_self_loops", [] {
+                         graph::EdgeList messy({{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0},
+                                                {0, 2}, {2, 3}, {3, 2}, {0, 1}, {0, 0},
+                                                {3, 3}, {3, 3}});
+                         return graph::build_undirected(std::move(messy));
+                     }});
+    cases.push_back({"word_boundary", [] { return word_boundary_graph(); }});
+    cases.push_back({"rmat_high_skew", [] {
+                         // Graph500 uses 0.57/0.19/0.19.
+                         const gen::RmatParams skewed{0.75, 0.1, 0.1, 0.05};
+                         return gen::generate_rmat(8, 2048, 17, skewed);
+                     }});
     return cases;
+}
+
+inline std::vector<FamilyCase> adversarial_cases() {
+    return build_cases(adversarial_builders());
 }
 
 }  // namespace katric::test
