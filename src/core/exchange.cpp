@@ -205,11 +205,12 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
         const auto a_v = decode_neighborhood(self, record, compress, decoded[r]);
         const VertexId v = record[0];
         const auto row_v = isect.fix(a_v, v);
+        std::uint64_t found = 0;  // stored once per record: see run_local_phase
         for (const VertexId u : a_v) {
             if (!view.is_local(u)) { continue; }
-            global_counts[r] += intersect_for(self, row_v, row(view, u), sink, v, u,
-                                              options.threads);
+            found += intersect_for(self, row_v, row(view, u), sink, v, u, options.threads);
         }
+        global_counts[r] += found;
     };
 
     sim.run_phase(

@@ -1,12 +1,19 @@
 #include "stream/dynamic_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/builder.hpp"
 #include "graph/edge_list.hpp"
 #include "util/assert.hpp"
 
 namespace katric::stream {
+namespace {
+
+/// A ghost-degree slot no note has written yet; no vertex has this degree.
+constexpr Degree kUnknownDegree = std::numeric_limits<Degree>::max();
+
+}  // namespace
 
 DynamicDistGraph DynamicDistGraph::from_view(const graph::DistGraph& view) {
     KATRIC_ASSERT_MSG(view.ghost_degrees_ready(),
@@ -21,9 +28,9 @@ DynamicDistGraph DynamicDistGraph::from_view(const graph::DistGraph& view) {
         dynamic.rows_.emplace_back(neighbors.begin(), neighbors.end());
     }
     dynamic.num_half_edges_ = view.num_local_half_edges();
-    dynamic.ghost_degrees_.reserve(view.num_ghosts());
+    dynamic.ghost_degrees_.assign(dynamic.partition_.num_vertices(), kUnknownDegree);
     for (const VertexId g : view.ghost_ids()) {
-        dynamic.ghost_degrees_.emplace(g, view.degree(g));
+        dynamic.ghost_degrees_[g] = view.degree(g);
     }
     return dynamic;
 }
@@ -69,26 +76,35 @@ bool DynamicDistGraph::erase_half_edge(VertexId local_u, VertexId v) {
 }
 
 std::optional<Degree> DynamicDistGraph::ghost_degree(VertexId v) const {
-    const auto it = ghost_degrees_.find(v);
-    if (it == ghost_degrees_.end()) { return std::nullopt; }
-    return it->second;
+    if (v >= ghost_degrees_.size() || ghost_degrees_[v] == kUnknownDegree) {
+        return std::nullopt;
+    }
+    return ghost_degrees_[v];
 }
 
 void DynamicDistGraph::note_ghost_degree(VertexId v, Degree degree) {
+    const VertexId n = partition_.num_vertices();
+    KATRIC_ASSERT_MSG(v < n, "ghost-degree note for vertex " << v
+                                 << " outside the vertex universe [0, " << n << ")");
     KATRIC_ASSERT_MSG(!is_local(v), "ghost-degree note for a local vertex");
+    KATRIC_ASSERT_MSG(degree != kUnknownDegree,
+                      "ghost-degree note of degree " << degree << " for vertex " << v);
     ghost_degrees_[v] = degree;
 }
 
-std::vector<Rank> DynamicDistGraph::neighbor_ranks(VertexId local_v) const {
-    std::vector<Rank> ranks;
+void DynamicDistGraph::neighbor_ranks(VertexId local_v, std::vector<Rank>& ranks) const {
+    ranks.clear();
+    const auto& bounds = partition_.boundaries();
+    Rank owner = 0;
+    VertexId owner_end = 0;  // end of owner's range; 0 until the first neighbor
     for (const VertexId w : neighbors(local_v)) {
-        if (is_local(w)) { continue; }
-        const Rank owner = partition_.rank_of(w);
-        if (std::find(ranks.begin(), ranks.end(), owner) == ranks.end()) {
-            ranks.push_back(owner);
-        }
+        if (w < owner_end) { continue; }  // owner already seen
+        // Rank owner owns [bounds[owner], bounds[owner + 1]); ranks owning
+        // no vertices have equal bounds and are stepped over.
+        while (bounds[owner + 1] <= w) { ++owner; }
+        owner_end = bounds[owner + 1];
+        if (owner != rank_) { ranks.push_back(owner); }
     }
-    return ranks;
 }
 
 std::uint64_t DynamicDistGraph::enable_hub_bitmaps(Degree degree_threshold,

@@ -3,7 +3,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -70,11 +69,18 @@ public:
     /// Last known degree of a remote vertex, or nullopt if no notification
     /// has ever arrived (a vertex that became a ghost mid-stream).
     [[nodiscard]] std::optional<Degree> ghost_degree(VertexId v) const;
+    /// Records a received degree note. Both words come off the wire, so
+    /// they are checked before they touch the table: v ≥ n, a local v, or
+    /// the degree 2^64 − 1 (the table's "never noted" mark) throws
+    /// assertion_error.
     void note_ghost_degree(VertexId v, Degree degree);
 
     /// Distinct remote ranks owning at least one current neighbor of
-    /// local_v — the recipients of a degree-delta notification for it.
-    [[nodiscard]] std::vector<Rank> neighbor_ranks(VertexId local_v) const;
+    /// local_v, ascending — the recipients of a degree-delta notification
+    /// for it. Written into `ranks` (cleared first), so a caller can reuse
+    /// one buffer: owners never decrease along the ID-sorted row, so one
+    /// forward cursor over the partition boundaries finds them.
+    void neighbor_ranks(VertexId local_v, std::vector<Rank>& ranks) const;
 
     // --- hub bitmaps (adaptive streaming kernel) --------------------------
     /// Turns on hub bitmap maintenance over the local rows and builds the
@@ -98,7 +104,10 @@ private:
     Rank rank_ = 0;
     std::vector<std::vector<VertexId>> rows_;  // ID-sorted; row i is first_local() + i
     EdgeId num_half_edges_ = 0;                // Σ row sizes
-    std::unordered_map<VertexId, Degree> ghost_degrees_;
+    /// Last noted degree of every remote vertex, indexed by vertex ID; a
+    /// sentinel until the first note. One word per global vertex buys an
+    /// index instead of a hash probe per note.
+    std::vector<Degree> ghost_degrees_;
     std::unique_ptr<seq::HubBitmapIndex> hub_index_;
 };
 

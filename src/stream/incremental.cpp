@@ -1,12 +1,12 @@
 #include "stream/incremental.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 
 #include "core/exchange.hpp"
 #include "seq/adaptive_intersect.hpp"
@@ -78,6 +78,80 @@ constexpr std::uint64_t kChangedFlag = std::uint64_t{1} << 63;
 
 }  // namespace
 
+NetEffect fold_batch(const EdgeBatch& batch, const std::vector<DynamicDistGraph>& views) {
+    const auto& partition = views.front().partition();
+    struct Folded {
+        Edge edge;  // canonical
+        EventKind kind;
+    };
+    std::vector<Folded> folded;
+    folded.reserve(batch.events.size());
+    double previous_time = -std::numeric_limits<double>::infinity();
+    for (const auto& event : batch.events) {
+        // EdgeStream enforces nondecreasing times; hand-built batches must
+        // honor the same contract, since folding is last-write-wins.
+        KATRIC_ASSERT_MSG(event.time >= previous_time,
+                          "batch events must be time-ordered");
+        previous_time = event.time;
+        if (event.u == event.v) { continue; }  // self-loops never count
+        KATRIC_ASSERT_MSG(event.u < partition.num_vertices()
+                              && event.v < partition.num_vertices(),
+                          "stream event outside the vertex universe");
+        folded.push_back({Edge{event.u, event.v}.canonical(), event.kind});
+    }
+    // Stable, so each edge's run keeps its events in time order and the
+    // run's last event is the edge's final state.
+    std::stable_sort(folded.begin(), folded.end(),
+                     [](const Folded& a, const Folded& b) { return a.edge < b.edge; });
+
+    NetEffect net;
+    Rank owner = 0;
+    for (std::size_t first = 0; first < folded.size();) {
+        const Edge edge = folded[first].edge;
+        std::size_t last = first;
+        while (last + 1 < folded.size() && folded[last + 1].edge == edge) { ++last; }
+        // owner(u) holds u's full row, so presence is a local question
+        // there. The runs ascend by u, so the owner only moves forward.
+        while (partition.end(owner) <= edge.u) { ++owner; }
+        const bool initial = views[owner].has_edge(edge.u, edge.v);
+        const bool current = folded[last].kind == EventKind::kInsert;
+        if (initial && !current) {
+            net.deletes.push_back(edge);
+        } else if (!initial && current) {
+            net.inserts.push_back(edge);
+        }
+        first = last + 1;
+    }
+    return net;
+}
+
+std::span<const Edge> owned_slice(std::span<const Edge> sorted,
+                                  const graph::Partition1D& partition, Rank rank) {
+    const auto u_below = [](const Edge& e, graph::VertexId bound) { return e.u < bound; };
+    const auto first =
+        std::lower_bound(sorted.begin(), sorted.end(), partition.begin(rank), u_below);
+    const auto last = std::lower_bound(first, sorted.end(), partition.end(rank), u_below);
+    return {first, last};
+}
+
+void ChangedEdges::assign(std::span<const Edge> edges) {
+    // At most half full, so a miss — the common answer — ends within a
+    // few probes. A batch that needs as many slots as the last reuses them.
+    const auto size = static_cast<std::size_t>(next_power_of_two(2 * edges.size() + 16));
+    if (size == slots_.size()) {
+        std::fill(slots_.begin(), slots_.end(), kFree);
+    } else {
+        slots_.assign(size, kFree);
+    }
+    mask_ = size - 1;
+    for (const Edge& e : edges) {
+        KATRIC_ASSERT_MSG(e.u < e.v, "changed edges are canonical");
+        std::size_t i = slot_of(e);
+        while (slots_[i] != kFree && slots_[i] != e) { i = (i + 1) & mask_; }
+        slots_[i] = e;
+    }
+}
+
 IncrementalCounter::IncrementalCounter(net::Simulator& sim,
                                        std::vector<DynamicDistGraph>& views,
                                        const core::AlgorithmOptions& options,
@@ -92,7 +166,7 @@ IncrementalCounter::IncrementalCounter(net::Simulator& sim,
                                 /*epoch_stamped=*/true)),
       triangles_(initial_triangles) {
     KATRIC_ASSERT(static_cast<Rank>(views.size()) == sim.num_ranks());
-    sixths_.assign(views.size(), 0);
+    ranks_.resize(views.size());
     if (core::uses_hub_bitmaps(options.intersect)) {
         // Initial hub index — the streaming analogue of the bitmap build
         // inside static preprocessing, charged as its own one-time phase.
@@ -112,74 +186,24 @@ IncrementalCounter::IncrementalCounter(net::Simulator& sim,
     }
 }
 
-IncrementalCounter::NetEffect IncrementalCounter::fold_batch(const EdgeBatch& batch) const {
-    const auto& partition = views_->front().partition();
-
-    struct Presence {
-        bool initial;
-        bool current;
-    };
-    std::unordered_map<EdgeKey, Presence, PairHash> folded;
-    double previous_time = -std::numeric_limits<double>::infinity();
-    for (const auto& event : batch.events) {
-        // EdgeStream enforces nondecreasing times; hand-built batches must
-        // honor the same contract, since folding is last-write-wins.
-        KATRIC_ASSERT_MSG(event.time >= previous_time,
-                          "batch events must be time-ordered");
-        previous_time = event.time;
-        if (event.u == event.v) { continue; }  // self-loops never count
-        KATRIC_ASSERT_MSG(event.u < partition.num_vertices()
-                              && event.v < partition.num_vertices(),
-                          "stream event outside the vertex universe");
-        const Edge edge = Edge{event.u, event.v}.canonical();
-        const EdgeKey key{edge.u, edge.v};
-        auto it = folded.find(key);
-        if (it == folded.end()) {
-            // owner(u) holds u's full row, so presence is a local question
-            // there; both owners would fold to the identical net effect.
-            const bool present = (*views_)[partition.rank_of(edge.u)].has_edge(edge.u, edge.v);
-            it = folded.emplace(key, Presence{present, present}).first;
-        }
-        it->second.current = event.kind == EventKind::kInsert;
-    }
-
-    NetEffect net;
-    for (const auto& [key, presence] : folded) {
-        if (presence.initial && !presence.current) {
-            net.deletes.push_back(Edge{key.first, key.second});
-        } else if (!presence.initial && presence.current) {
-            net.inserts.push_back(Edge{key.first, key.second});
-        }
-    }
-    // The folding map is unordered; sort so simulation traffic (and thus
-    // simulated times) is deterministic.
-    std::sort(net.deletes.begin(), net.deletes.end());
-    std::sort(net.inserts.begin(), net.inserts.end());
-    return net;
-}
-
 void IncrementalCounter::start_epoch(std::uint64_t epoch) {
     for (auto& queue : queues_) { queue.begin_epoch(epoch); }
 }
 
-bool IncrementalCounter::edge_changed(graph::VertexId x, graph::VertexId w) const {
-    const Edge edge = Edge{x, w}.canonical();
-    return current_changed_->contains(EdgeKey{edge.u, edge.v});
-}
-
-net::WordVec IncrementalCounter::flagged_row(net::RankHandle& self, graph::VertexId x,
-                                             net::WordVec prefix) {
-    // Flag-annotated N(x) appended to `prefix` — the wire form of a ship
-    // record ([kOpShip, a, b] prefix) or a local intersection operand
-    // (empty prefix).
+std::span<const std::uint64_t> IncrementalCounter::flagged_row(
+    net::RankHandle& self, graph::VertexId x, std::initializer_list<std::uint64_t> prefix) {
+    // Flag-annotated N(x) after `prefix` — the wire form of a ship record
+    // ([kOpShip, a, b] prefix) or a local intersection operand (empty
+    // prefix).
     const auto row = (*views_)[self.rank()].neighbors(x);
-    prefix.reserve(prefix.size() + row.size());
+    auto& record = ranks_[self.rank()].record;
+    record.assign(prefix);
     for (const auto w : row) {
         KATRIC_ASSERT_MSG((w & kChangedFlag) == 0, "vertex ID collides with flag bit");
-        prefix.push_back(w | (edge_changed(x, w) ? kChangedFlag : 0));
+        record.push_back(w | (current_changed_->contains(x, w) ? kChangedFlag : 0));
     }
     self.charge_ops(row.size());
-    return prefix;
+    return record;
 }
 
 void IncrementalCounter::post_edge_work(net::RankHandle& self, const Edge& edge) {
@@ -194,11 +218,10 @@ void IncrementalCounter::post_edge_work(net::RankHandle& self, const Edge& edge)
     const auto remote_degree = view.ghost_degree(v);
     if (!remote_degree.has_value() || view.degree(u) <= *remote_degree) {
         // Ship the (estimated) smaller side: N(u) travels to owner(v).
-        const auto record = flagged_row(self, u, net::WordVec{kOpShip, u, v});
-        queues_[self.rank()].post(self, owner_v, record);
+        queues_[self.rank()].post(self, owner_v, flagged_row(self, u, {kOpShip, u, v}));
     } else {
         // Pull: ask owner(v) to ship flagged N(v) back here.
-        const net::WordVec record{kOpPull, u, v};
+        const std::array<std::uint64_t, 3> record{kOpPull, u, v};
         self.charge_ops(1);
         queues_[self.rank()].post(self, owner_v, record);
     }
@@ -228,14 +251,14 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
     for (const graph::VertexId wa : common) {
         while (row_a[i] < wa) { ++i; }
         const std::uint64_t k = 1 + ((flagged_a[i] & kChangedFlag) != 0 ? 1 : 0)
-                                + (edge_changed(b, wa) ? 1 : 0);
+                                + (current_changed_->contains(b, wa) ? 1 : 0);
         gained += 6 / k;  // k ∈ {1,2,3} ⇒ exact: 6, 3, 2
         if (sink_) {
             const auto sixths = phase_sign_ * static_cast<std::int64_t>(6 / k);
             for (const graph::VertexId x : {a, b, wa}) { sink_(self, x, sixths); }
         }
     }
-    sixths_[self.rank()] += gained;
+    ranks_[self.rank()].sixths += gained;
 }
 
 void IncrementalCounter::deliver_record(net::RankHandle& self,
@@ -254,8 +277,8 @@ void IncrementalCounter::deliver_record(net::RankHandle& self,
             KATRIC_ASSERT(record.size() == 3);
             const graph::VertexId a = record[1];
             const graph::VertexId b = record[2];
-            const auto reply = flagged_row(self, b, net::WordVec{kOpShip, b, a});
-            queues_[self.rank()].post(self, view.partition().rank_of(a), reply);
+            queues_[self.rank()].post(self, view.partition().rank_of(a),
+                                      flagged_row(self, b, {kOpShip, b, a}));
             return;
         }
         case kOpDegree: {
@@ -270,9 +293,9 @@ void IncrementalCounter::deliver_record(net::RankHandle& self,
 
 std::uint64_t IncrementalCounter::take_triangle_sixths() {
     std::uint64_t total = 0;
-    for (auto& s : sixths_) {
-        total += s;
-        s = 0;
+    for (auto& state : ranks_) {
+        total += state.sixths;
+        state.sixths = 0;
     }
     KATRIC_ASSERT_MSG(total % 6 == 0, "multiplicity correction out of balance: " << total);
     return total / 6;
@@ -291,11 +314,9 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
         return rejected;
     }
 
-    const NetEffect net = fold_batch(batch);
-    EdgeSet deleted;
-    for (const auto& e : net.deletes) { deleted.insert(EdgeKey{e.u, e.v}); }
-    EdgeSet inserted;
-    for (const auto& e : net.inserts) { inserted.insert(EdgeKey{e.u, e.v}); }
+    const NetEffect net = fold_batch(batch, *views_);
+    deleted_.assign(net.deletes);
+    inserted_.assign(net.inserts);
 
     BatchStats stats;
     stats.batch_index = batch_index_++;
@@ -324,16 +345,13 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
     std::uint64_t lost = 0;
     if (!net.deletes.empty()) {
         start_epoch(++epoch_);
-        current_changed_ = &deleted;
+        current_changed_ = &deleted_;
         phase_sign_ = -1;
         sim_->run_phase(
             "stream/delete",
             [&](net::RankHandle& self) {
-                const auto& view = (*views_)[self.rank()];
-                for (const auto& e : net.deletes) {
-                    if (view.partition().rank_of(e.u) == self.rank()) {
-                        post_edge_work(self, e);
-                    }
+                for (const auto& e : owned_slice(net.deletes, partition, self.rank())) {
+                    post_edge_work(self, e);
                 }
             },
             on_message, on_idle);
@@ -346,13 +364,19 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
     std::uint64_t gained = 0;
     if (!net.deletes.empty() || !net.inserts.empty()) {
         start_epoch(++epoch_);
-        current_changed_ = &inserted;
+        current_changed_ = &inserted_;
         phase_sign_ = 1;
         sim_->run_phase(
             "stream/apply",
             [&](net::RankHandle& self) {
                 auto& view = (*views_)[self.rank()];
-                std::vector<graph::VertexId> touched;
+                auto& state = ranks_[self.rank()];
+                auto& touched = state.touched;
+                touched.clear();
+                // Both half-edges of every change, in list order: the ones
+                // whose v is local lie scattered through the u-sorted
+                // lists, so this pass reads them whole — two range compares
+                // per edge.
                 const auto apply = [&](const Edge& e, const bool insert) {
                     for (const auto& [x, y] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
                         if (!view.is_local(x)) { continue; }
@@ -375,16 +399,15 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
                 touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
                 for (const auto v : touched) {
                     self.charge_ops(view.degree(v) + 1);  // owner scan
-                    const net::WordVec note{kOpDegree, v, view.degree(v)};
-                    for (const Rank owner : view.neighbor_ranks(v)) {
+                    const std::array<std::uint64_t, 3> note{kOpDegree, v, view.degree(v)};
+                    view.neighbor_ranks(v, state.owners);
+                    for (const Rank owner : state.owners) {
                         queues_[self.rank()].post(self, owner, note);
                     }
                 }
 
-                for (const auto& e : net.inserts) {
-                    if (view.partition().rank_of(e.u) == self.rank()) {
-                        post_edge_work(self, e);
-                    }
+                for (const auto& e : owned_slice(net.inserts, partition, self.rank())) {
+                    post_edge_work(self, e);
                 }
             },
             on_message, on_idle);

@@ -2,8 +2,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
-#include <unordered_set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,61 @@ struct BatchStats {
     /// rejected atomically — no adjacency changed, no superstep ran, every
     /// stat above is zero and the triangle count is the pre-batch value.
     Error error;
+};
+
+/// A batch folded against the current edge set: its effective deletions
+/// and insertions, each canonical (u < v) and ascending.
+struct NetEffect {
+    std::vector<graph::Edge> deletes;
+    std::vector<graph::Edge> inserts;
+
+    friend bool operator==(const NetEffect&, const NetEffect&) = default;
+};
+
+/// Folds a batch against the views' current edge sets: the last event per
+/// edge wins, and self-loops and no-ops vanish. Events must be time-ordered
+/// and inside the vertex universe (asserted; IncrementalCounter::apply_batch
+/// rejects such batches first). A stable sort on the canonical edge groups
+/// each edge's events in time order; each group costs one presence lookup
+/// at owner(u).
+[[nodiscard]] NetEffect fold_batch(const EdgeBatch& batch,
+                                   const std::vector<DynamicDistGraph>& views);
+
+/// The contiguous run of `sorted` (ascending by u) whose u `rank` owns —
+/// two binary searches against the rank's range, not an owner lookup per
+/// edge.
+[[nodiscard]] std::span<const graph::Edge> owned_slice(std::span<const graph::Edge> sorted,
+                                                       const graph::Partition1D& partition,
+                                                       graph::Rank rank);
+
+/// One phase's changed-edge set, queried for every element of every flagged
+/// row and for every match: open addressing with linear probing over one
+/// flat slot array, at most half full, refilled per phase without freeing
+/// its slots.
+class ChangedEdges {
+public:
+    /// Replaces the set's contents with `edges` (canonical, u < v).
+    void assign(std::span<const graph::Edge> edges);
+
+    /// Whether the undirected edge {x, w} is in the set.
+    [[nodiscard]] bool contains(graph::VertexId x, graph::VertexId w) const {
+        const graph::Edge e = graph::Edge{x, w}.canonical();
+        for (std::size_t i = slot_of(e);; i = (i + 1) & mask_) {
+            if (slots_[i] == kFree) { return false; }
+            if (slots_[i] == e) { return true; }
+        }
+    }
+
+private:
+    /// Both ends kInvalidVertex: never a canonical edge.
+    static constexpr graph::Edge kFree{};
+
+    [[nodiscard]] std::size_t slot_of(const graph::Edge& e) const noexcept {
+        return static_cast<std::size_t>(hash_combine(hash64(e.u), e.v)) & mask_;
+    }
+
+    std::vector<graph::Edge> slots_ = std::vector<graph::Edge>(1, kFree);
+    std::size_t mask_ = 0;  // slots_.size() − 1
 };
 
 /// Signed per-vertex triangle attribution hook: invoked at the finding rank
@@ -105,21 +161,22 @@ public:
     void set_triangle_sink(StreamTriangleSink sink) { sink_ = std::move(sink); }
 
 private:
-    using EdgeKey = std::pair<std::uint64_t, std::uint64_t>;
-    using EdgeSet = std::unordered_set<EdgeKey, PairHash>;
-
-    struct NetEffect {
-        std::vector<graph::Edge> deletes;  // canonical u < v
-        std::vector<graph::Edge> inserts;
+    /// What one rank's start function and handlers write, on cache lines of
+    /// its own: the ranks of a start round or delivery window run on
+    /// different host threads.
+    struct alignas(64) RankState {
+        std::uint64_t sixths = 0;  ///< units of 1/6 triangle
+        net::WordVec record;       ///< the ship record or local operand in the making
+        std::vector<graph::VertexId> touched;  ///< local rows the batch changed
+        std::vector<Rank> owners;              ///< recipients of one degree note
     };
 
-    [[nodiscard]] NetEffect fold_batch(const EdgeBatch& batch) const;
-
     void start_epoch(std::uint64_t epoch);
-    /// Flag-annotated local neighborhood of x appended to `prefix` — the
-    /// shared wire/operand form of ship records and local intersections.
-    [[nodiscard]] net::WordVec flagged_row(net::RankHandle& self, graph::VertexId x,
-                                           net::WordVec prefix);
+    /// Flag-annotated local neighborhood of x after `prefix`, built in the
+    /// rank's reused record buffer — the shared wire/operand form of ship
+    /// records and local intersections. Valid until the rank's next call.
+    [[nodiscard]] std::span<const std::uint64_t> flagged_row(
+        net::RankHandle& self, graph::VertexId x, std::initializer_list<std::uint64_t> prefix);
     /// Posts the counting work for one changed edge owned by this rank:
     /// local intersection, ship, or pull (degree-driven).
     void post_edge_work(net::RankHandle& self, const graph::Edge& edge);
@@ -130,7 +187,6 @@ private:
                                   graph::VertexId b,
                                   std::span<const std::uint64_t> flagged_a);
     void deliver_record(net::RankHandle& self, std::span<const std::uint64_t> record);
-    [[nodiscard]] bool edge_changed(graph::VertexId x, graph::VertexId w) const;
     /// Drains per-rank sixth-accumulators; asserts divisibility by 6.
     [[nodiscard]] std::uint64_t take_triangle_sixths();
 
@@ -139,15 +195,18 @@ private:
     core::AlgorithmOptions options_;
     std::unique_ptr<net::Router> router_;
     std::vector<net::MessageQueue> queues_;
-    std::vector<std::uint64_t> sixths_;  // per-rank, units of 1/6 triangle
-    StreamTriangleSink sink_;            // optional per-vertex attribution
-    std::int64_t phase_sign_ = 1;        // −1 in "stream/delete", +1 in "stream/apply"
+    std::vector<RankState> ranks_;
+    StreamTriangleSink sink_;      // optional per-vertex attribution
+    std::int64_t phase_sign_ = 1;  // −1 in "stream/delete", +1 in "stream/apply"
 
-    /// Effective changed-edge set of the phase in flight (deletions during
-    /// "stream/delete", insertions during "stream/apply"). Stored once for
-    /// all ranks; lookups only ever use edges incident to the querying
-    /// rank's local vertices, which the rank knows natively.
-    const EdgeSet* current_changed_ = nullptr;
+    /// The batch's effective deletions and insertions, and the one of them
+    /// in flight (deleted_ during "stream/delete", inserted_ during
+    /// "stream/apply"). Stored once for all ranks; lookups only ever use
+    /// edges incident to the querying rank's local vertices, which the rank
+    /// knows natively.
+    ChangedEdges deleted_;
+    ChangedEdges inserted_;
+    const ChangedEdges* current_changed_ = nullptr;
 
     std::uint64_t triangles_;
     std::size_t batch_index_ = 0;

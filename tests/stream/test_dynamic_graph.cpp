@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "engine.hpp"
 #include "gen/rgg2d.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
+#include "stream/incremental.hpp"
 #include "stream/stream_runner.hpp"
 #include "support/test_graphs.hpp"
 #include "util/assert.hpp"
@@ -226,10 +228,97 @@ TEST(DynamicDistGraph, NeighborRanksDeduplicatesAndExcludesSelf) {
     const auto g = katric::test::complete_graph(12);
     auto views = build_views(g, 4);  // 3 vertices per rank
     const auto& view = views[1];
-    const auto ranks = view.neighbor_ranks(view.first_local());
+    std::vector<Rank> ranks;
+    view.neighbor_ranks(view.first_local(), ranks);
     // K12: every other rank owns neighbors; self excluded.
     ASSERT_EQ(ranks.size(), 3u);
     EXPECT_TRUE(std::find(ranks.begin(), ranks.end(), 1u) == ranks.end());
+}
+
+TEST(DynamicDistGraph, NeighborRanksMatchAnOwnerLookupReference) {
+    // The cursor against rank_of plus first-seen dedupe, on every row of
+    // every rank (first and last included), on partitions whose rows cross
+    // ranks that own no vertex: repeated boundaries in the middle and at
+    // both ends, and p > n.
+    auto cases = partition_cases();
+    const auto k12 = katric::test::complete_graph(12);
+    cases.push_back({"K12 empty ranks between every pair", k12,
+                     Partition1D({0, 0, 4, 4, 4, 8, 8, 12, 12})});
+    const auto rmat = gen::generate_rmat(7, 512, 23);
+    cases.push_back({"rmat repeated boundaries", rmat,
+                     Partition1D({0, 0, 3, 3, 3, 90, 128, 128})});
+    cases.push_back({"K12 uniform p=20", k12, Partition1D::uniform(12, 20)});
+    for (const auto& pc : cases) {
+        SCOPED_TRACE(pc.name);
+        const auto views = distribute_dynamic(pc.graph, pc.partition);
+        std::vector<Rank> got{99, 98, 97};  // a reused buffer is cleared first
+        for (const auto& view : views) {
+            for (VertexId v = view.first_local(); v < view.first_local() + view.num_local();
+                 ++v) {
+                std::vector<Rank> expected;
+                for (const VertexId w : view.neighbors(v)) {
+                    if (view.is_local(w)) { continue; }
+                    const Rank owner = pc.partition.rank_of(w);
+                    if (std::find(expected.begin(), expected.end(), owner)
+                        == expected.end()) {
+                        expected.push_back(owner);
+                    }
+                }
+                view.neighbor_ranks(v, got);
+                ASSERT_EQ(got, expected) << "rank " << view.rank() << ", vertex " << v;
+            }
+        }
+    }
+}
+
+TEST(DynamicDistGraph, GhostDegreeStaysUnknownUntilTheFirstNote) {
+    const auto g = katric::test::path_graph(40);
+    auto views = build_views(g, 3);  // rank 0 owns 0..13
+    auto& view = views[0];
+    const VertexId late = 39;  // becomes a ghost of rank 0 mid-stream
+    ASSERT_FALSE(view.ghost_degree(late).has_value());
+    ASSERT_TRUE(view.insert_half_edge(0, late));
+    EXPECT_FALSE(view.ghost_degree(late).has_value());
+    // Notes for every other remote vertex, enough to regrow the table,
+    // leave it unknown.
+    const VertexId remote = view.first_local() + view.num_local();
+    for (VertexId w = remote; w < late; ++w) { view.note_ghost_degree(w, w + 100); }
+    EXPECT_FALSE(view.ghost_degree(late).has_value());
+    for (VertexId w = remote; w < late; ++w) { EXPECT_EQ(view.ghost_degree(w), w + 100); }
+    view.note_ghost_degree(late, 2);
+    EXPECT_EQ(view.ghost_degree(late), 2u);
+
+    // Through the counter: owner(5) notes 5's new degree to rank 0 in the
+    // batch that makes 5 a ghost there; 4, never linked to rank 0, stays
+    // unknown there.
+    auto fresh = build_views(katric::test::path_graph(6), 3);  // {0,1} {2,3} {4,5}
+    net::Simulator sim(3, net::NetworkConfig{});
+    IncrementalCounter counter(sim, fresh, core::AlgorithmOptions{}, false, 0);
+    EXPECT_FALSE(fresh[0].ghost_degree(5).has_value());
+    EdgeBatch batch;
+    batch.events.push_back({0.0, 0, 5, EventKind::kInsert});
+    ASSERT_TRUE(counter.apply_batch(batch).error.ok());
+    EXPECT_EQ(fresh[0].ghost_degree(5), 2u);
+    EXPECT_FALSE(fresh[0].ghost_degree(4).has_value());
+}
+
+TEST(DynamicDistGraph, GhostDegreeNoteRejectsIdsOutsideTheUniverseOrLocal) {
+    // A degree note's words come off the wire: a vertex n, 2^64 − 1 or
+    // local must throw, and leave every stored degree as it was.
+    const auto g = katric::test::complete_graph(6);
+    auto views = build_views(g, 2);
+    auto& view = views[0];
+    const VertexId n = g.num_vertices();
+    for (const VertexId bad : {n, n + 1, std::numeric_limits<VertexId>::max(),
+                               view.first_local(), view.first_local() + 1}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(view.note_ghost_degree(bad, 1), katric::assertion_error);
+        EXPECT_FALSE(view.ghost_degree(bad).has_value());
+    }
+    // So is the one degree that reads as "never noted".
+    EXPECT_THROW(view.note_ghost_degree(4, std::numeric_limits<Degree>::max()),
+                 katric::assertion_error);
+    for (VertexId w = 3; w < n; ++w) { EXPECT_EQ(view.ghost_degree(w), 5u); }
 }
 
 TEST(DynamicDistGraph, GhostDegreeNotesOverride) {

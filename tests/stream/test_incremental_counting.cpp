@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/runner.hpp"
@@ -10,6 +15,7 @@
 #include "support/engine_query.hpp"
 #include "support/test_graphs.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace katric::stream {
 namespace {
@@ -173,6 +179,151 @@ TEST(IncrementalCounting, MultiChangedEdgeTrianglesAreCorrectedExactly) {
         // And the K5 leaving whole, {2,6} included.
         EXPECT_EQ(apply(k5, EventKind::kDelete), -10);
         EXPECT_EQ(counter.triangles(), 0u);
+    }
+}
+
+TEST(IncrementalCounting, OwnedSliceIsTheOwnerFilter) {
+    // Every rank's slice of a sorted canonical edge list is the
+    // rank_of(e.u) == r filter of it: ranks owning no vertex at either end
+    // and in the middle, p > n, and lists from empty to dense.
+    const std::vector<Partition1D> partitions{Partition1D::uniform(64, 5),
+                                              Partition1D({0, 0, 10, 10, 40, 64, 64}),
+                                              Partition1D::uniform(64, 70)};
+    std::mt19937_64 rng(5);
+    for (const auto& partition : partitions) {
+        const VertexId n = partition.num_vertices();
+        for (const std::size_t size : {0, 1, 40, 400}) {
+            SCOPED_TRACE("p=" + std::to_string(partition.num_ranks()) + " size "
+                         + std::to_string(size));
+            std::vector<Edge> edges;
+            if (size > 1) { edges = {{0, 1}, {n - 2, n - 1}}; }
+            while (edges.size() < size) {
+                const Edge e{rng() % n, rng() % n};
+                if (!e.is_self_loop()) { edges.push_back(e.canonical()); }
+            }
+            std::sort(edges.begin(), edges.end());
+            for (Rank r = 0; r < partition.num_ranks(); ++r) {
+                std::vector<Edge> expected;
+                for (const auto& e : edges) {
+                    if (partition.rank_of(e.u) == r) { expected.push_back(e); }
+                }
+                const auto slice = owned_slice(edges, partition, r);
+                EXPECT_EQ(std::vector<Edge>(slice.begin(), slice.end()), expected)
+                    << "rank " << r;
+            }
+        }
+    }
+}
+
+TEST(IncrementalCounting, ChangedEdgesAgreeWithAnOrderedSetReference) {
+    // One set refilled batch after batch, growing, shrinking and keeping its
+    // slot count (200 then 190), queried in both orientations for every
+    // pair over a universe whose ends (0 and n − 1) are in every non-empty
+    // batch.
+    const VertexId n = 50;
+    std::mt19937_64 rng(11);
+    ChangedEdges changed;
+    for (const std::size_t size : {0, 3, 200, 190, 30, 600, 1}) {
+        SCOPED_TRACE("size " + std::to_string(size));
+        std::vector<Edge> edges;
+        if (size > 0) { edges = {{0, n - 1}, {0, 1}, {n - 2, n - 1}}; }
+        while (edges.size() < size) {
+            const Edge e{rng() % n, rng() % n};
+            if (!e.is_self_loop()) { edges.push_back(e.canonical()); }
+        }
+        edges.resize(size);
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+        const std::set<Edge> reference(edges.begin(), edges.end());
+        changed.assign(edges);
+        for (VertexId x = 0; x < n; ++x) {
+            for (VertexId w = 0; w < n; ++w) {
+                ASSERT_EQ(changed.contains(x, w),
+                          reference.contains(Edge{x, w}.canonical()))
+                    << "{" << x << ", " << w << "}";
+            }
+        }
+    }
+}
+
+/// The fold as a hash map from each canonical edge to its presence before
+/// and after the batch, sorted afterwards — the reference for fold_batch.
+NetEffect map_fold(const EdgeBatch& batch, const std::vector<DynamicDistGraph>& views) {
+    const auto& partition = views.front().partition();
+    std::unordered_map<std::pair<VertexId, VertexId>, std::pair<bool, bool>, PairHash> folded;
+    for (const auto& event : batch.events) {
+        if (event.u == event.v) { continue; }
+        const Edge e = Edge{event.u, event.v}.canonical();
+        auto it = folded.find({e.u, e.v});
+        if (it == folded.end()) {
+            const bool present = views[partition.rank_of(e.u)].has_edge(e.u, e.v);
+            it = folded.emplace(std::pair{e.u, e.v}, std::pair{present, present}).first;
+        }
+        it->second.second = event.kind == EventKind::kInsert;
+    }
+    NetEffect net;
+    for (const auto& [key, presence] : folded) {
+        const auto [initial, current] = presence;
+        if (initial && !current) { net.deletes.push_back({key.first, key.second}); }
+        if (!initial && current) { net.inserts.push_back({key.first, key.second}); }
+    }
+    std::sort(net.deletes.begin(), net.deletes.end());
+    std::sort(net.inserts.begin(), net.inserts.end());
+    return net;
+}
+
+TEST(IncrementalCounting, SortFoldMatchesTheMapFold) {
+    const auto base = gen::generate_gnm(40, 120, 7);
+    Config config;
+    config.num_ranks = 4;
+    const auto views = test::dynamic_views(base, config);
+    const auto present = [&](VertexId u, VertexId v) { return base.has_edge(u, v); };
+
+    // One edge, present or absent, inserted and deleted over and over: k
+    // events in alternating orientation, pairs sharing a timestamp and
+    // self-loops in between — only the last event may decide.
+    std::vector<Edge> singles;
+    for (VertexId u = 0; u < 40 && singles.size() < 2; ++u) {
+        for (VertexId v = u + 1; v < 40; ++v) {
+            if (present(u, v) == singles.empty()) {
+                singles.push_back({u, v});
+                break;
+            }
+        }
+    }
+    ASSERT_EQ(singles.size(), 2u);
+    std::size_t changed = 0;
+    for (const Edge edge : singles) {
+        for (std::size_t k = 1; k <= 7; ++k) {
+            for (const auto first : {EventKind::kInsert, EventKind::kDelete}) {
+                EdgeBatch batch;
+                auto kind = first;
+                for (std::size_t i = 0; i < k; ++i) {
+                    const double t = static_cast<double>(i / 2);
+                    const Edge e = i % 2 == 0 ? edge : Edge{edge.v, edge.u};
+                    batch.events.push_back({t, e.u, e.v, kind});
+                    batch.events.push_back({t, e.u, e.u, EventKind::kInsert});
+                    kind = kind == EventKind::kInsert ? EventKind::kDelete
+                                                      : EventKind::kInsert;
+                }
+                const auto expected = map_fold(batch, views);
+                changed += expected.deletes.size() + expected.inserts.size();
+                EXPECT_EQ(fold_batch(batch, views), expected)
+                    << "edge {" << edge.u << ", " << edge.v << "}, " << k << " events";
+            }
+        }
+    }
+    EXPECT_GT(changed, 0u);
+
+    // Random churn over a few vertices: many edges, each repeated.
+    std::mt19937_64 rng(3);
+    for (int round = 0; round < 20; ++round) {
+        EdgeBatch batch;
+        for (int i = 0; i < 200; ++i) {
+            const auto kind = rng() % 2 == 0 ? EventKind::kInsert : EventKind::kDelete;
+            batch.events.push_back({static_cast<double>(i / 3), rng() % 8, rng() % 8, kind});
+        }
+        EXPECT_EQ(fold_batch(batch, views), map_fold(batch, views)) << "round " << round;
     }
 }
 
