@@ -225,8 +225,11 @@ int main(int argc, char** argv) {
                                            return row.count(larges[k]);
                                        }, min_ms)});
                 }
+                // The slot lookup stays in the timed call: the dispatcher
+                // pays that hash probe per call too.
                 kernels.push_back({"bitmap", measure([&](std::size_t k) {
-                                       return hubs.intersect_count(hub_ids[k], small);
+                                       return hubs.intersect_count(
+                                           *hubs.lookup(hub_ids[k], larges[k]), small);
                                    }, min_ms)});
                 if (ratio == 1) {
                     // Equal-size case with both rows indexed: the hub∩hub
@@ -245,7 +248,9 @@ int main(int argc, char** argv) {
                     });
                     kernels.push_back(
                         {"bitmap-and", measure([&](std::size_t k) {
-                             return both.intersect_hub_hub(hub_ids[k], small_id);
+                             return both.intersect_hub_hub(
+                                 *both.lookup(hub_ids[k], larges[k]),
+                                 *both.lookup(small_id, small));
                          }, min_ms)});
                 }
 

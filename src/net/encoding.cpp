@@ -72,34 +72,9 @@ std::size_t encoded_words(std::span<const std::uint64_t> values) {
 
 void decode_sorted(std::span<const std::uint64_t> words, std::size_t count,
                    std::vector<std::uint64_t>& out) {
-    out.clear();
-    out.reserve(count);
-    std::size_t byte_index = 0;
-    const std::size_t byte_limit = words.size() * 8;
-    auto next_byte = [&]() {
-        KATRIC_ASSERT_MSG(byte_index < byte_limit, "varint stream truncated");
-        const std::uint8_t b = static_cast<std::uint8_t>(
-            words[byte_index / 8] >> (8 * (byte_index % 8)));
-        ++byte_index;
-        return b;
-    };
-    std::uint64_t previous = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint64_t value = 0;
-        int shift = 0;
-        while (true) {
-            const std::uint8_t b = next_byte();
-            // The 10th byte contributes only bit 0 (shift 63); any higher
-            // payload bit would be silently shifted out of the uint64.
-            KATRIC_ASSERT_MSG(shift < 63 || (b & 0x7e) == 0, "varint overlong");
-            value |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            if ((b & 0x80) == 0) { break; }
-            shift += 7;
-            KATRIC_ASSERT_MSG(shift < 64, "varint overlong");
-        }
-        previous = (i == 0) ? value : previous + value;
-        out.push_back(previous);
-    }
+    KATRIC_ASSERT_MSG(try_decode_sorted(words, count, out),
+                      "varint stream of " << words.size() << " word(s) does not hold "
+                                          << count << " value(s): truncated or overlong");
 }
 
 bool try_decode_sorted(std::span<const std::uint64_t> words, std::size_t count,

@@ -23,19 +23,18 @@ using WordVec = std::vector<std::uint64_t>;
 /// Returns the number of words appended.
 std::size_t encode_sorted(std::span<const std::uint64_t> values, WordVec& out);
 
-/// Decodes `count` values from `words` into `out` (cleared first).
+/// Decodes `count` values from `words` into `out` (cleared first); throws
+/// assertion_error where try_decode_sorted returns false.
 void decode_sorted(std::span<const std::uint64_t> words, std::size_t count,
                    std::vector<std::uint64_t>& out);
 
 /// Exact number of words encode_sorted would append (for sizing decisions).
 [[nodiscard]] std::size_t encoded_words(std::span<const std::uint64_t> values);
 
-/// Non-throwing variant of decode_sorted for untrusted buffers: returns
-/// false (leaving `out` cleared) on a truncated or overlong varint stream
-/// instead of tripping KATRIC_ASSERT. Never reads past `words`. The hardened
-/// message layer verifies frame checksums before decoding, so the throwing
-/// decode_sorted stays the hot path; this is the belt to that suspender (and
-/// the fuzz target).
+/// The one varint decoder, for untrusted buffers: returns false (leaving
+/// `out` cleared) on a truncated or overlong varint stream, or a `count`
+/// the words cannot hold, before reserving anything. Never reads past
+/// `words`. The fuzz target; decode_sorted is its throwing wrapper.
 [[nodiscard]] bool try_decode_sorted(std::span<const std::uint64_t> words,
                                      std::size_t count, std::vector<std::uint64_t>& out);
 

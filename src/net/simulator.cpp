@@ -84,6 +84,18 @@ Simulator::Simulator(Rank num_ranks, NetworkConfig config, RankPool& pool)
 void Simulator::harden(const HardenOptions& options) {
     fault_ = std::make_unique<FaultState>();
     fault_->opts = options;
+    if (options.stats == nullptr) { fault_->opts.stats = &fault_->stats; }
+}
+
+Simulator::InFlightFrame& Simulator::FaultState::frame(std::uint64_t frame_id) {
+    KATRIC_ASSERT_MSG(frame_id >= first_id() && frame_id <= next_frame_id,
+                      "frame " << frame_id << " is not in this phase's frame table");
+    return frames[frame_id - first_id()];
+}
+
+bool Simulator::FaultState::frames_open() {
+    while (first_open < frames.size() && frames[first_open].retired) { ++first_open; }
+    return first_open < frames.size();
 }
 
 void Simulator::post(Rank src, Rank dest, int tag, std::uint64_t words, WordVec payload,
@@ -131,15 +143,15 @@ void Simulator::send_framed(Rank src, Outgoing& out) {
     FaultState& st = *fault_;
     const std::uint64_t id = ++st.next_frame_id;
     const FrameHeader header = frame_header(id, src, out.dest, out.tag, out.payload);
-    st.in_flight.emplace(
-        id, InFlightFrame{src, out.dest, out.tag, header, std::move(out.payload), 1});
-    if (st.opts.stats != nullptr) { ++st.opts.stats->frames_sent; }
+    st.frames.push_back(
+        InFlightFrame{src, out.dest, out.tag, header, std::move(out.payload), 1});
+    ++st.opts.stats->frames_sent;
     inject(id, out.arrival);
 }
 
 void Simulator::inject(std::uint64_t frame_id, double arrival) {
     FaultState& st = *fault_;
-    const InFlightFrame& f = st.in_flight.at(frame_id);
+    const InFlightFrame& f = st.frame(frame_id);
     const std::uint64_t words = f.words();
     // A fault's own bytes: the contiguous frame, as the wire would carry it.
     const auto contiguous = [&] {
@@ -149,37 +161,37 @@ void Simulator::inject(std::uint64_t frame_id, double arrival) {
     std::optional<WordVec> mutated;
     bool duplicate = false;
     if (st.opts.injector != nullptr) {
-        fault::FaultStats* stats = st.opts.stats;
+        fault::FaultStats& stats = *st.opts.stats;
         if (const auto d = st.opts.injector->decide(frame_id, f.attempts)) {
             switch (d->kind) {
                 case fault::FaultKind::kDrop:
-                    if (stats != nullptr) { ++stats->injected_drop; }
+                    ++stats.injected_drop;
                     return;  // no event; the quiescence sweep recovers it
                 case fault::FaultKind::kDuplicate:
-                    if (stats != nullptr) { ++stats->injected_duplicate; }
+                    ++stats.injected_duplicate;
                     duplicate = true;
                     break;
                 case fault::FaultKind::kReorder:
                     // Jitter by 1..4 message slots: enough for later sends
                     // from the same rank to overtake this one (FIFO breaks),
                     // small enough to stay inside the phase.
-                    if (stats != nullptr) { ++stats->injected_reorder; }
+                    ++stats.injected_reorder;
                     arrival += static_cast<double>(d->detail)
                                * (config_.alpha + config_.beta * static_cast<double>(words));
                     break;
                 case fault::FaultKind::kDelay:
-                    if (stats != nullptr) { ++stats->injected_delay; }
+                    ++stats.injected_delay;
                     arrival += st.opts.injector->plan().delay_seconds;
                     break;
                 case fault::FaultKind::kTruncate: {
-                    if (stats != nullptr) { ++stats->injected_truncate; }
+                    ++stats.injected_truncate;
                     const auto cut = std::min<std::uint64_t>(d->detail, words);
                     mutated.emplace(contiguous());
                     mutated->resize(static_cast<std::size_t>(words - cut));
                     break;
                 }
                 case fault::FaultKind::kBitFlip: {
-                    if (stats != nullptr) { ++stats->injected_bitflip; }
+                    ++stats.injected_bitflip;
                     const std::uint64_t bit = d->detail % (words * 64);
                     mutated.emplace(contiguous());
                     (*mutated)[bit / 64] ^= 1ULL << (bit % 64);
@@ -210,9 +222,8 @@ void Simulator::inject(std::uint64_t frame_id, double arrival) {
 
 void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
     FaultState& st = *fault_;
-    const auto it = st.in_flight.find(frame_id);
-    KATRIC_ASSERT(it != st.in_flight.end());
-    InFlightFrame& f = it->second;
+    InFlightFrame& f = st.frame(frame_id);
+    KATRIC_ASSERT(!f.retired);
     // attempts counts sends so far; the retry budget caps retransmissions.
     if (f.attempts > st.opts.max_retries) {
         std::ostringstream out;
@@ -222,7 +233,7 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
         throw FaultError(exhausted_as, out.str());
     }
     ++f.attempts;
-    if (st.opts.stats != nullptr) { ++st.opts.stats->retransmits; }
+    ++st.opts.stats->retransmits;
     // Exponential backoff: the sender's port idles α·2^attempt before the
     // re-injection charge, so repeated failures slow the offered load instead
     // of hammering the link.
@@ -238,16 +249,15 @@ void Simulator::retransmit(std::uint64_t frame_id, NetError exhausted_as) {
 
 std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(Event& event) {
     FaultState& st = *fault_;
-    const auto frame = st.in_flight.find(event.frame);
+    InFlightFrame& f = st.frame(event.frame);
     const auto src = static_cast<std::uint32_t>(event.src);
     const auto dest = static_cast<std::uint32_t>(event.dest);
     FrameView view;
     if (event.retained) {
         // Header and payload verify in place, where the sender left them.
-        KATRIC_ASSERT_MSG(frame != st.in_flight.end(),
+        KATRIC_ASSERT_MSG(!f.retired,
                           "retained frame " << event.frame << " retired before delivery");
-        view = verify_frame(frame->second.header, frame->second.payload, src, dest,
-                            event.tag);
+        view = verify_frame(f.header, f.payload, src, dest, event.tag);
     } else {
         view = verify_frame(event.payload, src, dest, event.tag);
     }
@@ -255,19 +265,24 @@ std::optional<std::span<const std::uint64_t>> Simulator::receive_hardened(Event&
         // Detected truncation/corruption: request a fresh copy immediately.
         // The lookup keys on the event's frame id — the network's own record
         // of the send — so a flipped header word cannot misroute recovery.
-        if (st.opts.stats != nullptr) { ++st.opts.stats->corrupt_detected; }
+        // Only an injector mutates a frame, and it keeps windows to one event
+        // on the caller: the retransmission's sender charge races no rank.
+        KATRIC_ASSERT_MSG(st.opts.injector != nullptr,
+                          "frame " << event.frame << " failed verification without an "
+                                                     "injector");
+        ++st.opts.stats->corrupt_detected;
         retransmit(event.frame, NetError::kCorrupt);
         return std::nullopt;
     }
-    if (!st.delivered.insert(event.frame).second) {
+    if (f.retired) {
         // Idempotent re-delivery: duplicates (injected, or a retransmission
         // racing a delayed original) are verified, then suppressed.
-        if (st.opts.stats != nullptr) { ++st.opts.stats->duplicates_suppressed; }
+        ++st.opts.stats->duplicates_suppressed;
         return std::nullopt;
     }
+    f.retired = true;
     // Moving the vector keeps its heap buffer, so `view` stays valid.
-    if (event.retained) { event.payload = std::move(frame->second.payload); }
-    st.in_flight.erase(frame);
+    if (event.retained) { event.payload = std::move(f.payload); }
     return view.payload;
 }
 
@@ -295,7 +310,6 @@ Simulator::WindowBounds Simulator::pop_window(bool single) {
         delivery.event = std::move(const_cast<Event&>(events_.top()));
         events_.pop();
         const Event& event = delivery.event;
-        delivery.payload = event.payload;
         bounds.words += event.retained ? event.words : event.payload.size();
         Lane& lane = lanes_[event.dest];
         if (lane.seen_in != stamp) {
@@ -314,14 +328,6 @@ Simulator::WindowBounds Simulator::pop_window(bool single) {
     return bounds;
 }
 
-bool Simulator::verify(Delivery& delivery) {
-    const auto verified = receive_hardened(delivery.event);
-    if (!verified.has_value()) { return false; }
-    delivery.payload = *verified;
-    delivery.verified = true;
-    return true;
-}
-
 void Simulator::receive(RankHandle& handle, Delivery& delivery,
                         const MessageHandler& on_message) {
     Event& event = delivery.event;
@@ -336,10 +342,13 @@ void Simulator::receive(RankHandle& handle, Delivery& delivery,
         metrics_[dest].messages_received += 1;
         metrics_[dest].words_received += event.words;
     }
-    if (event.frame != 0 && !delivery.verified && !verify(delivery)) {
-        return;  // suppressed or re-sent
+    std::span<const std::uint64_t> payload = event.payload;
+    if (event.frame != 0) {
+        const auto verified = receive_hardened(event);
+        if (!verified.has_value()) { return; }  // suppressed or re-sent
+        payload = *verified;
     }
-    if (on_message) { on_message(handle, event.src, event.tag, delivery.payload); }
+    if (on_message) { on_message(handle, event.src, event.tag, payload); }
     // Free the payload now, as a sequential run would: the window holds
     // every event until its last delivery.
     WordVec().swap(event.payload);
@@ -407,22 +416,6 @@ void Simulator::run_window(const Fn& run, double horizon) {
     if (failed < size) { std::rethrow_exception(window_[failed].error); }
 }
 
-void Simulator::deliver_fanned_out(const MessageHandler& on_message, double horizon) {
-    for (Delivery& delivery : window_) {
-        if (delivery.event.frame != 0) {
-            // No injector is armed, so no frame can fail its check, and
-            // verifying ahead of the receive charges changes nothing.
-            const bool verified = verify(delivery);
-            KATRIC_ASSERT_MSG(verified, "frame " << delivery.event.frame
-                                                 << " failed verification without an "
-                                                    "injector");
-        }
-    }
-    run_window([&](RankHandle& handle,
-                   Delivery& delivery) { receive(handle, delivery, on_message); },
-               horizon);
-}
-
 Simulator::DeliveryStats Simulator::deliver_until_quiescent(
     const MessageHandler& on_message, const RankFn& on_idle) {
     DeliveryStats stats;
@@ -440,7 +433,11 @@ Simulator::DeliveryStats Simulator::deliver_until_quiescent(
             if (!single && window.ranks > 1 && window.words >= kFanOutWindowWords
                 && pool_->fans_out(num_ranks_)) {
                 ++stats.windows_fanned;
-                deliver_fanned_out(on_message, window.horizon);
+                run_window(
+                    [&](RankHandle& handle, Delivery& delivery) {
+                        receive(handle, delivery, on_message);
+                    },
+                    window.horizon);
                 continue;
             }
             for (Delivery& delivery : window_) {
@@ -449,15 +446,17 @@ Simulator::DeliveryStats Simulator::deliver_until_quiescent(
                 });
             }
         }
-        if (fault_ != nullptr && !fault_->in_flight.empty()) {
+        if (fault_ != nullptr && fault_->frames_open()) {
             // The queue drained but frames are unaccounted for: they were
             // dropped in flight. Re-send each (deterministic id order) and
             // keep delivering; budget exhaustion surfaces as kTimeout — a
             // loss, unlike corruption, is only observable as absence.
-            std::vector<std::uint64_t> lost;
-            lost.reserve(fault_->in_flight.size());
-            for (const auto& [id, frame] : fault_->in_flight) { lost.push_back(id); }
-            for (const std::uint64_t id : lost) { retransmit(id, NetError::kTimeout); }
+            const FaultState& st = *fault_;
+            for (std::size_t i = st.first_open; i < st.frames.size(); ++i) {
+                if (!st.frames[i].retired) {
+                    retransmit(st.first_id() + i, NetError::kTimeout);
+                }
+            }
             continue;
         }
         if (!on_idle) { break; }
@@ -468,10 +467,7 @@ Simulator::DeliveryStats Simulator::deliver_until_quiescent(
         // the event queue is then empty but the frame is unaccounted for.
         // Loop back so the lost-frame sweep above runs; only true quiescence
         // — no events AND no in-flight frames — ends the phase.
-        if (events_.empty()
-            && (fault_ == nullptr || fault_->in_flight.empty())) {
-            break;
-        }
+        if (events_.empty() && (fault_ == nullptr || !fault_->frames_open())) { break; }
     }
     return stats;
 }
@@ -513,7 +509,7 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
                 }
                 if (st.opts.injector->stalls(static_cast<std::uint32_t>(r),
                                              st.superstep)) {
-                    if (st.opts.stats != nullptr) { ++st.opts.stats->injected_stall; }
+                    ++st.opts.stats->injected_stall;
                     lanes_[r].clock += st.opts.injector->plan().stall_seconds;
                 }
             }
@@ -563,12 +559,13 @@ double Simulator::run_phase(const std::string& name, const RankFn& start,
     phases_.push_back(std::move(record));
     if (fault_ != nullptr) {
         FaultState& st = *fault_;
-        KATRIC_ASSERT_MSG(st.in_flight.empty(),
+        KATRIC_ASSERT_MSG(!st.frames_open(),
                           "hardened frame(s) unresolved past phase quiescence");
         ++st.superstep;
-        // Frame ids are globally unique and the quiescence sweep guarantees
-        // every frame resolved within its phase, so the dedup set can reset.
-        st.delivered.clear();
+        // Frame ids are consecutive and the quiescence sweep guarantees
+        // every frame resolved within its phase, so the table can reset.
+        st.frames.clear();
+        st.first_open = 0;
         if (st.opts.phase_timeout > 0.0
             && barrier_time_ - phase_start > st.opts.phase_timeout) {
             std::ostringstream out;

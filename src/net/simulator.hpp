@@ -3,14 +3,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "error.hpp"
@@ -74,7 +72,7 @@ struct HardenOptions {
     bool frame = true;
     /// Deterministic fault oracle; null = no injection.
     const fault::FaultInjector* injector = nullptr;
-    /// Counter sink; null = don't count.
+    /// Counter sink; null = counted into one the Simulator owns.
     fault::FaultStats* stats = nullptr;
     /// Cooperative cancellation, checked at each superstep boundary.
     const fault::CancelToken* cancel = nullptr;
@@ -171,7 +169,8 @@ private:
 ///   events for two ranks or more and enough payload to pay for waking the
 ///   helpers; a machine with an armed FaultInjector delivers one event at a
 ///   time, on the caller, since a retransmission charges another rank's
-///   clock.
+///   clock. A hardened frame is verified by the rank that receives it,
+///   which retires the frame's own entry of the phase's frame table.
 /// - Idle rounds run sequentially, each rank's sends drained after its call.
 ///
 /// An exception thrown by a start function or handler surfaces as the one a
@@ -250,7 +249,7 @@ private:
         /// or hardening off). The network's own knowledge of which send this
         /// is — corruption mutates the payload buffer, never this.
         std::uint64_t frame = 0;
-        /// Clean hardened delivery: the bytes are the in-flight frame's
+        /// Clean hardened delivery: the bytes are the frame table entry's
         /// header and the sender's own payload buffer, looked up by
         /// `frame`; `payload` stays empty. Only a fault that needs its own
         /// bytes (duplicate, truncate, bit flip) builds a contiguous frame.
@@ -291,10 +290,6 @@ private:
     /// set.
     struct Delivery {
         Event event;
-        /// What the handler sees; set by the receive, or on the caller for a
-        /// fanned-out hardened window.
-        std::span<const std::uint64_t> payload;
-        bool verified = false;
         /// Fanned-out rounds only, written by the running thread: the
         /// rank's outbox size after this unit, and the rank's clock and
         /// metrics before it, should an earlier unit of the round throw.
@@ -338,11 +333,8 @@ private:
     };
     /// Pops the next delivery window into window_ (one event when `single`).
     WindowBounds pop_window(bool single);
-    /// receive_hardened for one delivery: false when the event must be
-    /// suppressed, else its payload is the verified frame's.
-    bool verify(Delivery& delivery);
     /// Receive side of one delivery on its rank: clock, receive charge,
-    /// hardened verification unless already verified, then the handler.
+    /// hardened verification, then the handler.
     void receive(RankHandle& handle, Delivery& delivery,
                  const MessageHandler& on_message);
     /// Runs window_ on the pool: each rank calls run(handle, unit) on its
@@ -353,9 +345,6 @@ private:
     /// reached, are undone: clocks and metrics restored, sends dropped.
     template <typename Fn>
     void run_window(const Fn& run, double horizon);
-    /// Verifies window_'s frames on the caller, in key order, then delivers
-    /// it with run_window.
-    void deliver_fanned_out(const MessageHandler& on_message, double horizon);
 
     /// A hardened in-flight frame, retained until its verified delivery so
     /// loss and corruption can be repaired by retransmission: the frame
@@ -367,6 +356,9 @@ private:
         FrameHeader header;      ///< [frame id, payload length, checksum]
         WordVec payload;         ///< the sender's pristine payload
         std::uint32_t attempts;  ///< delivery attempts so far (1 = first send)
+        /// Delivered and verified; a later copy is a duplicate. Written only
+        /// by the rank that receives the frame.
+        bool retired = false;
 
         /// Length of the frame on the wire, header included.
         [[nodiscard]] std::uint64_t words() const noexcept {
@@ -378,13 +370,26 @@ private:
     /// the disabled path stays a single null check.
     struct FaultState {
         HardenOptions opts;
+        /// Where opts.stats points when the caller passed none.
+        fault::FaultStats stats;
         std::uint64_t next_frame_id = 0;
         std::uint32_t superstep = 0;
-        /// frame_id → retained frame; std::map for a deterministic
-        /// retransmission sweep order.
-        std::map<std::uint64_t, InFlightFrame> in_flight;
-        /// Verified-delivered frame ids this phase (idempotent re-delivery).
-        std::unordered_set<std::uint64_t> delivered;
+        /// The frame table: this phase's frames, in id order. Ids are
+        /// consecutive and every frame resolves inside its phase, so the
+        /// table holds ids first_id() to next_frame_id, and the barrier
+        /// clears it.
+        std::vector<InFlightFrame> frames;
+        /// Every entry before this one is retired.
+        std::size_t first_open = 0;
+
+        [[nodiscard]] std::uint64_t first_id() const noexcept {
+            return next_frame_id - frames.size() + 1;
+        }
+        /// The table's entry for `frame_id`.
+        InFlightFrame& frame(std::uint64_t frame_id);
+        /// Whether a frame of the phase is still unretired (lost, or its
+        /// event still pending). Moves first_open past the retired entries.
+        bool frames_open();
     };
 
     /// Frames a drained send, retains it for retransmission and injects it.
@@ -399,7 +404,8 @@ private:
     /// the backoff α·2^attempt on top of the normal injection cost. Throws
     /// FaultError when the retry budget is exhausted.
     void retransmit(std::uint64_t frame_id, NetError exhausted_as);
-    /// Verified-delivery bookkeeping for one hardened event. Returns the
+    /// Verified-delivery bookkeeping for one hardened event, on the rank
+    /// that receives it: it writes only its own frame's entry. Returns the
     /// payload span to hand the handler, or nullopt when the event must be
     /// suppressed (duplicate) — retransmission on corruption happens inside.
     /// A verified retained event takes over the sender's payload buffer, so

@@ -146,7 +146,7 @@ std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs, Span a, Sp
     if (hubs == nullptr || hubs->empty()) { return std::nullopt; }
     // No row shorter than the smallest indexed row can be covered, so such
     // operands — the vast majority of calls — skip the hash probe entirely;
-    // candidates resolve slot + covers() in one lookup.
+    // candidates resolve slot and row identity in one lookup.
     const auto gate = hubs->min_indexed_row();
     const auto* a_hub = a_id != graph::kInvalidVertex && a.size() >= gate
                             ? hubs->lookup(a_id, a)

@@ -79,36 +79,20 @@ void HubBitmapIndex::write_row(std::size_t slot_index,
     }
 }
 
-const HubBitmapIndex::Slot* HubBitmapIndex::find(graph::VertexId id) const noexcept {
-    const auto it = slots_.find(id);
-    return it == slots_.end() ? nullptr : &it->second;
-}
-
-bool HubBitmapIndex::covers(graph::VertexId id,
-                            std::span<const graph::VertexId> row) const noexcept {
-    return lookup(id, row) != nullptr;
-}
-
 const HubBitmapIndex::Slot* HubBitmapIndex::lookup(
     graph::VertexId id, std::span<const graph::VertexId> row) const noexcept {
-    const Slot* slot = find(id);
-    if (slot == nullptr || slot->data != row.data() || slot->size != row.size()) {
+    const auto it = slots_.find(id);
+    if (it == slots_.end() || it->second.data != row.data()
+        || it->second.size != row.size()) {
         return nullptr;
     }
-    return slot;
+    return &it->second;
 }
 
 bool HubBitmapIndex::test(const Slot& slot, graph::VertexId v) const noexcept {
     if (v >= config_.universe) { return false; }
     const std::uint64_t word = bits_[slot.index * words_per_row_ + v / kWordBits];
     return (word >> (v % kWordBits)) & 1;
-}
-
-IntersectResult HubBitmapIndex::intersect_count(
-    graph::VertexId hub, std::span<const graph::VertexId> probe) const {
-    const Slot* slot = find(hub);
-    KATRIC_ASSERT_MSG(slot != nullptr, "intersect_count against non-hub " << hub);
-    return intersect_count(*slot, probe);
 }
 
 IntersectResult HubBitmapIndex::intersect_count(
@@ -119,14 +103,6 @@ IntersectResult HubBitmapIndex::intersect_count(
         if (test(hub, v)) { ++result.count; }
     }
     return result;
-}
-
-IntersectResult HubBitmapIndex::intersect_collect(
-    graph::VertexId hub, std::span<const graph::VertexId> probe,
-    std::vector<graph::VertexId>& out) const {
-    const Slot* slot = find(hub);
-    KATRIC_ASSERT_MSG(slot != nullptr, "intersect_collect against non-hub " << hub);
-    return intersect_collect(*slot, probe, out);
 }
 
 IntersectResult HubBitmapIndex::intersect_collect(
@@ -141,15 +117,6 @@ IntersectResult HubBitmapIndex::intersect_collect(
         }
     }
     return result;
-}
-
-IntersectResult HubBitmapIndex::intersect_hub_hub(graph::VertexId h1,
-                                                  graph::VertexId h2) const {
-    const Slot* s1 = find(h1);
-    const Slot* s2 = find(h2);
-    KATRIC_ASSERT_MSG(s1 != nullptr && s2 != nullptr,
-                      "intersect_hub_hub needs two indexed hubs");
-    return intersect_hub_hub(*s1, *s2);
 }
 
 IntersectResult HubBitmapIndex::intersect_hub_hub(const Slot& s1, const Slot& s2) const {

@@ -80,40 +80,25 @@ public:
         std::size_t size = 0;
     };
 
-    /// True iff `id` is indexed AND `row` is the exact storage the bitmap
-    /// was built from (see "row identity" above).
-    [[nodiscard]] bool covers(graph::VertexId id,
-                              std::span<const graph::VertexId> row) const noexcept;
-    /// covers() and find in one hash probe: the slot when `id` is indexed
-    /// over exactly `row`'s storage, nullptr otherwise. The pointer is
+    /// The slot when `id` is indexed over exactly `row`'s storage (see "row
+    /// identity" above), nullptr otherwise — one hash probe. The pointer is
     /// invalidated by build/rebuild_dirty/clear.
     [[nodiscard]] const Slot* lookup(graph::VertexId id,
                                      std::span<const graph::VertexId> row) const noexcept;
-    /// Membership regardless of row identity — for stats/tests.
-    [[nodiscard]] bool contains_hub(graph::VertexId id) const noexcept {
-        return slots_.contains(id);
-    }
 
     /// |row(hub) ∩ probe| via one bit probe per element of `probe`.
-    /// ops = |probe|. Requires contains_hub(hub).
-    [[nodiscard]] IntersectResult intersect_count(
-        graph::VertexId hub, std::span<const graph::VertexId> probe) const;
+    /// ops = |probe|.
     [[nodiscard]] IntersectResult intersect_count(
         const Slot& hub, std::span<const graph::VertexId> probe) const;
 
     /// Collect variant: appends the matching elements of `probe` in probe
     /// order (ascending for sorted probes — the merge-collect contract).
-    IntersectResult intersect_collect(graph::VertexId hub,
-                                      std::span<const graph::VertexId> probe,
-                                      std::vector<graph::VertexId>& out) const;
     IntersectResult intersect_collect(const Slot& hub,
                                       std::span<const graph::VertexId> probe,
                                       std::vector<graph::VertexId>& out) const;
 
     /// |row(h1) ∩ row(h2)| as word-AND + popcount over the two bitmaps.
-    /// ops = number of bitmap words. Requires both hubs indexed.
-    [[nodiscard]] IntersectResult intersect_hub_hub(graph::VertexId h1,
-                                                    graph::VertexId h2) const;
+    /// ops = number of bitmap words.
     [[nodiscard]] IntersectResult intersect_hub_hub(const Slot& s1,
                                                     const Slot& s2) const;
 
@@ -143,7 +128,6 @@ public:
 
 private:
     void write_row(std::size_t slot_index, std::span<const graph::VertexId> row);
-    [[nodiscard]] const Slot* find(graph::VertexId id) const noexcept;
     [[nodiscard]] bool test(const Slot& slot, graph::VertexId v) const noexcept;
 
     void refresh_min_indexed_row() noexcept;

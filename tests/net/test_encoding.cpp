@@ -123,5 +123,15 @@ TEST(Encoding, TruncatedStreamRejected) {
     EXPECT_THROW(decode_sorted(words, 1000, back), katric::assertion_error);
 }
 
+TEST(Encoding, HugeCountRejectedBeforeReserving) {
+    // A received record's count word is untrusted: 2^62 values cannot fit in
+    // one word, and must not reach a reserve.
+    const WordVec words{1};
+    std::vector<std::uint64_t> back;
+    EXPECT_THROW(decode_sorted(words, std::size_t{1} << 62, back),
+                 katric::assertion_error);
+    EXPECT_TRUE(back.empty());
+}
+
 }  // namespace
 }  // namespace katric::net

@@ -712,6 +712,7 @@ TEST(ParallelDeliveryWindow, OneRankWindowStaysOnCaller) {
 struct WindowOomOutcome {
     OomOutcome outcome;
     std::uint64_t warm_up_fanned = 0;
+    fault::FaultStats faults;
 };
 
 /// Every rank sends one 8 Ki-word message to its successor at the same
@@ -719,12 +720,19 @@ struct WindowOomOutcome {
 /// words. A warm-up superstep runs it cleanly; in the second, the handlers
 /// on ranks 5 and 11 send a reply and then blow their memory budget. Rank
 /// 5's delivery comes first in event order, so its error must win, and the
-/// deliveries after it must look never run.
-WindowOomOutcome window_oom_outcome(RankPool& pool) {
+/// deliveries after it must look never run. Hardened, every message is a
+/// frame that its receiving rank verifies and retires.
+WindowOomOutcome window_oom_outcome(RankPool& pool, bool harden) {
     NetworkConfig config;
     config.memory_limit_words = 100;
     Simulator sim(kRanks, config, pool);
     sim.record_phase_details(true);
+    WindowOomOutcome result;
+    if (harden) {
+        HardenOptions options;
+        options.stats = &result.faults;
+        sim.harden(options);
+    }
     const auto exchange = [](RankHandle& self) {
         self.send((self.rank() + 1) % self.size(), WordVec(8 * 1024, self.rank()));
     };
@@ -739,7 +747,6 @@ WindowOomOutcome window_oom_outcome(RankPool& pool) {
             self.charge_ops(7);
         };
     };
-    WindowOomOutcome result;
     sim.run_phase("warm-up", exchange, handle(false));
     result.warm_up_fanned = sim.phases().back().host_windows_fanned;
     OomOutcome& outcome = result.outcome;
@@ -759,7 +766,7 @@ WindowOomOutcome window_oom_outcome(RankPool& pool) {
 TEST(ParallelDeliveryWindow, OomSurfacesAsFirstEventWithSequentialMetrics) {
     RankPool inline_pool(0);
     RankPool helpers(3);
-    const WindowOomOutcome sequential = window_oom_outcome(inline_pool);
+    const WindowOomOutcome sequential = window_oom_outcome(inline_pool, /*harden=*/false);
     EXPECT_EQ(sequential.warm_up_fanned, 0u);
     EXPECT_EQ(sequential.outcome.rank, 5u);
     EXPECT_EQ(sequential.outcome.words, 1005u);
@@ -769,13 +776,44 @@ TEST(ParallelDeliveryWindow, OomSurfacesAsFirstEventWithSequentialMetrics) {
     EXPECT_EQ(sequential.outcome.metrics[6].messages_received, 2u);
     EXPECT_EQ(sequential.outcome.metrics[11].peak_buffered_words, 21u);
     for (int run = 0; run < 3; ++run) {
-        const WindowOomOutcome parallel = window_oom_outcome(helpers);
+        const WindowOomOutcome parallel = window_oom_outcome(helpers, /*harden=*/false);
         const std::string what = "run " + std::to_string(run);
         EXPECT_EQ(parallel.warm_up_fanned, 1u) << what;
         EXPECT_EQ(parallel.outcome.rank, sequential.outcome.rank) << what;
         EXPECT_EQ(parallel.outcome.words, sequential.outcome.words) << what;
         EXPECT_TRUE(parallel.outcome.metrics == sequential.outcome.metrics) << what;
         EXPECT_EQ(parallel.outcome.events, sequential.outcome.events) << what;
+        test::expect_identical_reports(parallel.outcome.report, sequential.outcome.report,
+                                       what);
+    }
+}
+
+TEST(ParallelDeliveryWindow, HardenedOomSurfacesAsFirstEventWithSequentialMetrics) {
+    RankPool inline_pool(0);
+    RankPool helpers(3);
+    const WindowOomOutcome sequential = window_oom_outcome(inline_pool, /*harden=*/true);
+    EXPECT_EQ(sequential.warm_up_fanned, 0u);
+    EXPECT_EQ(sequential.outcome.rank, 5u);
+    EXPECT_EQ(sequential.outcome.words, 1005u);
+    // Rank 5 replied before it threw; rank 6 received in the warm-up only.
+    // Frames: the warm-up's 32, the oom superstep's 16 messages, and the
+    // replies of ranks 1 to 5, whose deliveries precede rank 5's failure
+    // (rank 0's, from rank 15, comes last in event order).
+    EXPECT_EQ(sequential.outcome.metrics[5].messages_sent, 4u);
+    EXPECT_EQ(sequential.outcome.metrics[6].messages_received, 2u);
+    EXPECT_EQ(sequential.faults.frames_sent, 2 * kRanks + kRanks + 5);
+    EXPECT_EQ(sequential.faults.retransmits, 0u);
+    for (int run = 0; run < 3; ++run) {
+        // Ranks past rank 5 may verify and retire their frames before the
+        // failure is known; none of that may show.
+        const WindowOomOutcome parallel = window_oom_outcome(helpers, /*harden=*/true);
+        const std::string what = "run " + std::to_string(run);
+        EXPECT_EQ(parallel.warm_up_fanned, 1u) << what;
+        EXPECT_EQ(parallel.outcome.rank, sequential.outcome.rank) << what;
+        EXPECT_EQ(parallel.outcome.words, sequential.outcome.words) << what;
+        EXPECT_TRUE(parallel.outcome.metrics == sequential.outcome.metrics) << what;
+        EXPECT_EQ(parallel.outcome.events, sequential.outcome.events) << what;
+        EXPECT_TRUE(parallel.faults == sequential.faults) << what;
         test::expect_identical_reports(parallel.outcome.report, sequential.outcome.report,
                                        what);
     }

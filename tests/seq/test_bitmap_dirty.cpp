@@ -24,9 +24,13 @@ HubBitmapIndex::Config config_with(graph::Degree threshold, std::size_t max_hubs
     return config;
 }
 
-/// v ∈ row(hub), asked as a one-element intersection.
-bool in_row(const HubBitmapIndex& index, VertexId hub, VertexId v) {
-    return index.intersect_count(hub, std::span<const VertexId>(&v, 1)).count == 1;
+/// v ∈ row(hub), asked as a one-element intersection through the slot
+/// indexed over `row`; false when no such slot exists.
+bool in_row(const HubBitmapIndex& index, VertexId hub, std::span<const VertexId> row,
+            VertexId v) {
+    const auto* slot = index.lookup(hub, row);
+    return slot != nullptr
+           && index.intersect_count(*slot, std::span<const VertexId>(&v, 1)).count == 1;
 }
 
 /// mark_dirty → full rebuild → mark_dirty: the full rebuild re-reads every
@@ -45,8 +49,8 @@ TEST(HubBitmapDirty, MarkDirtyFullRebuildMarkDirtySequence) {
 
     HubBitmapIndex index;
     index.build(config_with(3, 4, 16), ids, provider);
-    ASSERT_TRUE(index.contains_hub(0));
-    ASSERT_TRUE(index.contains_hub(1));
+    ASSERT_NE(index.lookup(0, rows[0]), nullptr);
+    ASSERT_NE(index.lookup(1, rows[1]), nullptr);
 
     rows[0].push_back(9);
     index.mark_dirty(0);
@@ -55,21 +59,21 @@ TEST(HubBitmapDirty, MarkDirtyFullRebuildMarkDirtySequence) {
     // Full rebuild while marks are pending: re-reads every row itself.
     index.build(config_with(3, 4, 16), ids, provider);
     EXPECT_EQ(index.num_dirty(), 0u) << "build() owns a fresh view of every row";
-    EXPECT_TRUE(index.covers(0, rows[0]));
-    EXPECT_TRUE(in_row(index, 0, 9));
+    EXPECT_NE(index.lookup(0, rows[0]), nullptr);
+    EXPECT_TRUE(in_row(index, 0, rows[0], 9));
 
     // Marks recorded after the rebuild update the new layout.
     rows[1].clear();
     rows[1] = {10, 12, 14};
     index.mark_dirty(1);
     index.rebuild_dirty(provider);
-    EXPECT_TRUE(index.covers(1, rows[1]));
-    EXPECT_TRUE(in_row(index, 1, 12));
-    EXPECT_FALSE(in_row(index, 1, 2));
+    EXPECT_NE(index.lookup(1, rows[1]), nullptr);
+    EXPECT_TRUE(in_row(index, 1, rows[1], 12));
+    EXPECT_FALSE(in_row(index, 1, rows[1], 2));
 
     // And a stale pre-rebuild row is structurally unreachable.
     const std::vector<VertexId> foreign{0, 2, 4, 6, 8};
-    EXPECT_FALSE(index.covers(1, foreign));
+    EXPECT_EQ(index.lookup(1, foreign), nullptr);
 }
 
 /// Regression for the single-pass drop/admit ordering defect: at capacity,
@@ -96,13 +100,14 @@ TEST(HubBitmapDirty, AdmissionSeesCapacityFreedInTheSamePass) {
     index.mark_dirty(1);
     index.rebuild_dirty(provider);
 
-    EXPECT_FALSE(index.contains_hub(1));
-    EXPECT_TRUE(index.contains_hub(2));
-    EXPECT_TRUE(index.contains_hub(0))
+    // Two hubs, and they are rows 2 and 0: row 1 is out.
+    EXPECT_EQ(index.num_hubs(), 2u);
+    EXPECT_EQ(index.lookup(1, rows[1]), nullptr);
+    EXPECT_NE(index.lookup(2, rows[2]), nullptr);
+    EXPECT_NE(index.lookup(0, rows[0]), nullptr)
         << "vertex 0 must be admitted into the slot vertex 1 freed this pass";
-    EXPECT_TRUE(index.covers(0, rows[0]));
-    EXPECT_TRUE(in_row(index, 0, 10));
-    EXPECT_FALSE(in_row(index, 0, 0)) << "the recycled slot must start clean";
+    EXPECT_TRUE(in_row(index, 0, rows[0], 10));
+    EXPECT_FALSE(in_row(index, 0, rows[0], 0)) << "the recycled slot must start clean";
 }
 
 /// Duplicate marks collapse to one rebuild of the row; the dirty set is

@@ -60,12 +60,12 @@ void expect_hub_kernels_match(const std::vector<VertexId>& a,
     index.build(config, ids,
                 [&](VertexId id) { return std::span<const VertexId>(id == 0 ? a : b); });
     std::vector<VertexId> collected;
-    if (index.contains_hub(1)) {
-        EXPECT_EQ(index.intersect_count(1, a).count, expected.size());
-        index.intersect_collect(1, a, collected);
+    if (const auto* b_hub = index.lookup(1, b)) {
+        EXPECT_EQ(index.intersect_count(*b_hub, a).count, expected.size());
+        index.intersect_collect(*b_hub, a, collected);
         EXPECT_EQ(collected, expected);
-        if (index.contains_hub(0)) {
-            EXPECT_EQ(index.intersect_hub_hub(0, 1).count, expected.size());
+        if (const auto* a_hub = index.lookup(0, a)) {
+            EXPECT_EQ(index.intersect_hub_hub(*a_hub, *b_hub).count, expected.size());
         }
     }
     const AdaptiveIntersect adaptive(IntersectKind::kAdaptive, &index);
@@ -281,16 +281,16 @@ TEST(HubBitmapIndex, CountsAndCollectsLikeMerge) {
     const std::vector<VertexId> ids{7};
     index.build(small_config(2000), ids,
                 [&](VertexId) { return std::span<const VertexId>(hub_row); });
-    ASSERT_TRUE(index.contains_hub(7));
-    EXPECT_TRUE(index.covers(7, hub_row));
+    const auto* hub = index.lookup(7, hub_row);
+    ASSERT_NE(hub, nullptr);
 
     const auto expected = reference_intersection(hub_row, probe);
-    EXPECT_EQ(index.intersect_count(7, probe).count, expected.size());
+    EXPECT_EQ(index.intersect_count(*hub, probe).count, expected.size());
     // ops: one probe per element — the hub's 400 entries never get scanned.
-    EXPECT_EQ(index.intersect_count(7, probe).ops, probe.size());
+    EXPECT_EQ(index.intersect_count(*hub, probe).ops, probe.size());
 
     std::vector<VertexId> collected;
-    index.intersect_collect(7, probe, collected);
+    index.intersect_collect(*hub, probe, collected);
     EXPECT_EQ(collected, expected);  // ascending — the merge-collect order
     EXPECT_TRUE(std::is_sorted(collected.begin(), collected.end()));
 }
@@ -305,7 +305,11 @@ TEST(HubBitmapIndex, HubHubWordAndMatchesMerge) {
         return std::span<const VertexId>(id == 1 ? row_a : row_b);
     });
     const auto expected = reference_intersection(row_a, row_b);
-    const auto r = index.intersect_hub_hub(1, 2);
+    const auto* a_hub = index.lookup(1, row_a);
+    const auto* b_hub = index.lookup(2, row_b);
+    ASSERT_NE(a_hub, nullptr);
+    ASSERT_NE(b_hub, nullptr);
+    const auto r = index.intersect_hub_hub(*a_hub, *b_hub);
     EXPECT_EQ(r.count, expected.size());
     EXPECT_EQ(r.ops, index.words_per_row());
 }
@@ -324,10 +328,10 @@ TEST(HubBitmapIndex, ThresholdAndTopKSelection) {
     index.build(config, ids,
                 [&](VertexId id) { return std::span<const VertexId>(rows[id]); });
     EXPECT_EQ(index.num_hubs(), 2u);
-    EXPECT_FALSE(index.contains_hub(0));
-    EXPECT_FALSE(index.contains_hub(1));
-    EXPECT_TRUE(index.contains_hub(3));
-    EXPECT_TRUE(index.contains_hub(4));
+    EXPECT_EQ(index.lookup(0, rows[0]), nullptr);
+    EXPECT_EQ(index.lookup(1, rows[1]), nullptr);
+    EXPECT_NE(index.lookup(3, rows[3]), nullptr);
+    EXPECT_NE(index.lookup(4, rows[4]), nullptr);
 }
 
 TEST(HubBitmapIndex, CoversRejectsForeignSpans) {
@@ -340,10 +344,10 @@ TEST(HubBitmapIndex, CoversRejectsForeignSpans) {
     config.universe = 16;
     const std::vector<VertexId> ids{0};
     index.build(config, ids, [&](VertexId) { return std::span<const VertexId>(row); });
-    EXPECT_TRUE(index.covers(0, row));
-    EXPECT_FALSE(index.covers(0, copy));
-    EXPECT_FALSE(index.covers(0, std::span<const VertexId>(row).subspan(1)));
-    EXPECT_FALSE(index.covers(1, row));
+    EXPECT_NE(index.lookup(0, row), nullptr);
+    EXPECT_EQ(index.lookup(0, copy), nullptr);
+    EXPECT_EQ(index.lookup(0, std::span<const VertexId>(row).subspan(1)), nullptr);
+    EXPECT_EQ(index.lookup(1, row), nullptr);
 }
 
 TEST(HubBitmapIndex, DirtyRebuildTracksRowChanges) {
@@ -374,14 +378,16 @@ TEST(HubBitmapIndex, DirtyRebuildTracksRowChanges) {
     EXPECT_GT(index.rebuild_dirty(provider), 0u);
     EXPECT_EQ(index.num_dirty(), 0u);
 
-    EXPECT_FALSE(index.contains_hub(0));
-    ASSERT_TRUE(index.contains_hub(1));
-    ASSERT_TRUE(index.contains_hub(2));
+    // Two hubs, and they are rows 1 and 2 over their current storage.
+    EXPECT_EQ(index.num_hubs(), 2u);
+    EXPECT_EQ(index.lookup(0, rows[0]), nullptr);
+    const auto* hub1 = index.lookup(1, rows[1]);
+    const auto* hub2 = index.lookup(2, rows[2]);
+    ASSERT_NE(hub1, nullptr);
+    ASSERT_NE(hub2, nullptr);
     const std::vector<VertexId> probe{9, 10, 20, 31};
-    EXPECT_EQ(index.intersect_count(1, probe).count, 1u);  // 9
-    EXPECT_EQ(index.intersect_count(2, probe).count, 2u);  // 10, 20
-    EXPECT_TRUE(index.covers(1, rows[1]));
-    EXPECT_TRUE(index.covers(2, rows[2]));
+    EXPECT_EQ(index.intersect_count(*hub1, probe).count, 1u);  // 9
+    EXPECT_EQ(index.intersect_count(*hub2, probe).count, 2u);  // 10, 20
 }
 
 // --- adaptive dispatcher ------------------------------------------------
