@@ -51,10 +51,13 @@ struct Column {
     int digits = 0;
 };
 
-/// A paper claim that the rows of a tier reproduce.
+/// A paper claim that the rows of a tier reproduce. `margin`, where set,
+/// renders the measured value next to the claim's bound, printed beside the
+/// verdict so that a thin margin shows up in review.
 struct Claim {
     std::string text{};
     std::function<bool(const Sections&)> holds{};
+    std::function<std::string(const Sections&)> margin{};
 };
 
 /// One figure, table or ablation. Without `rows` it runs the shared sweep:

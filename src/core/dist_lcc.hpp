@@ -56,6 +56,7 @@ public:
 private:
     graph::Partition1D partition_;
     std::vector<std::vector<std::int64_t>> local_;
+    // katric-lint: allow(nondeterminism): drain_ghosts sorts what it drains
     std::vector<std::unordered_map<VertexId, std::int64_t>> ghost_;
 };
 

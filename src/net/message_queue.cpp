@@ -15,6 +15,7 @@ void MessageQueue::post(RankHandle& self, Rank final_dest,
                         std::span<const std::uint64_t> words) {
     KATRIC_ASSERT_MSG(final_dest != self.rank(), "queue post to self on rank " << self.rank());
     const Rank hop = router_->first_hop(self.rank(), final_dest);
+    if (buffers_.empty()) { buffers_.resize(self.size()); }
     WordVec& buffer = buffers_[hop];
     buffer.push_back(final_dest);
     buffer.push_back(words.size());
@@ -26,12 +27,18 @@ void MessageQueue::post(RankHandle& self, Rank final_dest,
 }
 
 void MessageQueue::flush(RankHandle& self) {
-    for (auto& [dest, buffer] : buffers_) {
-        if (!buffer.empty()) { self.send(dest, std::move(buffer), tag_); }
+    if (buffered_words_ == 0) { return; }
+    const auto p = static_cast<Rank>(buffers_.size());
+    // The flush order is the 1-factor all-to-all schedule, hop (me + i) mod p
+    // for i = 1 … p−1: a single-ported sender pays α + βℓ per send in turn,
+    // and staggering where each PE starts spreads its first arrivals over
+    // all receivers instead of queueing every PE's first send at rank 0.
+    for (Rank i = 1; i < p; ++i) {
+        const Rank hop = (self.rank() + i) % p;
+        WordVec& buffer = buffers_[hop];
+        if (!buffer.empty()) { self.send(hop, std::move(buffer), tag_); }  // leaves it empty
     }
-    buffers_.clear();
     buffered_words_ = 0;
-    self.note_buffered_words(0);
 }
 
 void MessageQueue::begin_epoch(std::uint64_t epoch) {

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "net/indirection.hpp"
 #include "net/simulator.hpp"
@@ -14,13 +14,14 @@ namespace katric::net {
 /// "asynchronous sparse all-to-all" building block, combined with the
 /// indirect routing of Section IV-B through a pluggable Router.
 ///
-/// Each PE keeps a hash map of dynamic buffers B_j, one per physical
-/// communication partner (≤ p direct, ≤ ~2√p with the grid router). post()
-/// appends a logical record; once the total buffered volume B = Σ|B_j|
-/// exceeds the threshold δ, all buffers are handed to the runtime as
-/// non-blocking sends (double buffering: the algorithm keeps filling fresh
-/// buffers while the old ones are in flight — in the simulator this shows up
-/// as the sender being charged injection time only). Setting δ ∈ O(|E_i|)
+/// Each PE keeps a flat table of dynamic buffers B_j, one per first hop j
+/// (p entries, allocated at the first post; only ≤ ~2√p are ever used with
+/// the grid router). post() appends a logical record; once the total
+/// buffered volume B = Σ|B_j| exceeds the threshold δ, all non-empty buffers
+/// are handed to the runtime as non-blocking sends, in the order flush()
+/// documents (double buffering: the algorithm keeps filling fresh buffers
+/// while the old ones are in flight — in the simulator this shows up as the
+/// sender being charged injection time only). Setting δ ∈ O(|E_i|)
 /// bounds per-PE memory by the local input size; the high-water mark is
 /// tracked through RankHandle::note_buffered_words, which enforces the
 /// configured memory budget.
@@ -42,7 +43,9 @@ public:
     /// Enqueues one logical record for final_dest; flushes if B > δ.
     void post(RankHandle& self, Rank final_dest, std::span<const std::uint64_t> words);
 
-    /// Sends all non-empty buffers.
+    /// Sends every non-empty buffer to its hop, in the order
+    /// hop = (me + i) mod p for i = 1 … p−1, and empties it. Sends and
+    /// charges nothing when nothing is buffered.
     void flush(RankHandle& self);
 
     [[nodiscard]] bool has_buffered() const noexcept { return buffered_words_ > 0; }
@@ -78,7 +81,7 @@ private:
     int tag_;
     bool epoch_stamped_;
     std::uint64_t epoch_ = 0;
-    std::unordered_map<Rank, WordVec> buffers_;
+    std::vector<WordVec> buffers_;  ///< indexed by first hop; empty until the first post
     std::uint64_t buffered_words_ = 0;
 };
 

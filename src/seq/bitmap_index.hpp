@@ -135,6 +135,7 @@ private:
     Config config_;
     std::uint64_t words_per_row_ = 0;
     std::size_t min_indexed_row_ = SIZE_MAX;
+    // katric-lint: allow(nondeterminism): lookups, plus a min over its values
     std::unordered_map<graph::VertexId, Slot> slots_;
     std::vector<std::size_t> free_slots_;  // recycled bitmap rows
     std::vector<std::uint64_t> bits_;

@@ -77,6 +77,7 @@ EdgeStream make_churn_stream(const CsrGraph& base, std::size_t num_events,
     // Live-edge model: a vector for uniform sampling plus an index map for
     // O(1) swap-pop removal.
     std::vector<Edge> live;
+    // katric-lint: allow(nondeterminism): keyed lookups and updates, never iterated
     std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::size_t, PairHash>
         position;
     const auto initial_edges = graph::to_edge_list(base);

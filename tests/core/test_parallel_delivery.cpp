@@ -195,8 +195,9 @@ TEST(ParallelDelivery, StreamingBatchesMatchInlineRun) {
     config.algorithm = Algorithm::kCetric;
     config.num_ranks = kRanks;
     const auto initial = test::engine_lcc(instance(), config.run_spec());
+    // Batches large enough that some delivery window fans out.
     const auto batches =
-        stream::make_churn_stream(instance(), 8192, 0.45, 4321).batches_of(4096);
+        stream::make_churn_stream(instance(), 16384, 0.45, 4321).batches_of(8192);
     struct Outcome {
         std::vector<std::uint64_t> triangles;
         std::vector<std::uint64_t> delta;

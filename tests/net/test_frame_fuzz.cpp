@@ -1,8 +1,9 @@
-// Fuzz/differential suite for the untrusted-buffer decode surfaces (run
-// under ASan/UBSan in the CI sanitizer leg). Two targets:
-//   try_decode_sorted — the non-throwing varint decoder must never read out
-//   of bounds and must return false (not garbage, not a crash) on any
-//   truncation, while agreeing with decode_sorted on every clean buffer.
+// Fuzz suite for the untrusted-buffer decode surfaces (run under ASan/UBSan
+// in the CI sanitizer leg). Two targets:
+//   try_decode_sorted — the one varint decoder (decode_sorted is its
+//   throwing wrapper) must return every clean buffer's values exactly, never
+//   read out of bounds, and return false (not garbage, not a crash) on any
+//   truncation.
 //   verify_frame — a frame must verify kOk only when untouched: every
 //   truncation length, every single-bit flip and every single-word
 //   replacement is detected, and channel identity (src/dest/tag) is part of
@@ -42,18 +43,15 @@ std::vector<std::uint64_t> fuzz_values(Xoshiro256& rng, std::size_t count) {
     return values;
 }
 
-TEST(TryDecodeSorted, AgreesWithDecodeSortedOnCleanBuffers) {
+TEST(TryDecodeSorted, RoundTripsEveryCleanBuffer) {
     Xoshiro256 rng(101);
     for (const std::size_t count : {0u, 1u, 2u, 7u, 64u, 513u}) {
         const auto values = fuzz_values(rng, count);
         WordVec words;
         encode_sorted(values, words);
 
-        std::vector<std::uint64_t> expected;
-        decode_sorted(words, count, expected);
         std::vector<std::uint64_t> actual;
         ASSERT_TRUE(try_decode_sorted(words, count, actual)) << count;
-        EXPECT_EQ(actual, expected);
         EXPECT_EQ(actual, values);
     }
 }

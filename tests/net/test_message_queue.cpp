@@ -119,6 +119,61 @@ TEST(MessageQueue, ExceedingMemoryBudgetThrows) {
                  OomError);
 }
 
+TEST(MessageQueue, FlushSendsInStaggeredHopOrder) {
+    // The flush rule: hop (me + i) mod p for i = 1 … p−1, whatever order the
+    // records were posted in. With α far above every other charge, each
+    // send's arrival time is its position in the sender's order.
+    NetworkConfig cfg;
+    cfg.alpha = 1.0;
+    const DirectRouter router;
+    const Rank p = 6;
+    const Rank sender = 2;
+    QueueHarness h(p, 1 << 20, router, cfg);
+    std::vector<double> arrival(p, 0.0);
+    h.sim.run_phase(
+        "x",
+        [&](RankHandle& self) {
+            if (self.rank() != sender) { return; }
+            for (const Rank dest : {5u, 0u, 3u, 1u, 4u}) {
+                const WordVec rec{dest};
+                h.queues[sender].post(self, dest, rec);
+            }
+            h.queues[sender].flush(self);
+        },
+        [&](RankHandle& self, Rank, int, std::span<const std::uint64_t>) {
+            arrival[self.rank()] = self.now();
+        });
+    EXPECT_EQ(h.sim.rank_metrics()[sender].messages_sent, p - 1);
+    for (Rank i = 1; i + 1 < p; ++i) {
+        EXPECT_LT(arrival[(sender + i) % p], arrival[(sender + i + 1) % p]) << "i " << i;
+    }
+}
+
+TEST(MessageQueue, EmptyFlushSendsAndChargesNothing) {
+    const DirectRouter router;
+    QueueHarness h(4, 1 << 20, router);
+    h.sim.run_phase(
+        "x",
+        [&](RankHandle& self) {
+            if (self.rank() != 0) { return; }
+            auto& queue = h.queues[0];
+            const auto unchanged = [&] {
+                const double before = self.now();
+                const RankMetrics metrics = self.metrics();
+                queue.flush(self);
+                EXPECT_EQ(self.now(), before);
+                EXPECT_TRUE(self.metrics() == metrics);
+            };
+            unchanged();  // nothing posted yet
+            const WordVec rec{7};
+            queue.post(self, 3, rec);
+            queue.flush(self);
+            EXPECT_EQ(self.metrics().messages_sent, 1u);
+            unchanged();  // everything already sent
+        },
+        [](RankHandle&, Rank, int, std::span<const std::uint64_t>) {});
+}
+
 TEST(MessageQueue, IndirectRoutingDeliversEverythingToFinalDest) {
     const Rank p = 16;
     const GridRouter router(p);

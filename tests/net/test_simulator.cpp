@@ -661,7 +661,11 @@ TEST(HardenedReplay, FrameIdsInjectorDecisionsAndRetransmitsArePinned) {
     // attempts; truncation and bit-flip offsets count over the contiguous
     // frame. None depends on where the simulator keeps a frame's header or
     // on the checksum's value. These digests were recorded with contiguous
-    // retained frames and the serial hash_combine checksum.
+    // retained frames and the serial hash_combine checksum. The queue run's
+    // digest also pins net::MessageQueue's flush order, hop (me + i) mod p
+    // for i = 1 … p−1: the order decides which records in transit a grid
+    // proxy aggregates into one frame, and so the per-rank metrics and the
+    // frame count the digest mixes.
     RankPool inline_pool(0);
     const fault::FaultInjector every_fault(fault::FaultPlan::parse(
         "seed=11;drop=0.05;dup=0.05;reorder=0.1;bitflip=0.05;truncate=0.05"));
@@ -674,7 +678,7 @@ TEST(HardenedReplay, FrameIdsInjectorDecisionsAndRetransmitsArePinned) {
     EXPECT_EQ(replay_digest(injected_run(inline_pool, large).trail),
               16130293269015396093ULL);
     EXPECT_EQ(replay_digest(queue_run(inline_pool, /*harden=*/true).trail),
-              1877798731961698958ULL);
+              15538109452215696774ULL);
 }
 
 /// Ranks 1 to 3 each send one 40 Ki-word message to rank 0 at the same

@@ -9,7 +9,10 @@ Rules (each finding names its rule id):
                      gettimeofday, clock_gettime, ::time()) anywhere in
                      src/ outside the two audited timing homes
                      (util/timer.hpp's WallTimer and fault_plan.hpp's
-                     CancelToken deadline).
+                     CancelToken deadline). Every std::unordered_map/set in
+                     src/ needs a waiver saying why its iteration order —
+                     the standard library's, not the model's — cannot reach
+                     a simulated metric.
 
   raw-throw          Errors leave the library typed. A `throw` in src/ may
                      only construct OomError, FaultError, CancelledError or
@@ -74,6 +77,10 @@ NONDETERMINISM_ALLOWED_FILES = {
     "src/util/timer.hpp",
     "src/fault/fault_plan.hpp",
 }
+# Hash containers: their iteration order depends on the standard library's
+# bucket layout, so each one in src/ carries a waiver with the reason its
+# order cannot reach a simulated metric (lookups only, or sorted on drain).
+HASH_CONTAINER_RE = re.compile(r"\bstd::unordered_(multi)?(map|set)\b")
 
 THROW_RE = re.compile(r"\bthrow\b\s*([A-Za-z_:]*)")
 ALLOWED_THROW_TYPES = {"OomError", "FaultError", "CancelledError", "assertion_error"}
@@ -188,9 +195,15 @@ class Linter:
         self.check_unused_waivers(rel, raw)
 
     def check_nondeterminism(self, rel, raw, code) -> None:
-        if rel in NONDETERMINISM_ALLOWED_FILES:
-            return
         for lineno, line in enumerate(code, 1):
+            if HASH_CONTAINER_RE.search(line):
+                self.emit(
+                    "nondeterminism", rel, lineno, raw,
+                    "hash container — its iteration order is the standard "
+                    "library's; use a flat or ordered container, or waive "
+                    "with why its order cannot reach a simulated metric")
+            if rel in NONDETERMINISM_ALLOWED_FILES:
+                continue
             for pattern in NONDETERMINISM_PATTERNS:
                 if pattern.search(line):
                     self.emit(
@@ -307,6 +320,13 @@ SELF_TEST_CASES = [
      "// std::rand() would break reproducibility\nint f() { return 4; }\n"),
     (None, "src/util/timer.hpp",
      "#pragma once\n#include <chrono>\nusing C = std::chrono::steady_clock;\n"),
+    ("nondeterminism", "src/net/bad_hash_map.hpp",
+     "#pragma once\n#include <unordered_map>\n"
+     "struct Q { std::unordered_map<int, Buffer> buffers_; };\n"),
+    (None, "src/seq/waived_hash_map.hpp",
+     "#pragma once\n#include <unordered_set>\nstruct I {\n"
+     "    // katric-lint: allow(nondeterminism): lookups only, never iterated\n"
+     "    std::unordered_set<int> seen_;\n};\n"),
     ("raw-throw", "src/bad_throw.cpp",
      'void f() { throw std::runtime_error("boom"); }\n'),
     (None, "src/ok_throw.cpp",
