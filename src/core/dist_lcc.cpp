@@ -8,6 +8,7 @@
 #include "net/metrics.hpp"
 #include "seq/lcc.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace katric::core {
 
@@ -23,14 +24,46 @@ void LccDeltaState::credit(Rank finder, VertexId v, std::int64_t amount) {
     if (partition_.is_local(v, finder)) {
         local_[finder][v - partition_.begin(finder)] += amount;
     } else {
-        ghost_[finder][v] += amount;
+        ghost_[finder].add(v, amount);
+    }
+}
+
+void LccDeltaState::GhostTable::add(VertexId v, std::int64_t amount) {
+    if (4 * (used + 1) > 3 * entries.size()) { grow(); }
+    const std::size_t mask = entries.size() - 1;
+    for (std::size_t i = hash64(v) & mask;; i = (i + 1) & mask) {
+        Entry& entry = entries[i];
+        if (entry.vertex == v) {
+            entry.amount += amount;
+            return;
+        }
+        if (entry.vertex == graph::kInvalidVertex) {
+            entry = {v, amount};
+            ++used;
+            return;
+        }
+    }
+}
+
+void LccDeltaState::GhostTable::grow() {
+    std::vector<Entry> old(std::max<std::size_t>(16, 2 * entries.size()));
+    old.swap(entries);
+    used = 0;
+    for (const Entry& entry : old) {
+        if (entry.vertex != graph::kInvalidVertex) { add(entry.vertex, entry.amount); }
     }
 }
 
 std::vector<std::pair<VertexId, std::int64_t>> LccDeltaState::drain_ghosts(Rank r) {
-    std::vector<std::pair<VertexId, std::int64_t>> pairs(ghost_[r].begin(),
-                                                         ghost_[r].end());
-    ghost_[r].clear();
+    auto& table = ghost_[r];
+    std::vector<std::pair<VertexId, std::int64_t>> pairs;
+    pairs.reserve(table.used);
+    for (auto& entry : table.entries) {
+        if (entry.vertex == graph::kInvalidVertex) { continue; }
+        pairs.emplace_back(entry.vertex, entry.amount);
+        entry = {};
+    }
+    table.used = 0;
     std::sort(pairs.begin(), pairs.end());
     return pairs;
 }
@@ -42,8 +75,8 @@ void LccDeltaState::absorb(Rank owner, VertexId v, std::int64_t amount) {
 }
 
 bool LccDeltaState::ghosts_empty() const noexcept {
-    for (const auto& map : ghost_) {
-        if (!map.empty()) { return false; }
+    for (const auto& table : ghost_) {
+        if (table.used != 0) { return false; }
     }
     return true;
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,8 +11,9 @@ namespace katric::core {
 
 /// Per-rank Δ(v) accumulators shared by the static LCC postprocess and the
 /// streaming incremental-LCC path (Section IV-E's attribution discipline):
-/// a dense signed array for every rank's local vertices plus a sparse
-/// signed map for ghost contributions awaiting their owner. Values are in
+/// a dense signed array for every rank's local vertices plus a flat
+/// open-addressing table of ghost contributions awaiting their owner — a
+/// credit is a few array reads, never a node allocation. Values are in
 /// caller-chosen units — whole triangles for the static path, sixths of a
 /// triangle for the streaming multiplicity-corrected path. Only the
 /// transport differs between the two users: compute_distributed_lcc drains
@@ -29,11 +29,13 @@ public:
     }
 
     /// Credits `amount` to Δ(v) as observed at `finder`: the dense local
-    /// slot when finder owns v, finder's ghost map otherwise.
+    /// slot when finder owns v, finder's ghost table otherwise.
     void credit(Rank finder, VertexId v, std::int64_t amount);
 
     /// Drains rank r's ghost contributions as (vertex, amount) pairs sorted
     /// by vertex — the deterministic payload order of both flush transports.
+    /// Contributions that cancelled to 0 are kept. The table keeps its
+    /// capacity for the next batch.
     [[nodiscard]] std::vector<std::pair<VertexId, std::int64_t>> drain_ghosts(Rank r);
 
     /// Owner-side fold of one flushed contribution.
@@ -54,10 +56,25 @@ public:
     [[nodiscard]] std::vector<std::int64_t> assemble() const;
 
 private:
+    /// One rank's ghost contributions: linear probing over packed
+    /// {vertex, amount} entries, at most ¾ full, keyed by kInvalidVertex
+    /// when free. On a cache line of its own: the ranks of a start round or
+    /// delivery window credit from different host threads.
+    struct alignas(64) GhostTable {
+        struct Entry {
+            VertexId vertex = graph::kInvalidVertex;
+            std::int64_t amount = 0;
+        };
+        std::vector<Entry> entries;  // power-of-two size once used
+        std::size_t used = 0;
+
+        void add(VertexId v, std::int64_t amount);
+        void grow();
+    };
+
     graph::Partition1D partition_;
     std::vector<std::vector<std::int64_t>> local_;
-    // katric-lint: allow(nondeterminism): drain_ghosts sorts what it drains
-    std::vector<std::unordered_map<VertexId, std::int64_t>> ghost_;
+    std::vector<GhostTable> ghost_;
 };
 
 /// Distributed local-clustering-coefficient computation (Section IV-E).

@@ -145,7 +145,7 @@ std::optional<IntersectResult> try_bitmap(const HubBitmapIndex* hubs, Span a, Sp
                                           obs::KernelChoice& choice) {
     if (hubs == nullptr || hubs->empty()) { return std::nullopt; }
     // No row shorter than the smallest indexed row can be covered, so such
-    // operands — the vast majority of calls — skip the hash probe entirely;
+    // operands — the vast majority of calls — skip the slot lookup entirely;
     // candidates resolve slot and row identity in one lookup.
     const auto gate = hubs->min_indexed_row();
     const auto* a_hub = a_id != graph::kInvalidVertex && a.size() >= gate

@@ -5,6 +5,7 @@
 
 #include "util/assert.hpp"
 #include "util/bits.hpp"
+#include "util/hash.hpp"
 
 namespace katric::seq {
 
@@ -13,6 +14,51 @@ namespace {
 constexpr std::uint64_t kWordBits = 64;
 
 }  // namespace
+
+std::size_t HubBitmapIndex::position(graph::VertexId id) const noexcept {
+    if (slots_.empty()) { return 0; }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash64(id) & mask;; i = (i + 1) & mask) {
+        if (slots_[i].id == graph::kInvalidVertex) { return slots_.size(); }
+        if (slots_[i].id == id) { return i; }
+    }
+}
+
+HubBitmapIndex::Slot& HubBitmapIndex::insert(graph::VertexId id) {
+    KATRIC_ASSERT(id != graph::kInvalidVertex);
+    if (2 * (num_hubs_ + 1) > slots_.size()) {
+        std::vector<Entry> old(std::max<std::size_t>(8, 2 * slots_.size()));
+        old.swap(slots_);
+        num_hubs_ = 0;
+        for (const Entry& entry : old) {
+            if (entry.id != graph::kInvalidVertex) { insert(entry.id) = entry.slot; }
+        }
+    }
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash64(id) & mask;
+    while (slots_[i].id != graph::kInvalidVertex) { i = (i + 1) & mask; }
+    slots_[i].id = id;
+    ++num_hubs_;
+    return slots_[i].slot;
+}
+
+void HubBitmapIndex::erase(std::size_t pos) noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = pos;
+    // Backward shift: pull each later entry of the run into the hole unless
+    // its home slot lies cyclically in (hole, j], where it must stay.
+    for (std::size_t j = (hole + 1) & mask; slots_[j].id != graph::kInvalidVertex;
+         j = (j + 1) & mask) {
+        const std::size_t home = hash64(slots_[j].id) & mask;
+        const bool stays = hole <= j ? (hole < home && home <= j)
+                                     : (hole < home || home <= j);
+        if (stays) { continue; }
+        slots_[hole] = slots_[j];
+        hole = j;
+    }
+    slots_[hole] = {};
+    --num_hubs_;
+}
 
 std::uint64_t HubBitmapIndex::build(const Config& config,
                                     std::span<const graph::VertexId> candidates,
@@ -48,12 +94,11 @@ std::uint64_t HubBitmapIndex::build(const Config& config,
     std::size_t next = 0;
     for (const auto& [degree, id] : qualified) {
         const auto row = rows(id);
-        Slot slot;
+        Slot& slot = insert(id);
         slot.index = next++;
         slot.data = row.data();
         slot.size = row.size();
         write_row(slot.index, row);
-        slots_.emplace(id, slot);
         ops += row.size();
     }
     refresh_min_indexed_row();
@@ -62,8 +107,10 @@ std::uint64_t HubBitmapIndex::build(const Config& config,
 
 void HubBitmapIndex::refresh_min_indexed_row() noexcept {
     min_indexed_row_ = SIZE_MAX;
-    for (const auto& [id, slot] : slots_) {
-        min_indexed_row_ = std::min(min_indexed_row_, slot.size);
+    for (const Entry& entry : slots_) {
+        if (entry.id != graph::kInvalidVertex) {
+            min_indexed_row_ = std::min(min_indexed_row_, entry.slot.size);
+        }
     }
 }
 
@@ -81,12 +128,10 @@ void HubBitmapIndex::write_row(std::size_t slot_index,
 
 const HubBitmapIndex::Slot* HubBitmapIndex::lookup(
     graph::VertexId id, std::span<const graph::VertexId> row) const noexcept {
-    const auto it = slots_.find(id);
-    if (it == slots_.end() || it->second.data != row.data()
-        || it->second.size != row.size()) {
-        return nullptr;
-    }
-    return &it->second;
+    const std::size_t pos = position(id);
+    if (pos == slots_.size()) { return nullptr; }
+    const Slot& slot = slots_[pos].slot;
+    return slot.data == row.data() && slot.size == row.size() ? &slot : nullptr;
 }
 
 bool HubBitmapIndex::test(const Slot& slot, graph::VertexId v) const noexcept {
@@ -156,15 +201,15 @@ std::uint64_t HubBitmapIndex::rebuild_dirty(const RowProvider& rows) {
     // eviction would have made room, and the rejected row was then lost for
     // good once the dirty set was cleared.
     for (std::size_t i = 0; i < dirty_.size(); ++i) {
-        const auto it = slots_.find(dirty_[i]);
-        if (it == slots_.end()) { continue; }
+        const std::size_t pos = position(dirty_[i]);
+        if (pos == slots_.size()) { continue; }
         if (dirty_rows[i].size() >= config_.degree_threshold) { continue; }
-        free_slots_.push_back(it->second.index);
+        const std::size_t index = slots_[pos].slot.index;
+        free_slots_.push_back(index);
         // Zero the recycled row now so a future occupant starts clean.
-        std::fill_n(bits_.begin()
-                        + static_cast<std::ptrdiff_t>(it->second.index * words_per_row_),
+        std::fill_n(bits_.begin() + static_cast<std::ptrdiff_t>(index * words_per_row_),
                     words_per_row_, 0);
-        slots_.erase(it);
+        erase(pos);
     }
 
     // Pass 2: rewrite surviving rows and admit newly-qualifying ones into
@@ -172,25 +217,24 @@ std::uint64_t HubBitmapIndex::rebuild_dirty(const RowProvider& rows) {
     for (std::size_t i = 0; i < dirty_.size(); ++i) {
         const graph::VertexId v = dirty_[i];
         const auto row = dirty_rows[i];
-        auto it = slots_.find(v);
-        if (it == slots_.end()) {
-            if (row.size() < config_.degree_threshold
-                || slots_.size() >= config_.max_hubs) {
+        const std::size_t pos = position(v);
+        Slot* slot = pos != slots_.size() ? &slots_[pos].slot : nullptr;
+        if (slot == nullptr) {
+            if (row.size() < config_.degree_threshold || num_hubs_ >= config_.max_hubs) {
                 continue;
             }
-            Slot slot;
+            slot = &insert(v);
             if (!free_slots_.empty()) {
-                slot.index = free_slots_.back();
+                slot->index = free_slots_.back();
                 free_slots_.pop_back();
             } else {
-                slot.index = bits_.size() / words_per_row_;
+                slot->index = bits_.size() / words_per_row_;
                 bits_.resize(bits_.size() + words_per_row_, 0);
             }
-            it = slots_.emplace(v, slot).first;
         }
-        write_row(it->second.index, row);
-        it->second.data = row.data();
-        it->second.size = row.size();
+        write_row(slot->index, row);
+        slot->data = row.data();
+        slot->size = row.size();
         ops += row.size();
     }
     dirty_.clear();
@@ -203,6 +247,7 @@ void HubBitmapIndex::clear() {
     words_per_row_ = 0;
     min_indexed_row_ = SIZE_MAX;
     slots_.clear();
+    num_hubs_ = 0;
     free_slots_.clear();
     bits_.clear();
     dirty_.clear();

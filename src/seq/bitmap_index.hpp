@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -68,8 +67,8 @@ public:
                         std::span<const graph::VertexId> candidates,
                         const RowProvider& rows);
 
-    [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
-    [[nodiscard]] std::size_t num_hubs() const noexcept { return slots_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return num_hubs_ == 0; }
+    [[nodiscard]] std::size_t num_hubs() const noexcept { return num_hubs_; }
     [[nodiscard]] const Config& config() const noexcept { return config_; }
 
     /// One bitmap row's bookkeeping. Returned by lookup() so hot intersect
@@ -81,8 +80,9 @@ public:
     };
 
     /// The slot when `id` is indexed over exactly `row`'s storage (see "row
-    /// identity" above), nullptr otherwise — one hash probe. The pointer is
-    /// invalidated by build/rebuild_dirty/clear.
+    /// identity" above), nullptr otherwise — one linear probe sequence in a
+    /// flat table of at most max_hubs entries. The pointer is invalidated by
+    /// build/rebuild_dirty/clear.
     [[nodiscard]] const Slot* lookup(graph::VertexId id,
                                      std::span<const graph::VertexId> row) const noexcept;
 
@@ -108,7 +108,7 @@ public:
 
     /// Smallest indexed row length (SIZE_MAX when empty): rows shorter than
     /// this can never be covered, so hot dispatch paths use it to skip the
-    /// hash probe for the vast majority of non-hub operands. Maintained by
+    /// slot lookup for the vast majority of non-hub operands. Maintained by
     /// build() and rebuild_dirty().
     [[nodiscard]] std::size_t min_indexed_row() const noexcept {
         return min_indexed_row_;
@@ -127,6 +127,20 @@ public:
     void clear();
 
 private:
+    /// One slot-table entry; id == kInvalidVertex marks it free.
+    struct Entry {
+        graph::VertexId id = graph::kInvalidVertex;
+        Slot slot;
+    };
+
+    /// Position of `id`'s entry in slots_, slots_.size() when not indexed.
+    [[nodiscard]] std::size_t position(graph::VertexId id) const noexcept;
+    /// Adds `id` (not yet indexed) and returns its slot.
+    Slot& insert(graph::VertexId id);
+    /// Frees the entry at `pos` by shifting its probe run back — no
+    /// tombstones.
+    void erase(std::size_t pos) noexcept;
+
     void write_row(std::size_t slot_index, std::span<const graph::VertexId> row);
     [[nodiscard]] bool test(const Slot& slot, graph::VertexId v) const noexcept;
 
@@ -135,8 +149,10 @@ private:
     Config config_;
     std::uint64_t words_per_row_ = 0;
     std::size_t min_indexed_row_ = SIZE_MAX;
-    // katric-lint: allow(nondeterminism): lookups, plus a min over its values
-    std::unordered_map<graph::VertexId, Slot> slots_;
+    // Linear probing keyed by hash64(id), power-of-two size, at most half
+    // full; empty until the first hub is indexed.
+    std::vector<Entry> slots_;
+    std::size_t num_hubs_ = 0;
     std::vector<std::size_t> free_slots_;  // recycled bitmap rows
     std::vector<std::uint64_t> bits_;
     std::vector<graph::VertexId> dirty_;

@@ -135,21 +135,44 @@ std::span<const Edge> owned_slice(std::span<const Edge> sorted,
 }
 
 void ChangedEdges::assign(std::span<const Edge> edges) {
-    // At most half full, so a miss — the common answer — ends within a
-    // few probes. A batch that needs as many slots as the last reuses them.
-    const auto size = static_cast<std::size_t>(next_power_of_two(2 * edges.size() + 16));
-    if (size == slots_.size()) {
-        std::fill(slots_.begin(), slots_.end(), kFree);
-    } else {
-        slots_.assign(size, kFree);
+    // Both orientations, ascending by (source, target): the (u, v) side is
+    // the input itself, so only the (v, u) side is sorted before one merge.
+    reversed_.clear();
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        KATRIC_ASSERT_MSG(edges[i].u < edges[i].v, "changed edges are canonical");
+        KATRIC_ASSERT_MSG(i == 0 || edges[i - 1] < edges[i],
+                          "changed edges are strictly ascending");
+        reversed_.push_back({edges[i].v, edges[i].u});
     }
-    mask_ = size - 1;
-    for (const Edge& e : edges) {
-        KATRIC_ASSERT_MSG(e.u < e.v, "changed edges are canonical");
-        std::size_t i = slot_of(e);
-        while (slots_[i] != kFree && slots_[i] != e) { i = (i + 1) & mask_; }
-        slots_[i] = e;
+    std::sort(reversed_.begin(), reversed_.end());
+    sources_.clear();
+    offsets_.clear();
+    targets_.clear();
+    const auto append = [&](const Edge& arc) {
+        if (sources_.empty() || sources_.back() != arc.u) {
+            sources_.push_back(arc.u);
+            offsets_.push_back(targets_.size());
+        }
+        targets_.push_back(arc.v);
+    };
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < edges.size() || j < reversed_.size()) {
+        if (j == reversed_.size() || (i < edges.size() && edges[i] < reversed_[j])) {
+            append(edges[i++]);
+        } else {
+            append(reversed_[j++]);
+        }
     }
+    offsets_.push_back(targets_.size());
+}
+
+std::span<const graph::VertexId> ChangedEdges::neighbors(graph::VertexId x) const {
+    const auto it = std::lower_bound(sources_.begin(), sources_.end(), x);
+    if (it == sources_.end() || *it != x) { return {}; }
+    const auto i = static_cast<std::size_t>(it - sources_.begin());
+    return std::span<const graph::VertexId>(targets_).subspan(
+        offsets_[i], offsets_[i + 1] - offsets_[i]);
 }
 
 IncrementalCounter::IncrementalCounter(net::Simulator& sim,
@@ -194,13 +217,21 @@ std::span<const std::uint64_t> IncrementalCounter::flagged_row(
     net::RankHandle& self, graph::VertexId x, std::initializer_list<std::uint64_t> prefix) {
     // Flag-annotated N(x) after `prefix` — the wire form of a ship record
     // ([kOpShip, a, b] prefix) or a local intersection operand (empty
-    // prefix).
+    // prefix). The row is copied whole; then each of x's few changed
+    // neighbors is found in it by a binary search from the last one found.
     const auto row = (*views_)[self.rank()].neighbors(x);
     auto& record = ranks_[self.rank()].record;
     record.assign(prefix);
-    for (const auto w : row) {
-        KATRIC_ASSERT_MSG((w & kChangedFlag) == 0, "vertex ID collides with flag bit");
-        record.push_back(w | (current_changed_->contains(x, w) ? kChangedFlag : 0));
+    record.insert(record.end(), row.begin(), row.end());
+    std::uint64_t all = 0;
+    for (const auto w : row) { all |= w; }
+    KATRIC_ASSERT_MSG((all & kChangedFlag) == 0, "vertex ID collides with flag bit");
+    std::uint64_t* words = record.data() + prefix.size();
+    auto at = row.begin();
+    for (const auto w : current_changed_->neighbors(x)) {
+        at = std::lower_bound(at, row.end(), w);
+        if (at == row.end()) { break; }
+        if (*at == w) { words[at - row.begin()] |= kChangedFlag; }
     }
     self.charge_ops(row.size());
     return record;
@@ -245,13 +276,18 @@ void IncrementalCounter::intersect_and_accumulate(net::RankHandle& self,
 
     // Triangle {a, b, wa}: k = changed edges among its three sides; {a,b}
     // itself is changed by construction. The matches come out ascending, so
-    // one forward cursor finds each one's a-side flag.
+    // one forward cursor finds each one's a-side flag and another walks b's
+    // ascending changed neighbors beside them.
+    const auto changed_b = current_changed_->neighbors(b);
     std::uint64_t gained = 0;
     std::size_t i = 0;
+    std::size_t j = 0;
     for (const graph::VertexId wa : common) {
         while (row_a[i] < wa) { ++i; }
+        while (j < changed_b.size() && changed_b[j] < wa) { ++j; }
+        const bool b_side = j < changed_b.size() && changed_b[j] == wa;
         const std::uint64_t k = 1 + ((flagged_a[i] & kChangedFlag) != 0 ? 1 : 0)
-                                + (current_changed_->contains(b, wa) ? 1 : 0);
+                                + (b_side ? 1 : 0);
         gained += 6 / k;  // k ∈ {1,2,3} ⇒ exact: 6, 3, 2
         if (sink_) {
             const auto sixths = phase_sign_ * static_cast<std::int64_t>(6 / k);

@@ -15,7 +15,6 @@
 #include "net/simulator.hpp"
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
-#include "util/hash.hpp"
 
 namespace katric::stream {
 
@@ -66,34 +65,27 @@ struct NetEffect {
                                                        const graph::Partition1D& partition,
                                                        graph::Rank rank);
 
-/// One phase's changed-edge set, queried for every element of every flagged
-/// row and for every match: open addressing with linear probing over one
-/// flat slot array, at most half full, refilled per phase without freeing
-/// its slots.
+/// One phase's changed-edge set as each endpoint's changed neighbors, an
+/// ascending span per vertex: a flagged row or an intersection reads its
+/// vertex's span once and walks it beside the ascending row, so no
+/// per-element lookup remains. Refilled per phase without freeing its
+/// storage.
 class ChangedEdges {
 public:
-    /// Replaces the set's contents with `edges` (canonical, u < v).
+    /// Replaces the set's contents with `edges` (canonical, u < v, strictly
+    /// ascending — the order fold_batch produces).
     void assign(std::span<const graph::Edge> edges);
 
-    /// Whether the undirected edge {x, w} is in the set.
-    [[nodiscard]] bool contains(graph::VertexId x, graph::VertexId w) const {
-        const graph::Edge e = graph::Edge{x, w}.canonical();
-        for (std::size_t i = slot_of(e);; i = (i + 1) & mask_) {
-            if (slots_[i] == kFree) { return false; }
-            if (slots_[i] == e) { return true; }
-        }
-    }
+    /// The other endpoints of x's changed edges, ascending; empty when no
+    /// changed edge touches x.
+    [[nodiscard]] std::span<const graph::VertexId> neighbors(graph::VertexId x) const;
 
 private:
-    /// Both ends kInvalidVertex: never a canonical edge.
-    static constexpr graph::Edge kFree{};
-
-    [[nodiscard]] std::size_t slot_of(const graph::Edge& e) const noexcept {
-        return static_cast<std::size_t>(hash_combine(hash64(e.u), e.v)) & mask_;
-    }
-
-    std::vector<graph::Edge> slots_ = std::vector<graph::Edge>(1, kFree);
-    std::size_t mask_ = 0;  // slots_.size() − 1
+    std::vector<graph::Edge> reversed_;     // assign's scratch: every (v, u), sorted
+    std::vector<graph::VertexId> sources_;  // ascending endpoints
+    // sources_[i]'s span is targets_[offsets_[i], offsets_[i + 1]).
+    std::vector<std::size_t> offsets_;
+    std::vector<graph::VertexId> targets_;
 };
 
 /// Signed per-vertex triangle attribution hook: invoked at the finding rank

@@ -4,6 +4,9 @@
 
 #include "util/assert.hpp"
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <string>
 
 #include "gen/rmat.hpp"
@@ -89,6 +92,45 @@ TEST(LccDeltaState, SignedCreditsCancelAndDrainDeterministically) {
     EXPECT_EQ(pairs[1], (std::pair<VertexId, std::int64_t>{6, 0}));
     EXPECT_EQ(pairs[2], (std::pair<VertexId, std::int64_t>{7, -3}));
     EXPECT_TRUE(state.ghosts_empty());
+}
+
+/// Rank 0 of 2 over 4096 vertices sees ~2000 distinct ghosts per round —
+/// enough to grow its ghost table several times — with signed credits, some
+/// of which cancel to 0. Each drain must equal an ordered-map reference,
+/// zero sums included, and a second round reuses the drained table.
+TEST(LccDeltaState, GhostTableGrowsDrainsSortedAndIsReused) {
+    const VertexId n = 4096;
+    LccDeltaState state(graph::Partition1D::uniform(n, 2));
+    std::mt19937_64 rng(3);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        std::map<VertexId, std::int64_t> reference;
+        for (int i = 0; i < 6000; ++i) {
+            const VertexId v = n / 2 + rng() % (n / 2);  // a ghost at rank 0
+            const auto amount = static_cast<std::int64_t>(rng() % 13) - 6;
+            state.credit(0, v, amount);
+            reference[v] += amount;
+            if (i % 5 == 0) {  // a credit taken back whole
+                state.credit(0, v, -amount);
+                reference[v] -= amount;
+            }
+        }
+        const VertexId cancelled = n - 1;  // credited and cancelled to 0
+        state.credit(0, cancelled, 6);
+        state.credit(0, cancelled, -6);
+        reference[cancelled] += 0;
+        EXPECT_FALSE(state.ghosts_empty());
+
+        const auto pairs = state.drain_ghosts(0);
+        const std::vector<std::pair<VertexId, std::int64_t>> expected(reference.begin(),
+                                                                      reference.end());
+        EXPECT_EQ(pairs, expected);
+        EXPECT_GT(std::count_if(pairs.begin(), pairs.end(),
+                                [](const auto& pair) { return pair.second == 0; }),
+                  0);
+        EXPECT_TRUE(state.ghosts_empty());
+        EXPECT_TRUE(state.drain_ghosts(0).empty());
+    }
 }
 
 TEST(LccDeltaState, NegativeResidueIsRejectedAtAssembly) {

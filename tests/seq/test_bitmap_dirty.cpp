@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <random>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "seq/bitmap_index.hpp"
@@ -139,7 +145,7 @@ TEST(HubBitmapDirty, RebuildOnUnconfiguredIndexIsANoOp) {
     EXPECT_EQ(index.num_dirty(), 0u);
 }
 
-/// min_indexed_row is the hot-path hash gate: it must track builds, dirty
+/// min_indexed_row is the hot-path lookup gate: it must track builds, dirty
 /// rebuilds (both growth and shrink), and clear().
 TEST(HubBitmapDirty, MinIndexedRowTracksMaintenance) {
     std::vector<std::vector<VertexId>> rows(2);
@@ -182,6 +188,126 @@ TEST(HubBitmapDirty, LookupIsCoversPlusSlot) {
     EXPECT_EQ(index.lookup(0, copy), nullptr) << "foreign storage must miss";
     EXPECT_EQ(index.lookup(1, row), nullptr) << "non-hub must miss";
     EXPECT_EQ(index.intersect_count(*slot, copy).count, row.size());
+}
+
+/// The index's admission rules over an ordered map from hub ID to the
+/// (storage, length) its slot was built over: top-k by (degree, ID) at
+/// build, drop-before-admit in ascending ID order at rebuild_dirty.
+struct ReferenceIndex {
+    graph::Degree threshold = 0;
+    std::size_t max_hubs = 0;
+    std::map<VertexId, std::pair<const VertexId*, std::size_t>> hubs;
+
+    void build(std::span<const VertexId> candidates,
+               const std::vector<std::vector<VertexId>>& rows) {
+        hubs.clear();
+        std::vector<std::pair<std::size_t, VertexId>> qualified;
+        for (const VertexId id : candidates) {
+            if (rows[id].size() >= threshold) {
+                qualified.emplace_back(rows[id].size(), id);
+            }
+        }
+        std::sort(qualified.begin(), qualified.end(), std::greater<>());
+        if (qualified.size() > max_hubs) { qualified.resize(max_hubs); }
+        for (const auto& [degree, id] : qualified) {
+            hubs[id] = {rows[id].data(), degree};
+        }
+    }
+
+    void rebuild(std::vector<VertexId> dirty,
+                 const std::vector<std::vector<VertexId>>& rows) {
+        std::sort(dirty.begin(), dirty.end());
+        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+        for (const VertexId v : dirty) {
+            if (rows[v].size() < threshold) { hubs.erase(v); }
+        }
+        for (const VertexId v : dirty) {
+            if (hubs.contains(v)
+                || (rows[v].size() >= threshold && hubs.size() < max_hubs)) {
+                hubs[v] = {rows[v].data(), rows[v].size()};
+            }
+        }
+    }
+};
+
+/// Random build / rebuild_dirty sequences that drop, admit and fill the
+/// slot table to capacity, checked after every step against the reference:
+/// every ID of the universe looks up exactly when the reference indexes it
+/// over its current row, a hit's bitmap covers that row, and a same-content
+/// copy of a hub row misses (span identity).
+TEST(HubBitmapDirty, SlotTableAgreesWithAnOrderedMapReference) {
+    constexpr VertexId kIds = 300;
+    constexpr VertexId kUniverse = 512;
+    for (const std::size_t max_hubs : {1, 4, 8, 70}) {
+        SCOPED_TRACE("max_hubs " + std::to_string(max_hubs));
+        std::mt19937_64 rng(max_hubs);
+        std::vector<std::vector<VertexId>> rows(kIds);
+        const auto refill = [&](VertexId id) {
+            std::vector<VertexId> row;
+            const std::size_t length = rng() % 13;
+            while (row.size() < length) { row.push_back(rng() % kUniverse); }
+            std::sort(row.begin(), row.end());
+            row.erase(std::unique(row.begin(), row.end()), row.end());
+            rows[id] = std::move(row);
+        };
+        for (VertexId id = 0; id < kIds; ++id) { refill(id); }
+        const auto provider = [&](VertexId id) {
+            return std::span<const VertexId>(rows[id]);
+        };
+
+        HubBitmapIndex index;
+        ReferenceIndex reference;
+        reference.threshold = 6;
+        reference.max_hubs = max_hubs;
+        for (int step = 0; step < 200; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            if (step % 15 == 0) {
+                std::vector<VertexId> candidates;
+                for (VertexId id = 0; id < kIds; ++id) {
+                    if (rng() % 3 != 0) { candidates.push_back(id); }
+                }
+                index.build(config_with(6, max_hubs, kUniverse), candidates, provider);
+                reference.build(candidates, rows);
+            } else {
+                // Rewrite a few rows (often across the threshold), half of
+                // them current hubs, and mark them and a few untouched rows
+                // dirty.
+                std::vector<VertexId> hubs;
+                for (const auto& [id, storage] : reference.hubs) { hubs.push_back(id); }
+                std::vector<VertexId> dirty;
+                for (int k = 0; k < 12; ++k) {
+                    const VertexId id = !hubs.empty() && rng() % 2 == 0
+                                            ? hubs[rng() % hubs.size()]
+                                            : static_cast<VertexId>(rng() % kIds);
+                    if (rng() % 4 != 0) { refill(id); }
+                    dirty.push_back(id);
+                    index.mark_dirty(id);
+                }
+                index.rebuild_dirty(provider);
+                reference.rebuild(dirty, rows);
+            }
+            ASSERT_EQ(index.num_hubs(), reference.hubs.size());
+            std::size_t min_row = SIZE_MAX;
+            for (const auto& [id, storage] : reference.hubs) {
+                min_row = std::min(min_row, storage.second);
+            }
+            EXPECT_EQ(index.min_indexed_row(), min_row);
+            for (VertexId id = 0; id < kIds + 20; ++id) {
+                const auto row = id < kIds ? std::span<const VertexId>(rows[id])
+                                           : std::span<const VertexId>();
+                const auto it = reference.hubs.find(id);
+                const bool expected = it != reference.hubs.end()
+                                      && it->second.first == row.data()
+                                      && it->second.second == row.size();
+                const auto* slot = index.lookup(id, row);
+                ASSERT_EQ(slot != nullptr, expected) << "id " << id;
+                if (slot == nullptr) { continue; }
+                EXPECT_EQ(index.intersect_count(*slot, row).count, row.size());
+                const std::vector<VertexId> copy(row.begin(), row.end());
+                EXPECT_EQ(index.lookup(id, copy), nullptr) << "copy of hub " << id;
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -217,9 +217,10 @@ TEST(IncrementalCounting, OwnedSliceIsTheOwnerFilter) {
 
 TEST(IncrementalCounting, ChangedEdgesAgreeWithAnOrderedSetReference) {
     // One set refilled batch after batch, growing, shrinking and keeping its
-    // slot count (200 then 190), queried in both orientations for every
-    // pair over a universe whose ends (0 and n − 1) are in every non-empty
-    // batch.
+    // size (200 then 190), over a universe whose ends (0 and n − 1) are in
+    // every non-empty batch. Every vertex's span must list exactly its
+    // changed neighbors, from both orientations of the canonical edges, in
+    // ascending order.
     const VertexId n = 50;
     std::mt19937_64 rng(11);
     ChangedEdges changed;
@@ -236,12 +237,14 @@ TEST(IncrementalCounting, ChangedEdgesAgreeWithAnOrderedSetReference) {
         edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
         const std::set<Edge> reference(edges.begin(), edges.end());
         changed.assign(edges);
-        for (VertexId x = 0; x < n; ++x) {
+        for (VertexId x = 0; x < n + 2; ++x) {
+            std::vector<VertexId> expected;
             for (VertexId w = 0; w < n; ++w) {
-                ASSERT_EQ(changed.contains(x, w),
-                          reference.contains(Edge{x, w}.canonical()))
-                    << "{" << x << ", " << w << "}";
+                if (reference.contains(Edge{x, w}.canonical())) { expected.push_back(w); }
             }
+            const auto span = changed.neighbors(x);
+            ASSERT_EQ(std::vector<VertexId>(span.begin(), span.end()), expected)
+                << "vertex " << x;
         }
     }
 }
