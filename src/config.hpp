@@ -75,7 +75,7 @@ struct Config {
     /// write them to this path as Chrome trace-event JSON on session end
     /// (loadable in chrome://tracing or Perfetto). Engines sharing one path
     /// append to one timeline.
-    std::string trace_out;
+    std::string trace_out = {};
 
     /// Serving (Engine::serve): worker threads running submitted queries
     /// against the engine's shared state. 0 falls back to the ServeOptions /
@@ -89,7 +89,7 @@ struct Config {
     /// Fault injection (src/fault/): a FaultPlan in the --fault-spec grammar
     /// ("seed=42;drop=0.01;crash=2@3"). Empty = no injection. A non-empty
     /// spec implies the hardened message layer (harden below).
-    std::string fault_spec;
+    std::string fault_spec = {};
     /// Hardened message layer without injection: per-message checksums and
     /// sequence framing, verification + dedup at delivery, retransmission on
     /// detected loss/corruption. Implied by fault_spec; off by default — the
@@ -120,14 +120,9 @@ struct Config {
     [[nodiscard]] static Config from_run_spec(const core::RunSpec& spec);
 
     // --- CLI round-trip --------------------------------------------------
-    /// Declares every Config flag on a CliParser, defaulting to `defaults`:
-    /// --algorithm --ranks --partition --network --alpha --beta --compute-op
-    /// --memory-limit --intersect --hub-threshold --buffer-threshold
-    /// --threads --pes-per-node --compress --detect-termination --indirect
-    /// --maintain-lcc --reuse-preprocessing --charge-reused-preprocessing
-    /// --metrics --trace-out --serve-threads --queue-depth --fault-spec
-    /// --harden --recovery --max-retries --phase-timeout --deadline
-    /// --amq-fpr --amq-truthful --amq-adaptive --amq-seed.
+    /// Declares every Config flag on a CliParser, defaulting to `defaults`.
+    /// The flags, their help texts and checks are the rows of
+    /// for_each_flag() in config.cpp (listed in docs/api.md).
     static void register_cli(CliParser& cli, const Config& defaults);
     static void register_cli(CliParser& cli);  ///< defaults = Config{}
     /// Reads a parsed CliParser (register_cli must have declared the flags).
@@ -144,14 +139,13 @@ struct Config {
         const std::vector<std::string>& flags);
     /// Serializes to flags that from_flags parses back to an equal Config.
     [[nodiscard]] std::vector<std::string> to_flags() const;
-    /// to_flags joined with spaces — the shell-pasteable form.
+    /// to_flags joined with spaces, each token holding a shell metacharacter
+    /// single-quoted — the shell-pasteable form.
     [[nodiscard]] std::string to_command_line() const;
 
     // --- presets ---------------------------------------------------------
-    /// Named presets: "default", "paper-ditric", "paper-cetric",
-    /// "cloud-indirect", "adaptive-kernels", "hybrid", "streaming-lcc",
-    /// "approx-adaptive", "warm-monitor", "hardened-serve". Unknown names
-    /// throw.
+    /// Named presets, the rows of preset_table() in config.cpp (listed in
+    /// docs/api.md). Unknown names throw.
     [[nodiscard]] static Config preset(const std::string& name);
     [[nodiscard]] static const std::vector<std::string>& preset_names();
 

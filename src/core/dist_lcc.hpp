@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,11 +43,8 @@ public:
     /// Post-flush invariant: every ghost contribution reached its owner.
     [[nodiscard]] bool ghosts_empty() const noexcept;
 
-    /// Owner-side value of one local vertex / all local vertices of r.
+    /// Owner-side value of one local vertex.
     [[nodiscard]] std::int64_t local(Rank owner, VertexId v) const;
-    [[nodiscard]] std::span<const std::int64_t> local_values(Rank r) const {
-        return local_[r];
-    }
 
     /// Host-side assembly of the global per-vertex vector. Asserts that no
     /// accumulator is negative (a correct attribution never undercounts a

@@ -43,7 +43,6 @@ public:
     [[nodiscard]] const std::vector<stream::BatchStats>& batches() const noexcept {
         return batches_;
     }
-    [[nodiscard]] bool maintains_lcc() const noexcept { return lcc_ != nullptr; }
 
     /// Host-side per-vertex state (only when the session maintains LCC).
     [[nodiscard]] std::vector<std::uint64_t> delta() const;

@@ -49,8 +49,6 @@ public:
     void flush(RankHandle& self);
 
     [[nodiscard]] bool has_buffered() const noexcept { return buffered_words_ > 0; }
-    [[nodiscard]] std::uint64_t buffered_words() const noexcept { return buffered_words_; }
-    [[nodiscard]] int tag() const noexcept { return tag_; }
 
     /// Batch-boundary hook for streaming workloads: advances the queue to
     /// `epoch`. Requires an epoch-stamped queue and a clean boundary (all
@@ -58,7 +56,6 @@ public:
     /// never bleed into the next, and handle() enforces this by rejecting
     /// records whose stamp disagrees with the current epoch.
     void begin_epoch(std::uint64_t epoch);
-    [[nodiscard]] bool epoch_stamped() const noexcept { return epoch_stamped_; }
     [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
     using Deliver = std::function<void(RankHandle&, std::span<const std::uint64_t>)>;

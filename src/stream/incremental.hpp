@@ -146,7 +146,6 @@ public:
     BatchStats apply_batch(const EdgeBatch& batch);
 
     [[nodiscard]] std::uint64_t triangles() const noexcept { return triangles_; }
-    [[nodiscard]] std::size_t batches_applied() const noexcept { return batch_index_; }
 
     /// Installs (or clears, with an empty function) the per-vertex
     /// attribution hook; IncrementalLcc::attach is the intended caller.

@@ -50,7 +50,6 @@ void IncrementalLcc::deliver_record(net::RankHandle& self,
 }
 
 double IncrementalLcc::finish_batch() {
-    ++batches_;
     ++epoch_;
     for (auto& queue : queues_) { queue.begin_epoch(epoch_); }
     const double before = sim_->time();

@@ -70,8 +70,6 @@ public:
     [[nodiscard]] std::vector<std::uint64_t> delta() const;
     [[nodiscard]] std::vector<double> lcc() const;
 
-    [[nodiscard]] std::size_t batches_flushed() const noexcept { return batches_; }
-
 private:
     void deliver_record(net::RankHandle& self, std::span<const std::uint64_t> record);
     [[nodiscard]] Degree degree_of(VertexId v) const;
@@ -87,7 +85,6 @@ private:
     /// ranks of a start round credit concurrently.
     std::vector<std::vector<VertexId>> touched_;
     std::uint64_t epoch_ = 0;
-    std::size_t batches_ = 0;
 };
 
 }  // namespace katric::stream

@@ -44,40 +44,50 @@ CliParser& CliParser::flag(const std::string& name, const std::string& help) {
     return *this;
 }
 
-bool CliParser::is_flag(const std::string& name) const {
-    const auto it = options_.find(name);
-    KATRIC_ASSERT_MSG(it != options_.end(), "undeclared option --" << name);
-    return it->second.is_flag;
+bool CliParser::parse(int argc, const char* const* argv) {
+    const std::vector<std::string> tokens(argv + (argc > 0 ? 1 : 0), argv + argc);
+    if (read(tokens, /*help=*/true)) { return true; }
+    std::cout << usage();
+    return false;
 }
 
-bool CliParser::parse(int argc, const char* const* argv) {
+void CliParser::parse(const std::vector<std::string>& tokens) {
+    (void)read(tokens, /*help=*/false);
+}
+
+bool CliParser::read(const std::vector<std::string>& tokens, bool help) {
     values_.clear();
     duplicates_.clear();
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            std::cout << usage();
-            return false;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const std::string& token = tokens[i];
+        if (help && (token == "--help" || token == "-h")) { return false; }
+        if (token.rfind("--", 0) != 0) {
+            throw CliError(CliError::Kind::kNotAnOption, token,
+                           "expected --option, got '" + token + "'");
         }
-        KATRIC_ASSERT_MSG(arg.rfind("--", 0) == 0, "expected --option, got '" << arg << "'");
-        arg = arg.substr(2);
+        std::string arg = token.substr(2);
         std::string value;
         const auto equals = arg.find('=');
-        bool has_inline_value = equals != std::string::npos;
+        const bool has_inline_value = equals != std::string::npos;
         if (has_inline_value) {
             value = arg.substr(equals + 1);
             arg = arg.substr(0, equals);
         }
         const auto it = options_.find(arg);
-        KATRIC_ASSERT_MSG(it != options_.end(), "unknown option --" << arg);
+        if (it == options_.end()) {
+            throw CliError(CliError::Kind::kUnknownOption, arg,
+                           "unknown option --" + arg);
+        }
         if (values_.contains(arg)) { duplicates_.push_back(arg); }
         if (it->second.is_flag) {
             values_[arg] = has_inline_value ? value : "true";
         } else if (has_inline_value) {
             values_[arg] = value;
+        } else if (i + 1 < tokens.size()) {
+            values_[arg] = tokens[++i];
         } else {
-            KATRIC_ASSERT_MSG(i + 1 < argc, "missing value for --" << arg);
-            values_[arg] = argv[++i];
+            throw CliError(CliError::Kind::kMissingValue, arg,
+                           "missing value for --" + arg);
         }
     }
     return true;

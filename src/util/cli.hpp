@@ -4,9 +4,34 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace katric {
+
+/// Why CliParser::parse rejected its tokens; an assertion_error, so callers
+/// that only want the message catch it as before.
+class CliError : public assertion_error {
+public:
+    enum class Kind : std::uint8_t {
+        kUnknownOption,  ///< --name that no declared option answers to
+        kMissingValue,   ///< an option that takes a value is the last token
+        kNotAnOption,    ///< a token that does not start with "--"
+    };
+
+    CliError(Kind kind, std::string option, const std::string& what)
+        : assertion_error(what), kind_(kind), option_(std::move(option)) {}
+
+    [[nodiscard]] Kind kind() const noexcept { return kind_; }
+    /// The option's name without "--"; for kNotAnOption, the whole token.
+    [[nodiscard]] const std::string& option() const noexcept { return option_; }
+
+private:
+    Kind kind_;
+    std::string option_;
+};
 
 /// Minimal command-line parser for benches and examples. Supports
 /// `--name value`, `--name=value`, and boolean `--flag`. Unknown arguments
@@ -21,18 +46,15 @@ public:
                       const std::string& help);
     CliParser& flag(const std::string& name, const std::string& help);
 
-    /// Parses argv. Returns false (after printing usage) iff --help was given.
-    /// Throws assertion_error on unknown options or missing values. A
-    /// repeated option keeps the last value and is recorded in duplicates()
-    /// so callers that want strictness (Config::try_from_flags) can reject it.
+    /// Parses argv. Returns false (after printing usage) iff --help or -h was
+    /// given; throws CliError on a token it cannot place. A repeated option
+    /// keeps the last value and is recorded in duplicates() so callers that
+    /// want strictness (Config::try_from_flags) can reject it.
     bool parse(int argc, const char* const* argv);
+    /// Parses bare option tokens (no program name): --help is an unknown
+    /// option here like any other, and nothing is printed.
+    void parse(const std::vector<std::string>& tokens);
 
-    /// True iff option/flag `name` was declared on this parser.
-    [[nodiscard]] bool declared(const std::string& name) const noexcept {
-        return options_.contains(name);
-    }
-    /// Whether a declared name is a boolean flag (no value token).
-    [[nodiscard]] bool is_flag(const std::string& name) const;
     /// Options that appeared more than once in the last parse, in first-
     /// repeat order.
     [[nodiscard]] const std::vector<std::string>& duplicates() const noexcept {
@@ -60,6 +82,9 @@ private:
         std::string help;
         bool is_flag = false;
     };
+
+    /// parse's tokenizer; returns false at a help token when `help` is set.
+    bool read(const std::vector<std::string>& tokens, bool help);
 
     std::string program_;
     std::string description_;

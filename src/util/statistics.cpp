@@ -27,8 +27,6 @@ double RunningStats::variance() const noexcept {
     return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 void RunningStats::merge(const RunningStats& other) noexcept {
     if (other.count_ == 0) { return; }
     if (count_ == 0) {

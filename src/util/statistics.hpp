@@ -17,7 +17,6 @@ public:
     [[nodiscard]] std::size_t count() const noexcept { return count_; }
     [[nodiscard]] double mean() const noexcept { return count_ > 0 ? mean_ : 0.0; }
     [[nodiscard]] double variance() const noexcept;
-    [[nodiscard]] double stddev() const noexcept;
     [[nodiscard]] double min() const noexcept { return count_ > 0 ? min_ : 0.0; }
     [[nodiscard]] double max() const noexcept { return count_ > 0 ? max_ : 0.0; }
     [[nodiscard]] double sum() const noexcept { return sum_; }

@@ -23,8 +23,6 @@ public:
     Table& cell(std::int64_t value);
     Table& cell(int value);
 
-    [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-    [[nodiscard]] std::size_t num_columns() const noexcept { return headers_.size(); }
     [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const noexcept {
         return rows_;
     }

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "config.hpp"
 #include "util/assert.hpp"
 
@@ -43,6 +49,16 @@ Config fully_customized() {
     config.maintain_lcc = true;
     config.reuse_preprocessing = true;
     config.charge_reused_preprocessing = true;
+    config.metrics = true;
+    config.trace_out = "/tmp/katric trace/q.json";
+    config.serve_threads = 5;
+    config.queue_depth = 17;
+    config.fault_spec = "seed=42;drop=0.01";
+    config.harden = true;
+    config.recovery = fault::RecoveryPolicy::kDegrade;
+    config.max_retries = 7;
+    config.phase_timeout = 0.25;
+    config.deadline_seconds = 1.5;
     config.amq.target_fpr = 0.0123456789012345;
     config.amq.truthful = false;
     config.amq.adaptive = true;
@@ -259,6 +275,169 @@ TEST(Config, PresetNamesAllConstruct) {
     EXPECT_TRUE(Config::preset("streaming-lcc").maintain_lcc);
     EXPECT_EQ(Config::preset("adaptive-kernels").options.intersect,
               seq::IntersectKind::kAdaptive);
+}
+
+/// The flag names a parser set up by register_cli declares, read off its
+/// usage text ("  --name <value>" lines), without --help.
+std::vector<std::string> declared_flags() {
+    CliParser cli("test", "declared flags");
+    Config::register_cli(cli);
+    std::vector<std::string> names;
+    std::istringstream usage(cli.usage());
+    for (std::string line; std::getline(usage, line);) {
+        if (line.rfind("  --", 0) != 0 || line == "  --help") { continue; }
+        names.push_back(line.substr(4, line.find(' ', 4) - 4));
+    }
+    return names;
+}
+
+TEST(Config, EveryDeclaredFlagSerializesExactlyOnce) {
+    // A hand-tuned network makes every machine-model number explicit, so
+    // to_flags writes all declared flags.
+    const Config config = fully_customized();
+    const auto flags = config.to_flags();
+    const auto names = declared_flags();
+    EXPECT_EQ(names.size(), 33u);
+    EXPECT_EQ(flags.size(), names.size());
+    for (const auto& name : names) {
+        const auto prefix = "--" + name + "=";
+        const auto hits = std::count_if(flags.begin(), flags.end(), [&](const auto& f) {
+            return f.rfind(prefix, 0) == 0;
+        });
+        EXPECT_EQ(hits, 1) << name;
+    }
+}
+
+TEST(Config, EveryPresetSerializesToItsPinnedFlags) {
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"default",
+         "--algorithm=DITRIC --ranks=4 --partition=balanced --network=supermuc "
+         "--intersect=merge --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"paper-ditric",
+         "--algorithm=DITRIC --ranks=16 --partition=balanced --network=supermuc "
+         "--intersect=merge --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"paper-cetric",
+         "--algorithm=CETRIC --ranks=16 --partition=balanced --network=supermuc "
+         "--intersect=merge --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"cloud-indirect",
+         "--algorithm=DITRIC2 --ranks=16 --partition=balanced --network=cloud "
+         "--intersect=merge --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=1 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"adaptive-kernels",
+         "--algorithm=CETRIC --ranks=16 --partition=balanced --network=supermuc "
+         "--intersect=adaptive --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"hybrid",
+         "--algorithm=CETRIC --ranks=8 --partition=balanced --network=supermuc "
+         "--intersect=merge --hub-threshold=0 --buffer-threshold=0 --threads=6 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"streaming-lcc",
+         "--algorithm=CETRIC --ranks=4 --partition=balanced --network=supermuc "
+         "--intersect=adaptive --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=1 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"approx-adaptive",
+         "--algorithm=CETRIC --ranks=16 --partition=balanced --network=supermuc "
+         "--intersect=merge --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=0 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=1 --amq-seed=24301"},
+        {"warm-monitor",
+         "--algorithm=CETRIC --ranks=16 --partition=balanced --network=supermuc "
+         "--intersect=adaptive --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=1 --charge-reused-preprocessing=0 "
+         "--metrics=0 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=0 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+        {"hardened-serve",
+         "--algorithm=CETRIC --ranks=16 --partition=balanced --network=supermuc "
+         "--intersect=adaptive --hub-threshold=0 --buffer-threshold=0 --threads=1 "
+         "--pes-per-node=8 --compress=0 --detect-termination=0 --indirect=0 "
+         "--maintain-lcc=0 --reuse-preprocessing=1 --charge-reused-preprocessing=0 "
+         "--metrics=1 --trace-out= --serve-threads=0 --queue-depth=0 --fault-spec= "
+         "--harden=1 --recovery=retry --max-retries=3 --phase-timeout=0 --deadline=0 "
+         "--amq-fpr=0.02 --amq-truthful=1 --amq-adaptive=0 --amq-seed=24301"},
+    };
+    ASSERT_EQ(pinned.size(), Config::preset_names().size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        const auto& [name, expected] = pinned[i];
+        EXPECT_EQ(Config::preset_names()[i], name);
+        std::string line;
+        for (const auto& flag : Config::preset(name).to_flags()) {
+            line += (line.empty() ? "" : " ") + flag;
+        }
+        EXPECT_EQ(line, expected) << name;
+    }
+}
+
+TEST(Config, ThreadsAndPesPerNodeMustBeAtLeastOne) {
+    // Both run as 1 when 0 (the hybrid binner and the two-level router clamp
+    // them), so 0 would make two configs that run the same compare unequal.
+    for (const std::string flag : {"threads", "pes-per-node"}) {
+        const auto parse = Config::try_from_flags({"--" + flag + "=0"});
+        EXPECT_EQ(parse.error, ConfigError::kBadValue) << flag;
+        const auto message = "--" + flag + " must be at least 1";
+        EXPECT_NE(parse.detail.find(message), std::string::npos) << parse.detail;
+        EXPECT_TRUE(Config::try_from_flags({"--" + flag + "=1"}).ok()) << flag;
+    }
+}
+
+TEST(Config, HelpIsAnUnknownFlagAndPrintsNothing) {
+    testing::internal::CaptureStdout();
+    const auto parse = Config::try_from_flags({"--help"});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+    EXPECT_EQ(parse.error, ConfigError::kUnknownFlag);
+    EXPECT_EQ(parse.detail, "help");
+    const auto short_help = Config::try_from_flags({"-h"});
+    EXPECT_EQ(short_help.error, ConfigError::kBadValue);
+    EXPECT_EQ(short_help.detail, "'-h' is not a --flag token");
+}
+
+TEST(Config, CommandLineQuotesShellMetacharacters) {
+    Config config;
+    config.fault_spec = "seed=42;drop=0.01";
+    config.trace_out = "/tmp/my trace.json";
+    const auto line = config.to_command_line();
+    EXPECT_NE(line.find(" '--fault-spec=seed=42;drop=0.01' "), std::string::npos) << line;
+    EXPECT_NE(line.find(" '--trace-out=/tmp/my trace.json' "), std::string::npos) << line;
+    // Plain tokens stay bare, and a quote inside a token is escaped.
+    EXPECT_NE(line.find(" --ranks=4 "), std::string::npos) << line;
+    config.trace_out = "it's.json";
+    EXPECT_NE(config.to_command_line().find(R"( '--trace-out=it'\''s.json' )"),
+              std::string::npos);
 }
 
 TEST(Config, RunSpecInteropIsLossless) {

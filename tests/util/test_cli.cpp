@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -106,6 +107,49 @@ TEST(CliParser, HelpReturnsFalse) {
     const char* argv[] = {"prog", "--help"};
     EXPECT_FALSE(cli.parse(2, argv));
     EXPECT_NE(cli.usage().find("rank count"), std::string::npos);
+}
+
+/// The typed error parse(tokens) throws for `tokens`.
+CliError parse_error(const std::vector<std::string>& tokens) {
+    auto cli = make_parser();
+    try {
+        cli.parse(tokens);
+    } catch (const CliError& error) {
+        return error;
+    }
+    ADD_FAILURE() << "no CliError thrown";
+    return CliError(CliError::Kind::kUnknownOption, "", "");
+}
+
+TEST(CliParser, RejectionsAreTypedWithTheOptionName) {
+    const auto unknown = parse_error({"--p=4", "--bogus=1"});
+    EXPECT_EQ(unknown.kind(), CliError::Kind::kUnknownOption);
+    EXPECT_EQ(unknown.option(), "bogus");
+    EXPECT_STREQ(unknown.what(), "unknown option --bogus");
+
+    const auto missing = parse_error({"--name"});
+    EXPECT_EQ(missing.kind(), CliError::Kind::kMissingValue);
+    EXPECT_EQ(missing.option(), "name");
+
+    const auto stray = parse_error({"p=4"});
+    EXPECT_EQ(stray.kind(), CliError::Kind::kNotAnOption);
+    EXPECT_EQ(stray.option(), "p=4");
+}
+
+TEST(CliParser, TokenParseTreatsHelpAsAnUnknownOption) {
+    testing::internal::CaptureStdout();
+    const auto help = parse_error({"--help"});
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+    EXPECT_EQ(help.kind(), CliError::Kind::kUnknownOption);
+    EXPECT_EQ(help.option(), "help");
+    EXPECT_EQ(parse_error({"-h"}).kind(), CliError::Kind::kNotAnOption);
+
+    // A help token in value position is the preceding option's value.
+    auto cli = make_parser();
+    cli.parse({"--name", "--help", "--p", "8", "--p=9"});
+    EXPECT_EQ(cli.get_string("name"), "--help");
+    EXPECT_EQ(cli.get_uint("p"), 9u);
+    EXPECT_EQ(cli.duplicates(), std::vector<std::string>{"p"});
 }
 
 TEST(CliParser, UndeclaredLookupThrows) {

@@ -15,9 +15,9 @@ Rules (each finding names its rule id):
                      a simulated metric.
 
   raw-throw          Errors leave the library typed. A `throw` in src/ may
-                     only construct OomError, FaultError, CancelledError or
-                     assertion_error (KATRIC_ASSERT/KATRIC_THROW); bare
-                     rethrow (`throw;`) is fine.
+                     only construct OomError, FaultError, CancelledError,
+                     assertion_error (KATRIC_ASSERT/KATRIC_THROW) or its
+                     subclass CliError; bare rethrow (`throw;`) is fine.
 
   raw-send           Algorithm code sends through the buffered aggregation
                      queues, never RankHandle::send/send_sized directly —
@@ -39,6 +39,14 @@ Rules (each finding names its rule id):
                      katric.hpp umbrella, the umbrella's includes all
                      exist, no `#include "../`, and every src/ header
                      opens with #pragma once.
+
+  config-docs        Every Config flag and preset is documented: each
+                     visit({"name", ...}) row of for_each_flag() in
+                     src/config.cpp names a flag that docs/api.md spells
+                     as `--name`, and each {"name", ...} row of
+                     preset_table() a preset it spells as `name` in
+                     backticks. A config.cpp with no flag rows is itself a
+                     finding, so a renamed table cannot pass silently.
 
 Waivers: append `// katric-lint: allow(<rule-id>): <reason>` to the
 offending line (or the line just above). Waivers without a reason are
@@ -83,7 +91,8 @@ NONDETERMINISM_ALLOWED_FILES = {
 HASH_CONTAINER_RE = re.compile(r"\bstd::unordered_(multi)?(map|set)\b")
 
 THROW_RE = re.compile(r"\bthrow\b\s*([A-Za-z_:]*)")
-ALLOWED_THROW_TYPES = {"OomError", "FaultError", "CancelledError", "assertion_error"}
+ALLOWED_THROW_TYPES = {"OomError", "FaultError", "CancelledError", "assertion_error",
+                       "CliError"}
 
 RAW_SEND_RE = re.compile(r"\.\s*(send|send_sized)\s*\(")
 
@@ -100,6 +109,17 @@ HOST_ISA_CODE_PATTERNS = [
 HOST_ISA_RAW_PATTERNS = [
     re.compile(r"^\s*#\s*include\s*<immintrin\.h>"),
     re.compile(r'\bgetenv\s*\(\s*"KATRIC_FORCE_SCALAR"'),
+]
+
+
+# Config's two tables, each from its opening line to its first closing
+# line: the flag visitor (rows `visit({"name", ...`) and the preset vector
+# (rows `{"name", ...`).
+CONFIG_TABLES = [
+    ("flag", re.compile(r"^void for_each_flag\("), re.compile(r"^}$"),
+     re.compile(r'^\s*visit\(\{"([a-z0-9-]+)"')),
+    ("preset", re.compile(r"static const std::vector<Preset> table = \{"),
+     re.compile(r"^\s*};$"), re.compile(r'^\s*\{"([a-z0-9-]+)"')),
 ]
 
 
@@ -177,6 +197,45 @@ class Linter:
                     self.waivers_used.add((rel, probe))
                     return
         self.findings.append(Finding(rule, rel, lineno, message))
+
+    # --- tree rules --------------------------------------------------------
+
+    def check_config_docs(self) -> None:
+        rel = "src/config.cpp"
+        config = self.root / rel
+        if not config.is_file():
+            return
+        raw = config.read_text(encoding="utf-8", errors="replace").splitlines()
+        docs_path = self.root / "docs" / "api.md"
+        docs = docs_path.read_text(encoding="utf-8") if docs_path.is_file() else ""
+        table = None
+        flag_rows = 0
+        for lineno, line in enumerate(raw, 1):
+            if table is None:
+                table = next((t for t in CONFIG_TABLES if t[1].search(line)), None)
+                continue
+            kind, _, end, row_re = table
+            if end.match(line):
+                table = None
+                continue
+            row = row_re.match(line)
+            if not row:
+                continue
+            name = row.group(1)
+            if kind == "flag":
+                flag_rows += 1
+                documented = re.search(rf"(?<![\w-])--{re.escape(name)}(?![\w-])", docs)
+                spelled = f"--{name}"
+            else:
+                documented = f"`{name}`" in docs
+                spelled = f"preset `{name}`"
+            if not documented:
+                self.emit("config-docs", rel, lineno, raw,
+                          f"{spelled} is missing from docs/api.md")
+        if flag_rows == 0:
+            self.emit("config-docs", rel, 1, raw,
+                      "no for_each_flag() rows found — the config-docs rule "
+                      "cannot check the flag list")
 
     # --- per-file rules ----------------------------------------------------
 
@@ -303,6 +362,7 @@ def lint_tree(root: Path) -> list[Finding]:
         if base.is_dir():
             files.extend(sorted(base.rglob("*.hpp")))
             files.extend(sorted(base.rglob("*.cpp")))
+    linter.check_config_docs()
     for path in files:
         linter.check_file(path)
     return linter.findings
@@ -360,6 +420,17 @@ SELF_TEST_CASES = [
      '#include "../tools/x.hpp"\nint f();\n'),
     ("umbrella-hygiene", "src/bad_pragma.hpp",
      "#ifndef GUARD\n#define GUARD\n#endif\n"),
+    (None, "docs/api.md",
+     "Flags: `--ranks --ranks-per-node`. Presets: `default`.\n"),
+    ("config-docs", "src/config.cpp",
+     "template <typename C, typename Visit>\n"
+     "void for_each_flag(C& c, const Visit& visit) {\n"
+     '    visit({"ranks", "simulated MPI ranks"}, c.num_ranks, at_least_one);\n'
+     '    visit({"alpha", "undocumented", true}, c.network.alpha);\n'
+     "}\n"
+     "const std::vector<Preset>& preset_table() {\n"
+     '    static const std::vector<Preset> table = {\n        {"default", {}},\n'
+     "    };\n    return table;\n}\n"),
 ]
 
 
