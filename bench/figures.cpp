@@ -1,10 +1,10 @@
 #include "figures.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cmath>
 #include <iomanip>
+#include <memory>
 #include <ostream>
 #include <sstream>
 
@@ -232,36 +232,32 @@ Sections indirection(const FigureSpec&, const Tier& tier, const Config& base) {
                     {"p", "router", "time (s)", "max msgs recv/PE", "total words"}});
         for (const auto p : tier.ps) {
             const auto ranks = static_cast<net::Rank>(p);
-            const net::DirectRouter direct;
-            const net::GridRouter grid(ranks);
-            for (const auto* router : std::array<const net::Router*, 2>{&direct, &grid}) {
+            for (const bool indirect : {false, true}) {
                 net::Simulator sim(ranks, base.network);
-                std::vector<net::MessageQueue> queues;
-                for (net::Rank r = 0; r < ranks; ++r) {
-                    queues.emplace_back(1 << 16, *router, 1);
+                std::unique_ptr<const net::Router> router;
+                if (indirect) {
+                    router = std::make_unique<net::GridRouter>(ranks);
+                } else {
+                    router = std::make_unique<net::DirectRouter>();
                 }
+                net::MessageQueue queue(std::move(router),
+                                        std::vector<std::uint64_t>(ranks, 1 << 16), 1);
                 const auto post = [&](net::RankHandle& self) {
                     const std::uint64_t record[8] = {self.rank(), 1, 2, 3, 4, 5, 6, 7};
                     for (net::Rank dest = 0; dest < ranks; ++dest) {
                         if (dest != self.rank() && (pattern == "uniform" || dest == 0)) {
-                            queues[self.rank()].post(self, dest, record);
+                            queue.post(self, dest, record);
                         }
                     }
                 };
-                const auto handle = [&](net::RankHandle& self, net::Rank, int,
-                                        std::span<const std::uint64_t> payload) {
-                    queues[self.rank()].handle(self, payload, [](auto&, auto) {});
-                };
-                sim.run_phase("pattern", post, handle, [&](net::RankHandle& self) {
-                    queues[self.rank()].flush(self);
-                });
+                queue.run_phase(sim, "pattern", post, [](auto&, auto) {});
                 std::uint64_t max_received = 0;
                 std::uint64_t words = 0;
                 for (const auto& metrics : sim.rank_metrics()) {
                     max_received = std::max(max_received, metrics.messages_received);
                     words += metrics.words_sent;
                 }
-                section.rows.push_back({{p}, {router == &direct ? "direct" : "grid"},
+                section.rows.push_back({{p}, {indirect ? "grid" : "direct"},
                                         {sim.time(), 6}, {max_received}, {words}});
             }
         }

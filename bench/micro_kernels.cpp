@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -343,8 +344,8 @@ int main(int argc, char** argv) {
         // Message-queue post path: one phase posting a fixed record burst.
         constexpr std::size_t kPosts = 4096;
         net::Simulator sim(4, net::NetworkConfig{});
-        const net::DirectRouter router;
-        net::MessageQueue queue(1 << 20, router, 1);
+        net::MessageQueue queue(std::make_unique<net::DirectRouter>(),
+                                std::vector<std::uint64_t>(4, 1 << 20), 1);
         const std::uint64_t record[8] = {1, 2, 3, 4, 5, 6, 7, 8};
         WallTimer timer;
         sim.run_phase(

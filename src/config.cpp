@@ -64,28 +64,36 @@ seq::IntersectKind from_text(const std::string& text, seq::IntersectKind) {
 }
 core::Algorithm from_text(const std::string& text, core::Algorithm) {
     const auto algorithm = core::parse_algorithm(text);
-    KATRIC_ASSERT_MSG(algorithm.has_value(), "unknown algorithm '" << text << "'");
+    if (!algorithm) { KATRIC_THROW("unknown algorithm '" << text << "'"); }
     return *algorithm;
 }
 fault::RecoveryPolicy from_text(const std::string& text, fault::RecoveryPolicy) {
     const auto recovery = fault::parse_recovery_policy(text);
-    KATRIC_ASSERT_MSG(recovery.has_value(), "unknown recovery policy '"
-                                                << text << "' (fail-fast|retry|degrade)");
+    if (!recovery) {
+        KATRIC_THROW("unknown recovery policy '" << text
+                                                 << "' (fail-fast|retry|degrade)");
+    }
     return *recovery;
 }
 
-/// Reads flag `name` into `field`. An unsigned value the field cannot hold
-/// is rejected, never wrapped or truncated.
+/// Reads flag `name` into `field`. A bool is exactly 0 or 1; an unsigned
+/// value the field cannot hold is rejected, never wrapped or truncated.
+/// Rejections here and in the checks below throw the message alone.
 template <typename T>
 void read(const CliParser& cli, const std::string& name, T& field) {
     if constexpr (std::is_same_v<T, bool>) {
-        field = cli.get_uint(name) != 0;
+        const std::string text = cli.get_string(name);
+        if (text != "0" && text != "1") {
+            KATRIC_THROW("--" << name << " expects 0 or 1, got '" << text << "'");
+        }
+        field = text == "1";
     } else if constexpr (std::is_integral_v<T>) {
         const std::uint64_t value = cli.get_uint(name);
         constexpr auto max = std::numeric_limits<T>::max();
-        KATRIC_ASSERT_MSG(value <= static_cast<std::uint64_t>(max),
-                          "--" << name << "=" << value << " is out of range (max " << max
-                               << ")");
+        if (value > static_cast<std::uint64_t>(max)) {
+            KATRIC_THROW("--" << name << "=" << value << " is out of range (max " << max
+                              << ")");
+        }
         field = static_cast<T>(value);
     } else if constexpr (std::is_same_v<T, double>) {
         field = cli.get_double(name);
@@ -97,18 +105,20 @@ void read(const CliParser& cli, const std::string& name, T& field) {
 // --- what a parsed value must satisfy -------------------------------------
 
 constexpr auto at_least_one = [](const std::string& name, auto value) {
-    KATRIC_ASSERT_MSG(value >= 1, "--" << name << " must be at least 1");
+    if (value < 1) { KATRIC_THROW("--" << name << " must be at least 1"); }
 };
 constexpr auto non_negative = [](const std::string& name, double value) {
-    KATRIC_ASSERT_MSG(value >= 0.0, "--" << name << " must be >= 0");
+    if (!(value >= 0.0)) { KATRIC_THROW("--" << name << " must be >= 0"); }
 };
 constexpr auto finite_non_negative = [](const std::string& name, double value) {
-    KATRIC_ASSERT_MSG(std::isfinite(value) && value >= 0.0,
-                      "--" << name << " must be finite and >= 0, got " << value);
+    if (!(std::isfinite(value) && value >= 0.0)) {
+        KATRIC_THROW("--" << name << " must be finite and >= 0, got " << value);
+    }
 };
 constexpr auto open_unit_interval = [](const std::string& name, double value) {
-    KATRIC_ASSERT_MSG(value > 0.0 && value < 1.0,
-                      "--" << name << " must lie in (0, 1), got " << value);
+    if (!(value > 0.0 && value < 1.0)) {
+        KATRIC_THROW("--" << name << " must lie in (0, 1), got " << value);
+    }
 };
 /// Validates the grammar here so a typo is a typed parse failure, not a
 /// surprise mid-query; Engine re-parses the validated spec.

@@ -43,8 +43,7 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
     charge_contraction(sim, views);
 
     // --- approximate global phase ----------------------------------------
-    const auto router = make_router(p, /*indirect=*/false);
-    auto queues = make_queues(views, spec.options, *router, kTagCount);
+    auto queue = make_queue(views, spec.options, Routing::kDirect, kTagCount);
     std::vector<double> estimates(p, 0.0);
 
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
@@ -91,11 +90,10 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
         }
     };
 
-    sim.run_phase(
-        "global",
+    queue.run_phase(
+        sim, "global",
         [&](net::RankHandle& self) {
-            const Rank r = self.rank();
-            const DistGraph& view = views[r];
+            const DistGraph& view = views[self.rank()];
             ship_neighborhoods(
                 self, view, [&](VertexId v) { return view.contracted_out_neighbors(v); },
                 [&](VertexId v, std::span<const VertexId> a_v, net::WordVec& record) {
@@ -122,15 +120,10 @@ AmqResult count_triangles_cetric_amq(net::Simulator& sim,
                                   filter.words().end());
                 },
                 [&](Rank owner, const net::WordVec& record) {
-                    queues[r].post(self, owner, record);
+                    queue.post(self, owner, record);
                 });
         },
-        [&](net::RankHandle& self, Rank /*src*/, int tag,
-            std::span<const std::uint64_t> payload) {
-            KATRIC_ASSERT(tag == kTagCount);
-            queues[self.rank()].handle(self, payload, deliver);
-        },
-        [&](net::RankHandle& self) { queues[self.rank()].flush(self); });
+        deliver);
 
     // --- reduce -------------------------------------------------------------
     // Fixed-point micro-triangles keep the network reduce integral.

@@ -14,16 +14,16 @@ namespace {
 struct ExchangeMode {
     bool contract = false;  ///< CETRIC: expanded local phase, contracted global phase
     bool buffered = true;   ///< false = Alg. 2 with one send per cut edge (Fig. 2)
-    bool indirect = false;  ///< grid-routed delivery (the "2" variants)
+    Routing routing = Routing::kDirect;  ///< kGrid for the "2" variants
 };
 
 ExchangeMode exchange_mode(Algorithm algorithm) {
     switch (algorithm) {
         case Algorithm::kEdgeIteratorUnbuffered: return {.buffered = false};
         case Algorithm::kDitric: return {};
-        case Algorithm::kDitric2: return {.indirect = true};
+        case Algorithm::kDitric2: return {.routing = Routing::kGrid};
         case Algorithm::kCetric: return {.contract = true};
-        case Algorithm::kCetric2: return {.contract = true, .indirect = true};
+        case Algorithm::kCetric2: return {.contract = true, .routing = Routing::kGrid};
         default: break;
     }
     KATRIC_THROW(algorithm_name(algorithm)
@@ -149,11 +149,6 @@ void charge_contraction(net::Simulator& sim, const std::vector<DistGraph>& views
     }, {});
 }
 
-std::unique_ptr<net::Router> make_router(Rank num_ranks, bool indirect) {
-    if (indirect) { return std::make_unique<net::GridRouter>(num_ranks); }
-    return std::make_unique<net::DirectRouter>();
-}
-
 void reduce_counts(net::Simulator& sim, const std::vector<std::uint64_t>& local_counts,
                    const std::vector<std::uint64_t>& global_counts, CountResult& result) {
     const Rank p = sim.num_ranks();
@@ -182,8 +177,7 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
     const auto row = [&](const DistGraph& view, VertexId v) {
         return mode.contract ? view.contracted_out_neighbors(v) : view.out_neighbors(v);
     };
-    const auto router = make_router(p, mode.indirect);
-    auto queues = make_queues(views, options, *router, kTagCount);
+    auto queue = make_queue(views, options, mode.routing, kTagCount);
 
     // Optional distributed termination detection: logical records are
     // counted once when posted and once when delivered at their final PE, so
@@ -226,7 +220,7 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
                 [&](Rank owner, const net::WordVec& record) {
                     if (detect) { detector.note_sent(r); }
                     if (mode.buffered) {
-                        queues[r].post(self, owner, record);
+                        queue.post(self, owner, record);
                     } else {
                         // The Fig. 2 "no buffering" series is deliberately
                         // unbuffered: one message per record.
@@ -240,13 +234,13 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
             if (detect && detector.handle(self, src, tag, payload)) { return; }
             KATRIC_ASSERT(tag == kTagCount);
             if (mode.buffered) {
-                queues[self.rank()].handle(self, payload, deliver);
+                queue.handle(self, payload, deliver);
             } else {
                 deliver(self, payload);
             }
         },
         [&](net::RankHandle& self) {
-            if (mode.buffered) { queues[self.rank()].flush(self); }
+            if (mode.buffered) { queue.flush(self); }
             if (detect) { detector.on_idle(self); }
         });
     if (detect) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.hpp"
@@ -51,23 +52,30 @@ CountResult run_exchange(net::Simulator& sim, const std::vector<DistGraph>& view
 /// edges.
 void charge_contraction(net::Simulator& sim, const std::vector<DistGraph>& views);
 
-/// Grid indirection (Section IV-B) when `indirect`, direct delivery
-/// otherwise.
-[[nodiscard]] std::unique_ptr<net::Router> make_router(Rank num_ranks, bool indirect);
+/// Where a queue's records go first: straight to their destination, via the
+/// grid (Section IV-B), or via HavoqGT's node gateways (options.pes_per_node).
+enum class Routing : std::uint8_t { kDirect, kGrid, kTwoLevel };
 
-/// One dynamically buffered queue per rank, δ = auto_threshold of that
-/// rank's half-edges. `router` must outlive the queues.
+/// The machine's dynamically buffered queue: rank r's δ = auto_threshold of
+/// views[r]'s half-edges.
 template <typename View>
-[[nodiscard]] std::vector<net::MessageQueue> make_queues(
-    const std::vector<View>& views, const AlgorithmOptions& options,
-    const net::Router& router, int tag, bool epoch_stamped = false) {
-    std::vector<net::MessageQueue> queues;
-    queues.reserve(views.size());
-    for (const auto& view : views) {
-        queues.emplace_back(auto_threshold(view.num_local_half_edges(), options), router,
-                            tag, epoch_stamped);
+[[nodiscard]] net::MessageQueue make_queue(
+    const std::vector<View>& views, const AlgorithmOptions& options, Routing routing,
+    int tag, bool epoch_stamped = false) {
+    const auto p = static_cast<Rank>(views.size());
+    std::unique_ptr<const net::Router> router;
+    switch (routing) {
+        case Routing::kDirect: router = std::make_unique<net::DirectRouter>(); break;
+        case Routing::kGrid: router = std::make_unique<net::GridRouter>(p); break;
+        case Routing::kTwoLevel:
+            router = std::make_unique<net::TwoLevelRouter>(p, options.pes_per_node);
+            break;
     }
-    return queues;
+    std::vector<std::uint64_t> thresholds;
+    for (const auto& view : views) {
+        thresholds.push_back(auto_threshold(view.num_local_half_edges(), options));
+    }
+    return net::MessageQueue(std::move(router), thresholds, tag, epoch_stamped);
 }
 
 /// The sender side of every neighborhood exchange: for each local v, one

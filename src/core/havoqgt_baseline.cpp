@@ -30,8 +30,7 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
     std::vector<std::uint64_t> counts(p, 0);
     // HavoqGT aggregates messages at compute-node level before rerouting
     // (Section III-A2); modeled by the topology-dependent two-level router.
-    const net::TwoLevelRouter router(p, options.pes_per_node);
-    auto queues = make_queues(views, options, router, kTagWedge);
+    auto queue = make_queue(views, options, Routing::kTwoLevel, kTagWedge);
 
     auto deliver = [&](net::RankHandle& self, std::span<const std::uint64_t> record) {
         KATRIC_ASSERT(record.size() == 2);
@@ -43,8 +42,8 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
         if (probe_edge(self, view, u, w)) { ++counts[r]; }
     };
 
-    sim.run_phase(
-        "global",
+    queue.run_phase(
+        sim, "global",
         [&](net::RankHandle& self) {
             const Rank r = self.rank();
             const DistGraph& view = views[r];
@@ -63,19 +62,14 @@ CountResult run_havoqgt_style(net::Simulator& sim, const std::vector<DistGraph>&
                             if (probe_edge(self, view, u, w)) { ++counts[r]; }
                         } else {
                             const std::uint64_t query[2] = {u, w};
-                            queues[r].post(self, view.partition().rank_of(u),
-                                           std::span<const std::uint64_t>(query));
+                            queue.post(self, view.partition().rank_of(u),
+                                       std::span<const std::uint64_t>(query));
                         }
                     }
                 }
             }
         },
-        [&](net::RankHandle& self, Rank /*src*/, int tag,
-            std::span<const std::uint64_t> payload) {
-            KATRIC_ASSERT(tag == kTagWedge);
-            queues[self.rank()].handle(self, payload, deliver);
-        },
-        [&](net::RankHandle& self) { queues[self.rank()].flush(self); });
+        deliver);
 
     // Every find is a global-phase wedge check.
     reduce_counts(sim, std::vector<std::uint64_t>(p, 0), counts, result);

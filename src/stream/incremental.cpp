@@ -18,7 +18,7 @@ namespace {
 
 using graph::Edge;
 
-/// Record opcodes of the stream queues' logical records.
+/// Record opcodes of the stream queue's logical records.
 enum Op : std::uint64_t {
     kOpShip = 1,    ///< [op, a, b, flagged N(a)…]   — intersect at owner(b)
     kOpPull = 2,    ///< [op, a, b]                  — owner(b) ships N(b) back
@@ -182,11 +182,11 @@ IncrementalCounter::IncrementalCounter(net::Simulator& sim,
     : sim_(&sim),
       views_(&views),
       options_(options),
-      router_(core::make_router(sim.num_ranks(), indirect)),
-      // The queues are long-lived across batches; epochs, not
+      // The queue is long-lived across batches; epochs, not
       // reconstruction, mark the boundaries.
-      queues_(core::make_queues(views, options, *router_, core::kTagStream,
-                                /*epoch_stamped=*/true)),
+      queue_(core::make_queue(views, options,
+                              indirect ? core::Routing::kGrid : core::Routing::kDirect,
+                              core::kTagStream, /*epoch_stamped=*/true)),
       triangles_(initial_triangles) {
     KATRIC_ASSERT(static_cast<Rank>(views.size()) == sim.num_ranks());
     ranks_.resize(views.size());
@@ -207,10 +207,6 @@ IncrementalCounter::IncrementalCounter(net::Simulator& sim,
             self.charge_ops(view.enable_hub_bitmaps(threshold));
         }, {});
     }
-}
-
-void IncrementalCounter::start_epoch(std::uint64_t epoch) {
-    for (auto& queue : queues_) { queue.begin_epoch(epoch); }
 }
 
 std::span<const std::uint64_t> IncrementalCounter::flagged_row(
@@ -249,12 +245,12 @@ void IncrementalCounter::post_edge_work(net::RankHandle& self, const Edge& edge)
     const auto remote_degree = view.ghost_degree(v);
     if (!remote_degree.has_value() || view.degree(u) <= *remote_degree) {
         // Ship the (estimated) smaller side: N(u) travels to owner(v).
-        queues_[self.rank()].post(self, owner_v, flagged_row(self, u, {kOpShip, u, v}));
+        queue_.post(self, owner_v, flagged_row(self, u, {kOpShip, u, v}));
     } else {
         // Pull: ask owner(v) to ship flagged N(v) back here.
         const std::array<std::uint64_t, 3> record{kOpPull, u, v};
         self.charge_ops(1);
-        queues_[self.rank()].post(self, owner_v, record);
+        queue_.post(self, owner_v, record);
     }
 }
 
@@ -313,8 +309,8 @@ void IncrementalCounter::deliver_record(net::RankHandle& self,
             KATRIC_ASSERT(record.size() == 3);
             const graph::VertexId a = record[1];
             const graph::VertexId b = record[2];
-            queues_[self.rank()].post(self, view.partition().rank_of(a),
-                                      flagged_row(self, b, {kOpShip, b, a}));
+            queue_.post(self, view.partition().rank_of(a),
+                        flagged_row(self, b, {kOpShip, b, a}));
             return;
         }
         case kOpDegree: {
@@ -363,34 +359,22 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
     const std::uint64_t messages_before = sum_messages(*sim_);
     const std::uint64_t words_before = sum_words(*sim_);
 
-    const auto on_message = [this](net::RankHandle& self, Rank /*src*/, int /*tag*/,
-                                   std::span<const std::uint64_t> payload) {
-        queues_[self.rank()].handle(self, payload,
-                                    [this](net::RankHandle& s,
-                                           std::span<const std::uint64_t> record) {
-                                        deliver_record(s, record);
-                                    });
-    };
-    const auto on_idle = [this](net::RankHandle& self) {
-        auto& queue = queues_[self.rank()];
-        if (queue.has_buffered()) { queue.flush(self); }
-    };
+    const auto deliver = std::bind_front(&IncrementalCounter::deliver_record, this);
 
     // Superstep 1: count old-graph triangles through every effective
     // deletion, before any adjacency changes anywhere.
     std::uint64_t lost = 0;
     if (!net.deletes.empty()) {
-        start_epoch(++epoch_);
         current_changed_ = &deleted_;
         phase_sign_ = -1;
-        sim_->run_phase(
-            "stream/delete",
+        queue_.run_phase(
+            *sim_, "stream/delete",
             [&](net::RankHandle& self) {
                 for (const auto& e : owned_slice(net.deletes, partition, self.rank())) {
                     post_edge_work(self, e);
                 }
             },
-            on_message, on_idle);
+            deliver);
         lost = take_triangle_sixths();
     }
 
@@ -399,11 +383,10 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
     // any delivery, so shipped neighborhoods are post-update everywhere.
     std::uint64_t gained = 0;
     if (!net.deletes.empty() || !net.inserts.empty()) {
-        start_epoch(++epoch_);
         current_changed_ = &inserted_;
         phase_sign_ = 1;
-        sim_->run_phase(
-            "stream/apply",
+        queue_.run_phase(
+            *sim_, "stream/apply",
             [&](net::RankHandle& self) {
                 auto& view = (*views_)[self.rank()];
                 auto& state = ranks_[self.rank()];
@@ -438,7 +421,7 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
                     const std::array<std::uint64_t, 3> note{kOpDegree, v, view.degree(v)};
                     view.neighbor_ranks(v, state.owners);
                     for (const Rank owner : state.owners) {
-                        queues_[self.rank()].post(self, owner, note);
+                        queue_.post(self, owner, note);
                     }
                 }
 
@@ -446,7 +429,7 @@ BatchStats IncrementalCounter::apply_batch(const EdgeBatch& batch) {
                     post_edge_work(self, e);
                 }
             },
-            on_message, on_idle);
+            deliver);
         gained = take_triangle_sixths();
     }
     current_changed_ = nullptr;

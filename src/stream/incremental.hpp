@@ -3,14 +3,12 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/algorithm.hpp"
 #include "error.hpp"
-#include "net/indirection.hpp"
 #include "net/message_queue.hpp"
 #include "net/simulator.hpp"
 #include "stream/dynamic_graph.hpp"
@@ -130,7 +128,7 @@ public:
     /// both must outlive it. `initial_triangles` is the static count of the
     /// graph the views were built from. options supplies δ
     /// (buffer_threshold_words, 0 = auto O(|E_i|)); `indirect` enables the
-    /// grid router for the stream queues.
+    /// grid router for the stream queue.
     IncrementalCounter(net::Simulator& sim, std::vector<DynamicDistGraph>& views,
                        const core::AlgorithmOptions& options, bool indirect,
                        std::uint64_t initial_triangles);
@@ -162,7 +160,6 @@ private:
         std::vector<Rank> owners;              ///< recipients of one degree note
     };
 
-    void start_epoch(std::uint64_t epoch);
     /// Flag-annotated local neighborhood of x after `prefix`, built in the
     /// rank's reused record buffer — the shared wire/operand form of ship
     /// records and local intersections. Valid until the rank's next call.
@@ -184,8 +181,7 @@ private:
     net::Simulator* sim_;
     std::vector<DynamicDistGraph>* views_;
     core::AlgorithmOptions options_;
-    std::unique_ptr<net::Router> router_;
-    std::vector<net::MessageQueue> queues_;
+    net::MessageQueue queue_;
     std::vector<RankState> ranks_;
     StreamTriangleSink sink_;      // optional per-vertex attribution
     std::int64_t phase_sign_ = 1;  // −1 in "stream/delete", +1 in "stream/apply"
@@ -201,7 +197,6 @@ private:
 
     std::uint64_t triangles_;
     std::size_t batch_index_ = 0;
-    std::uint64_t epoch_ = 0;
 };
 
 }  // namespace katric::stream

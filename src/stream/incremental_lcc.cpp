@@ -12,6 +12,11 @@ IncrementalLcc::IncrementalLcc(net::Simulator& sim, std::vector<DynamicDistGraph
     : sim_(&sim),
       views_(&views),
       state_(views.front().partition()),
+      // Same routing and δ policy as the counter's queue: long-lived, with
+      // epochs (one per batch flush) marking the boundaries.
+      queue_(core::make_queue(views, options,
+                              indirect ? core::Routing::kGrid : core::Routing::kDirect,
+                              core::kTagStreamLcc, /*epoch_stamped=*/true)),
       touched_(static_cast<std::size_t>(sim.num_ranks())) {
     KATRIC_ASSERT(static_cast<Rank>(views.size()) == sim.num_ranks());
     const auto& partition = state_.partition();
@@ -24,11 +29,6 @@ IncrementalLcc::IncrementalLcc(net::Simulator& sim, std::vector<DynamicDistGraph
             state_.credit(r, v, 6 * static_cast<std::int64_t>(initial_delta[v]));
         }
     }
-    // Same router and δ policy as the counter's queues: long-lived, with
-    // epochs (one per batch flush) marking the boundaries.
-    router_ = core::make_router(sim.num_ranks(), indirect);
-    queues_ = core::make_queues(views, options, *router_, core::kTagStreamLcc,
-                                /*epoch_stamped=*/true);
 }
 
 void IncrementalLcc::attach(IncrementalCounter& counter) {
@@ -50,11 +50,9 @@ void IncrementalLcc::deliver_record(net::RankHandle& self,
 }
 
 double IncrementalLcc::finish_batch() {
-    ++epoch_;
-    for (auto& queue : queues_) { queue.begin_epoch(epoch_); }
     const double before = sim_->time();
-    sim_->run_phase(
-        "stream/lcc-flush",
+    queue_.run_phase(
+        *sim_, "stream/lcc-flush",
         [&](net::RankHandle& self) {
             const Rank r = self.rank();
             const auto pairs = state_.drain_ghosts(r);
@@ -65,21 +63,10 @@ double IncrementalLcc::finish_batch() {
                 // nothing to tell the owner.
                 if (sixths == 0) { continue; }
                 const net::WordVec record{ghost, net::encode_signed(sixths)};
-                queues_[r].post(self, state_.partition().rank_of(ghost), record);
+                queue_.post(self, state_.partition().rank_of(ghost), record);
             }
         },
-        [&](net::RankHandle& self, Rank /*src*/, int /*tag*/,
-            std::span<const std::uint64_t> payload) {
-            queues_[self.rank()].handle(self, payload,
-                                        [&](net::RankHandle& s,
-                                            std::span<const std::uint64_t> record) {
-                                            deliver_record(s, record);
-                                        });
-        },
-        [&](net::RankHandle& self) {
-            auto& queue = queues_[self.rank()];
-            if (queue.has_buffered()) { queue.flush(self); }
-        });
+        std::bind_front(&IncrementalLcc::deliver_record, this));
     KATRIC_ASSERT_MSG(state_.ghosts_empty(), "Δ flush left ghost residue");
     // Committed accumulators must be whole, non-negative triangles: each
     // triangle contributes exactly ±6 sixths per incident vertex across its

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/dist_lcc.hpp"
-#include "net/indirection.hpp"
 #include "net/message_queue.hpp"
 #include "net/simulator.hpp"
 #include "stream/dynamic_graph.hpp"
@@ -29,7 +27,7 @@ namespace katric::stream {
 /// the end of the run, finish_batch() drains each rank's ghost
 /// contributions through a dedicated epoch-stamped net::MessageQueue
 /// exchange — one epoch per batch, so a Δ record can never bleed across a
-/// batch boundary, mirroring the counter's own queues.
+/// batch boundary, mirroring the counter's own queue.
 ///
 /// Degrees are read live from the mutating DynamicDistGraph views, so
 /// LCC(v) = 2Δ(v)/(d_v(d_v−1)) stays exact as d_v changes; vertices with
@@ -77,14 +75,12 @@ private:
     net::Simulator* sim_;
     std::vector<DynamicDistGraph>* views_;
     core::LccDeltaState state_;  // units: sixths of a triangle
-    std::unique_ptr<net::Router> router_;
-    std::vector<net::MessageQueue> queues_;
+    net::MessageQueue queue_;
     /// Per rank: owner-side slots credited since the last flush (may hold
     /// duplicates) — the scope of finish_batch's sixths-invariant check,
     /// keeping it O(touched) instead of O(n) per batch. Per rank because the
     /// ranks of a start round credit concurrently.
     std::vector<std::vector<VertexId>> touched_;
-    std::uint64_t epoch_ = 0;
 };
 
 }  // namespace katric::stream

@@ -23,8 +23,9 @@ auto whole_token(const std::string& name, const std::string& value, Convert conv
     } catch (const std::logic_error&) {
         used = 0;  // std::invalid_argument / std::out_of_range
     }
-    KATRIC_ASSERT_MSG(!value.empty() && used == value.size(),
-                      "--" << name << " expects a number, got '" << value << "'");
+    if (value.empty() || used != value.size()) {
+        KATRIC_THROW("--" << name << " expects a number, got '" << value << "'");
+    }
     return parsed;
 }
 
@@ -115,9 +116,10 @@ std::int64_t CliParser::get_int(const std::string& name) const {
 std::uint64_t CliParser::get_uint(const std::string& name) const {
     const std::string value = get_string(name);
     std::uint64_t parsed = 0;
-    KATRIC_ASSERT_MSG(parse_u64(value, parsed),
-                      "--" << name << " expects an unsigned integer, got '" << value
-                           << "'");
+    if (!parse_u64(value, parsed)) {
+        KATRIC_THROW("--" << name << " expects an unsigned integer, got '" << value
+                          << "'");
+    }
     return parsed;
 }
 
@@ -130,7 +132,9 @@ double CliParser::get_double(const std::string& name) const {
 
 bool CliParser::get_flag(const std::string& name) const {
     const std::string value = get_string(name);
-    return value == "true" || value == "1" || value == "yes";
+    if (value == "true" || value == "1" || value == "yes") { return true; }
+    if (value == "false" || value == "0" || value == "no") { return false; }
+    KATRIC_THROW("--" << name << " expects true|1|yes|false|0|no, got '" << value << "'");
 }
 
 std::vector<std::uint64_t> CliParser::get_uint_list(const std::string& name) const {
@@ -140,9 +144,10 @@ std::vector<std::uint64_t> CliParser::get_uint_list(const std::string& name) con
     while (std::getline(stream, token, ',')) {
         if (token.empty()) { continue; }
         std::uint64_t parsed = 0;
-        KATRIC_ASSERT_MSG(parse_u64(token, parsed),
-                          "--" << name << " expects unsigned integers, got '" << token
-                               << "'");
+        if (!parse_u64(token, parsed)) {
+            KATRIC_THROW("--" << name << " expects unsigned integers, got '" << token
+                              << "'");
+        }
         result.push_back(parsed);
     }
     return result;

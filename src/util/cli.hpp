@@ -70,6 +70,8 @@ public:
     [[nodiscard]] std::int64_t get_int(const std::string& name) const;
     [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
     [[nodiscard]] double get_double(const std::string& name) const;
+    /// true|1|yes or false|0|no (a bare --flag reads true); anything else
+    /// throws assertion_error naming the option.
     [[nodiscard]] bool get_flag(const std::string& name) const;
     /// Comma-separated integer list, e.g. "--ps 1,2,4,8".
     [[nodiscard]] std::vector<std::uint64_t> get_uint_list(const std::string& name) const;

@@ -203,6 +203,18 @@ TEST(Config, TryFromFlagsRejectsMissingValueAndBadValue) {
     EXPECT_EQ(bad.error, ConfigError::kBadValue);
     EXPECT_FALSE(bad.message().empty());
 
+    // A rejected value's detail is the message alone: no assertion text and
+    // no source location, so it is the same on every build.
+    for (const auto& [flag, detail] :
+         {std::pair<std::string, std::string>{"--ranks=0", "--ranks must be at least 1"},
+          {"--threads=0", "--threads must be at least 1"},
+          {"--algorithm=nope", "unknown algorithm 'nope'"},
+          {"--compress=2", "--compress expects 0 or 1, got '2'"}}) {
+        const auto parse = Config::try_from_flags({flag});
+        EXPECT_EQ(parse.error, ConfigError::kBadValue) << flag;
+        EXPECT_EQ(parse.detail, detail) << flag;
+    }
+
     const auto not_a_flag = Config::try_from_flags({"ranks=4"});
     EXPECT_EQ(not_a_flag.error, ConfigError::kBadValue);
 
@@ -214,7 +226,10 @@ TEST(Config, TryFromFlagsRejectsMissingValueAndBadValue) {
           "--amq-fpr=nan", "--alpha=-1e-3", "--alpha=inf", "--alpha=nan",
           "--beta=-1e-9", "--beta=inf", "--beta=nan", "--compute-op=-1e-9",
           "--compute-op=inf", "--compute-op=nan", "--phase-timeout=-1",
-          "--deadline=-1"}) {
+          "--deadline=-1",
+          // Booleans are exactly 0 or 1: any other number used to read as 1.
+          "--compress=3", "--harden=01", "--metrics=true", "--maintain-lcc=",
+          "--amq-truthful=-1"}) {
         const auto parse = Config::try_from_flags({flag});
         EXPECT_EQ(parse.error, ConfigError::kBadValue) << flag;
         EXPECT_FALSE(parse.config.has_value()) << flag;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "net/message_queue.hpp"
 
@@ -104,34 +106,24 @@ TEST(GridIndirection, ReducesMaxMessagesOnAllToOne) {
     // With direct routing PE 0 receives p−1 messages; with the grid,
     // proxies aggregate and PE 0 receives ≈ rows messages.
     const Rank p = 64;
-    auto run = [&](const Router& router) {
+    auto run = [&](std::unique_ptr<const Router> router) {
         Simulator sim(p, NetworkConfig{});
-        std::vector<MessageQueue> queues;
-        queues.reserve(p);
-        for (Rank r = 0; r < p; ++r) { queues.emplace_back(1 << 20, router, 1); }
+        MessageQueue queue(std::move(router), std::vector<std::uint64_t>(p, 1 << 20), 1);
         std::size_t delivered = 0;
-        sim.run_phase(
-            "x",
+        queue.run_phase(
+            sim, "x",
             [&](RankHandle& self) {
                 if (self.rank() != 0) {
                     const std::uint64_t word = self.rank();
-                    queues[self.rank()].post(self, 0, std::span<const std::uint64_t>(&word, 1));
+                    queue.post(self, 0, std::span<const std::uint64_t>(&word, 1));
                 }
             },
-            [&](RankHandle& self, Rank, int, std::span<const std::uint64_t> payload) {
-                queues[self.rank()].handle(self, payload,
-                                           [&](RankHandle&, std::span<const std::uint64_t>) {
-                                               ++delivered;
-                                           });
-            },
-            [&](RankHandle& self) { queues[self.rank()].flush(self); });
+            [&](RankHandle&, std::span<const std::uint64_t>) { ++delivered; });
         EXPECT_EQ(delivered, p - 1);
         return sim.rank_metrics()[0].messages_received;
     };
-    const DirectRouter direct;
-    const GridRouter grid(p);
-    const auto direct_received = run(direct);
-    const auto grid_received = run(grid);
+    const auto direct_received = run(std::make_unique<DirectRouter>());
+    const auto grid_received = run(std::make_unique<GridRouter>(p));
     EXPECT_EQ(direct_received, p - 1);
     // Row peers arrive directly; every column proxy contributes its own
     // record (first flush round) plus one aggregated forward (second round).

@@ -5,44 +5,48 @@
 #include "util/assert.hpp"
 
 #include <map>
+#include <memory>
 #include <vector>
 
 namespace katric::net {
 namespace {
 
-/// Drives a two-rank simulation where rank 0 posts records to rank 1.
+using RouterPtr = std::unique_ptr<const Router>;
+
+/// A queue over p ranks with the same δ on every rank.
+MessageQueue uniform_queue(Rank p, std::uint64_t threshold, RouterPtr router,
+                           bool epoch_stamped = false) {
+    return MessageQueue(std::move(router), std::vector<std::uint64_t>(p, threshold), 1,
+                        epoch_stamped);
+}
+
+/// Drives a p-rank simulation through one queue and logs every delivered
+/// record per final destination.
 struct QueueHarness {
-    explicit QueueHarness(Rank p, std::uint64_t threshold, const Router& router,
+    explicit QueueHarness(Rank p, std::uint64_t threshold,
+                          RouterPtr router = std::make_unique<DirectRouter>(),
                           NetworkConfig cfg = {})
-        : sim(p, cfg) {
-        for (Rank r = 0; r < p; ++r) { queues.emplace_back(threshold, router, 1); }
-    }
+        : sim(p, cfg), queue(uniform_queue(p, threshold, std::move(router))) {}
 
     void run(const std::function<void(RankHandle&)>& start) {
-        sim.run_phase(
-            "x", start,
-            [&](RankHandle& self, Rank, int, std::span<const std::uint64_t> payload) {
-                queues[self.rank()].handle(
-                    self, payload, [&](RankHandle& s, std::span<const std::uint64_t> rec) {
-                        delivered[s.rank()].emplace_back(rec.begin(), rec.end());
-                    });
-            },
-            [&](RankHandle& self) { queues[self.rank()].flush(self); });
+        queue.run_phase(sim, "x", start,
+                        [&](RankHandle& self, std::span<const std::uint64_t> rec) {
+                            delivered[self.rank()].emplace_back(rec.begin(), rec.end());
+                        });
     }
 
     Simulator sim;
-    std::vector<MessageQueue> queues;
+    MessageQueue queue;
     std::map<Rank, std::vector<WordVec>> delivered;
 };
 
 TEST(MessageQueue, DeliversRecordsIntactAndInOrder) {
-    const DirectRouter router;
-    QueueHarness h(2, /*threshold=*/1 << 20, router);
+    QueueHarness h(2, /*threshold=*/1 << 20);
     h.run([&](RankHandle& self) {
         if (self.rank() == 0) {
             for (std::uint64_t i = 0; i < 5; ++i) {
                 const WordVec rec{i, i * 10, i * 100};
-                h.queues[0].post(self, 1, rec);
+                h.queue.post(self, 1, rec);
             }
         }
     });
@@ -53,13 +57,12 @@ TEST(MessageQueue, DeliversRecordsIntactAndInOrder) {
 }
 
 TEST(MessageQueue, BelowThresholdSingleFlushMessage) {
-    const DirectRouter router;
-    QueueHarness h(2, 1 << 20, router);
+    QueueHarness h(2, 1 << 20);
     h.run([&](RankHandle& self) {
         if (self.rank() == 0) {
             for (std::uint64_t i = 0; i < 100; ++i) {
                 const WordVec rec{i};
-                h.queues[0].post(self, 1, rec);
+                h.queue.post(self, 1, rec);
             }
         }
     });
@@ -69,13 +72,12 @@ TEST(MessageQueue, BelowThresholdSingleFlushMessage) {
 }
 
 TEST(MessageQueue, ThresholdTriggersEagerFlush) {
-    const DirectRouter router;
-    QueueHarness h(2, /*threshold=*/10, router);
+    QueueHarness h(2, /*threshold=*/10);
     h.run([&](RankHandle& self) {
         if (self.rank() == 0) {
             for (std::uint64_t i = 0; i < 100; ++i) {
                 const WordVec rec{i};
-                h.queues[0].post(self, 1, rec);
+                h.queue.post(self, 1, rec);
             }
         }
     });
@@ -84,14 +86,13 @@ TEST(MessageQueue, ThresholdTriggersEagerFlush) {
 }
 
 TEST(MessageQueue, PeakBufferBoundedByThresholdPlusRecord) {
-    const DirectRouter router;
     const std::uint64_t delta = 64;
-    QueueHarness h(4, delta, router);
+    QueueHarness h(4, delta);
     h.run([&](RankHandle& self) {
         if (self.rank() == 0) {
             for (std::uint64_t i = 0; i < 200; ++i) {
                 const WordVec rec{i, i, i};  // 3 words + 2 header
-                h.queues[0].post(self, 1 + (i % 3), rec);
+                h.queue.post(self, 1 + (i % 3), rec);
             }
         }
     });
@@ -106,13 +107,13 @@ TEST(MessageQueue, PeakBufferBoundedByThresholdPlusRecord) {
 TEST(MessageQueue, ExceedingMemoryBudgetThrows) {
     NetworkConfig cfg;
     cfg.memory_limit_words = 50;
-    const DirectRouter router;
-    QueueHarness h(2, /*threshold=*/1000, router, cfg);  // δ above the budget
+    QueueHarness h(2, /*threshold=*/1000, std::make_unique<DirectRouter>(),
+                   cfg);  // δ above the budget
     EXPECT_THROW(h.run([&](RankHandle& self) {
         if (self.rank() == 0) {
             for (std::uint64_t i = 0; i < 100; ++i) {
                 const WordVec rec{i};
-                h.queues[0].post(self, 1, rec);
+                h.queue.post(self, 1, rec);
             }
         }
     }),
@@ -125,10 +126,9 @@ TEST(MessageQueue, FlushSendsInStaggeredHopOrder) {
     // send's arrival time is its position in the sender's order.
     NetworkConfig cfg;
     cfg.alpha = 1.0;
-    const DirectRouter router;
     const Rank p = 6;
     const Rank sender = 2;
-    QueueHarness h(p, 1 << 20, router, cfg);
+    QueueHarness h(p, 1 << 20, std::make_unique<DirectRouter>(), cfg);
     std::vector<double> arrival(p, 0.0);
     h.sim.run_phase(
         "x",
@@ -136,9 +136,9 @@ TEST(MessageQueue, FlushSendsInStaggeredHopOrder) {
             if (self.rank() != sender) { return; }
             for (const Rank dest : {5u, 0u, 3u, 1u, 4u}) {
                 const WordVec rec{dest};
-                h.queues[sender].post(self, dest, rec);
+                h.queue.post(self, dest, rec);
             }
-            h.queues[sender].flush(self);
+            h.queue.flush(self);
         },
         [&](RankHandle& self, Rank, int, std::span<const std::uint64_t>) {
             arrival[self.rank()] = self.now();
@@ -150,13 +150,12 @@ TEST(MessageQueue, FlushSendsInStaggeredHopOrder) {
 }
 
 TEST(MessageQueue, EmptyFlushSendsAndChargesNothing) {
-    const DirectRouter router;
-    QueueHarness h(4, 1 << 20, router);
+    QueueHarness h(4, 1 << 20);
     h.sim.run_phase(
         "x",
         [&](RankHandle& self) {
             if (self.rank() != 0) { return; }
-            auto& queue = h.queues[0];
+            auto& queue = h.queue;
             const auto unchanged = [&] {
                 const double before = self.now();
                 const RankMetrics metrics = self.metrics();
@@ -176,14 +175,13 @@ TEST(MessageQueue, EmptyFlushSendsAndChargesNothing) {
 
 TEST(MessageQueue, IndirectRoutingDeliversEverythingToFinalDest) {
     const Rank p = 16;
-    const GridRouter router(p);
-    QueueHarness h(p, 1 << 20, router);
+    QueueHarness h(p, 1 << 20, std::make_unique<GridRouter>(p));
     h.run([&](RankHandle& self) {
         const Rank r = self.rank();
         for (Rank dest = 0; dest < p; ++dest) {
             if (dest == r) { continue; }
             const WordVec rec{r, dest};
-            h.queues[r].post(self, dest, rec);
+            h.queue.post(self, dest, rec);
         }
     });
     for (Rank dest = 0; dest < p; ++dest) {
@@ -199,13 +197,12 @@ TEST(MessageQueue, ProxyAggregatesSecondHop) {
     // 9 PEs in a 3×3 grid; all of row 0 send to PE 8=(2,2). The proxy (0,2)=2
     // receives the row's records and forwards them as one aggregated message.
     const Rank p = 9;
-    const GridRouter router(p);
-    QueueHarness h(p, 1 << 20, router);
+    QueueHarness h(p, 1 << 20, std::make_unique<GridRouter>(p));
     h.run([&](RankHandle& self) {
         const Rank r = self.rank();
         if (r == 0 || r == 1) {
             const WordVec rec{r};
-            h.queues[r].post(self, 8, rec);
+            h.queue.post(self, 8, rec);
         }
     });
     ASSERT_EQ(h.delivered[8].size(), 2u);
@@ -216,9 +213,8 @@ TEST(MessageQueue, ProxyAggregatesSecondHop) {
 }
 
 TEST(MessageQueue, PostToSelfIsRejected) {
-    const DirectRouter router;
     Simulator sim(2, NetworkConfig{});
-    MessageQueue queue(100, router, 1);
+    auto queue = uniform_queue(2, 100, std::make_unique<DirectRouter>());
     EXPECT_THROW(sim.run_phase(
                      "x",
                      [&](RankHandle& self) {
@@ -232,84 +228,107 @@ TEST(MessageQueue, PostToSelfIsRejected) {
 }
 
 TEST(MessageQueue, EpochStampedRecordsRoundTrip) {
-    const DirectRouter router;
     Simulator sim(2, NetworkConfig{});
-    MessageQueue q0(1 << 20, router, 1, /*epoch_stamped=*/true);
-    MessageQueue q1(1 << 20, router, 1, /*epoch_stamped=*/true);
+    auto queue = uniform_queue(2, 1 << 20, std::make_unique<DirectRouter>(),
+                               /*epoch_stamped=*/true);
     std::vector<WordVec> received;
     for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
-        q0.begin_epoch(epoch);
-        q1.begin_epoch(epoch);
+        queue.begin_epoch();
         sim.run_phase(
             "batch",
             [&](RankHandle& self) {
                 if (self.rank() == 0) {
                     const WordVec rec{epoch * 100};
-                    q0.post(self, 1, rec);
+                    queue.post(self, 1, rec);
                 }
             },
             [&](RankHandle& self, Rank, int, std::span<const std::uint64_t> payload) {
-                q1.handle(self, payload,
-                          [&](RankHandle&, std::span<const std::uint64_t> rec) {
-                              received.emplace_back(rec.begin(), rec.end());
-                          });
+                queue.handle(self, payload,
+                             [&](RankHandle&, std::span<const std::uint64_t> rec) {
+                                 received.emplace_back(rec.begin(), rec.end());
+                             });
             },
-            [&](RankHandle& self) {
-                if (self.rank() == 0 && q0.has_buffered()) { q0.flush(self); }
-            });
+            [&](RankHandle& self) { queue.flush(self); });
     }
     ASSERT_EQ(received.size(), 3u);
     EXPECT_EQ(received[0], (WordVec{100}));
     EXPECT_EQ(received[2], (WordVec{300}));
-    EXPECT_EQ(q1.epoch(), 3u);
+    EXPECT_EQ(queue.epoch(), 3u);
 }
 
 TEST(MessageQueue, StaleEpochRecordRejected) {
     // A record stamped in epoch 1 must not survive into epoch 2 — the
-    // batch-boundary guarantee of the streaming subsystem.
-    const DirectRouter router;
+    // batch-boundary guarantee of the streaming subsystem. Rank 0's flush
+    // is captured on the wire in epoch 1 and handed to rank 1 in epoch 2.
     Simulator sim(2, NetworkConfig{});
-    MessageQueue sender(1 << 20, router, 1, /*epoch_stamped=*/true);
-    MessageQueue receiver(1 << 20, router, 1, /*epoch_stamped=*/true);
-    sender.begin_epoch(1);
-    receiver.begin_epoch(1);
+    auto queue = uniform_queue(2, 1 << 20, std::make_unique<DirectRouter>(),
+                               /*epoch_stamped=*/true);
+    queue.begin_epoch();
     WordVec stale_payload;
     sim.run_phase(
         "x",
         [&](RankHandle& self) {
             if (self.rank() == 0) {
                 const WordVec rec{7};
-                sender.post(self, 1, rec);
+                queue.post(self, 1, rec);
             }
         },
         [&](RankHandle&, Rank, int, std::span<const std::uint64_t> payload) {
             stale_payload.assign(payload.begin(), payload.end());
         },
-        [&](RankHandle& self) {
-            if (self.rank() == 0 && sender.has_buffered()) { sender.flush(self); }
-        });
-    ASSERT_FALSE(stale_payload.empty());
-    receiver.begin_epoch(2);
+        [&](RankHandle& self) { queue.flush(self); });
+    ASSERT_EQ(stale_payload, (WordVec{1, 1, 1, 7}));
+    queue.begin_epoch();
     sim.run_phase(
         "y",
         [&](RankHandle& self) {
             if (self.rank() == 1) {
-                EXPECT_THROW(receiver.handle(self, stale_payload,
-                                             [](RankHandle&,
-                                                std::span<const std::uint64_t>) {}),
-                             katric::assertion_error);
+                EXPECT_THROW(
+                    queue.handle(self, stale_payload,
+                                 [](RankHandle&, std::span<const std::uint64_t>) {}),
+                    katric::assertion_error);
             }
         },
         {});
 }
 
+TEST(MessageQueue, CraftedStaleStampRejected) {
+    // Sender and receiver share the machine's epoch, so a stale stamp can
+    // only arrive crafted: every stamp but the current one is rejected, and
+    // nothing of the payload is delivered.
+    Simulator sim(2, NetworkConfig{});
+    auto queue = uniform_queue(2, 1 << 20, std::make_unique<DirectRouter>(),
+                               /*epoch_stamped=*/true);
+    queue.begin_epoch();
+    queue.begin_epoch();
+    std::size_t delivered = 0;
+    const MessageQueue::Deliver count = [&](RankHandle&, std::span<const std::uint64_t>) {
+        ++delivered;
+    };
+    sim.run_phase(
+        "x",
+        [&](RankHandle& self) {
+            if (self.rank() != 1) { return; }
+            for (const std::uint64_t stamp : {0u, 1u, 3u}) {
+                const WordVec stale{1, 1, stamp, 7};
+                EXPECT_THROW(queue.handle(self, stale, count), katric::assertion_error)
+                    << "stamp " << stamp;
+            }
+            const WordVec current{1, 1, 2, 7};
+            queue.handle(self, current, count);
+        },
+        {});
+    EXPECT_EQ(delivered, 1u);
+}
+
 TEST(MessageQueue, EpochMisuseRejected) {
-    const DirectRouter router;
-    MessageQueue plain(100, router, 1);
-    EXPECT_THROW(plain.begin_epoch(1), katric::assertion_error);
+    auto plain = uniform_queue(2, 100, std::make_unique<DirectRouter>());
+    EXPECT_THROW(plain.begin_epoch(), katric::assertion_error);
 
     Simulator sim(2, NetworkConfig{});
-    MessageQueue stamped(1 << 20, router, 1, /*epoch_stamped=*/true);
+    auto stamped = uniform_queue(2, 1 << 20, std::make_unique<DirectRouter>(),
+                                 /*epoch_stamped=*/true);
+    stamped.begin_epoch();
     sim.run_phase(
         "x",
         [&](RankHandle& self) {
@@ -317,53 +336,97 @@ TEST(MessageQueue, EpochMisuseRejected) {
                 const WordVec rec{1};
                 stamped.post(self, 1, rec);
                 // Buffered residue across a boundary is a protocol bug.
-                EXPECT_THROW(stamped.begin_epoch(2), katric::assertion_error);
+                EXPECT_THROW(stamped.begin_epoch(), katric::assertion_error);
                 stamped.flush(self);
             }
         },
         {});
-    stamped.begin_epoch(2);  // clean boundary after the flush
+    stamped.begin_epoch();  // clean boundary after the flush
     EXPECT_EQ(stamped.epoch(), 2u);
+}
+
+TEST(MessageQueue, BeginEpochChecksEveryLane) {
+    // The epoch is machine-wide, so residue in any rank's lane blocks it —
+    // not only the lane of the rank that happens to call begin_epoch.
+    const Rank p = 4;
+    for (Rank buffered = 0; buffered < p; ++buffered) {
+        Simulator sim(p, NetworkConfig{});
+        auto queue = uniform_queue(p, 1 << 20, std::make_unique<DirectRouter>(),
+                                   /*epoch_stamped=*/true);
+        sim.run_phase(
+            "x",
+            [&](RankHandle& self) {
+                if (self.rank() == buffered) {
+                    const WordVec rec{1};
+                    queue.post(self, (buffered + 1) % p, rec);
+                }
+            },
+            {});
+        EXPECT_THROW(queue.begin_epoch(), katric::assertion_error) << "rank " << buffered;
+        EXPECT_EQ(queue.epoch(), 0u);
+    }
+}
+
+TEST(MessageQueue, StampedRunPhaseOpensAnEpochPerSuperstep) {
+    const Rank p = 3;
+    Simulator sim(p, NetworkConfig{});
+    auto queue = uniform_queue(p, 1 << 20, std::make_unique<DirectRouter>(),
+                               /*epoch_stamped=*/true);
+    std::vector<std::vector<std::uint64_t>> seen(p);  // per receiving rank
+    for (std::uint64_t step = 1; step <= 3; ++step) {
+        queue.run_phase(
+            sim, "step",
+            [&](RankHandle& self) {
+                EXPECT_EQ(queue.epoch(), step);
+                const WordVec rec{step};
+                queue.post(self, (self.rank() + 1) % p, rec);
+            },
+            [&](RankHandle& self, std::span<const std::uint64_t> rec) {
+                ASSERT_EQ(rec.size(), 1u);
+                seen[self.rank()].push_back(rec[0]);
+            });
+        EXPECT_EQ(queue.epoch(), step);
+    }
+    for (Rank r = 0; r < p; ++r) {
+        EXPECT_EQ(seen[r], (std::vector<std::uint64_t>{1, 2, 3})) << "rank " << r;
+    }
+
+    // An unstamped queue keeps epoch 0 through its supersteps.
+    auto plain = uniform_queue(p, 1 << 20, std::make_unique<DirectRouter>());
+    plain.run_phase(sim, "plain", [](RankHandle&) {},
+                    [](RankHandle&, std::span<const std::uint64_t>) {});
+    EXPECT_EQ(plain.epoch(), 0u);
 }
 
 TEST(MessageQueue, EpochStampSurvivesProxyHop) {
     // 9 PEs, 3×3 grid: rank 0 → 8 routes via proxy 2, which re-posts the
-    // record with its own (identical) epoch stamp.
+    // record with the same (machine-wide) epoch stamp.
     const Rank p = 9;
-    const GridRouter router(p);
     Simulator sim(p, NetworkConfig{});
-    std::vector<MessageQueue> queues;
-    for (Rank r = 0; r < p; ++r) { queues.emplace_back(1 << 20, router, 1, true); }
-    for (auto& q : queues) { q.begin_epoch(5); }
+    auto queue = uniform_queue(p, 1 << 20, std::make_unique<GridRouter>(p),
+                               /*epoch_stamped=*/true);
     std::size_t delivered = 0;
-    sim.run_phase(
-        "x",
+    queue.run_phase(
+        sim, "x",
         [&](RankHandle& self) {
             if (self.rank() == 0) {
                 const WordVec rec{42};
-                queues[0].post(self, 8, rec);
+                queue.post(self, 8, rec);
             }
         },
-        [&](RankHandle& self, Rank, int, std::span<const std::uint64_t> payload) {
-            queues[self.rank()].handle(self, payload,
-                                       [&](RankHandle& s, std::span<const std::uint64_t> rec) {
-                                           EXPECT_EQ(s.rank(), 8u);
-                                           ASSERT_EQ(rec.size(), 1u);
-                                           EXPECT_EQ(rec[0], 42u);
-                                           ++delivered;
-                                       });
-        },
-        [&](RankHandle& self) {
-            auto& q = queues[self.rank()];
-            if (q.has_buffered()) { q.flush(self); }
+        [&](RankHandle& s, std::span<const std::uint64_t> rec) {
+            EXPECT_EQ(s.rank(), 8u);
+            ASSERT_EQ(rec.size(), 1u);
+            EXPECT_EQ(rec[0], 42u);
+            ++delivered;
         });
     EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(sim.rank_metrics()[2].messages_received, 1u);  // the proxy
 }
 
 TEST(MessageQueue, MalformedPayloadRejected) {
-    const DirectRouter router;
     Simulator sim(1, NetworkConfig{});
-    MessageQueue queue(100, router, 1);
+    auto queue = uniform_queue(1, 100, std::make_unique<DirectRouter>());
     sim.run_phase(
         "x",
         [&](RankHandle& self) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -450,9 +451,9 @@ constexpr int kTagQueue = 3;
 constexpr std::uint64_t kRecordWords = 3000;
 
 /// Every rank posts two 3000-word records to every other rank through
-/// grid-routed message queues: proxies re-post the records in transit and
+/// the grid-routed message queue: proxies re-post the records in transit and
 /// flush past the threshold from inside their handlers, the final
-/// destination answers each first record with a short reply through its
+/// destination answers each first record with a short reply through the
 /// queue, and the idle hook flushes what is left.
 WindowedRun queue_run(RankPool& pool, bool harden) {
     Simulator sim(kRanks, NetworkConfig{}, pool);
@@ -464,9 +465,8 @@ WindowedRun queue_run(RankPool& pool, bool harden) {
         options.stats = &run.trail.faults;
         sim.harden(options);
     }
-    const GridRouter router(kRanks);
-    std::vector<MessageQueue> queues;
-    for (Rank r = 0; r < kRanks; ++r) { queues.emplace_back(20000, router, kTagQueue); }
+    MessageQueue queue(std::make_unique<GridRouter>(kRanks),
+                       std::vector<std::uint64_t>(kRanks, 20000), kTagQueue);
     // Record: [kind (0 = data, 1 = reply), origin, index, filler…].
     const auto deliver = [&](RankHandle& self, std::span<const std::uint64_t> record) {
         auto& log = run.trail.deliveries[self.rank()];
@@ -475,7 +475,7 @@ WindowedRun queue_run(RankPool& pool, bool harden) {
         log.push_back(record.back());
         if (record[0] == 0 && record[2] == 0) {
             const WordVec reply{1, self.rank(), 0, record.size()};
-            queues[self.rank()].post(self, static_cast<Rank>(record[1]), reply);
+            queue.post(self, static_cast<Rank>(record[1]), reply);
         }
     };
     sim.run_phase(
@@ -490,15 +490,15 @@ WindowedRun queue_run(RankPool& pool, bool harden) {
                     record[0] = 0;
                     record[1] = r;
                     record[2] = index;
-                    queues[r].post(self, dest, record);
+                    queue.post(self, dest, record);
                 }
             }
         },
         [&](RankHandle& self, Rank src, int tag, std::span<const std::uint64_t> payload) {
             log_message(run.trail, self, src, tag, payload);
-            queues[self.rank()].handle(self, payload, deliver);
+            queue.handle(self, payload, deliver);
         },
-        [&](RankHandle& self) { queues[self.rank()].flush(self); });
+        [&](RankHandle& self) { queue.flush(self); });
     finish(run, sim);
     return run;
 }

@@ -152,6 +152,28 @@ TEST(CliParser, TokenParseTreatsHelpAsAnUnknownOption) {
     EXPECT_EQ(cli.duplicates(), std::vector<std::string>{"p"});
 }
 
+TEST(CliParser, FlagReadsOneGrammarAndRejectsTheRest) {
+    for (const char* value : {"true", "1", "yes", "false", "0", "no"}) {
+        auto cli = make_parser();
+        cli.parse({std::string("--verbose=") + value});
+        EXPECT_EQ(cli.get_flag("verbose"), value[0] == 't' || value[0] == '1'
+                                               || value[0] == 'y')
+            << value;
+    }
+    // Anything else used to read as false without a word.
+    for (const char* value : {"2", "on", "off", "True", "", "yes "}) {
+        auto cli = make_parser();
+        cli.parse({std::string("--verbose=") + value});
+        try {
+            (void)cli.get_flag("verbose");
+            ADD_FAILURE() << "'" << value << "' read as a flag";
+        } catch (const assertion_error& error) {
+            EXPECT_NE(std::string(error.what()).find("--verbose"), std::string::npos)
+                << error.what();
+        }
+    }
+}
+
 TEST(CliParser, UndeclaredLookupThrows) {
     auto cli = make_parser();
     const char* argv[] = {"prog"};
